@@ -105,6 +105,10 @@ class ResultSet:
 class QueryContext:
     """A snapshot plus default extraction settings.
 
+    The snapshot is validated here unless ``load_snapshot`` or an earlier
+    ``validate()`` already did; queries do not validate it again, so it must
+    not be changed afterwards.
+
     ``cache_extractions`` memoizes extracted subgraphs per (root, config)
     key.  It is off by default and meant for read-only workloads: write
     queries mutate the cached graph.
@@ -115,7 +119,7 @@ class QueryContext:
     cache_extractions: bool = False
 
     def __post_init__(self):
-        self.snapshot.validate()
+        self.snapshot._ensure_valid()
         self._cache: dict = {}
 
     def uid_of(self, object_id: int) -> int:

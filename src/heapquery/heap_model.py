@@ -33,14 +33,13 @@ from .errors import (
 )
 from .property_graph import (
     CLASS_LABEL,
+    INSTANCEOF_LABEL,
     LOCAL_LABEL,
     RESERVED_LABELS,
     PropertyGraph,
 )
 
 PRIMITIVE_TYPES = frozenset({"int", "double", "boolean", "String"})
-
-INSTANCEOF_LABEL = "instanceof"
 
 
 # --- abstract syntax ---------------------------------------------------------

@@ -31,6 +31,11 @@ LOCAL_LABEL = "Local"
 CLASS_LABEL = "Class"
 RESERVED_LABELS = frozenset({LOCAL_LABEL, CLASS_LABEL})
 
+# Relationship labels of heap graphs: object -> its class node, and
+# reference-array node -> element.
+INSTANCEOF_LABEL = "instanceof"
+ELEMENT_LABEL = "element"
+
 _PRIMITIVE_TYPES = (bool, int, float, str)
 
 ISO_NODE_LIMIT = 64

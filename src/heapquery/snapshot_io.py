@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import NotSnapshotShapedError, SnapshotSchemaError
-from .property_graph import CLASS_LABEL, LOCAL_LABEL, UID_KEY, PropertyGraph
+from .property_graph import CLASS_LABEL, ELEMENT_LABEL, INSTANCEOF_LABEL, LOCAL_LABEL, UID_KEY, PropertyGraph
 from .subgraph import (
     ClassInfo,
     FieldDecl,
@@ -37,9 +37,6 @@ from .subgraph import (
 
 NODES_HEADER = ["nodeId:ID", "label:LABEL", "props:JSON"]
 RELS_HEADER = [":START_ID", ":END_ID", ":TYPE", "props:JSON"]
-
-ELEMENT_LABEL = "element"
-INSTANCEOF_LABEL = "instanceof"
 
 
 # --- snapshot JSON ---------------------------------------------------------------

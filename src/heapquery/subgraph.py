@@ -11,6 +11,7 @@ everywhere) and a force-collect pass that drops unreachable objects first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import (
     DanglingReferenceError,
@@ -22,6 +23,8 @@ from .errors import (
 )
 from .property_graph import (
     CLASS_LABEL,
+    ELEMENT_LABEL,
+    INSTANCEOF_LABEL,
     LOCAL_LABEL,
     RESERVED_LABELS,
     UID_KEY,
@@ -30,9 +33,6 @@ from .property_graph import (
 )
 
 FIELD_KINDS = ("reference", "primitive", "primitive-array", "reference-array")
-
-ELEMENT_LABEL = "element"
-INSTANCEOF_LABEL = "instanceof"
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,14 @@ class HeapObject:
 
 @dataclass
 class HeapSnapshot:
+    """Classes, objects and named roots of one heap.
+
+    A snapshot is validated once: by ``load_snapshot``, by an explicit
+    ``validate()``, or at its first ``QueryContext`` or ``extract``.  It must
+    not be changed after it is built, because the object and class maps, the
+    validation result and the per-class caches are computed only once.
+    """
+
     classes: list
     objects: list
     roots: dict
@@ -83,6 +91,9 @@ class HeapSnapshot:
     def __post_init__(self):
         self._class_map = {c.name: c for c in self.classes}
         self._object_map = {o.id: o for o in self.objects}
+        self._validated = False
+        self._decls_cache: dict[str, MappingProxyType] = {}
+        self._statics_cache: dict[str, tuple] = {}
 
     def class_info(self, name: str) -> ClassInfo:
         return self._class_map[name]
@@ -93,15 +104,42 @@ class HeapSnapshot:
     def has_object(self, object_id: int) -> bool:
         return object_id in self._object_map
 
-    def field_decls(self, cls: str) -> dict[str, FieldDecl]:
-        """Declared fields of a class including inherited ones."""
-        decls: dict[str, FieldDecl] = {}
-        info = self._class_map[cls]
-        if info.superclass:
-            decls.update(self.field_decls(info.superclass))
-        for f in info.fields:
-            decls[f.name] = f
+    def field_decls(self, cls: str) -> MappingProxyType:
+        """Declared fields of a class including inherited ones (read-only, cached)."""
+        decls = self._decls_cache.get(cls)
+        if decls is None:
+            merged: dict[str, FieldDecl] = {}
+            for name in reversed(self._superclass_chain(cls)):
+                for f in self._class_map[name].fields:
+                    merged[f.name] = f
+            decls = self._decls_cache[cls] = MappingProxyType(merged)
         return decls
+
+    def _superclass_chain(self, cls: str, path: str = "") -> list[str]:
+        """``cls`` followed by its superclasses, nearest first."""
+        chain = [cls]
+        seen = {cls}
+        while (parent := self._class_map[chain[-1]].superclass) is not None:
+            if parent in seen:
+                raise SnapshotSchemaError(f"superclass chain of {cls!r} cycles through {parent!r}", path)
+            chain.append(parent)
+            seen.add(parent)
+        return chain
+
+    def _static_targets(self, cls: str) -> tuple:
+        """Objects referenced by the statics of ``cls`` and its superclasses (cached)."""
+        targets = self._statics_cache.get(cls)
+        if targets is None:
+            found = []
+            for name in self._superclass_chain(cls):
+                statics = self._class_map[name].statics
+                found += _referenced_ids(statics[key] for key in sorted(statics))
+            targets = self._statics_cache[cls] = tuple(found)
+        return targets
+
+    def _ensure_valid(self):
+        if not self._validated:
+            self.validate()
 
     def validate(self) -> "HeapSnapshot":
         seen_classes = set()
@@ -119,6 +157,8 @@ class HeapSnapshot:
                     raise SnapshotSchemaError(f"unknown field kind {f.kind!r}", f"{path}.fields.{f.name}")
                 if f.name in (UID_KEY, INSTANCEOF_LABEL):
                     raise SnapshotSchemaError(f"field name {f.name!r} is reserved", f"{path}.fields.{f.name}")
+        for i, info in enumerate(self.classes):
+            self._superclass_chain(info.name, f"classes[{i}]")
         for i, info in enumerate(self.classes):
             for name, value in info.statics.items():
                 if name == "name":
@@ -149,6 +189,7 @@ class HeapSnapshot:
                 raise UnknownRootError(target)
             if not isinstance(name, str) or not name:
                 raise SnapshotSchemaError(f"bad root name {name!r}", "roots")
+        self._validated = True
         return self
 
     def _check_value(self, value, decl: FieldDecl | None, path: str):
@@ -212,25 +253,21 @@ def assign_unique_ids(snapshot: HeapSnapshot) -> dict[int, int]:
     return {obj.id: obj.id for obj in snapshot.objects}
 
 
+def _referenced_ids(values) -> list[int]:
+    """Object ids held by the reference and reference-array values, in order."""
+    ids = []
+    for value in values:
+        if isinstance(value, Ref):
+            ids.append(value.id)
+        elif isinstance(value, RefArray):
+            ids.extend(e for e in value.ids if e is not None)
+    return ids
+
+
 def _reference_targets(snapshot: HeapSnapshot, obj: HeapObject) -> list[int]:
     """Objects directly referenced by ``obj``, including via its class statics."""
-    targets = []
-    for name in sorted(obj.fields):
-        value = obj.fields[name]
-        if isinstance(value, Ref):
-            targets.append(value.id)
-        elif isinstance(value, RefArray):
-            targets.extend(e for e in value.ids if e is not None)
-    cls: str | None = obj.cls
-    while cls is not None:
-        info = snapshot.class_info(cls)
-        for name in sorted(info.statics):
-            value = info.statics[name]
-            if isinstance(value, Ref):
-                targets.append(value.id)
-            elif isinstance(value, RefArray):
-                targets.extend(e for e in value.ids if e is not None)
-        cls = info.superclass
+    targets = _referenced_ids(obj.fields[name] for name in sorted(obj.fields))
+    targets.extend(snapshot._static_targets(obj.cls))
     return targets
 
 
@@ -261,11 +298,7 @@ def collect(snapshot: HeapSnapshot) -> HeapSnapshot:
     """
     seeds = set(snapshot.roots.values())
     for info in snapshot.classes:
-        for value in info.statics.values():
-            if isinstance(value, Ref):
-                seeds.add(value.id)
-            elif isinstance(value, RefArray):
-                seeds.update(e for e in value.ids if e is not None)
+        seeds.update(_referenced_ids(info.statics.values()))
     live = follow_references(snapshot, seeds) if seeds else set()
     return HeapSnapshot(
         classes=list(snapshot.classes),
@@ -282,10 +315,12 @@ def extract(snapshot: HeapSnapshot, config: ExtractionConfig | None = None) -> P
     per-class metadata node, one edge per non-null reference field, and one
     synthetic array node (label ``<type>[]``) per reference-array field with
     ``element`` edges carrying an ``index`` property.  Named snapshot roots
-    that point at included objects become ``Local`` binder nodes.
+    that point at included objects become ``Local`` binder nodes.  With a
+    root, and neither a whitelist nor force-collect, only the objects
+    reachable from the root are visited.
     """
     config = (config or ExtractionConfig()).validate()
-    snapshot.validate()
+    snapshot._ensure_valid()
     if config.force_collect:
         snapshot = collect(snapshot)
 
@@ -303,11 +338,7 @@ def extract(snapshot: HeapSnapshot, config: ExtractionConfig | None = None) -> P
         seeds = [o.id for o in snapshot.objects if o.cls in config.whitelist]
         candidates |= follow_references(snapshot, seeds)
 
-    included = [
-        obj for obj in snapshot.objects
-        if obj.id in candidates and obj.cls not in config.blacklist
-    ]
-    included.sort(key=lambda o: o.id)
+    included = [obj for obj in map(snapshot.object, sorted(candidates)) if obj.cls not in config.blacklist]
     included_ids = {o.id for o in included}
 
     graph = PropertyGraph()
@@ -335,14 +366,12 @@ def extract(snapshot: HeapSnapshot, config: ExtractionConfig | None = None) -> P
         graph.add_relationship(INSTANCEOF_LABEL, node_of[obj.id], class_node(obj.cls))
 
     for obj in included:
-        decls = snapshot.field_decls(obj.cls)
-        for name in [d.name for d in decls.values()]:
+        for name, decl in snapshot.field_decls(obj.cls).items():
             value = obj.fields.get(name)
             if isinstance(value, Ref):
                 if value.id in included_ids:
                     graph.add_relationship(name, node_of[obj.id], node_of[value.id])
             elif isinstance(value, RefArray):
-                decl = decls[name]
                 array_node = graph.add_node(f"{decl.type}[]")
                 graph.add_relationship(name, node_of[obj.id], array_node)
                 for index, element in enumerate(value.ids):

@@ -11,10 +11,11 @@ from heapquery.api import (
     query_string,
     query_unbounded,
 )
-from heapquery.errors import CursorError, PipelineError, UnknownColumnError
-from heapquery.subgraph import ClassInfo, ExtractionConfig, FieldDecl, HeapObject, HeapSnapshot
+from heapquery.errors import CursorError, DanglingReferenceError, PipelineError, UnknownColumnError
+from heapquery.snapshot_io import load_snapshot
+from heapquery.subgraph import ClassInfo, ExtractionConfig, FieldDecl, HeapObject, HeapSnapshot, Ref, extract
 
-from .conftest import CONTAINS_KEY_QUERY, REPOK_QUERY, TWO_HOP_QUERY, UID
+from .conftest import CONTAINS_KEY_QUERY, DATA, REPOK_QUERY, TWO_HOP_QUERY, UID
 from .oracles import reachable_from
 
 
@@ -211,3 +212,51 @@ class TestContainsKeyThroughFacade:
             ctx = QueryContext(snapshot)
             got = query_boolean(ctx, CONTAINS_KEY_QUERY, map_id, probe_id)
             assert got == hashmap_contains(snapshot, map_id, probe_id)
+
+
+@pytest.fixture
+def validate_calls(monkeypatch) -> list:
+    """Snapshots passed to ``HeapSnapshot.validate``, one entry per full check."""
+    calls = []
+    original = HeapSnapshot.validate
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(HeapSnapshot, "validate", counting)
+    return calls
+
+
+class TestValidateOnce:
+    def test_loaded_snapshot_is_not_validated_again(self, validate_calls):
+        snapshot = load_snapshot((DATA / "tree_snapshot.json").read_bytes())
+        assert len(validate_calls) == 1
+        ctx = QueryContext(snapshot)
+        for uid in UID.values():
+            query_bounded(ctx, uid, "MATCH (n) RETURN count(n)")
+        assert len(validate_calls) == 1
+        snapshot.validate()
+        assert len(validate_calls) == 2
+
+    def test_hand_built_snapshot_is_validated_at_first_use(self, tree_snapshot, validate_calls):
+        snapshot = HeapSnapshot(tree_snapshot.classes, tree_snapshot.objects, tree_snapshot.roots)
+        ctx = QueryContext(snapshot)
+        query_bounded(ctx, UID["f"], "MATCH (n) RETURN count(n)")
+        query_unbounded(ctx, "MATCH (n) RETURN count(n)")
+        assert validate_calls == [snapshot]
+
+    def test_dangling_reference_fails_at_first_use(self):
+        def dangling() -> HeapSnapshot:
+            return HeapSnapshot(
+                [ClassInfo("A", None, (FieldDecl("f", "reference", "A"),))],
+                [HeapObject(1, "A", {"f": Ref(99)})],
+                {},
+            )
+
+        with pytest.raises(DanglingReferenceError):
+            QueryContext(dangling())
+        snapshot = dangling()
+        for _ in range(2):
+            with pytest.raises(DanglingReferenceError):
+                extract(snapshot, ExtractionConfig(root=1))

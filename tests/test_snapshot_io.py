@@ -65,6 +65,15 @@ class TestLoadSnapshot:
         with pytest.raises(SnapshotSchemaError):
             load_snapshot(doc)
 
+    def test_superclass_cycle_is_path_addressed(self):
+        doc = (
+            '{"classes":[{"name":"A","superclass":"B","fields":[]},{"name":"B","superclass":"A","fields":[]}],'
+            '"objects":[{"id":1,"class":"A"}],"roots":{}}'
+        )
+        with pytest.raises(SnapshotSchemaError) as exc:
+            load_snapshot(doc)
+        assert exc.value.path == "classes[0]"
+
 
 class TestSaveSnapshot:
     def test_round_trip_is_value_identity(self):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from heapquery.errors import (
@@ -24,6 +26,7 @@ from heapquery.subgraph import (
 )
 
 from .conftest import UID, build_tree_graph
+from .generators import random_snapshot
 from .oracles import reachable_from
 
 
@@ -257,3 +260,98 @@ class TestStatics:
             (rel.label, other.label) for rel, other in graph.neighbors(class_node.id, "out")
         ]
         assert static_edges == [("head", "Entry")]
+
+
+class TestSuperclassCycles:
+    @pytest.mark.parametrize(
+        "classes, path",
+        [
+            ([ClassInfo("Z"), ClassInfo("A", "B"), ClassInfo("B", "A")], "classes[1]"),
+            ([ClassInfo("A", "A")], "classes[0]"),
+            ([ClassInfo("C", "A"), ClassInfo("A", "B"), ClassInfo("B", "A")], "classes[0]"),
+        ],
+    )
+    def test_validate_reports_cycle(self, classes, path):
+        snap = HeapSnapshot(classes, [HeapObject(1, "A")], {})
+        with pytest.raises(SnapshotSchemaError) as exc:
+            snap.validate()
+        assert exc.value.path == path
+
+    def test_extract_of_unvalidated_snapshot_reports_cycle(self):
+        snap = HeapSnapshot([ClassInfo("A", "B"), ClassInfo("B", "A")], [HeapObject(1, "A")], {})
+        with pytest.raises(SnapshotSchemaError):
+            extract(snap, ExtractionConfig(root=1))
+
+
+class TestFieldDecls:
+    def test_inherited_first_and_read_only(self):
+        snap = HeapSnapshot(
+            [
+                ClassInfo("Base", None, (FieldDecl("x", "primitive", "int"), FieldDecl("y", "primitive", "int"))),
+                ClassInfo("Sub", "Base", (FieldDecl("z", "primitive", "int"), FieldDecl("x", "reference", "Sub"))),
+            ],
+            [],
+            {},
+        ).validate()
+        decls = snap.field_decls("Sub")
+        assert list(decls) == ["x", "y", "z"]
+        assert decls["x"].kind == "reference"
+        assert snap.field_decls("Sub") is decls
+        with pytest.raises(TypeError):
+            decls["w"] = FieldDecl("w", "primitive", "int")
+
+
+def _with_superclasses(rng: random.Random, snapshot: HeapSnapshot) -> HeapSnapshot:
+    """The same snapshot with some classes extending an earlier one."""
+    classes = []
+    for i, info in enumerate(snapshot.classes):
+        parent = rng.choice(snapshot.classes[:i]).name if i and rng.random() < 0.5 else None
+        classes.append(ClassInfo(info.name, parent, info.fields, info.statics))
+    return HeapSnapshot(classes, snapshot.objects, snapshot.roots)
+
+
+def _restrict(snapshot: HeapSnapshot, keep: set[int]) -> HeapSnapshot:
+    """The sub-snapshot of the objects in ``keep``, a set closed under references.
+
+    Roots and static references that point outside ``keep`` are dropped.  A
+    class holding such a static has no instance in ``keep``, so neither
+    extraction gives it a class node.
+    """
+
+    def inside(value) -> bool:
+        if isinstance(value, Ref):
+            return value.id in keep
+        if isinstance(value, RefArray):
+            return all(e is None or e in keep for e in value.ids)
+        return True
+
+    classes = [
+        ClassInfo(c.name, c.superclass, c.fields, {k: v for k, v in c.statics.items() if inside(v)})
+        for c in snapshot.classes
+    ]
+    objects = [o for o in snapshot.objects if o.id in keep]
+    roots = {name: target for name, target in snapshot.roots.items() if target in keep}
+    return HeapSnapshot(classes, objects, roots)
+
+
+class TestBoundedAgreesWithSubSnapshot:
+    """Bounded extraction visits only the reachable objects; extracting every
+    object of the sub-snapshot of those objects must give the same graph."""
+
+    def test_random_snapshots(self):
+        rng = random.Random(2402)
+        for _ in range(300):
+            snap = _with_superclasses(rng, random_snapshot(rng))
+            ids = [o.id for o in snap.objects]
+            starts = rng.sample(ids, k=rng.randint(1, min(2, len(ids))))
+            root = starts[0] if len(starts) == 1 and rng.random() < 0.5 else starts
+            names = [c.name for c in snap.classes]
+            blacklist = frozenset(rng.sample(names, k=rng.randint(0, len(names))))
+            keep = reachable_from(snap, starts)
+
+            fast = extract(snap, ExtractionConfig(root=root, blacklist=blacklist))
+            slow = extract(_restrict(snap, keep), ExtractionConfig(blacklist=blacklist))
+
+            assert structurally_equal(fast, slow)
+            uids = {n.properties["$uid"] for n in fast.nodes() if "$uid" in n.properties}
+            assert uids == {o.id for o in snap.objects if o.id in keep and o.cls not in blacklist}
