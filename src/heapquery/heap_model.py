@@ -593,7 +593,7 @@ def _class_node(graph: PropertyGraph, cls: str) -> int:
     return graph.add_node(CLASS_LABEL, {"name": cls})
 
 
-def mk_fields(graph: PropertyGraph, instance: int, cls: str, args: tuple, ct: ClassTable):
+def mk_fields(graph: PropertyGraph, instance: int | None, cls: str, args: tuple, ct: ClassTable):
     """Field initializations for a constructor call.
 
     Splits the arguments across the superclass chain (the first ``k`` go to
@@ -651,13 +651,14 @@ def _allocate(graph: PropertyGraph, cls: str, args: tuple, ct: ClassTable) -> in
             resolved.append(NodeRefArg(_allocate(graph, arg.cls, arg.args, ct)))
         else:
             resolved.append(arg)
-    instance = graph.add_node(cls)
-    edges, props = mk_fields(graph, instance, cls, tuple(resolved), ct)
-    node = graph.node(instance)
-    node.properties.update(props)
+    # The primitive fields go through add_node, which checks them (a ``$uid``
+    # field must hold an integer) and indexes them.  The instance id is not
+    # known yet, so the edge specs carry None as their start.
+    edges, props = mk_fields(graph, None, cls, tuple(resolved), ct)
+    instance = graph.add_node(cls, props)
     graph.add_relationship(INSTANCEOF_LABEL, instance, _class_node(graph, cls))
-    for fieldname, start, end in edges:
-        graph.add_relationship(fieldname, start, end)
+    for fieldname, _, end in edges:
+        graph.add_relationship(fieldname, instance, end)
     return instance
 
 

@@ -5,10 +5,23 @@ typed values (64-bit int, float, bool, str, or a homogeneous list of those).
 Parallel edges and self-loops are allowed.  Ids are dense non-negative
 integers assigned in creation order, and every iteration surface is ordered
 by ascending id so downstream consumers are deterministic without sorting.
+
+Costs: ``nodes()`` sorts only after ``add_node(node_id=...)`` inserted an id
+below an existing one; ``neighbors()`` returns the adjacency lists, which
+are kept in ascending relationship id, without sorting (``both`` merges the
+two lists).  ``nodes_with_label`` and ``nodes_with_uid`` cost O(matches):
+each reads an index that is built on its first lookup and from then on kept
+up to date by ``add_node`` and ``copy``.
+
+The ``$uid`` contract: set ``$uid`` through ``add_node``, or in place on
+``Node.properties`` before the graph is first queried.  An in-place change
+after the index was built is not seen by it (``audit()`` reports it).
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -143,6 +156,11 @@ class PropertyGraph:
         self._in: dict[int, list[int]] = {}
         self._next_node_id = 0
         self._next_rel_id = 0
+        # True while ``_nodes`` holds its keys in ascending order.
+        self._ids_ascending = True
+        # Lazy node indexes (key -> ascending node ids); None until first use.
+        self._by_label: dict[str, list[int]] | None = None
+        self._by_uid: dict[int, list[int]] | None = None
 
     # -- accessors ----------------------------------------------------------
 
@@ -170,17 +188,36 @@ class PropertyGraph:
             raise RelationshipNotFoundError(rel_id) from None
 
     def nodes(self) -> Iterator[Node]:
-        for node_id in sorted(self._nodes):
-            yield self._nodes[node_id]
+        if self._ids_ascending:
+            yield from self._nodes.values()
+        else:
+            for node_id in sorted(self._nodes):
+                yield self._nodes[node_id]
 
     def relationships(self) -> Iterator[Relationship]:
         for rel_id in sorted(self._rels):
             yield self._rels[rel_id]
 
     def nodes_with_label(self, label: str) -> Iterator[Node]:
+        if self._by_label is None:
+            self._by_label = self._build_index(_label_key)
+        for node_id in self._by_label.get(label, ()):
+            yield self._nodes[node_id]
+
+    def nodes_with_uid(self, uid: int) -> Iterator[Node]:
+        """Nodes whose ``$uid`` property is the integer ``uid``."""
+        if self._by_uid is None:
+            self._by_uid = self._build_index(_uid_key)
+        for node_id in self._by_uid.get(uid, ()):
+            yield self._nodes[node_id]
+
+    def _build_index(self, key_of) -> dict[int | str, list[int]]:
+        index: dict = {}
         for node in self.nodes():
-            if node.label == label:
-                yield node
+            key = key_of(node)
+            if key is not None:
+                index.setdefault(key, []).append(node.id)
+        return index
 
     # -- mutation -------------------------------------------------------------
 
@@ -196,11 +233,21 @@ class PropertyGraph:
             node_id = self._next_node_id
         elif node_id in self._nodes:
             raise InvalidLabelError(f"node id {node_id} already present")
-        self._nodes[node_id] = Node(node_id, label, props)
+        elif node_id < self._next_node_id:
+            self._ids_ascending = False
+        node = self._nodes[node_id] = Node(node_id, label, props)
         self._out[node_id] = []
         self._in[node_id] = []
         self._next_node_id = max(self._next_node_id, node_id + 1)
+        if self._by_label is not None or self._by_uid is not None:
+            self._index_node(node)
         return node_id
+
+    def _index_node(self, node: Node) -> None:
+        for index, key_of in ((self._by_label, _label_key), (self._by_uid, _uid_key)):
+            key = None if index is None else key_of(node)
+            if key is not None:
+                insort(index.setdefault(key, []), node.id)  # an explicit id may be lower
 
     def add_relationship(self, label: str, start: int, end: int, properties: dict | None = None) -> int:
         check_label(label)
@@ -255,15 +302,21 @@ class PropertyGraph:
         """
         if node_id not in self._nodes:
             raise NodeNotFoundError(node_id)
-        if direction not in ("out", "in", "both"):
+        # Adjacency lists are in ascending id order: ids only grow, and
+        # removal keeps the order of the rest.
+        if direction == "out":
+            rel_ids = self._out[node_id]
+        elif direction == "in":
+            rel_ids = self._in[node_id]
+        elif direction == "both":
+            rel_ids = []
+            for rel_id in heapq.merge(self._out[node_id], self._in[node_id]):
+                if not rel_ids or rel_ids[-1] != rel_id:  # a self-loop is in both lists
+                    rel_ids.append(rel_id)
+        else:
             raise ValueError(f"direction must be out/in/both, got {direction!r}")
-        rel_ids: set[int] = set()
-        if direction in ("out", "both"):
-            rel_ids.update(self._out[node_id])
-        if direction in ("in", "both"):
-            rel_ids.update(self._in[node_id])
         result = []
-        for rel_id in sorted(rel_ids):
+        for rel_id in rel_ids:
             rel = self._rels[rel_id]
             if types is not None and rel.label not in types:
                 continue
@@ -283,11 +336,32 @@ class PropertyGraph:
             dup._rels[rel.id] = Relationship(rel.id, rel.label, rel.start, rel.end, _copy_props(rel.properties))
         dup._next_node_id = self._next_node_id
         dup._next_rel_id = self._next_rel_id
+        if self._by_label is not None:
+            dup._by_label = {key: list(ids) for key, ids in self._by_label.items()}
+        if self._by_uid is not None:
+            dup._by_uid = {key: list(ids) for key, ids in self._by_uid.items()}
         return dup
 
     def audit(self) -> list[str]:
-        """Consistency check of the adjacency indexes; empty list means ok."""
+        """Consistency check of the adjacency and node indexes; empty list means ok.
+
+        Built label and ``$uid`` indexes are compared with a fresh rebuild, so
+        an in-place ``$uid`` change made after the first lookup shows here.
+        """
         problems = []
+        for name, index, key_of in (("label", self._by_label, _label_key), ("$uid", self._by_uid, _uid_key)):
+            if index is None:
+                continue
+            rebuilt = self._build_index(key_of)
+            for key in sorted(set(index) | set(rebuilt), key=repr):
+                if index.get(key, []) != rebuilt.get(key, []):
+                    problems.append(
+                        f"{name} index entry {key!r} is {index.get(key, [])}, a rebuild gives {rebuilt.get(key, [])}"
+                    )
+        for direction, adjacency in (("outgoing", self._out), ("incoming", self._in)):
+            for node_id, rels in adjacency.items():
+                if any(a > b for a, b in zip(rels, rels[1:])):
+                    problems.append(f"{direction} index of {node_id} is not in ascending relationship id order")
         indexed_out = {(n, r) for n, rels in self._out.items() for r in rels}
         indexed_in = {(n, r) for n, rels in self._in.items() for r in rels}
         for rel in self._rels.values():
@@ -310,6 +384,16 @@ class PropertyGraph:
                 if rel is None or rel.end != node_id:
                     problems.append(f"stale incoming entry {rel_id} on node {node_id}")
         return problems
+
+
+def _label_key(node: Node) -> str:
+    return node.label
+
+
+def _uid_key(node: Node) -> int | None:
+    """The node's ``$uid`` when it is an integer (the only kind a lookup can match)."""
+    uid = node.properties.get(UID_KEY)
+    return uid if isinstance(uid, int) and not isinstance(uid, bool) else None
 
 
 def _copy_props(props: dict) -> dict:

@@ -10,6 +10,17 @@ Matching semantics:
   segment's start node are discarded.  Closed walks are matched only when
   the target is pinned to the start (e.g. ``(m)-[:f*1..]->(m)``), and
   zero-length paths (``*0..``) always stay on the start node.
+* Paths have no length limit: the matcher is one loop over an explicit
+  stack, not a recursion per hop.
+* Reachability consumed only as a set is a breadth-first search instead of
+  path enumeration.  That holds for a single non-optional MATCH of one
+  variable-length segment (no relationship variable, lower bound 0 or 1)
+  into a fresh target variable, followed only by ``RETURN DISTINCT ...`` or
+  a RETURN whose every count is ``count(DISTINCT ...)``.  Its rows are the
+  distinct rows of the enumeration, ordered by start id, then target id.
+  Everything else, ``count(n)`` included, enumerates paths.
+* A start node pattern with an integer ``$uid`` or a label is looked up in
+  the graph's ``$uid`` or label index, so it costs O(matches), not O(nodes).
 * OPTIONAL MATCH yields one row with the clause's new variables absent when
   nothing matches.
 * Comparisons and boolean operators use three-valued logic; WHERE keeps a
@@ -21,7 +32,8 @@ Matching semantics:
   its whole pattern, or atomically creates the whole pattern when absent.
 
 Row order is deterministic: candidates are enumerated by ascending node and
-relationship id in clause order.
+relationship id in clause order (reachability by breadth-first search:
+ascending target id).
 """
 
 from __future__ import annotations
@@ -44,13 +56,16 @@ from .cypher_ast import (
     PathPattern,
     PropertyAccess,
     Query,
+    RelPattern,
     ReturnClause,
     Variable,
     WhereClause,
     expression_text,
 )
+from .cypher_frontend import _find_counts
 from .errors import ExecutionError, TypeMismatchError
 from .property_graph import (
+    UID_KEY,
     PropertyGraph,
     canon_properties,
     ensure_user_label,
@@ -124,7 +139,13 @@ def _node_matches(graph: PropertyGraph, node_id: int, pattern: NodePattern) -> b
     return True
 
 
-def _start_candidates(graph: PropertyGraph, pattern: NodePattern, binding: dict):
+def _start_candidates(graph: PropertyGraph, pattern: NodePattern, binding: dict) -> list[int]:
+    """Ids of the nodes a path may start from, ascending.
+
+    A bound variable gives its one node; otherwise the ``$uid`` index (for an
+    integer ``$uid`` literal), then the label index, then a full scan supply
+    the candidates, each checked against the whole pattern.
+    """
     if pattern.var is not None and pattern.var in binding:
         value = binding[pattern.var]
         if value is ABSENT:
@@ -132,50 +153,95 @@ def _start_candidates(graph: PropertyGraph, pattern: NodePattern, binding: dict)
         if not isinstance(value, NodeRef):
             raise ExecutionError(f"variable {pattern.var!r} is not a node")
         return [value.id] if _node_matches(graph, value.id, pattern) else []
-    return [n.id for n in graph.nodes() if _node_matches(graph, n.id, pattern)]
+    uids = [
+        literal.value
+        for key, literal in pattern.properties
+        if key == UID_KEY and isinstance(literal.value, int) and not isinstance(literal.value, bool)
+    ]
+    if uids:
+        candidates = graph.nodes_with_uid(uids[0])
+    elif pattern.label is not None:
+        candidates = graph.nodes_with_label(pattern.label)
+    else:
+        candidates = graph.nodes()
+    return [n.id for n in candidates if _node_matches(graph, n.id, pattern)]
 
 
-def _match_path(graph: PropertyGraph, path: PathPattern, binding: dict) -> list[dict]:
-    results: list[dict] = []
-    step_cache: dict[tuple, list] = {}
+def _bind(graph: PropertyGraph, binding: dict, pattern: NodePattern, node_id: int, checked: bool = False) -> dict | None:
+    """``binding`` with the pattern's variable bound to ``node_id``, or None.
 
-    def steps(node_id: int, seg: int):
-        key = (node_id, seg)
-        if key not in step_cache:
-            rel = path.rels[seg]
-            types = set(rel.types) if rel.types else None
-            step_cache[key] = graph.neighbors(node_id, rel.direction, types)
-        return step_cache[key]
-
-    def bind_node(binding: dict, pattern: NodePattern, node_id: int) -> dict | None:
-        if pattern.var is None:
-            return binding
-        if pattern.var in binding:
-            bound = binding[pattern.var]
-            if not isinstance(bound, NodeRef) or bound.id != node_id:
-                return None
-            return binding
-        new = dict(binding)
-        new[pattern.var] = NodeRef(node_id)
-        return new
-
-    def target_check(binding: dict, pattern: NodePattern, node_id: int) -> dict | None:
-        if not _node_matches(graph, node_id, pattern):
+    None when the variable is already bound to something else or, with
+    ``checked``, when the node does not match the pattern's label and
+    properties.  A bound variable is compared first, the cheaper test.  The
+    binding is copied only when a new variable is bound.
+    """
+    var = pattern.var
+    pinned = var is not None and var in binding
+    if pinned:
+        bound = binding[var]
+        if not isinstance(bound, NodeRef) or bound.id != node_id:
             return None
-        return bind_node(binding, pattern, node_id)
+    if checked and not _node_matches(graph, node_id, pattern):
+        return None
+    if var is None or pinned:
+        return binding
+    new = dict(binding)
+    new[var] = NodeRef(node_id)
+    return new
 
-    def extend(seg: int, current: int, binding: dict, used: set):
-        if seg == len(path.rels):
-            results.append(binding)
-            return
-        rel_pattern = path.rels[seg]
-        target = path.nodes[seg + 1]
-        pinned = target.var is not None and target.var in binding
-        if not rel_pattern.hops.variable_length:
-            for rel, other in steps(current, seg):
+
+def _match_path(graph: PropertyGraph, path: PathPattern, binding: dict, reach_only: bool = False) -> list[dict]:
+    """All extensions of ``binding`` along ``path``, depth first by ascending id.
+
+    One loop over an explicit stack, so the number of hops is not limited by
+    Python's recursion depth.  The stack holds search states and, below the
+    states entered through a relationship, that relationship's id (an int):
+    popping the id releases it for reuse, as returning from a recursive call
+    would.  ``reach_only`` (see ``_reach_only``) switches a fresh target to
+    set-semantics reachability.
+    """
+    first = path.nodes[0]
+    if reach_only and path.nodes[-1].var not in binding:
+        return _match_reachable(graph, path, binding)
+    last = len(path.rels)
+    plan = []
+    for seg, rel in enumerate(path.rels):
+        node = path.nodes[seg + 1]
+        checked = node.label is not None or bool(node.properties)
+        plan.append((rel, rel.hops.variable_length, *rel.hops.bounds(), node, checked))
+    step_caches: list[dict[int, list]] = [{} for _ in path.rels]
+
+    results: list[dict] = []
+    used: set[int] = set()
+    # state: (segment, segment start node, node, hops into segment, binding, relationship entered by)
+    stack: list = []
+    for node_id in reversed(_start_candidates(graph, first, binding)):
+        start_binding = _bind(graph, binding, first, node_id)
+        if start_binding is not None:
+            stack.append((0, node_id, node_id, 0, start_binding, None))
+    if not path.rels:
+        return [state[4] for state in reversed(stack)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is int:
+            used.discard(item)
+            continue
+        seg, seg_start, node_id, depth, binding, via = item
+        if via is not None:
+            used.add(via)
+            stack.append(via)
+        rel_pattern, variable_length, lo, hi, target, checked = plan[seg]
+        steps = step_caches[seg].get(node_id)
+        if steps is None:
+            types = frozenset(rel_pattern.types) if rel_pattern.types else None
+            steps = step_caches[seg][node_id] = graph.neighbors(node_id, rel_pattern.direction, types)
+        ends = seg + 1 == last
+        if not variable_length:
+            found = []
+            for rel, other in steps:
                 if rel.id in used:
                     continue
-                nxt = target_check(binding, target, other.id)
+                nxt = _bind(graph, binding, target, other.id, checked)
                 if nxt is None:
                     continue
                 if rel_pattern.var is not None:
@@ -186,34 +252,100 @@ def _match_path(graph: PropertyGraph, path: PathPattern, binding: dict) -> list[
                     else:
                         nxt = dict(nxt)
                         nxt[rel_pattern.var] = RelRef(rel.id)
-                used.add(rel.id)
-                extend(seg + 1, other.id, nxt, used)
-                used.discard(rel.id)
-        else:
-            lo, hi = rel_pattern.hops.bounds()
-
-            def walk(node_id: int, depth: int):
-                if depth >= lo:
-                    if depth == 0 or pinned or node_id != current:
-                        nxt = target_check(binding, target, node_id)
-                        if nxt is not None:
-                            extend(seg + 1, node_id, nxt, used)
-                if hi is not None and depth == hi:
-                    return
-                for rel, other in steps(node_id, seg):
-                    if rel.id not in used:
-                        used.add(rel.id)
-                        walk(other.id, depth + 1)
-                        used.discard(rel.id)
-
-            walk(current, 0)
-
-    first = path.nodes[0]
-    for node_id in _start_candidates(graph, first, binding):
-        start_binding = bind_node(binding, first, node_id)
-        if start_binding is not None:
-            extend(0, node_id, start_binding, set())
+                found.append((seg + 1, other.id, other.id, 0, nxt, rel.id))
+            if ends:
+                results.extend(state[4] for state in found)
+            else:
+                stack.extend(reversed(found))
+            continue
+        if hi is None or depth < hi:
+            for rel, other in reversed(steps):
+                if rel.id not in used:
+                    stack.append((seg, seg_start, other.id, depth + 1, binding, rel.id))
+        # A path may end here; it is explored before any longer one.  A
+        # closed walk counts only when the target is pinned to a bound node.
+        if depth >= lo and (depth == 0 or node_id != seg_start or target.var in binding):
+            nxt = _bind(graph, binding, target, node_id, checked)
+            if nxt is not None and ends:
+                results.append(nxt)
+            elif nxt is not None:
+                stack.append((seg + 1, node_id, node_id, 0, nxt, None))
     return results
+
+
+def _reachable(graph: PropertyGraph, start: int, rel_pattern: RelPattern) -> list[int]:
+    """Ids of the nodes a variable-length segment with ``lo <= 1`` reaches, ascending.
+
+    Breadth-first search with a visited set, bounded by ``hi`` hops.  A node
+    other than ``start`` is reachable by a relationship-distinct path of
+    ``lo..hi`` hops exactly when its shortest distance is at most ``hi``,
+    because a shortest path never repeats a relationship; ``start`` itself
+    counts only at zero hops, i.e. when ``lo`` is 0.
+    """
+    lo, hi = rel_pattern.hops.bounds()
+    types = frozenset(rel_pattern.types) if rel_pattern.types else None
+    seen = {start}
+    frontier = [start]
+    depth = 0
+    while frontier and (hi is None or depth < hi):
+        depth += 1
+        reached = []
+        for node_id in frontier:
+            for _, other in graph.neighbors(node_id, rel_pattern.direction, types):
+                if other.id not in seen:
+                    seen.add(other.id)
+                    reached.append(other.id)
+        frontier = reached
+    if lo > 0:
+        seen.discard(start)
+    return sorted(seen)
+
+
+def _match_reachable(graph: PropertyGraph, path: PathPattern, binding: dict) -> list[dict]:
+    """One row per (start, reachable target) pair: the path bag with duplicates removed."""
+    first, target = path.nodes
+    checked = target.label is not None or bool(target.properties)
+    rows = []
+    for start in _start_candidates(graph, first, binding):
+        start_binding = _bind(graph, binding, first, start)
+        if start_binding is None:
+            continue
+        for node_id in _reachable(graph, start, path.rels[0]):
+            row = _bind(graph, start_binding, target, node_id, checked)
+            if row is not None:
+                rows.append(row)
+    return rows
+
+
+def _reach_only(clause, later: tuple) -> bool:
+    """True when the MATCH clause may use set-semantics reachability.
+
+    That is when matching by reachability gives the same result as the path
+    bag: the clause is one non-optional MATCH of a single variable-length
+    segment with no relationship variable, at most one lower hop and a named
+    target that is not the start; and the only clause after it is a RETURN
+    that is DISTINCT without aggregation, or whose every count is
+    ``count(DISTINCT ...)``.  Rows then differ from enumeration only in
+    multiplicity and order (ascending start, then target id).  The target
+    must also be unbound when matching (checked in ``_match_path``).
+    """
+    if not isinstance(clause, MatchClause) or clause.optional or len(clause.patterns) != 1:
+        return False
+    path = clause.patterns[0]
+    if len(path.rels) != 1:
+        return False
+    rel = path.rels[0]
+    first, target = path.nodes
+    if not rel.hops.variable_length or rel.var is not None or rel.hops.bounds()[0] > 1:
+        return False
+    if target.var is None or target.var == first.var:
+        return False
+    if len(later) != 1 or not isinstance(later[0], ReturnClause):
+        return False
+    counts = [count for item in later[0].items for count in _find_counts(item.expr)]
+    if counts:
+        return all(count.distinct for count in counts)
+    return later[0].distinct
 
 
 def _pattern_variables(patterns) -> list[str]:
@@ -228,36 +360,23 @@ def _pattern_variables(patterns) -> list[str]:
     return seen
 
 
+def _extensions(graph: PropertyGraph, patterns, seed: dict, reach_only: bool = False) -> list[dict]:
+    """All extensions of ``seed`` satisfying every pattern, left to right."""
+    acc = [seed]
+    for path in patterns:
+        acc = [match for binding in acc for match in _match_path(graph, path, binding, reach_only)]
+        if not acc:
+            break
+    return acc
+
+
 def match_pattern(graph: PropertyGraph, patterns, seed: dict | None = None, optional: bool = False) -> list[dict]:
     """All extensions of ``seed`` satisfying every pattern, in match order."""
     seed = dict(seed or {})
-    acc = [seed]
-    for path in patterns:
-        path_vars = set(_pattern_variables([path]))
-        nxt: list[dict] = []
-        if acc and all(path_vars.isdisjoint(binding) for binding in acc):
-            # independent of the current rows: match once, then cross-join
-            base = _match_path(graph, path, {})
-            for binding in acc:
-                for extension in base:
-                    merged = dict(binding)
-                    merged.update(extension)
-                    nxt.append(merged)
-        else:
-            for binding in acc:
-                nxt.extend(_match_path(graph, path, binding))
-        acc = nxt
-        if not acc:
-            break
-    if acc:
+    acc = _extensions(graph, patterns, seed)
+    if acc or not optional:
         return acc
-    if optional:
-        row = dict(seed)
-        for var in _pattern_variables(patterns):
-            if var not in row:
-                row[var] = ABSENT
-        return [row]
-    return []
+    return [{**dict.fromkeys(_pattern_variables(patterns), ABSENT), **seed}]
 
 
 # --- expressions -----------------------------------------------------------------
@@ -389,27 +508,21 @@ def _kleene_or(left, right):
 # --- clause execution ----------------------------------------------------------
 
 
-def _match_clause(graph: PropertyGraph, clause: MatchClause, rows: list[dict]) -> list[dict]:
-    out: list[dict] = []
-    clause_vars = set(_pattern_variables(clause.patterns))
-    if rows and all(clause_vars.isdisjoint(row) for row in rows):
+def _match_clause(graph: PropertyGraph, clause: MatchClause, rows: list[dict], reach_only: bool) -> list[dict]:
+    absent = dict.fromkeys(_pattern_variables(clause.patterns), ABSENT)
+    if rows and all(absent.keys().isdisjoint(row) for row in rows):
         # no variable joins the incoming rows: match once, cross-join
-        base = match_pattern(graph, clause.patterns, {}, optional=False)
-        if base:
-            for row in rows:
-                for extension in base:
-                    merged = dict(row)
-                    merged.update(extension)
-                    out.append(merged)
-        elif clause.optional:
-            for row in rows:
-                merged = dict(row)
-                for var in clause_vars:
-                    merged[var] = ABSENT
-                out.append(merged)
-        return out
+        base = _extensions(graph, clause.patterns, {}, reach_only)
+        if not base and clause.optional:
+            base = [absent]
+        return [{**row, **extension} for row in rows for extension in base]
+    out: list[dict] = []
     for row in rows:
-        out.extend(match_pattern(graph, clause.patterns, row, clause.optional))
+        matched = _extensions(graph, clause.patterns, row, reach_only)
+        if matched:
+            out.extend(matched)
+        elif clause.optional:
+            out.append({**absent, **row})
     return out
 
 
@@ -478,16 +591,6 @@ def _merge_clause(graph: PropertyGraph, clause: MergeClause, rows: list[dict]) -
 
 
 # --- RETURN projection -----------------------------------------------------------
-
-
-def _contains_count(expr) -> bool:
-    if isinstance(expr, Count):
-        return True
-    if isinstance(expr, (And, Or, Comparison, EqualsCall)):
-        return _contains_count(expr.left) or _contains_count(expr.right)
-    if isinstance(expr, Not):
-        return _contains_count(expr.operand)
-    return False
 
 
 def _references_rows(expr) -> bool:
@@ -559,7 +662,7 @@ def _eval_aggregate(expr, rows: list[dict], graph: PropertyGraph):
 
 def _return_clause(graph: PropertyGraph, clause: ReturnClause, rows: list[dict]) -> ResultTable:
     columns = [item.alias or expression_text(item.expr) for item in clause.items]
-    aggregated = any(_contains_count(item.expr) for item in clause.items)
+    aggregated = any(_find_counts(item.expr) for item in clause.items)
     if aggregated:
         if not rows and any(_references_rows(item.expr) for item in clause.items):
             return ResultTable(columns, [])
@@ -593,13 +696,13 @@ def execute(query: Query, graph: PropertyGraph) -> tuple[ResultTable, PropertyGr
     """
     rows: list[dict] = [{}]
     table: ResultTable | None = None
-    for clause in query.clauses:
+    for i, clause in enumerate(query.clauses):
         if isinstance(clause, CreateClause):
             rows = _create_clause(graph, clause, rows)
         elif isinstance(clause, MergeClause):
             rows = _merge_clause(graph, clause, rows)
         elif isinstance(clause, MatchClause):
-            rows = _match_clause(graph, clause, rows)
+            rows = _match_clause(graph, clause, rows, _reach_only(clause, query.clauses[i + 1 :]))
         elif isinstance(clause, WhereClause):
             rows = _where_clause(graph, clause, rows)
         elif isinstance(clause, ReturnClause):

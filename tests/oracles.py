@@ -280,6 +280,11 @@ def enumerate_rows(graph: PropertyGraph, query: Query) -> Counter:
         elif isinstance(clause, ReturnClause):
             if len(clause.items) == 1 and isinstance(clause.items[0].expr, Count) and clause.items[0].expr.expr is None:
                 return Counter({(("i", len(bindings)),): 1})
+            if len(clause.items) == 1 and isinstance(clause.items[0].expr, Count):
+                count = clause.items[0].expr
+                values = [_eval_simple(graph, b, count.expr) for b in bindings]
+                cells = [value_tag_like(v) for v in values if v is not None]
+                return Counter({(("i", len(set(cells)) if count.distinct else len(cells)),): 1})
             rows = []
             for b in bindings:
                 cells = []
