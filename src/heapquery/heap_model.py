@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     ArityMismatchError,
@@ -207,16 +208,21 @@ def ctor_arity(ct: ClassTable, cls: str) -> int:
 
 # --- parsing -----------------------------------------------------------------
 
+# One match per token with the whitespace before it.  The ``bad`` alternative
+# takes any other non-space character, so only whitespace falls between
+# matches.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<point>/\*\s*POINT\s*\*/)
-  | (?P<comment>//[^\n]*|/\*.*?\*/)
-  | (?P<float>\d+\.\d+)
-  | (?P<int>\d+)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
-  | (?P<punct>[{}();,.=])
+    \s*(?:
+      (?P<point>/\*\s*POINT\s*\*/)
+    | (?P<comment>//[^\n]*|/\*.*?\*/)
+    | (?P<float>\d+\.\d+)
+    | (?P<int>\d+)
+    | (?P<string>"(?:[^"\\]|\\.)*")
+    | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
+    | (?P<punct>[{}();,.=])
+    | (?P<bad>\S)
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -224,39 +230,33 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = frozenset({"class", "extends", "new", "return", "null", "true", "false", "super", "this"})
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # point/float/int/string/ident/punct/eof
     text: str
-    line: int
-    column: int
+    offset: int  # of the token's first character in the program text
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of ``offset`` in ``text``."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            col = pos - line_start + 1
-            raise ProgramSyntaxError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tok_text = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, tok_text, line, m.start() - line_start + 1))
-        newlines = tok_text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = m.start() + tok_text.rfind("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
+        if kind == "bad":
+            raise ProgramSyntaxError(f"unexpected character {m[kind]!r}", *_position(text, m.start(kind)))
+        if kind != "comment":
+            tokens.append(_Token(kind, m[kind], m.start(kind)))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -270,7 +270,7 @@ class _Parser:
 
     def error(self, message: str, tok: _Token | None = None):
         tok = tok or self.peek()
-        raise ProgramSyntaxError(message, tok.line, tok.column)
+        raise ProgramSyntaxError(message, *_position(self.text, tok.offset))
 
     def expect(self, text: str) -> _Token:
         tok = self.next()
@@ -572,14 +572,23 @@ def parse_program(text: str) -> Program:
 
 
 def _binding_rel(graph: PropertyGraph, name: str):
-    """The binding relationship labeled ``name`` leaving a Local binder node."""
-    for rel in graph.relationships():
-        if rel.label == name and graph.node(rel.start).label == LOCAL_LABEL:
+    """The lowest-id relationship labeled ``name`` leaving a Local binder node."""
+    for rel in graph.relationships_with_label(name):
+        if graph.node(rel.start).label == LOCAL_LABEL:
             return rel
     return None
 
 
 def resolve_variable(graph: PropertyGraph, name: str) -> int:
+    """The node bound to variable ``name``.
+
+    The lookup reads the graph's relationship label index and inspects the
+    relationships labeled ``name`` in ascending id order up to the first one
+    that leaves a ``Local`` node.  When no field shares the variable's name
+    that is the first one, so a lookup costs O(1) and running a program
+    O(commands); otherwise the field edges older than the binding are
+    inspected too.
+    """
     rel = _binding_rel(graph, name)
     if rel is None:
         raise UnboundVariableError(name)
@@ -709,16 +718,20 @@ def _substitute(expr: Expr, subst: dict[str, str]) -> Expr:
             return NewArg(arg.cls, tuple(sub_arg(a) for a in arg.args))
         return arg
 
-    if isinstance(expr, Return):
-        return Return(sub(expr.var) if expr.var else None)
-    cmd = expr.command
-    if isinstance(cmd, New):
-        new_cmd: Command = New(cmd.var, cmd.cls, tuple(sub_arg(a) for a in cmd.args))
-    elif isinstance(cmd, FieldAssign):
-        new_cmd = FieldAssign(sub(cmd.obj), cmd.fieldname, sub(cmd.value))
-    else:
-        new_cmd = MethodInvoke(sub(cmd.obj), cmd.method, tuple(sub(a) for a in cmd.args))
-    return Seq(new_cmd, _substitute(expr.rest, subst))
+    commands: list[Command] = []
+    while isinstance(expr, Seq):
+        cmd = expr.command
+        if isinstance(cmd, New):
+            commands.append(New(cmd.var, cmd.cls, tuple(sub_arg(a) for a in cmd.args)))
+        elif isinstance(cmd, FieldAssign):
+            commands.append(FieldAssign(sub(cmd.obj), cmd.fieldname, sub(cmd.value)))
+        else:
+            commands.append(MethodInvoke(sub(cmd.obj), cmd.method, tuple(sub(a) for a in cmd.args)))
+        expr = expr.rest
+    result: Expr = Return(sub(expr.var) if expr.var else None)
+    for cmd in reversed(commands):
+        result = Seq(cmd, result)
+    return result
 
 
 def run_program(program: Program) -> PropertyGraph:

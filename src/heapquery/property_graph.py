@@ -7,11 +7,14 @@ integers assigned in creation order, and every iteration surface is ordered
 by ascending id so downstream consumers are deterministic without sorting.
 
 Costs: ``nodes()`` sorts only after ``add_node(node_id=...)`` inserted an id
-below an existing one; ``neighbors()`` returns the adjacency lists, which
-are kept in ascending relationship id, without sorting (``both`` merges the
-two lists).  ``nodes_with_label`` and ``nodes_with_uid`` cost O(matches):
-each reads an index that is built on its first lookup and from then on kept
-up to date by ``add_node`` and ``copy``.
+below an existing one; ``relationships()`` never sorts, because relationship
+ids only grow and removal keeps the order of the rest; ``neighbors()``
+returns the adjacency lists, which are kept in ascending relationship id,
+without sorting (``both`` merges the two lists).  ``nodes_with_label``,
+``nodes_with_uid`` and ``relationships_with_label`` cost O(matches): each
+reads an index that is built on its first lookup and from then on kept up to
+date by ``add_node`` (node indexes), ``add_relationship`` and
+``remove_relationship`` (the relationship label index) and ``copy``.
 
 The ``$uid`` contract: set ``$uid`` through ``add_node``, or in place on
 ``Node.properties`` before the graph is first queried.  An in-place change
@@ -21,7 +24,7 @@ after the index was built is not seen by it (``audit()`` reports it).
 from __future__ import annotations
 
 import heapq
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -158,9 +161,11 @@ class PropertyGraph:
         self._next_rel_id = 0
         # True while ``_nodes`` holds its keys in ascending order.
         self._ids_ascending = True
-        # Lazy node indexes (key -> ascending node ids); None until first use.
+        # Lazy indexes (key -> ascending node or relationship ids); None
+        # until first use.
         self._by_label: dict[str, list[int]] | None = None
         self._by_uid: dict[int, list[int]] | None = None
+        self._rels_by_label: dict[str, list[int]] | None = None
 
     # -- accessors ----------------------------------------------------------
 
@@ -195,29 +200,30 @@ class PropertyGraph:
                 yield self._nodes[node_id]
 
     def relationships(self) -> Iterator[Relationship]:
-        for rel_id in sorted(self._rels):
-            yield self._rels[rel_id]
+        # ``_rels`` holds its keys in ascending order: ids come only from
+        # ``_next_rel_id``, and removal keeps the order of the rest.  The
+        # copy lets a caller add or remove relationships while it iterates.
+        return iter(list(self._rels.values()))
 
     def nodes_with_label(self, label: str) -> Iterator[Node]:
         if self._by_label is None:
-            self._by_label = self._build_index(_label_key)
+            self._by_label = _build_index(self.nodes(), _label_key)
         for node_id in self._by_label.get(label, ()):
             yield self._nodes[node_id]
 
     def nodes_with_uid(self, uid: int) -> Iterator[Node]:
         """Nodes whose ``$uid`` property is the integer ``uid``."""
         if self._by_uid is None:
-            self._by_uid = self._build_index(_uid_key)
+            self._by_uid = _build_index(self.nodes(), _uid_key)
         for node_id in self._by_uid.get(uid, ()):
             yield self._nodes[node_id]
 
-    def _build_index(self, key_of) -> dict[int | str, list[int]]:
-        index: dict = {}
-        for node in self.nodes():
-            key = key_of(node)
-            if key is not None:
-                index.setdefault(key, []).append(node.id)
-        return index
+    def relationships_with_label(self, label: str) -> Iterator[Relationship]:
+        """Relationships labeled ``label``, in ascending id order."""
+        if self._rels_by_label is None:
+            self._rels_by_label = _build_index(self.relationships(), _label_key)
+        for rel_id in self._rels_by_label.get(label, ()):
+            yield self._rels[rel_id]
 
     # -- mutation -------------------------------------------------------------
 
@@ -261,6 +267,8 @@ class PropertyGraph:
         self._rels[rel_id] = Relationship(rel_id, label, start, end, props)
         self._out[start].append(rel_id)
         self._in[end].append(rel_id)
+        if self._rels_by_label is not None:
+            self._rels_by_label.setdefault(label, []).append(rel_id)  # ids only grow
         return rel_id
 
     def remove_relationship(self, rel_id: int) -> None:
@@ -268,6 +276,9 @@ class PropertyGraph:
         del self._rels[rel_id]
         self._out[rel.start].remove(rel_id)
         self._in[rel.end].remove(rel_id)
+        if self._rels_by_label is not None:
+            same_label = self._rels_by_label[rel.label]
+            del same_label[bisect_left(same_label, rel_id)]
 
     def set_field_edge(self, fieldname: str, start: int, end: int) -> int:
         """Install the single outgoing ``fieldname`` edge of ``start``.
@@ -340,24 +351,34 @@ class PropertyGraph:
             dup._by_label = {key: list(ids) for key, ids in self._by_label.items()}
         if self._by_uid is not None:
             dup._by_uid = {key: list(ids) for key, ids in self._by_uid.items()}
+        if self._rels_by_label is not None:
+            dup._rels_by_label = {key: list(ids) for key, ids in self._rels_by_label.items()}
         return dup
 
     def audit(self) -> list[str]:
-        """Consistency check of the adjacency and node indexes; empty list means ok.
+        """Consistency check of the adjacency and lazy indexes; empty list means ok.
 
-        Built label and ``$uid`` indexes are compared with a fresh rebuild, so
-        an in-place ``$uid`` change made after the first lookup shows here.
+        Built label, ``$uid`` and relationship label indexes are compared with
+        a fresh rebuild, so an in-place ``$uid`` change made after the first
+        lookup shows here.
         """
         problems = []
-        for name, index, key_of in (("label", self._by_label, _label_key), ("$uid", self._by_uid, _uid_key)):
+        for name, index, items, key_of in (
+            ("label", self._by_label, self.nodes, _label_key),
+            ("$uid", self._by_uid, self.nodes, _uid_key),
+            ("relationship label", self._rels_by_label, self.relationships, _label_key),
+        ):
             if index is None:
                 continue
-            rebuilt = self._build_index(key_of)
+            rebuilt = _build_index(items(), key_of)
             for key in sorted(set(index) | set(rebuilt), key=repr):
                 if index.get(key, []) != rebuilt.get(key, []):
                     problems.append(
                         f"{name} index entry {key!r} is {index.get(key, [])}, a rebuild gives {rebuilt.get(key, [])}"
                     )
+        rel_ids = list(self._rels)
+        if any(a > b for a, b in zip(rel_ids, rel_ids[1:])):
+            problems.append("relationships are not stored in ascending id order")
         for direction, adjacency in (("outgoing", self._out), ("incoming", self._in)):
             for node_id, rels in adjacency.items():
                 if any(a > b for a, b in zip(rels, rels[1:])):
@@ -386,8 +407,17 @@ class PropertyGraph:
         return problems
 
 
-def _label_key(node: Node) -> str:
-    return node.label
+def _build_index(items, key_of) -> dict[int | str, list[int]]:
+    index: dict = {}
+    for item in items:
+        key = key_of(item)
+        if key is not None:
+            index.setdefault(key, []).append(item.id)
+    return index
+
+
+def _label_key(item: Node | Relationship) -> str:
+    return item.label
 
 
 def _uid_key(node: Node) -> int | None:

@@ -359,6 +359,11 @@ def _props_json(props: dict) -> str:
 
 
 def export_csv(graph: PropertyGraph) -> CsvBundle:
+    """Nodes and relationships as two CSV files, each in ascending id order.
+
+    Node rows carry the node id; relationship rows do not, so
+    ``import_csv`` numbers relationships afresh (see there).
+    """
     nodes_buf = io.StringIO()
     writer = csv.writer(nodes_buf, lineterminator="\n")
     writer.writerow(NODES_HEADER)
@@ -400,6 +405,13 @@ def _csv_int(text: str, where: str) -> int:
 
 
 def import_csv(bundle: CsvBundle) -> PropertyGraph:
+    """Rebuild a graph from ``export_csv`` output.
+
+    Node ids are the ones in the nodes file.  Relationships get ids 0, 1,
+    2, ... in row order, so ``import_csv(export_csv(g))`` keeps each
+    relationship's order, endpoints, label and properties but not its id
+    once ``g`` has had a relationship removed.
+    """
     graph = PropertyGraph()
     for row in _read_csv(bundle.nodes, NODES_HEADER):
         if len(row) != 3:

@@ -355,6 +355,21 @@ def hashmap_contains(snapshot: HeapSnapshot, map_id: int, probe_id: int) -> bool
     return False
 
 
+# --- variable lookup -----------------------------------------------------------------
+
+
+def binding_target(graph: PropertyGraph, name: str) -> int | None:
+    """The node bound to variable ``name``, or None when it is unbound.
+
+    A linear scan of every relationship in ascending id order: the binding
+    is the first one labeled ``name`` that leaves a ``Local`` node.
+    """
+    for rel in sorted(graph.relationships(), key=lambda r: r.id):
+        if rel.label == name and graph.node(rel.start).label == "Local":
+            return rel.end
+    return None
+
+
 # --- field assignment replay ---------------------------------------------------------
 
 

@@ -73,6 +73,25 @@ class TestParse:
             parse_program("class A {\n  int value\n}")
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize(
+        "text, line, column, message",
+        [
+            # A character no token starts with, on the first line.
+            ("class A { A() {} } @ return;", 1, 20, "unexpected character '@'"),
+            # The same after a comment that spans two lines.
+            ("/* first\n   second */ class A ^", 2, 22, "unexpected character '^'"),
+            # A parser error after a POINT marker that spans two lines.
+            ("class A { A() {} }\nA x = new A();\n/*\n  POINT */ A y = new A(;", 4, 24, "bad constructor argument ';'"),
+            # Input that ends inside a class body: the error is at the end.
+            ("class A {\n  A() {}\n  ", 3, 3, "expected type name, got ''"),
+        ],
+    )
+    def test_syntax_error_line_and_column(self, text, line, column, message):
+        with pytest.raises(ProgramSyntaxError) as exc:
+            parse_program(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert str(exc.value) == f"{line}:{column}: {message}"
+
     def test_shadowing_rejected(self):
         text = "class A { A() {} } A x = new A(); A x = new A(); return x;"
         with pytest.raises(ProgramSyntaxError):
@@ -334,6 +353,20 @@ class TestStepCommand:
         a = resolve_variable(graph, "a")
         b = resolve_variable(graph, "b")
         assert [(rel.label, other.id) for rel, other in graph.neighbors(a, "out") if rel.label == "next"] == [("next", b)]
+
+    def test_long_method_body(self):
+        # Substituting the arguments into a body walks it in a loop, so the
+        # body's length is not bounded by the recursion limit.
+        body = " ".join("this.next = o; o.next = this;" for _ in range(2500))
+        text = f"class P {{ P next; P(P next) {{ this.next = next; }} P long(P o) {{ {body} return this; }} }}"
+        text += " P a = new P(null); P b = new P(null); a.long(b);"
+        graph = run_to_point(text)
+        from heapquery.heap_model import resolve_variable
+
+        a, b = resolve_variable(graph, "a"), resolve_variable(graph, "b")
+        assert [other.id for rel, other in graph.neighbors(a, "out") if rel.label == "next"] == [b]
+        assert [other.id for rel, other in graph.neighbors(b, "out") if rel.label == "next"] == [a]
+        assert graph.relationship_count == 6  # two bindings, two instanceof, two next
 
     def test_rebinding_rejected_at_runtime(self):
         text = "class B { B() {} B make() { B t = new B(); return t; } } B x = new B(); x.make(); return x;"

@@ -247,6 +247,77 @@ class TestInvariants:
             assert (rel.label, rel.start, rel.end) == (label, start, end)
 
 
+class TestRelationshipLabelIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_nodes=6, max_edges=8), st.data())
+    def test_kept_through_adds_and_removals(self, g, data):
+        ids = [n.id for n in g.nodes()]
+        if not ids:
+            return
+        list(g.relationships_with_label("f"))  # builds the index
+        for _ in range(data.draw(st.integers(0, 12))):
+            start, end = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
+            label = data.draw(st.sampled_from(["f", "g", "h"]))
+            if data.draw(st.booleans()):
+                g.set_field_edge(label, start, end)
+            else:
+                g.add_relationship(label, start, end)
+        for label in {rel.label for rel in g.relationships()} | {"f"}:
+            expected = [rel.id for rel in g.relationships() if rel.label == label]
+            assert [rel.id for rel in g.relationships_with_label(label)] == expected
+        assert g.audit() == []
+
+    def test_relationships_stay_in_ascending_id_order(self):
+        g = PropertyGraph()
+        a, b = g.add_node("A"), g.add_node("B")
+        for label in "fgfgf":
+            g.add_relationship(label, a, b)
+        g.remove_relationship(0)
+        g.remove_relationship(3)
+        g.add_relationship("f", b, a)
+        assert [rel.id for rel in g.relationships()] == [1, 2, 4, 5]
+        assert [rel.id for rel in g.relationships_with_label("f")] == [2, 4, 5]
+        assert g.audit() == []
+
+    def test_relationships_can_change_while_iterating(self):
+        g = PropertyGraph()
+        a = g.add_node("A")
+        for label in "fgf":
+            g.add_relationship(label, a, a)
+        for rel in g.relationships():
+            g.remove_relationship(rel.id)
+            g.add_relationship(rel.label, a, a)
+        assert [(rel.id, rel.label) for rel in g.relationships()] == [(3, "f"), (4, "g"), (5, "f")]
+        assert g.audit() == []
+
+    def test_copy_keeps_an_independent_index(self):
+        g = build_tree_graph()
+        lefts = [rel.id for rel in g.relationships_with_label("left")]
+        dup = g.copy()
+        assert dup._rels_by_label == g._rels_by_label
+        added = dup.add_relationship("left", 0, 0)
+        dup.remove_relationship(lefts[0])
+        assert [rel.id for rel in g.relationships_with_label("left")] == lefts
+        assert [rel.id for rel in dup.relationships_with_label("left")] == lefts[1:] + [added]
+        assert g.audit() == [] and dup.audit() == []
+
+    def test_audit_reports_stale_entry_and_unordered_store(self):
+        g = PropertyGraph()
+        a = g.add_node("A")
+        first, second = g.add_relationship("f", a, a), g.add_relationship("f", a, a)
+        assert [rel.id for rel in g.relationships_with_label("f")] == [first, second]
+        g.relationship(second).label = "g"  # in place, after the index was built
+        problems = g.audit()
+        assert any("relationship label index entry 'f'" in p for p in problems)
+        assert any("relationship label index entry 'g'" in p for p in problems)
+        g = PropertyGraph()
+        a = g.add_node("A")
+        g.add_relationship("f", a, a)
+        g.add_relationship("f", a, a)
+        g._rels = dict(reversed(g._rels.items()))
+        assert "relationships are not stored in ascending id order" in g.audit()
+
+
 class TestValues:
     def test_int_float_never_equal(self):
         assert not values_equal(1, 1.0)

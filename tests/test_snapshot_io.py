@@ -157,6 +157,23 @@ class TestCsv:
             (r.start, r.end, r.label) for r in graph.relationships()
         }
 
+    def test_relationship_ids_are_renumbered_densely(self):
+        # Relationship rows carry no id: after a removal the survivors come
+        # back numbered 0, 1, ... in their old order.
+        g = PropertyGraph()
+        a, b = g.add_node("A"), g.add_node("B")
+        for label, start, end, props in [("f", a, b, {}), ("g", b, a, {"w": 1}), ("f", a, a, {}), ("h", b, b, {"s": "x"})]:
+            g.add_relationship(label, start, end, props)
+        g.remove_relationship(1)
+        back = import_csv(export_csv(g))
+        assert [r.id for r in g.relationships()] == [0, 2, 3]
+        assert [r.id for r in back.relationships()] == [0, 1, 2]
+        assert [(r.start, r.end, r.label, r.properties) for r in back.relationships()] == [
+            (r.start, r.end, r.label, r.properties) for r in g.relationships()
+        ]
+        assert [n.id for n in back.nodes()] == [a, b]
+        assert back.audit() == []
+
     def test_quoting_survives_awkward_strings(self):
         g = PropertyGraph()
         g.add_node("A", {"s": 'comma, "quote" and \n newline'})
