@@ -30,7 +30,6 @@ from .subgraph import (
     HeapSnapshot,
     Ref,
     RefArray,
-    assign_unique_ids,
     collect,
     extract,
     follow_references,
@@ -56,7 +55,6 @@ __all__ = [
     "Relationship",
     "ResultSet",
     "ResultTable",
-    "assign_unique_ids",
     "collect",
     "execute",
     "execute_batch",

@@ -9,6 +9,12 @@ ones unless force-collect is enabled.
 
 Not thread safe: callers serialize access to a context.  Every pipeline
 failure is re-raised as PipelineError naming the failing stage.
+
+The pipeline runs with CPython's cyclic garbage collector paused
+(``collector_paused``): its temporary objects hold no reference cycles and are
+freed by reference counting, so a collection inside a query would only
+rescan the loaded snapshot.  The collector is restored to the state it was
+in before the call, also when the call raises.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .errors import (
     ShapeError,
     UnknownColumnError,
 )
-from .property_graph import UID_KEY, PropertyGraph
+from .property_graph import UID_KEY, PropertyGraph, collector_paused
 from .query_engine import ABSENT, NodeRef, RelRef, ResultTable, execute, execute_batch
 from .subgraph import ExtractionConfig, HeapObject, HeapSnapshot, extract
 
@@ -122,12 +128,6 @@ class QueryContext:
         self.snapshot._ensure_valid()
         self._cache: dict = {}
 
-    def uid_of(self, object_id: int) -> int:
-        """Unique id of a snapshot object (identity mapping)."""
-        if not self.snapshot.has_object(object_id):
-            raise UnknownColumnError(object_id)
-        return object_id
-
     def _extract(self, config: ExtractionConfig) -> PropertyGraph:
         if not self.cache_extractions:
             return extract(self.snapshot, config)
@@ -148,6 +148,7 @@ def _stage(timings: dict | None, name: str, started: float):
         timings[name] = timings.get(name, 0.0) + (time.perf_counter() - started) * 1000.0
 
 
+@collector_paused()
 def _run_pipeline(ctx: QueryContext, root, fmt: str, args, timings: dict | None = None) -> ResultSet:
     t0 = time.perf_counter()
     try:

@@ -466,6 +466,32 @@ class Diagnostic:
         return self.message
 
 
+def _check_expr(expr, bound: dict, out: list, *, aggregates_allowed: bool, in_aggregate: bool = False):
+    """Append to ``out`` the diagnostics of one expression under ``bound`` variables.
+
+    A module-level function rather than a closure in ``validate``: a nested
+    function that calls itself holds a reference cycle through its closure.
+    """
+    if isinstance(expr, Variable):
+        if expr.name not in bound:
+            out.append(Diagnostic(f"unbound variable {expr.name!r}"))
+    elif isinstance(expr, PropertyAccess):
+        if expr.var not in bound:
+            out.append(Diagnostic(f"unbound variable {expr.var!r}"))
+    elif isinstance(expr, Count):
+        if not aggregates_allowed:
+            out.append(Diagnostic("count(...) is only allowed in RETURN items"))
+        elif in_aggregate:
+            out.append(Diagnostic("nested count(...) is not allowed"))
+        if expr.expr is not None:
+            _check_expr(expr.expr, bound, out, aggregates_allowed=aggregates_allowed, in_aggregate=True)
+    elif isinstance(expr, (EqualsCall, Comparison, And, Or)):
+        _check_expr(expr.left, bound, out, aggregates_allowed=aggregates_allowed, in_aggregate=in_aggregate)
+        _check_expr(expr.right, bound, out, aggregates_allowed=aggregates_allowed, in_aggregate=in_aggregate)
+    elif isinstance(expr, Not):
+        _check_expr(expr.operand, bound, out, aggregates_allowed=aggregates_allowed, in_aggregate=in_aggregate)
+
+
 def validate(query: Query) -> list[Diagnostic]:
     """Static checks over a parsed query; an empty list means valid."""
     out: list[Diagnostic] = []
@@ -477,32 +503,6 @@ def validate(query: Query) -> list[Diagnostic]:
         if bound.get(var, kind) != kind:
             out.append(Diagnostic(f"variable {var!r} is used both as a {bound[var]} and a {kind}"))
         bound.setdefault(var, kind)
-
-    def check_expr(expr, *, aggregates_allowed: bool, in_aggregate: bool = False):
-        if isinstance(expr, Variable):
-            if expr.name not in bound:
-                out.append(Diagnostic(f"unbound variable {expr.name!r}"))
-        elif isinstance(expr, PropertyAccess):
-            if expr.var not in bound:
-                out.append(Diagnostic(f"unbound variable {expr.var!r}"))
-        elif isinstance(expr, Count):
-            if not aggregates_allowed:
-                out.append(Diagnostic("count(...) is only allowed in RETURN items"))
-            elif in_aggregate:
-                out.append(Diagnostic("nested count(...) is not allowed"))
-            if expr.expr is not None:
-                check_expr(expr.expr, aggregates_allowed=aggregates_allowed, in_aggregate=True)
-        elif isinstance(expr, EqualsCall):
-            check_expr(expr.left, aggregates_allowed=aggregates_allowed, in_aggregate=in_aggregate)
-            check_expr(expr.right, aggregates_allowed=aggregates_allowed, in_aggregate=in_aggregate)
-        elif isinstance(expr, Comparison):
-            check_expr(expr.left, aggregates_allowed=aggregates_allowed, in_aggregate=in_aggregate)
-            check_expr(expr.right, aggregates_allowed=aggregates_allowed, in_aggregate=in_aggregate)
-        elif isinstance(expr, (And, Or)):
-            check_expr(expr.left, aggregates_allowed=aggregates_allowed, in_aggregate=in_aggregate)
-            check_expr(expr.right, aggregates_allowed=aggregates_allowed, in_aggregate=in_aggregate)
-        elif isinstance(expr, Not):
-            check_expr(expr.operand, aggregates_allowed=aggregates_allowed, in_aggregate=in_aggregate)
 
     def check_write_pattern(path: PathPattern, clause_name: str):
         states = []
@@ -572,13 +572,13 @@ def validate(query: Query) -> list[Diagnostic]:
             prev = query.clauses[i - 1] if i > 0 else None
             if not isinstance(prev, MatchClause):
                 out.append(Diagnostic("WHERE must immediately follow a MATCH clause"))
-            check_expr(clause.expr, aggregates_allowed=False)
+            _check_expr(clause.expr, bound, out, aggregates_allowed=False)
         elif isinstance(clause, ReturnClause):
             has_count = [bool(_find_counts(item.expr)) for item in clause.items]
             if any(has_count) and not all(has_count):
                 out.append(Diagnostic("mixing aggregated and plain RETURN items is not supported"))
             for item in clause.items:
-                check_expr(item.expr, aggregates_allowed=True)
+                _check_expr(item.expr, bound, out, aggregates_allowed=True)
     return out
 
 

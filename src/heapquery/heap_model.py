@@ -707,22 +707,25 @@ def eval_expr(graph: PropertyGraph, expr: Expr, ct: ClassTable) -> PropertyGraph
     return graph
 
 
+def _substitute_arg(arg: Arg, subst: dict[str, str]) -> Arg:
+    # Module level, not a closure in ``_substitute``: a nested function that
+    # calls itself holds a reference cycle through its closure.
+    if isinstance(arg, VarArg):
+        return VarArg(subst.get(arg.name, arg.name))
+    if isinstance(arg, NewArg):
+        return NewArg(arg.cls, tuple(_substitute_arg(a, subst) for a in arg.args))
+    return arg
+
+
 def _substitute(expr: Expr, subst: dict[str, str]) -> Expr:
     def sub(name: str) -> str:
         return subst.get(name, name)
-
-    def sub_arg(arg: Arg) -> Arg:
-        if isinstance(arg, VarArg):
-            return VarArg(sub(arg.name))
-        if isinstance(arg, NewArg):
-            return NewArg(arg.cls, tuple(sub_arg(a) for a in arg.args))
-        return arg
 
     commands: list[Command] = []
     while isinstance(expr, Seq):
         cmd = expr.command
         if isinstance(cmd, New):
-            commands.append(New(cmd.var, cmd.cls, tuple(sub_arg(a) for a in cmd.args)))
+            commands.append(New(cmd.var, cmd.cls, tuple(_substitute_arg(a, subst) for a in cmd.args)))
         elif isinstance(cmd, FieldAssign):
             commands.append(FieldAssign(sub(cmd.obj), cmd.fieldname, sub(cmd.value)))
         else:

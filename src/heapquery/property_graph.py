@@ -23,6 +23,8 @@ after the index was built is not seen by it (``audit()`` reports it).
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
@@ -57,6 +59,29 @@ _PRIMITIVE_TYPES = (bool, int, float, str)
 ISO_NODE_LIMIT = 64
 
 
+@contextlib.contextmanager
+def collector_paused():
+    """Keep CPython's cyclic garbage collector from running inside the block.
+
+    Used as ``@collector_paused()`` on calls that keep objects alive in
+    numbers that scale with the heap (snapshot loading and saving, graph to
+    snapshot, extraction, CSV import, the query pipeline).  Their objects hold
+    no reference cycles, so a collection that runs inside them only rescans
+    live objects.  The collector is
+    re-enabled on exit only if it was enabled on entry, so nested calls
+    restore it once, at the outermost one, and a caller that disabled it
+    keeps it disabled.  The switch is process-wide (see README
+    "Concurrency").
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def check_label(label: str) -> str:
     if not isinstance(label, str) or not label:
         raise InvalidLabelError(f"label must be a non-empty string, got {label!r}")
@@ -73,9 +98,9 @@ def ensure_user_label(label: str) -> str:
 
 def check_property_value(value, *, key: str = ""):
     """Validate one property value; returns the value unchanged."""
-    where = f" for key {key!r}" if key else ""
     if isinstance(value, _PRIMITIVE_TYPES):
         return value
+    where = f" for key {key!r}" if key else ""
     if isinstance(value, list):
         kinds = {type(v) for v in value}
         if len(kinds) > 1:
@@ -193,11 +218,12 @@ class PropertyGraph:
             raise RelationshipNotFoundError(rel_id) from None
 
     def nodes(self) -> Iterator[Node]:
+        # Both branches iterate a copy, so a caller may add nodes while it
+        # iterates; it sees the nodes that existed when iteration began.
         if self._ids_ascending:
-            yield from self._nodes.values()
-        else:
-            for node_id in sorted(self._nodes):
-                yield self._nodes[node_id]
+            return iter(list(self._nodes.values()))
+        nodes = self._nodes
+        return iter([nodes[node_id] for node_id in sorted(nodes)])
 
     def relationships(self) -> Iterator[Relationship]:
         # ``_rels`` holds its keys in ascending order: ids come only from

@@ -25,7 +25,15 @@ import json
 from dataclasses import dataclass
 
 from .errors import NotSnapshotShapedError, SnapshotSchemaError
-from .property_graph import CLASS_LABEL, ELEMENT_LABEL, INSTANCEOF_LABEL, LOCAL_LABEL, UID_KEY, PropertyGraph
+from .property_graph import (
+    CLASS_LABEL,
+    ELEMENT_LABEL,
+    INSTANCEOF_LABEL,
+    LOCAL_LABEL,
+    UID_KEY,
+    PropertyGraph,
+    collector_paused,
+)
 from .subgraph import (
     ClassInfo,
     FieldDecl,
@@ -42,29 +50,51 @@ RELS_HEADER = [":START_ID", ":END_ID", ":TYPE", "props:JSON"]
 # --- snapshot JSON ---------------------------------------------------------------
 
 
-def _decode_value(value, path: str):
+class _BadValue(Exception):
+    """A field value ``_decode_value`` rejects; the caller adds the location."""
+
+    def __init__(self, message: str, suffix: str = ""):
+        self.message = message
+        self.suffix = suffix  # the element index within the value, if any
+
+
+def _decode_value(value):
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, list):
         for i, element in enumerate(value):
             if not (element is None or isinstance(element, (bool, int, float, str))):
-                raise SnapshotSchemaError("primitive arrays may only hold JSON literals", f"{path}[{i}]")
+                raise _BadValue("primitive arrays may only hold JSON literals", f"[{i}]")
         return value
     if isinstance(value, dict):
         if set(value) == {"ref"}:
             if not isinstance(value["ref"], int) or isinstance(value["ref"], bool):
-                raise SnapshotSchemaError("ref must be an integer object id", path)
+                raise _BadValue("ref must be an integer object id")
             return Ref(value["ref"])
         if set(value) == {"refs"}:
             ids = value["refs"]
             if not isinstance(ids, list):
-                raise SnapshotSchemaError("refs must be a list", path)
+                raise _BadValue("refs must be a list")
             for i, element in enumerate(ids):
                 if element is not None and (not isinstance(element, int) or isinstance(element, bool)):
-                    raise SnapshotSchemaError("refs elements must be object ids or null", f"{path}[{i}]")
+                    raise _BadValue("refs elements must be object ids or null", f"[{i}]")
             return RefArray(ids)
-        raise SnapshotSchemaError(f"unrecognized value object with keys {sorted(value)}", path)
-    raise SnapshotSchemaError(f"unsupported value {value!r}", path)
+        raise _BadValue(f"unrecognized value object with keys {sorted(value)}")
+    raise _BadValue(f"unsupported value {value!r}")
+
+
+def _decode_values(raw: dict, section: str, index: int, part: str) -> dict:
+    """Decode the name -> value map at ``{section}[{index}].{part}``.
+
+    The location is formatted only when a value is rejected.
+    """
+    decoded = {}
+    try:
+        for name, value in raw.items():
+            decoded[name] = _decode_value(value)
+    except _BadValue as exc:
+        raise SnapshotSchemaError(exc.message, f"{section}[{index}].{part}.{name}{exc.suffix}") from None
+    return decoded
 
 
 def _encode_value(value):
@@ -75,6 +105,7 @@ def _encode_value(value):
     return value
 
 
+@collector_paused()
 def load_snapshot(data: bytes | str) -> HeapSnapshot:
     """Parse and eagerly validate a snapshot document."""
     if isinstance(data, bytes):
@@ -100,23 +131,16 @@ def load_snapshot(data: bytes | str) -> HeapSnapshot:
             if not isinstance(f, dict) or not {"name", "kind", "type"} <= set(f):
                 raise SnapshotSchemaError("field declarations need name/kind/type", fpath)
             fields.append(FieldDecl(f["name"], f["kind"], f["type"]))
-        statics = {
-            name: _decode_value(value, f"{path}.statics.{name}")
-            for name, value in raw.get("statics", {}).items()
-        }
+        statics = _decode_values(raw.get("statics", {}), "classes", i, "statics")
         classes.append(ClassInfo(raw["name"], raw.get("superclass"), tuple(fields), statics))
 
     objects = []
     for i, raw in enumerate(doc["objects"]):
-        path = f"objects[{i}]"
-        if not isinstance(raw, dict) or not {"id", "class"} <= set(raw):
-            raise SnapshotSchemaError("object entries need id and class", path)
+        if not isinstance(raw, dict) or "id" not in raw or "class" not in raw:
+            raise SnapshotSchemaError("object entries need id and class", f"objects[{i}]")
         if not isinstance(raw["id"], int) or isinstance(raw["id"], bool):
-            raise SnapshotSchemaError("object id must be an integer", path)
-        fields = {
-            name: _decode_value(value, f"{path}.fields.{name}")
-            for name, value in raw.get("fields", {}).items()
-        }
+            raise SnapshotSchemaError("object id must be an integer", f"objects[{i}]")
+        fields = _decode_values(raw.get("fields", {}), "objects", i, "fields")
         objects.append(HeapObject(raw["id"], raw["class"], fields))
 
     roots = doc["roots"]
@@ -133,6 +157,7 @@ def load_snapshot(data: bytes | str) -> HeapSnapshot:
     return snapshot
 
 
+@collector_paused()
 def save_snapshot(snapshot: HeapSnapshot, *, indent: int | None = None) -> bytes:
     """Serialize a snapshot; canonical (sorted keys, compact) when unindented."""
     doc = {
@@ -177,6 +202,7 @@ def _primitive_type(value) -> str:
     return "String"
 
 
+@collector_paused()
 def graph_to_snapshot(graph: PropertyGraph) -> HeapSnapshot:
     """Invert extraction for heap-shaped graphs.
 
@@ -387,23 +413,31 @@ def _read_csv(data: bytes, expected_header: list) -> list[list]:
     return rows[1:]
 
 
-def _parse_props(text: str, where: str) -> dict:
+# Error locations below are formatted only on the raise paths, because an
+# import reads every row.
+
+
+def _parse_props(text: str, kind: str, key) -> dict:
+    """The property map in a props cell of the ``kind`` row named by ``key``."""
+    if text == "{}":
+        return {}
     try:
         props = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SnapshotSchemaError(f"bad props JSON in {where}: {exc}") from exc
+        raise SnapshotSchemaError(f"bad props JSON in {kind} {key!r}: {exc}") from exc
     if not isinstance(props, dict):
-        raise SnapshotSchemaError(f"props in {where} must be a JSON object")
+        raise SnapshotSchemaError(f"props in {kind} {key!r} must be a JSON object")
     return props
 
 
-def _csv_int(text: str, where: str) -> int:
+def _csv_int(text: str, table: str, row: list) -> int:
     try:
         return int(text)
     except ValueError:
-        raise SnapshotSchemaError(f"expected an integer id in {where}, got {text!r}") from None
+        raise SnapshotSchemaError(f"expected an integer id in {table} row {row!r}, got {text!r}") from None
 
 
+@collector_paused()
 def import_csv(bundle: CsvBundle) -> PropertyGraph:
     """Rebuild a graph from ``export_csv`` output.
 
@@ -416,12 +450,12 @@ def import_csv(bundle: CsvBundle) -> PropertyGraph:
     for row in _read_csv(bundle.nodes, NODES_HEADER):
         if len(row) != 3:
             raise SnapshotSchemaError(f"malformed nodes row {row!r}")
-        node_id = _csv_int(row[0], f"nodes row {row!r}")
-        graph.add_node(row[1], _parse_props(row[2], f"node {node_id}"), node_id=node_id)
+        node_id = _csv_int(row[0], "nodes", row)
+        graph.add_node(row[1], _parse_props(row[2], "node", node_id), node_id=node_id)
     for row in _read_csv(bundle.relationships, RELS_HEADER):
         if len(row) != 4:
             raise SnapshotSchemaError(f"malformed relationships row {row!r}")
-        start = _csv_int(row[0], f"relationships row {row!r}")
-        end = _csv_int(row[1], f"relationships row {row!r}")
-        graph.add_relationship(row[2], start, end, _parse_props(row[3], f"relationship {row!r}"))
+        start = _csv_int(row[0], "relationships", row)
+        end = _csv_int(row[1], "relationships", row)
+        graph.add_relationship(row[2], start, end, _parse_props(row[3], "relationship", row))
     return graph

@@ -30,6 +30,7 @@ from .property_graph import (
     UID_KEY,
     PropertyGraph,
     check_property_value,
+    collector_paused,
 )
 
 FIELD_KINDS = ("reference", "primitive", "primitive-array", "reference-array")
@@ -166,7 +167,7 @@ class HeapSnapshot:
                         "static field 'name' collides with the class-metadata name property",
                         f"classes[{i}].statics.name",
                     )
-                self._check_value(value, None, f"classes[{i}].statics.{name}")
+                self._check_value(value, None, ("classes", i, "statics", name))
 
         seen = set()
         for obj in self.objects:
@@ -174,16 +175,16 @@ class HeapSnapshot:
                 raise DuplicateObjectIdError(obj.id)
             seen.add(obj.id)
         for obj in self.objects:
-            path = f"objects[{obj.id}]"
             if obj.cls not in self._class_map:
-                raise SnapshotSchemaError(f"unknown class {obj.cls!r}", path)
+                raise SnapshotSchemaError(f"unknown class {obj.cls!r}", f"objects[{obj.id}]")
             decls = self.field_decls(obj.cls)
             for name, value in obj.fields.items():
-                fpath = f"{path}.fields.{name}"
                 decl = decls.get(name)
                 if decl is None:
-                    raise SnapshotSchemaError(f"field {name!r} not declared by {obj.cls!r}", fpath)
-                self._check_value(value, decl, fpath)
+                    raise SnapshotSchemaError(
+                        f"field {name!r} not declared by {obj.cls!r}", f"objects[{obj.id}].fields.{name}"
+                    )
+                self._check_value(value, decl, ("objects", obj.id, "fields", name))
         for name, target in self.roots.items():
             if target not in self._object_map:
                 raise UnknownRootError(target)
@@ -192,25 +193,37 @@ class HeapSnapshot:
         self._validated = True
         return self
 
-    def _check_value(self, value, decl: FieldDecl | None, path: str):
+    def _check_value(self, value, decl: FieldDecl | None, where: tuple):
+        """Check one field or static value against its declaration.
+
+        ``where`` is the value's (section, index, part, name); it is formatted
+        into a path such as ``objects[7].fields.next`` only on the raise paths,
+        because a load checks every field.
+        """
         if value is None:
             return
         if isinstance(value, Ref):
             if value.id not in self._object_map:
-                raise DanglingReferenceError(value.id, path)
+                raise DanglingReferenceError(value.id, _path(where))
             if decl is not None and decl.kind != "reference":
-                raise SnapshotSchemaError(f"{decl.kind} field holds a reference", path)
+                raise SnapshotSchemaError(f"{decl.kind} field holds a reference", _path(where))
             return
         if isinstance(value, RefArray):
             for element in value.ids:
                 if element is not None and element not in self._object_map:
-                    raise DanglingReferenceError(element, path)
+                    raise DanglingReferenceError(element, _path(where))
             if decl is not None and decl.kind != "reference-array":
-                raise SnapshotSchemaError(f"{decl.kind} field holds a reference array", path)
+                raise SnapshotSchemaError(f"{decl.kind} field holds a reference array", _path(where))
             return
-        check_property_value(value, key=path)
+        if not isinstance(value, (bool, int, float, str)):  # the check below passes scalars without a path
+            check_property_value(value, key=_path(where))
         if decl is not None and decl.kind not in ("primitive", "primitive-array"):
-            raise SnapshotSchemaError(f"{decl.kind} field holds a primitive", path)
+            raise SnapshotSchemaError(f"{decl.kind} field holds a primitive", _path(where))
+
+
+def _path(where: tuple) -> str:
+    section, index, part, name = where
+    return f"{section}[{index}].{part}.{name}"
 
 
 @dataclass(frozen=True)
@@ -241,16 +254,6 @@ class ExtractionConfig:
         if overlap:
             raise ExtractionConfigError(f"classes in both whitelist and blacklist: {sorted(overlap)}")
         return self
-
-
-def assign_unique_ids(snapshot: HeapSnapshot) -> dict[int, int]:
-    """Injective object-id -> uid assignment; we use the ids themselves."""
-    seen = set()
-    for obj in snapshot.objects:
-        if obj.id in seen:
-            raise DuplicateObjectIdError(obj.id)
-        seen.add(obj.id)
-    return {obj.id: obj.id for obj in snapshot.objects}
 
 
 def _referenced_ids(values) -> list[int]:
@@ -307,6 +310,7 @@ def collect(snapshot: HeapSnapshot) -> HeapSnapshot:
     )
 
 
+@collector_paused()
 def extract(snapshot: HeapSnapshot, config: ExtractionConfig | None = None) -> PropertyGraph:
     """Translate a snapshot into a PropertyGraph under the given config.
 

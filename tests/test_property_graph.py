@@ -66,6 +66,23 @@ class TestNodes:
         with pytest.raises(InvalidPropertyError):
             g.add_node("A", {"$uid": True})
 
+    @pytest.mark.parametrize("explicit_lower_id", [False, True])
+    def test_nodes_can_be_added_while_iterating(self, explicit_lower_id):
+        g = PropertyGraph()
+        for label in "ABC":
+            g.add_node(label, node_id=10 + ord(label) if explicit_lower_id else None)
+        if explicit_lower_id:
+            g.add_node("D", node_id=0)  # ids no longer ascending in the store
+        before = [(n.id, n.label) for n in g.nodes()]
+        seen = []
+        for n in g.nodes():
+            seen.append((n.id, n.label))
+            g.add_node("Y")
+        assert seen == before
+        assert g.node_count == 2 * len(before)
+        assert [n.id for n in g.nodes()] == sorted(n.id for n in g.nodes())
+        assert g.audit() == []
+
 
 class TestRelationships:
     def test_add_relationship(self):

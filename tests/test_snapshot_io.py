@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from heapquery.errors import (
     DanglingReferenceError,
     DuplicateObjectIdError,
+    InvalidPropertyError,
     NodeNotFoundError,
     NotSnapshotShapedError,
     SnapshotSchemaError,
@@ -73,6 +74,126 @@ class TestLoadSnapshot:
         with pytest.raises(SnapshotSchemaError) as exc:
             load_snapshot(doc)
         assert exc.value.path == "classes[0]"
+
+
+
+def _one_object_doc(fields_decl: str, fields: str, statics: str = "") -> str:
+    return (
+        '{"classes":[{"name":"A","fields":[' + fields_decl + "]" + statics + "}],"
+        '"objects":[{"id":7,"class":"A","fields":{' + fields + "}}],\"roots\":{}}"
+    )
+
+
+class TestErrorLocations:
+    """Messages and paths of malformed inputs, pinned exactly."""
+
+    @pytest.mark.parametrize(
+        "fields_decl, fields, path, message",
+        [
+            (
+                '{"name":"xs","kind":"primitive-array","type":"int"}',
+                '"xs":[1,2,{"v":1}]',
+                "objects[0].fields.xs[2]",
+                "primitive arrays may only hold JSON literals",
+            ),
+            (
+                '{"name":"rs","kind":"reference-array","type":"A"}',
+                '"rs":{"refs":[7,null,"x"]}',
+                "objects[0].fields.rs[2]",
+                "refs elements must be object ids or null",
+            ),
+            (
+                '{"name":"r","kind":"reference","type":"A"}',
+                '"r":{"ref":true}',
+                "objects[0].fields.r",
+                "ref must be an integer object id",
+            ),
+            (
+                '{"name":"r","kind":"reference","type":"A"}',
+                '"r":{"ref":1,"x":2}',
+                "objects[0].fields.r",
+                "unrecognized value object with keys ['ref', 'x']",
+            ),
+        ],
+    )
+    def test_bad_nested_field_value(self, fields_decl, fields, path, message):
+        with pytest.raises(SnapshotSchemaError) as exc:
+            load_snapshot(_one_object_doc(fields_decl, fields))
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_bad_static_value(self):
+        doc = _one_object_doc("", "", ',"statics":{"s":{"refs":"x"}}')
+        with pytest.raises(SnapshotSchemaError) as exc:
+            load_snapshot(doc)
+        assert str(exc.value) == "classes[0].statics.s: refs must be a list"
+
+    def test_validation_errors_name_the_field(self):
+        doc = _one_object_doc('{"name":"r","kind":"reference","type":"A"}', '"r":{"ref":99}')
+        with pytest.raises(DanglingReferenceError) as exc:
+            load_snapshot(doc)
+        assert str(exc.value) == "objects[7].fields.r: reference to unknown object id 99"
+        doc = _one_object_doc('{"name":"r","kind":"reference","type":"A"}', '"r":5')
+        with pytest.raises(SnapshotSchemaError) as exc:
+            load_snapshot(doc)
+        assert str(exc.value) == "objects[7].fields.r: reference field holds a primitive"
+        doc = _one_object_doc("", '"q":5')
+        with pytest.raises(SnapshotSchemaError) as exc:
+            load_snapshot(doc)
+        assert str(exc.value) == "objects[7].fields.q: field 'q' not declared by 'A'"
+        doc = _one_object_doc('{"name":"xs","kind":"primitive-array","type":"int"}', '"xs":[1,"a"]')
+        with pytest.raises(InvalidPropertyError) as exc:
+            load_snapshot(doc)
+        assert str(exc.value) == "list value for key 'objects[7].fields.xs' must be homogeneous, got ['int', 'str']"
+        doc = _one_object_doc("", "", ',"statics":{"s":{"ref":99}}')
+        with pytest.raises(DanglingReferenceError) as exc:
+            load_snapshot(doc)
+        assert str(exc.value) == "classes[0].statics.s: reference to unknown object id 99"
+
+    def _bundle(self, nodes: str, rels: str = "") -> CsvBundle:
+        return CsvBundle(
+            (",".join(NODES_HEADER) + "\n" + nodes).encode(),
+            (",".join(RELS_HEADER) + "\n" + rels).encode(),
+        )
+
+    def test_bad_relationship_props_cell(self):
+        with pytest.raises(SnapshotSchemaError) as exc:
+            import_csv(self._bundle("0,A,{}\n1,A,{}\n", '0,1,f,"{""w"":"\n'))
+        row = ["0", "1", "f", '{"w":']
+        assert str(exc.value).startswith(f"bad props JSON in relationship {row!r}: Expecting value")
+        with pytest.raises(SnapshotSchemaError) as exc:
+            import_csv(self._bundle("0,A,{}\n1,A,{}\n", "0,1,f,[1]\n"))
+        assert str(exc.value) == "props in relationship ['0', '1', 'f', '[1]'] must be a JSON object"
+
+    def test_non_integer_end_id(self):
+        with pytest.raises(SnapshotSchemaError) as exc:
+            import_csv(self._bundle("0,A,{}\n", "0,z,f,{}\n"))
+        assert str(exc.value) == "expected an integer id in relationships row ['0', 'z', 'f', '{}'], got 'z'"
+        with pytest.raises(SnapshotSchemaError) as exc:
+            import_csv(self._bundle("0,A,{}\n", "q,0,f,{}\n"))
+        assert str(exc.value) == "expected an integer id in relationships row ['q', '0', 'f', '{}'], got 'q'"
+
+    def test_bad_node_rows(self):
+        with pytest.raises(SnapshotSchemaError) as exc:
+            import_csv(self._bundle("x,A,{}\n"))
+        assert str(exc.value) == "expected an integer id in nodes row ['x', 'A', '{}'], got 'x'"
+        with pytest.raises(SnapshotSchemaError) as exc:
+            import_csv(self._bundle("3,A,nope\n"))
+        assert str(exc.value).startswith("bad props JSON in node 3: Expecting value")
+        with pytest.raises(SnapshotSchemaError) as exc:
+            import_csv(self._bundle('3,A,"""s"""\n'))
+        assert str(exc.value) == "props in node 3 must be a JSON object"
+        with pytest.raises(SnapshotSchemaError) as exc:
+            import_csv(self._bundle("3,A\n"))
+        assert str(exc.value) == "malformed nodes row ['3', 'A']"
+
+    def test_empty_props_cell_is_an_empty_map(self):
+        graph = import_csv(self._bundle("0,A,{}\n1,B,{}\n", "0,1,f,{}\n1,0,g,{}\n"))
+        assert [n.properties for n in graph.nodes()] == [{}, {}]
+        assert [r.properties for r in graph.relationships()] == [{}, {}]
+        # Each map is its own dict.
+        props = [n.properties for n in graph.nodes()] + [r.properties for r in graph.relationships()]
+        assert len({id(p) for p in props}) == 4
 
 
 class TestSaveSnapshot:

@@ -6,7 +6,6 @@ import pytest
 
 from heapquery.errors import (
     SnapshotSchemaError,
-    DuplicateObjectIdError,
     ExtractionConfigError,
     UnknownRootError,
 )
@@ -19,7 +18,6 @@ from heapquery.subgraph import (
     HeapSnapshot,
     Ref,
     RefArray,
-    assign_unique_ids,
     collect,
     extract,
     follow_references,
@@ -35,24 +33,6 @@ def simple_class(name: str, refs=(), prims=(), ref_arrays=(), statics=None) -> C
     fields += [FieldDecl(f, "primitive", "int") for f in prims]
     fields += [FieldDecl(f, "reference-array", name) for f in ref_arrays]
     return ClassInfo(name, None, tuple(fields), statics or {})
-
-
-class TestAssignUniqueIds:
-    def test_identity_mapping(self):
-        snap = HeapSnapshot(
-            [simple_class("A")],
-            [HeapObject(7, "A"), HeapObject(9, "A"), HeapObject(12, "A")],
-            {},
-        )
-        assert assign_unique_ids(snap) == {7: 7, 9: 9, 12: 12}
-
-    def test_empty(self):
-        assert assign_unique_ids(HeapSnapshot([], [], {})) == {}
-
-    def test_duplicate_id(self):
-        snap = HeapSnapshot([simple_class("A")], [HeapObject(7, "A"), HeapObject(7, "A")], {})
-        with pytest.raises(DuplicateObjectIdError):
-            assign_unique_ids(snap)
 
 
 class TestFollowReferences:
