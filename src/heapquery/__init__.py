@@ -30,6 +30,7 @@ from .subgraph import (
     HeapSnapshot,
     Ref,
     RefArray,
+    SnapshotGraph,
     collect,
     extract,
     follow_references,
@@ -55,6 +56,7 @@ __all__ = [
     "Relationship",
     "ResultSet",
     "ResultTable",
+    "SnapshotGraph",
     "collect",
     "execute",
     "execute_batch",

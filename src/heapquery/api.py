@@ -7,6 +7,12 @@ restrict extraction to objects reachable from the supplied root(s);
 unbounded queries see every object in the snapshot, including unreachable
 ones unless force-collect is enabled.
 
+Extraction returns a SnapshotGraph, which queries the snapshot in place.
+So the ``extract`` stage of ``timings=`` (and of the CLI's ``--time``) is
+the selection of objects and the numbering of the graph, and building the
+nodes and relationships that a query touches is timed in ``execute``.  A
+query that writes, or that scans every node, builds the whole graph there.
+
 Not thread safe: callers serialize access to a context.  Every pipeline
 failure is re-raised as PipelineError naming the failing stage.
 
@@ -116,8 +122,10 @@ class QueryContext:
     not be changed afterwards.
 
     ``cache_extractions`` memoizes extracted subgraphs per (root, config)
-    key.  It is off by default and meant for read-only workloads: write
-    queries mutate the cached graph.
+    key, fully built when stored, so later queries pay no extraction.  It is
+    off by default.  A write query (one with a CREATE or MERGE clause) on a
+    caching context runs on a copy of the cached graph, so its writes, and
+    those of a write query that fails, are not seen by later queries.
     """
 
     snapshot: HeapSnapshot
@@ -139,7 +147,7 @@ class QueryContext:
             config.force_collect,
         )
         if key not in self._cache:
-            self._cache[key] = extract(self.snapshot, config)
+            self._cache[key] = extract(self.snapshot, config).fill()
         return self._cache[key]
 
 
@@ -184,6 +192,8 @@ def _run_pipeline(ctx: QueryContext, root, fmt: str, args, timings: dict | None 
 
     t0 = time.perf_counter()
     try:
+        if ctx.cache_extractions and any(query.writes for query in queries):
+            graph = graph.copy()  # the cached graph is shared by later queries
         if expansion.is_batch:
             table, graph = execute_batch(queries, graph)
         else:

@@ -163,6 +163,11 @@ Clause = CreateClause | MergeClause | MatchClause | WhereClause | ReturnClause
 class Query:
     clauses: tuple
 
+    @property
+    def writes(self) -> bool:
+        """True when a CREATE or MERGE clause may change the graph."""
+        return any(isinstance(clause, (CreateClause, MergeClause)) for clause in self.clauses)
+
 
 # --- canonical text ----------------------------------------------------------------
 

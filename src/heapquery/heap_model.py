@@ -202,10 +202,6 @@ def mbody(ct: ClassTable, method: str, cls: str) -> tuple[tuple, Expr]:
     raise NoSuchMethodError(cls, method)
 
 
-def ctor_arity(ct: ClassTable, cls: str) -> int:
-    return len(ct[cls].ctor_params)
-
-
 # --- parsing -----------------------------------------------------------------
 
 # One match per token with the whitespace before it.  The ``bad`` alternative

@@ -18,7 +18,9 @@ date by ``add_node`` (node indexes), ``add_relationship`` and
 
 The ``$uid`` contract: set ``$uid`` through ``add_node``, or in place on
 ``Node.properties`` before the graph is first queried.  An in-place change
-after the index was built is not seen by it (``audit()`` reports it).
+after the index was built is not seen by it (``audit()`` reports it).  The
+graphs ``extract`` returns read ``$uid`` lookups from their snapshot until
+they are filled (see ``subgraph.SnapshotGraph``).
 """
 
 from __future__ import annotations
@@ -201,9 +203,6 @@ class PropertyGraph:
     @property
     def relationship_count(self) -> int:
         return len(self._rels)
-
-    def has_node(self, node_id: int) -> bool:
-        return node_id in self._nodes
 
     def node(self, node_id: int) -> Node:
         try:

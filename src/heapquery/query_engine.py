@@ -119,9 +119,6 @@ class ResultTable:
     def row_count(self) -> int:
         return len(self.rows)
 
-    def column_index(self, name: str) -> int:
-        return self.columns.index(name)
-
     def as_bag(self) -> Counter:
         return Counter(tuple(cell_tag(v) for v in row) for row in self.rows)
 

@@ -1,22 +1,31 @@
-"""Heap snapshots and their translation into property graphs.
+"""Heap snapshots and the graphs extracted from them.
 
 A HeapSnapshot is a self-contained description of classes, objects,
-reference fields and named roots.  ``extract`` turns a snapshot into a
-PropertyGraph, optionally restricted by a reachability root, a whitelist
-(classes whose instances are always included, together with everything
-reachable from them), a blacklist (classes whose instances are excluded
-everywhere) and a force-collect pass that drops unreachable objects first.
+reference fields and named roots.  ``extract`` selects objects by a
+reachability root, a whitelist (classes whose instances are always included,
+together with everything reachable from them), a blacklist (classes whose
+instances are excluded everywhere) and a force-collect pass that drops
+unreachable objects first.  It returns a SnapshotGraph, a PropertyGraph that
+queries the snapshot in place: ``extract`` computes the selected objects and
+the id of every node and relationship, which costs O(reachable objects) for a
+bounded extraction, and a node or relationship is built only when a caller
+first touches it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import wraps
 from types import MappingProxyType
+from typing import Iterator, NamedTuple
 
 from .errors import (
     DanglingReferenceError,
     DuplicateObjectIdError,
     ExtractionConfigError,
+    NodeNotFoundError,
+    RelationshipNotFoundError,
     ReservedLabelError,
     SnapshotSchemaError,
     UnknownRootError,
@@ -28,7 +37,9 @@ from .property_graph import (
     LOCAL_LABEL,
     RESERVED_LABELS,
     UID_KEY,
+    Node,
     PropertyGraph,
+    Relationship,
     check_property_value,
     collector_paused,
 )
@@ -94,7 +105,7 @@ class HeapSnapshot:
         self._object_map = {o.id: o for o in self.objects}
         self._validated = False
         self._decls_cache: dict[str, MappingProxyType] = {}
-        self._statics_cache: dict[str, tuple] = {}
+        self._plans: dict[str, _ClassPlan] = {}
 
     def class_info(self, name: str) -> ClassInfo:
         return self._class_map[name]
@@ -127,16 +138,20 @@ class HeapSnapshot:
             seen.add(parent)
         return chain
 
-    def _static_targets(self, cls: str) -> tuple:
-        """Objects referenced by the statics of ``cls`` and its superclasses (cached)."""
-        targets = self._statics_cache.get(cls)
-        if targets is None:
-            found = []
+    def _plan(self, cls: str) -> "_ClassPlan":
+        """What extraction reads of the instances of ``cls`` (cached)."""
+        plan = self._plans.get(cls)
+        if plan is None:
+            refs = tuple(
+                (decl.name, f"{decl.type}[]" if decl.kind == "reference-array" else None)
+                for decl in self.field_decls(cls).values()
+                if decl.kind in ("reference", "reference-array")
+            )
+            statics = []
             for name in self._superclass_chain(cls):
-                statics = self._class_map[name].statics
-                found += _referenced_ids(statics[key] for key in sorted(statics))
-            targets = self._statics_cache[cls] = tuple(found)
-        return targets
+                statics += _referenced_ids(self._class_map[name].statics.values())
+            plan = self._plans[cls] = _ClassPlan(refs, tuple(statics))
+        return plan
 
     def _ensure_valid(self):
         if not self._validated:
@@ -146,6 +161,8 @@ class HeapSnapshot:
         seen_classes = set()
         for i, info in enumerate(self.classes):
             path = f"classes[{i}]"
+            if not _is_name(info.name):
+                raise SnapshotSchemaError(f"class name must be a non-empty string, got {info.name!r}", path)
             if info.name in RESERVED_LABELS:
                 raise ReservedLabelError(info.name)
             if info.name in seen_classes:
@@ -153,7 +170,9 @@ class HeapSnapshot:
             seen_classes.add(info.name)
             if info.superclass is not None and info.superclass not in self._class_map:
                 raise SnapshotSchemaError(f"unknown superclass {info.superclass!r}", path)
-            for f in info.fields:
+            for j, f in enumerate(info.fields):
+                if not _is_name(f.name):
+                    raise SnapshotSchemaError(f"field name must be a non-empty string, got {f.name!r}", f"{path}.fields[{j}]")
                 if f.kind not in FIELD_KINDS:
                     raise SnapshotSchemaError(f"unknown field kind {f.kind!r}", f"{path}.fields.{f.name}")
                 if f.name in (UID_KEY, INSTANCEOF_LABEL):
@@ -162,6 +181,10 @@ class HeapSnapshot:
             self._superclass_chain(info.name, f"classes[{i}]")
         for i, info in enumerate(self.classes):
             for name, value in info.statics.items():
+                if not _is_name(name):
+                    raise SnapshotSchemaError(f"static name must be a non-empty string, got {name!r}", f"classes[{i}].statics")
+                if name == UID_KEY:
+                    raise SnapshotSchemaError(f"static name {name!r} is reserved", f"classes[{i}].statics.{name}")
                 if name == "name":
                     raise SnapshotSchemaError(
                         "static field 'name' collides with the class-metadata name property",
@@ -170,7 +193,9 @@ class HeapSnapshot:
                 self._check_value(value, None, ("classes", i, "statics", name))
 
         seen = set()
-        for obj in self.objects:
+        for i, obj in enumerate(self.objects):
+            if isinstance(obj.id, bool) or not isinstance(obj.id, int):
+                raise SnapshotSchemaError(f"object id must be an integer, got {obj.id!r}", f"objects[{i}]")
             if obj.id in seen:
                 raise DuplicateObjectIdError(obj.id)
             seen.add(obj.id)
@@ -221,6 +246,14 @@ class HeapSnapshot:
             raise SnapshotSchemaError(f"{decl.kind} field holds a primitive", _path(where))
 
 
+def _is_name(name) -> bool:
+    """True for a usable class, field or static name: a non-empty string.
+
+    These names become node labels, relationship labels and property keys.
+    """
+    return isinstance(name, str) and name != ""
+
+
 def _path(where: tuple) -> str:
     section, index, part, name = where
     return f"{section}[{index}].{part}.{name}"
@@ -256,6 +289,19 @@ class ExtractionConfig:
         return self
 
 
+class _ClassPlan(NamedTuple):
+    """The reference fields of a class and the objects its statics reference.
+
+    ``refs`` holds ``(name, array_label)`` per reference and reference-array
+    field, in declaration order (inherited fields first); ``array_label`` is
+    ``<type>[]`` for a reference array and None for a reference.  ``statics``
+    are the ids held by the statics of the class and its superclasses.
+    """
+
+    refs: tuple
+    statics: tuple
+
+
 def _referenced_ids(values) -> list[int]:
     """Object ids held by the reference and reference-array values, in order."""
     ids = []
@@ -267,29 +313,34 @@ def _referenced_ids(values) -> list[int]:
     return ids
 
 
-def _reference_targets(snapshot: HeapSnapshot, obj: HeapObject) -> list[int]:
-    """Objects directly referenced by ``obj``, including via its class statics."""
-    targets = _referenced_ids(obj.fields[name] for name in sorted(obj.fields))
-    targets.extend(snapshot._static_targets(obj.cls))
-    return targets
-
-
 def follow_references(snapshot: HeapSnapshot, start_ids) -> set[int]:
     """Transitive closure over reference, reference-array and static edges."""
+    objects = snapshot._object_map
     worklist = []
     for object_id in start_ids:
-        if not snapshot.has_object(object_id):
+        if object_id not in objects:
             raise UnknownRootError(object_id)
         worklist.append(object_id)
     reached: set[int] = set()
+    classes: set[str] = set()  # statics are shared by every instance of a class
+    plans = snapshot._plans
     while worklist:
         object_id = worklist.pop()
         if object_id in reached:
             continue
         reached.add(object_id)
-        for target in _reference_targets(snapshot, snapshot.object(object_id)):
-            if target not in reached:
-                worklist.append(target)
+        obj = objects[object_id]
+        fields = obj.fields
+        refs, statics = plans.get(obj.cls) or snapshot._plan(obj.cls)
+        for name, _ in refs:
+            value = fields.get(name)
+            if isinstance(value, Ref):
+                worklist.append(value.id)
+            elif isinstance(value, RefArray):
+                worklist.extend(e for e in value.ids if e is not None)
+        if obj.cls not in classes:
+            classes.add(obj.cls)
+            worklist.extend(statics)
     return reached
 
 
@@ -311,8 +362,8 @@ def collect(snapshot: HeapSnapshot) -> HeapSnapshot:
 
 
 @collector_paused()
-def extract(snapshot: HeapSnapshot, config: ExtractionConfig | None = None) -> PropertyGraph:
-    """Translate a snapshot into a PropertyGraph under the given config.
+def extract(snapshot: HeapSnapshot, config: ExtractionConfig | None = None) -> "SnapshotGraph":
+    """Translate a snapshot into a property graph under the given config.
 
     Per included object: one node (label = class name, properties = primitive
     and primitive-array fields plus ``$uid``), one ``instanceof`` edge to a
@@ -322,6 +373,10 @@ def extract(snapshot: HeapSnapshot, config: ExtractionConfig | None = None) -> P
     that point at included objects become ``Local`` binder nodes.  With a
     root, and neither a whitelist nor force-collect, only the objects
     reachable from the root are visited.
+
+    The graph is a SnapshotGraph: this call computes the included objects
+    and numbers every node and relationship; they are built when first
+    touched.
     """
     config = (config or ExtractionConfig()).validate()
     snapshot._ensure_valid()
@@ -330,9 +385,6 @@ def extract(snapshot: HeapSnapshot, config: ExtractionConfig | None = None) -> P
 
     root_ids = config.root_ids()
     if root_ids is not None:
-        for object_id in root_ids:
-            if not snapshot.has_object(object_id):
-                raise UnknownRootError(object_id)
         candidates = follow_references(snapshot, root_ids)
     elif config.whitelist:
         candidates = set()
@@ -343,64 +395,321 @@ def extract(snapshot: HeapSnapshot, config: ExtractionConfig | None = None) -> P
         candidates |= follow_references(snapshot, seeds)
 
     included = [obj for obj in map(snapshot.object, sorted(candidates)) if obj.cls not in config.blacklist]
-    included_ids = {o.id for o in included}
+    return SnapshotGraph(snapshot, included)
 
-    graph = PropertyGraph()
-    node_of: dict[int, int] = {}
-    class_nodes: dict[str, int] = {}
 
-    def class_node(cls: str) -> int:
-        if cls not in class_nodes:
-            info = snapshot.class_info(cls)
-            props = {"name": cls}
-            for name in sorted(info.statics):
-                value = info.statics[name]
-                if not isinstance(value, (Ref, RefArray)):
+def _filled_first(method):
+    """``method`` of PropertyGraph, run after the SnapshotGraph is filled."""
+
+    @wraps(method)
+    def filled(self, *args, **kwargs):
+        if not self._filled:
+            self.fill()
+        return method(self, *args, **kwargs)
+
+    return filled
+
+
+class SnapshotGraph(PropertyGraph):
+    """The graph ``extract`` returns: numbered up front, built on first touch.
+
+    Ids are those of a graph built in this order: each included object in
+    ascending object id, its class-metadata node right after the first
+    object of its class, and its ``instanceof`` edge (whose id is the
+    object's position in the included list); then per object, its field
+    edges and reference-array nodes with their ``element`` edges, in field
+    declaration order; then per class (by name), its static reference edges
+    and arrays (by static name); then the ``Local`` binders by root name.
+
+    Built on demand, without filling the graph: ``node``, ``relationship``,
+    ``neighbors(..., "out")`` (a node's outgoing edges, and for a reference
+    array field also the array node and its ``element`` edges),
+    ``nodes_with_uid`` and ``nodes_with_label`` for a label that only object
+    nodes can carry.  Every other method first fills the graph (``fill``),
+    and from then on the graph behaves exactly like a PropertyGraph.  Nodes
+    and relationships built before the fill are kept, so their identity does
+    not change.  ``node_count`` and ``relationship_count`` never fill.
+
+    The snapshot was validated, so nothing built here is checked again.
+    ``$uid`` lookups before the fill read the snapshot's object map: an
+    in-place change of a node's ``$uid`` is not seen by them.
+    """
+
+    def __init__(self, snapshot: HeapSnapshot, included: list[HeapObject]):
+        super().__init__()
+        self._snapshot = snapshot
+        self._included = included
+        self._filled = False
+        self._tail_built = False
+        # Object and class nodes come first: ``_slots`` maps their ids to a
+        # position in ``included`` (an object) or a class name (its node).
+        node_of: dict[int, int] = {}
+        slots: list = []
+        class_nodes: dict[str, int] = {}
+        by_class: dict[str, list[int]] = {}
+        for i, obj in enumerate(included):
+            node_id = node_of[obj.id] = len(slots)
+            slots.append(i)
+            if obj.cls not in class_nodes:
+                class_nodes[obj.cls] = len(slots)
+                slots.append(obj.cls)
+                by_class[obj.cls] = []
+            by_class[obj.cls].append(node_id)
+        # Object i owns the field edges numbered from ``rel_starts[i]`` and
+        # the array nodes from ``array_starts[i]`` up to the next object's.
+        rel_starts = [0]
+        array_starts = [0]
+        rels = arrays = 0
+        plans = snapshot._plans  # ``_build_object`` reads the plans this loop ensures
+        for obj in included:
+            fields = obj.fields
+            for name, array_label in (plans.get(obj.cls) or snapshot._plan(obj.cls)).refs:
+                value = fields.get(name)
+                if value is None:
+                    continue
+                if array_label is None:
+                    rels += value.id in node_of
+                else:
+                    arrays += 1
+                    rels += 1 + sum(1 for element in value.ids if element in node_of)
+            rel_starts.append(rels)
+            array_starts.append(arrays)
+        self._node_of = node_of
+        self._slots = slots
+        self._class_nodes = class_nodes
+        self._by_class = by_class
+        self._rel_starts = rel_starts
+        self._array_starts = array_starts
+        self._first_field_rel = len(included)
+        self._first_array = len(slots)
+        self._first_tail_node = len(slots) + arrays
+        self._first_tail_rel = len(included) + rels
+        self._tail_nodes, self._tail_rels = self._number_tail()
+        self._next_node_id = self._first_tail_node + len(self._tail_nodes)
+        self._next_rel_id = self._first_tail_rel + len(self._tail_rels)
+
+    def _number_tail(self) -> tuple[list, list]:
+        """Labels of the static array and binder nodes, and specs of their edges.
+
+        An edge spec is ``(label, start, end, properties)``.  These come last
+        in the numbering: statics per class by name, then binders by root name.
+        """
+        node_of = self._node_of
+        labels: list[str] = []
+        edges: list[tuple] = []
+        for cls in sorted(self._class_nodes):
+            class_node = self._class_nodes[cls]
+            statics = self._snapshot.class_info(cls).statics
+            for name in sorted(statics):
+                value = statics[name]
+                if isinstance(value, Ref):
+                    if value.id in node_of:
+                        edges.append((name, class_node, node_of[value.id], {}))
+                elif isinstance(value, RefArray):
+                    array_node = self._first_tail_node + len(labels)
+                    labels.append("java.lang.Object[]")
+                    edges.append((name, class_node, array_node, {}))
+                    for index, element in enumerate(value.ids):
+                        if element in node_of:
+                            edges.append((ELEMENT_LABEL, array_node, node_of[element], {"index": index}))
+        roots = self._snapshot.roots
+        for name in sorted(roots):
+            if roots[name] in node_of:
+                binder = self._first_tail_node + len(labels)
+                labels.append(LOCAL_LABEL)
+                edges.append((name, binder, node_of[roots[name]], {}))
+        return labels, edges
+
+    # -- building -------------------------------------------------------------
+
+    def _build_slot(self, node_id: int) -> Node:
+        """Build the object or class-metadata node ``node_id``."""
+        slot = self._slots[node_id]
+        if slot.__class__ is int:
+            obj = self._included[slot]
+            props = {UID_KEY: obj.id}
+            for name, value in obj.fields.items():
+                if value is not None and not isinstance(value, (Ref, RefArray)):
                     props[name] = value
-            class_nodes[cls] = graph.add_node(CLASS_LABEL, props)
-        return class_nodes[cls]
+            node = Node(node_id, obj.cls, props)
+        else:
+            statics = self._snapshot.class_info(slot).statics
+            props = {"name": slot}
+            for name in sorted(statics):
+                value = statics[name]
+                if value is not None and not isinstance(value, (Ref, RefArray)):
+                    props[name] = value
+            node = Node(node_id, CLASS_LABEL, props)
+        self._nodes[node_id] = node
+        return node
 
-    for obj in included:
-        props = {UID_KEY: obj.id}
-        for name, value in obj.fields.items():
-            if value is None or isinstance(value, (Ref, RefArray)):
-                continue
-            props[name] = value
-        node_of[obj.id] = graph.add_node(obj.cls, props)
-        graph.add_relationship(INSTANCEOF_LABEL, node_of[obj.id], class_node(obj.cls))
-
-    for obj in included:
-        for name, decl in snapshot.field_decls(obj.cls).items():
+    def _build_object(self, i: int) -> None:
+        """Build the outgoing edges of object ``i``, its array nodes and their edges."""
+        obj = self._included[i]
+        start = self._node_of[obj.id]
+        nodes, rels, out, node_of = self._nodes, self._rels, self._out, self._node_of
+        if start in out:
+            return
+        if start not in nodes:
+            self._build_slot(start)
+        end = self._class_nodes[obj.cls]
+        if end not in nodes:
+            self._build_slot(end)
+        rels[i] = Relationship(i, INSTANCEOF_LABEL, start, end, {})
+        own = out[start] = [i]
+        rel_id = self._first_field_rel + self._rel_starts[i]
+        array_id = self._first_array + self._array_starts[i]
+        for name, array_label in self._snapshot._plans[obj.cls].refs:
             value = obj.fields.get(name)
-            if isinstance(value, Ref):
-                if value.id in included_ids:
-                    graph.add_relationship(name, node_of[obj.id], node_of[value.id])
-            elif isinstance(value, RefArray):
-                array_node = graph.add_node(f"{decl.type}[]")
-                graph.add_relationship(name, node_of[obj.id], array_node)
-                for index, element in enumerate(value.ids):
-                    if element is not None and element in included_ids:
-                        graph.add_relationship(ELEMENT_LABEL, array_node, node_of[element], {"index": index})
+            if value is None:
+                continue
+            if array_label is None:
+                end = node_of.get(value.id)
+                if end is not None:
+                    if end not in nodes:
+                        self._build_slot(end)
+                    rels[rel_id] = Relationship(rel_id, name, start, end, {})
+                    own.append(rel_id)
+                    rel_id += 1
+                continue
+            nodes[array_id] = Node(array_id, array_label, {})
+            rels[rel_id] = Relationship(rel_id, name, start, array_id, {})
+            own.append(rel_id)
+            rel_id += 1
+            elements = out[array_id] = []
+            for index, element in enumerate(value.ids):
+                end = node_of.get(element)
+                if end is not None:
+                    if end not in nodes:
+                        self._build_slot(end)
+                    rels[rel_id] = Relationship(rel_id, ELEMENT_LABEL, array_id, end, {"index": index})
+                    elements.append(rel_id)
+                    rel_id += 1
+            array_id += 1
 
-    # Static reference fields hang off the class-metadata node.
-    for cls, cnode in sorted(class_nodes.items()):
-        info = snapshot.class_info(cls)
-        for name in sorted(info.statics):
-            value = info.statics[name]
-            if isinstance(value, Ref):
-                if value.id in included_ids:
-                    graph.add_relationship(name, cnode, node_of[value.id])
-            elif isinstance(value, RefArray):
-                array_node = graph.add_node("java.lang.Object[]")
-                graph.add_relationship(name, cnode, array_node)
-                for index, element in enumerate(value.ids):
-                    if element is not None and element in included_ids:
-                        graph.add_relationship(ELEMENT_LABEL, array_node, node_of[element], {"index": index})
+    def _build_tail(self) -> None:
+        """Build the static and binder nodes and edges, with the class nodes they leave."""
+        if self._tail_built:
+            return
+        nodes, rels, out = self._nodes, self._rels, self._out
+        for class_node in self._class_nodes.values():
+            if class_node not in nodes:
+                self._build_slot(class_node)
+            out[class_node] = []
+        for node_id, label in enumerate(self._tail_nodes, self._first_tail_node):
+            nodes[node_id] = Node(node_id, label, {})
+            out[node_id] = []
+        for rel_id, (label, start, end, props) in enumerate(self._tail_rels, self._first_tail_rel):
+            if end not in nodes:
+                self._build_slot(end)
+            rels[rel_id] = Relationship(rel_id, label, start, end, props)
+            out[start].append(rel_id)
+        self._tail_built = True
 
-    for name in sorted(snapshot.roots):
-        target = snapshot.roots[name]
-        if target in included_ids:
-            binder = graph.add_node(LOCAL_LABEL)
-            graph.add_relationship(name, binder, node_of[target])
+    def _build_out(self, node_id: int) -> None:
+        """Build the outgoing edges of ``node_id``, with what is built alongside them."""
+        if node_id < self._first_array:
+            slot = self._slots[node_id]
+            if slot.__class__ is int:
+                self._build_object(slot)
+            else:
+                self._build_tail()
+        elif node_id < self._first_tail_node:
+            self._build_object(bisect_right(self._array_starts, node_id - self._first_array) - 1)
+        else:
+            self._build_tail()
 
-    return graph
+    @collector_paused()
+    def fill(self) -> "SnapshotGraph":
+        """Build every node and relationship now, in ascending id order.
+
+        Nodes and relationships built earlier are kept.  Returns the graph; a
+        filled graph is left as it is.
+        """
+        if self._filled:
+            return self
+        for i in range(len(self._included)):  # builds every object and class node too
+            self._build_object(i)
+        self._build_tail()
+        nodes = self._nodes
+        self._nodes = {node_id: nodes[node_id] for node_id in range(self._next_node_id)}
+        rels = self._rels
+        self._rels = {rel_id: rels[rel_id] for rel_id in range(self._next_rel_id)}
+        incoming = self._in = {node_id: [] for node_id in self._nodes}
+        for rel in self._rels.values():
+            incoming[rel.end].append(rel.id)
+        self._filled = True
+        # Only building reads the snapshot and the numbering; a filled graph
+        # need not keep them alive.
+        self._snapshot = self._included = self._node_of = self._slots = self._by_class = None
+        self._class_nodes = self._rel_starts = self._array_starts = self._tail_nodes = self._tail_rels = None
+        return self
+
+    # -- PropertyGraph surface --------------------------------------------------
+
+    @property
+    def node_count(self) -> int:
+        return len(self._nodes) if self._filled else self._next_node_id
+
+    @property
+    def relationship_count(self) -> int:
+        return len(self._rels) if self._filled else self._next_rel_id
+
+    def node(self, node_id: int) -> Node:
+        try:
+            return self._nodes[node_id]
+        except KeyError:
+            if self._filled or not isinstance(node_id, int) or not 0 <= node_id < self._next_node_id:
+                raise NodeNotFoundError(node_id) from None
+        if node_id < self._first_array:
+            return self._build_slot(node_id)
+        self._build_out(node_id)
+        return self._nodes[node_id]
+
+    def relationship(self, rel_id: int) -> Relationship:
+        rel = self._rels.get(rel_id)
+        if rel is None:
+            if self._filled or not isinstance(rel_id, int) or not 0 <= rel_id < self._next_rel_id:
+                raise RelationshipNotFoundError(rel_id)
+            if rel_id < self._first_field_rel:
+                self._build_object(rel_id)
+            elif rel_id < self._first_tail_rel:
+                self._build_object(bisect_right(self._rel_starts, rel_id - self._first_field_rel) - 1)
+            else:
+                self._build_tail()
+            rel = self._rels[rel_id]
+        return rel
+
+    def neighbors(self, node_id: int, direction: str = "out", types=None) -> list[tuple[Relationship, Node]]:
+        if not self._filled:
+            if direction != "out":
+                self.fill()
+            elif node_id not in self._out:
+                self.node(node_id)
+                self._build_out(node_id)
+        return PropertyGraph.neighbors(self, node_id, direction, types)
+
+    def nodes_with_uid(self, uid: int) -> Iterator[Node]:
+        if self._filled:
+            return PropertyGraph.nodes_with_uid(self, uid)
+        node_id = self._node_of.get(uid)
+        return iter(() if node_id is None else (self.node(node_id),))
+
+    def nodes_with_label(self, label: str) -> Iterator[Node]:
+        if not self._filled:
+            # Only object nodes carry a label that is not reserved and does
+            # not end in "[]" (the array labels); they are listed per class.
+            if isinstance(label, str) and label not in RESERVED_LABELS and not label.endswith("[]"):
+                return map(self.node, self._by_class.get(label, ()))
+            self.fill()
+        return PropertyGraph.nodes_with_label(self, label)
+
+    nodes = _filled_first(PropertyGraph.nodes)
+    relationships = _filled_first(PropertyGraph.relationships)
+    relationships_with_label = _filled_first(PropertyGraph.relationships_with_label)
+    add_node = _filled_first(PropertyGraph.add_node)
+    add_relationship = _filled_first(PropertyGraph.add_relationship)
+    remove_relationship = _filled_first(PropertyGraph.remove_relationship)
+    set_field_edge = _filled_first(PropertyGraph.set_field_edge)
+    copy = _filled_first(PropertyGraph.copy)
+    audit = _filled_first(PropertyGraph.audit)

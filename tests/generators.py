@@ -211,6 +211,30 @@ def random_snapshot(rng: random.Random, max_objects: int = 12) -> HeapSnapshot:
     return HeapSnapshot(classes, objects, roots)
 
 
+def build_large_snapshot() -> tuple[HeapSnapshot, int, set[int], set[int]]:
+    """10,000 objects, the first 1,000 reachable from the chosen root."""
+    classes = [
+        ClassInfo("app.Item", None, (FieldDecl("next", "reference", "app.Item"), FieldDecl("payload", "primitive", "int"))),
+        ClassInfo("app.Junk", None, (FieldDecl("a", "reference", "app.Junk"),)),
+    ]
+    rng = random.Random(4242)
+    objects = []
+    item_ids = list(range(1, 1001))
+    for i in item_ids:
+        fields = {"payload": i}
+        if i < 1000:
+            fields["next"] = Ref(i + 1)
+        objects.append(HeapObject(i, "app.Item", fields))
+    junk_ids = list(range(1001, 10001))
+    for i in junk_ids:
+        fields = {}
+        if rng.random() < 0.8:
+            fields["a"] = Ref(rng.choice(junk_ids))
+        objects.append(HeapObject(i, "app.Junk", fields))
+    snapshot = HeapSnapshot(classes, objects, {"r": 1})
+    return snapshot, 1, set(item_ids), set(junk_ids)
+
+
 # --- binary-tree snapshots for the invariant query ----------------------------------
 
 TREE_CLASS = "BinaryTree"

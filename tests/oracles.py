@@ -28,8 +28,17 @@ from heapquery.cypher_ast import (
     Variable,
     WhereClause,
 )
-from heapquery.property_graph import PropertyGraph, canon_properties, value_tag
-from heapquery.subgraph import HeapSnapshot, Ref, RefArray
+from heapquery.property_graph import (
+    CLASS_LABEL,
+    ELEMENT_LABEL,
+    INSTANCEOF_LABEL,
+    LOCAL_LABEL,
+    UID_KEY,
+    PropertyGraph,
+    canon_properties,
+    value_tag,
+)
+from heapquery.subgraph import ExtractionConfig, HeapSnapshot, Ref, RefArray
 
 
 # --- snapshot reachability ------------------------------------------------------
@@ -72,6 +81,105 @@ def reachable_from(snapshot: HeapSnapshot, starts) -> set[int]:
         seen.add(obj)
         queue.extend(t for t in adjacency[obj] if t not in seen)
     return seen
+
+
+# --- eager extraction --------------------------------------------------------------
+
+
+def reference_extract(snapshot: HeapSnapshot, config: ExtractionConfig | None = None) -> PropertyGraph:
+    """The whole extracted graph, built eagerly through the checked ``add_node`` path.
+
+    The eager extraction that ``extract`` used before it returned a
+    SnapshotGraph, with reachability recomputed by ``reachable_from``: the
+    reference for the ids, contents and adjacency of a filled SnapshotGraph.
+    Roots must be objects of the (collected) snapshot.
+    """
+    config = config or ExtractionConfig()
+    objects = snapshot.objects
+    if config.force_collect:
+        seeds = list(snapshot.roots.values())
+        for info in snapshot.classes:
+            for value in info.statics.values():
+                if isinstance(value, Ref):
+                    seeds.append(value.id)
+                elif isinstance(value, RefArray):
+                    seeds.extend(e for e in value.ids if e is not None)
+        live = reachable_from(snapshot, seeds)
+        objects = [o for o in objects if o.id in live]
+    by_id = {o.id: o for o in objects}
+
+    root_ids = config.root_ids()
+    if root_ids is not None:
+        candidates = reachable_from(snapshot, root_ids)
+    elif config.whitelist:
+        candidates = set()
+    else:
+        candidates = set(by_id)
+    if config.whitelist:
+        candidates |= reachable_from(snapshot, [o.id for o in objects if o.cls in config.whitelist])
+
+    included = [by_id[i] for i in sorted(candidates) if by_id[i].cls not in config.blacklist]
+    included_ids = {o.id for o in included}
+
+    graph = PropertyGraph()
+    node_of: dict[int, int] = {}
+    class_nodes: dict[str, int] = {}
+
+    def class_node(cls: str) -> int:
+        if cls not in class_nodes:
+            info = snapshot.class_info(cls)
+            props = {"name": cls}
+            for name in sorted(info.statics):
+                value = info.statics[name]
+                if not isinstance(value, (Ref, RefArray)):
+                    props[name] = value
+            class_nodes[cls] = graph.add_node(CLASS_LABEL, props)
+        return class_nodes[cls]
+
+    for obj in included:
+        props = {UID_KEY: obj.id}
+        for name, value in obj.fields.items():
+            if value is None or isinstance(value, (Ref, RefArray)):
+                continue
+            props[name] = value
+        node_of[obj.id] = graph.add_node(obj.cls, props)
+        graph.add_relationship(INSTANCEOF_LABEL, node_of[obj.id], class_node(obj.cls))
+
+    for obj in included:
+        for name, decl in snapshot.field_decls(obj.cls).items():
+            value = obj.fields.get(name)
+            if isinstance(value, Ref):
+                if value.id in included_ids:
+                    graph.add_relationship(name, node_of[obj.id], node_of[value.id])
+            elif isinstance(value, RefArray):
+                array_node = graph.add_node(f"{decl.type}[]")
+                graph.add_relationship(name, node_of[obj.id], array_node)
+                for index, element in enumerate(value.ids):
+                    if element is not None and element in included_ids:
+                        graph.add_relationship(ELEMENT_LABEL, array_node, node_of[element], {"index": index})
+
+    # Static reference fields hang off the class-metadata node.
+    for cls, cnode in sorted(class_nodes.items()):
+        info = snapshot.class_info(cls)
+        for name in sorted(info.statics):
+            value = info.statics[name]
+            if isinstance(value, Ref):
+                if value.id in included_ids:
+                    graph.add_relationship(name, cnode, node_of[value.id])
+            elif isinstance(value, RefArray):
+                array_node = graph.add_node("java.lang.Object[]")
+                graph.add_relationship(name, cnode, array_node)
+                for index, element in enumerate(value.ids):
+                    if element is not None and element in included_ids:
+                        graph.add_relationship(ELEMENT_LABEL, array_node, node_of[element], {"index": index})
+
+    for name in sorted(snapshot.roots):
+        target = snapshot.roots[name]
+        if target in included_ids:
+            binder = graph.add_node(LOCAL_LABEL)
+            graph.add_relationship(name, binder, node_of[target])
+
+    return graph
 
 
 # --- brute-force pattern enumeration ----------------------------------------------

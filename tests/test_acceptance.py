@@ -22,16 +22,7 @@ from heapquery.snapshot_io import (
     load_snapshot,
     save_snapshot,
 )
-from heapquery.subgraph import (
-    ClassInfo,
-    ExtractionConfig,
-    FieldDecl,
-    HeapObject,
-    HeapSnapshot,
-    Ref,
-    collect,
-    extract,
-)
+from heapquery.subgraph import ExtractionConfig, collect, extract
 
 from .conftest import (
     REACHABLE_QUERY,
@@ -44,6 +35,7 @@ from .conftest import (
 )
 from .generators import (
     build_hashmap_snapshot,
+    build_large_snapshot,
     build_tree_case,
     random_graph,
     random_query,
@@ -195,34 +187,10 @@ def test_criterion_6_repok_parity():
         assert outcomes == {True, False}
 
 
-def _large_snapshot() -> tuple[HeapSnapshot, int, set[int], set[int]]:
-    """10,000 objects, the first 1,000 reachable from the chosen root."""
-    classes = [
-        ClassInfo("app.Item", None, (FieldDecl("next", "reference", "app.Item"), FieldDecl("payload", "primitive", "int"))),
-        ClassInfo("app.Junk", None, (FieldDecl("a", "reference", "app.Junk"),)),
-    ]
-    rng = random.Random(4242)
-    objects = []
-    item_ids = list(range(1, 1001))
-    for i in item_ids:
-        fields = {"payload": i}
-        if i < 1000:
-            fields["next"] = Ref(i + 1)
-        objects.append(HeapObject(i, "app.Item", fields))
-    junk_ids = list(range(1001, 10001))
-    for i in junk_ids:
-        fields = {}
-        if rng.random() < 0.8:
-            fields["a"] = Ref(rng.choice(junk_ids))
-        objects.append(HeapObject(i, "app.Junk", fields))
-    snapshot = HeapSnapshot(classes, objects, {"r": 1})
-    return snapshot, 1, set(item_ids), set(junk_ids)
-
-
 def test_criterion_7_extraction_optimizations():
     with criterion(7, "extraction optimizations"):
         started = time.perf_counter()
-        snapshot, root, item_ids, junk_ids = _large_snapshot()
+        snapshot, root, item_ids, junk_ids = build_large_snapshot()
 
         unrestricted = extract(snapshot, ExtractionConfig())
         bounded = extract(snapshot, ExtractionConfig(root=root))
@@ -281,7 +249,7 @@ def _random_csv_graph(rng: random.Random) -> PropertyGraph:
 
 def test_criterion_9_in_memory_vs_csv_path():
     with criterion(9, "in-memory vs CSV-path speed"):
-        snapshot, root, _, _ = _large_snapshot()
+        snapshot, root, _, _ = build_large_snapshot()
         graph = extract(snapshot, ExtractionConfig())
         text = "MATCH (n:`app.Item`)-[:next*2]->(m) RETURN count(m)"
         query = parse(text)

@@ -12,10 +12,10 @@ from heapquery.api import (
     query_unbounded,
 )
 from heapquery.errors import CursorError, DanglingReferenceError, PipelineError, UnknownColumnError
-from heapquery.snapshot_io import load_snapshot
+from heapquery.snapshot_io import graph_to_snapshot, load_snapshot
 from heapquery.subgraph import ClassInfo, ExtractionConfig, FieldDecl, HeapObject, HeapSnapshot, Ref, extract
 
-from .conftest import CONTAINS_KEY_QUERY, DATA, REPOK_QUERY, TWO_HOP_QUERY, UID
+from .conftest import CONTAINS_KEY_QUERY, DATA, REPOK_QUERY, TWO_HOP_QUERY, UID, build_tree_graph
 from .oracles import reachable_from
 
 
@@ -191,6 +191,27 @@ class TestExtractionMemo:
         first = query_unbounded(ctx, "MATCH (n) RETURN count(n)")
         second = query_unbounded(ctx, "MATCH (n) RETURN count(n)")
         assert first._graph is second._graph
+
+    def test_cached_graph_is_filled(self, tree_snapshot):
+        ctx = QueryContext(tree_snapshot, cache_extractions=True)
+        graph = query_bounded(ctx, UID["c"], "MATCH (n {$1}) RETURN n", UID["c"])._graph
+        assert graph._filled
+        assert graph.audit() == []
+
+    def test_writes_do_not_leak_into_cache(self):
+        ctx = QueryContext(graph_to_snapshot(build_tree_graph()), cache_extractions=True)
+        count = "MATCH (n) RETURN count(n)"
+        assert query_long(ctx, count) == 8
+        created = query_unbounded(ctx, "CREATE (x:Foo) RETURN x")
+        assert created.table.row_count == 1
+        assert query_long(ctx, count) == 8
+        with pytest.raises(PipelineError) as exc:
+            query_unbounded(ctx, "MATCH (n) CREATE (m:New) RETURN NOT 1")
+        assert exc.value.stage == "execute"
+        assert query_long(ctx, count) == 8
+        merged = query_unbounded(ctx, "MERGE (x:Foo) RETURN count(x)")
+        assert merged.table.rows == [(1,)]
+        assert query_long(ctx, count) == 8
 
     def test_no_cache_by_default(self, tree_snapshot):
         ctx = QueryContext(tree_snapshot)

@@ -10,6 +10,7 @@ from heapquery.errors import (
     UnknownRootError,
 )
 from heapquery.property_graph import structurally_equal
+from heapquery.snapshot_io import load_snapshot
 from heapquery.subgraph import (
     ClassInfo,
     ExtractionConfig,
@@ -226,7 +227,67 @@ class TestReservedNames:
             snap.validate()
 
 
+class TestNamesAndIds:
+    """Names and ids that would make a graph label, key or ``$uid`` invalid."""
+
+    def _doc(self, cls='"A"', field='"f"', object_id="1", static='"s"'):
+        return (
+            f'{{"classes":[{{"name":{cls},"fields":[{{"name":{field},"kind":"primitive","type":"int"}}],'
+            f'"statics":{{{static}:1}}}}],"objects":[{{"id":{object_id},"class":{cls},"fields":{{}}}}],"roots":{{}}}}'
+        )
+
+    @pytest.mark.parametrize(
+        "changes, path, message",
+        [
+            ({"cls": '""'}, "classes[0]", "class name must be a non-empty string, got ''"),
+            ({"field": '""'}, "classes[0].fields[0]", "field name must be a non-empty string, got ''"),
+            ({"field": "7"}, "classes[0].fields[0]", "field name must be a non-empty string, got 7"),
+            ({"static": '""'}, "classes[0].statics", "static name must be a non-empty string, got ''"),
+            ({"static": '"$uid"'}, "classes[0].statics.$uid", "static name '$uid' is reserved"),
+            ({"object_id": '"x"'}, "objects[0]", "object id must be an integer"),
+        ],
+    )
+    def test_load_snapshot_rejects(self, changes, path, message):
+        load_snapshot(self._doc())  # the unchanged document loads
+        with pytest.raises(SnapshotSchemaError) as exc:
+            load_snapshot(self._doc(**changes))
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "classes, objects, path, message",
+        [
+            ([ClassInfo("", None, ())], [], "classes[0]", "class name must be a non-empty string, got ''"),
+            ([ClassInfo(None, None, ())], [], "classes[0]", "class name must be a non-empty string, got None"),
+            (
+                [ClassInfo("A", None, (FieldDecl("", "primitive", "int"),))],
+                [],
+                "classes[0].fields[0]",
+                "field name must be a non-empty string, got ''",
+            ),
+            ([ClassInfo("A", None, (), {"": 1})], [], "classes[0].statics", "static name must be a non-empty string, got ''"),
+            ([ClassInfo("A", None, (), {"$uid": 1})], [], "classes[0].statics.$uid", "static name '$uid' is reserved"),
+            ([ClassInfo("A")], [HeapObject(1, "A"), HeapObject("x", "A")], "objects[1]", "object id must be an integer, got 'x'"),
+            ([ClassInfo("A")], [HeapObject(True, "A")], "objects[0]", "object id must be an integer, got True"),
+        ],
+    )
+    def test_validate_rejects(self, classes, objects, path, message):
+        snap = HeapSnapshot(classes, objects, {})
+        with pytest.raises(SnapshotSchemaError) as exc:
+            snap.validate()
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: {message}"
+        with pytest.raises(SnapshotSchemaError):
+            extract(HeapSnapshot(classes, objects, {}))
+
+
 class TestStatics:
+    def test_null_static_is_left_off_the_class_node(self):
+        classes = [ClassInfo("Registry", None, (), {"count": 2, "head": None}), simple_class("Entry")]
+        graph = extract(HeapSnapshot(classes, [HeapObject(1, "Registry")], {}), ExtractionConfig())
+        assert graph.node(1).properties == {"name": "Registry", "count": 2}
+        assert graph.neighbors(1) == []
+
     def test_static_primitives_on_class_node_and_static_ref_edges(self):
         classes = [
             ClassInfo("Registry", None, (), {"count": 2, "head": Ref(2)}),
