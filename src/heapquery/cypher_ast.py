@@ -67,6 +67,17 @@ class Not:
 Expression = Literal | Variable | PropertyAccess | Count | EqualsCall | Comparison | And | Or | Not
 
 
+def children(expr) -> tuple:
+    """The direct sub-expressions of ``expr``, left to right."""
+    if isinstance(expr, (EqualsCall, Comparison, And, Or)):
+        return expr.left, expr.right
+    if isinstance(expr, Not):
+        return (expr.operand,)
+    if isinstance(expr, Count) and expr.expr is not None:
+        return (expr.expr,)
+    return ()
+
+
 # --- patterns --------------------------------------------------------------------
 
 

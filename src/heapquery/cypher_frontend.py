@@ -35,6 +35,7 @@ from .cypher_ast import (
     ReturnItem,
     Variable,
     WhereClause,
+    children,
 )
 from .errors import ExpansionError, QuerySyntaxError, UnsupportedFeatureError
 from .property_graph import UID_KEY
@@ -483,13 +484,9 @@ def _check_expr(expr, bound: dict, out: list, *, aggregates_allowed: bool, in_ag
             out.append(Diagnostic("count(...) is only allowed in RETURN items"))
         elif in_aggregate:
             out.append(Diagnostic("nested count(...) is not allowed"))
-        if expr.expr is not None:
-            _check_expr(expr.expr, bound, out, aggregates_allowed=aggregates_allowed, in_aggregate=True)
-    elif isinstance(expr, (EqualsCall, Comparison, And, Or)):
-        _check_expr(expr.left, bound, out, aggregates_allowed=aggregates_allowed, in_aggregate=in_aggregate)
-        _check_expr(expr.right, bound, out, aggregates_allowed=aggregates_allowed, in_aggregate=in_aggregate)
-    elif isinstance(expr, Not):
-        _check_expr(expr.operand, bound, out, aggregates_allowed=aggregates_allowed, in_aggregate=in_aggregate)
+        in_aggregate = True
+    for child in children(expr):
+        _check_expr(child, bound, out, aggregates_allowed=aggregates_allowed, in_aggregate=in_aggregate)
 
 
 def validate(query: Query) -> list[Diagnostic]:
@@ -620,32 +617,14 @@ def _expr_variables(expr) -> set[str]:
         return {expr.name}
     if isinstance(expr, PropertyAccess):
         return {expr.var}
-    if isinstance(expr, Count):
-        return _expr_variables(expr.expr) if expr.expr is not None else set()
-    if isinstance(expr, (And, Or, Comparison, EqualsCall)):
-        return _expr_variables(expr.left) | _expr_variables(expr.right)
-    if isinstance(expr, Not):
-        return _expr_variables(expr.operand)
-    return set()
+    return set().union(*map(_expr_variables, children(expr)))
 
 
 def _find_counts(expr) -> list[Count]:
-    found = []
-    if isinstance(expr, Count):
-        found.append(expr)
-        if expr.expr is not None:
-            found.extend(_find_counts(expr.expr))
-    elif isinstance(expr, (And, Or)):
-        found.extend(_find_counts(expr.left))
-        found.extend(_find_counts(expr.right))
-    elif isinstance(expr, Comparison):
-        found.extend(_find_counts(expr.left))
-        found.extend(_find_counts(expr.right))
-    elif isinstance(expr, EqualsCall):
-        found.extend(_find_counts(expr.left))
-        found.extend(_find_counts(expr.right))
-    elif isinstance(expr, Not):
-        found.extend(_find_counts(expr.operand))
+    """The count(...) calls in ``expr``, outermost first, left to right."""
+    found = [expr] if isinstance(expr, Count) else []
+    for child in children(expr):
+        found.extend(_find_counts(child))
     return found
 
 

@@ -16,11 +16,20 @@ reads an index that is built on its first lookup and from then on kept up to
 date by ``add_node`` (node indexes), ``add_relationship`` and
 ``remove_relationship`` (the relationship label index) and ``copy``.
 
+For the query planner the graph also keeps an equality index and degree
+statistics.  ``equal_nodes`` reads the equality index, which maps each
+node's ``structural_key`` (what ``equals`` compares) to ascending ids; it is
+built one label at a time on first use and kept by ``add_node`` and
+``copy``.  ``structural_key`` computes a node's key once and keeps it.
+``degrees`` gives the average out- and in-degree per relationship label; it
+is computed on first use and dropped by every relationship write.
+
 The ``$uid`` contract: set ``$uid`` through ``add_node``, or in place on
 ``Node.properties`` before the graph is first queried.  An in-place change
 after the index was built is not seen by it (``audit()`` reports it).  The
-graphs ``extract`` returns read ``$uid`` lookups from their snapshot until
-they are filled (see ``subgraph.SnapshotGraph``).
+same holds for other properties and the equality index and kept keys, which
+ignore ``$uid``.  The graphs ``extract`` returns read ``$uid`` lookups from
+their snapshot until they are filled (see ``subgraph.SnapshotGraph``).
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import contextlib
 import gc
 import heapq
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -156,6 +166,11 @@ def canon_properties(properties: dict, *, ignore_uid: bool = False) -> tuple:
     return tuple(items)
 
 
+def structural_key(node: "Node") -> tuple:
+    """What ``equals`` compares: the label and the property map without ``$uid``."""
+    return node.label, canon_properties(node.properties, ignore_uid=True)
+
+
 @dataclass
 class Node:
     id: int
@@ -177,7 +192,11 @@ class Relationship:
 
 
 class PropertyGraph:
-    """Mutable in-memory multigraph; single writer, no internal locking."""
+    """Mutable in-memory multigraph; single writer, no internal locking.
+
+    Label, ``$uid``, relationship label and equality lookups, and the degree
+    statistics, are served from lazy indexes (see the module docstring).
+    """
 
     def __init__(self):
         self._nodes: dict[int, Node] = {}
@@ -193,6 +212,12 @@ class PropertyGraph:
         self._by_label: dict[str, list[int]] | None = None
         self._by_uid: dict[int, list[int]] | None = None
         self._rels_by_label: dict[str, list[int]] | None = None
+        # The equality index, built one label at a time (label -> structural
+        # key -> ascending ids), and the structural keys computed so far.
+        self._by_structure: dict[str, dict[tuple, list[int]]] = {}
+        self._keys: dict[int, tuple] = {}
+        # Relationship label (None: any) -> average (out, in) degree.
+        self._degrees: dict[str | None, tuple[float, float]] | None = None
 
     # -- accessors ----------------------------------------------------------
 
@@ -203,6 +228,11 @@ class PropertyGraph:
     @property
     def relationship_count(self) -> int:
         return len(self._rels)
+
+    @property
+    def filled(self) -> bool:
+        """True when every node and relationship exists (see ``SnapshotGraph``)."""
+        return True
 
     def node(self, node_id: int) -> Node:
         try:
@@ -250,6 +280,47 @@ class PropertyGraph:
         for rel_id in self._rels_by_label.get(label, ()):
             yield self._rels[rel_id]
 
+    def structural_key(self, node_id: int) -> tuple:
+        """The node's ``structural_key``, computed once and then kept."""
+        key = self._keys.get(node_id)
+        if key is None:
+            key = self._keys[node_id] = structural_key(self.node(node_id))
+        return key
+
+    def equal_nodes(self, node_id: int) -> list[int]:
+        """Ids of the nodes ``equals`` holds for with ``node_id``, ascending.
+
+        Read from the equality index; the first lookup of a label indexes
+        every node of that label.  The list includes ``node_id``.
+        """
+        key = self.structural_key(node_id)
+        index = self._by_structure.get(key[0])
+        if index is None:
+            index = self._by_structure[key[0]] = {}
+            for node in self.nodes_with_label(key[0]):
+                index.setdefault(self.structural_key(node.id), []).append(node.id)
+        return index.get(key, [])
+
+    def degrees(self) -> dict[str | None, tuple[float, float]]:
+        """Average degrees per relationship label: label -> (out, in).
+
+        ``out`` is the label's relationship count over its distinct start
+        nodes and ``in`` the count over its distinct end nodes; the key None
+        covers every label.  Computed on first use and dropped by every
+        relationship write.
+        """
+        if self._degrees is None:
+            counts: Counter = Counter()
+            starts: dict = {}
+            ends: dict = {}
+            for rel in self._rels.values():
+                for label in (rel.label, None):
+                    counts[label] += 1
+                    starts.setdefault(label, set()).add(rel.start)
+                    ends.setdefault(label, set()).add(rel.end)
+            self._degrees = {label: (n / len(starts[label]), n / len(ends[label])) for label, n in counts.items()}
+        return self._degrees
+
     # -- mutation -------------------------------------------------------------
 
     def add_node(self, label: str, properties: dict | None = None, *, node_id: int | None = None) -> int:
@@ -270,12 +341,16 @@ class PropertyGraph:
         self._out[node_id] = []
         self._in[node_id] = []
         self._next_node_id = max(self._next_node_id, node_id + 1)
-        if self._by_label is not None or self._by_uid is not None:
+        if self._by_label is not None or self._by_uid is not None or node.label in self._by_structure:
             self._index_node(node)
         return node_id
 
     def _index_node(self, node: Node) -> None:
-        for index, key_of in ((self._by_label, _label_key), (self._by_uid, _uid_key)):
+        for index, key_of in (
+            (self._by_label, _label_key),
+            (self._by_uid, _uid_key),
+            (self._by_structure.get(node.label), structural_key),
+        ):
             key = None if index is None else key_of(node)
             if key is not None:
                 insort(index.setdefault(key, []), node.id)  # an explicit id may be lower
@@ -290,6 +365,7 @@ class PropertyGraph:
         rel_id = self._next_rel_id
         self._next_rel_id += 1
         self._rels[rel_id] = Relationship(rel_id, label, start, end, props)
+        self._degrees = None
         self._out[start].append(rel_id)
         self._in[end].append(rel_id)
         if self._rels_by_label is not None:
@@ -299,6 +375,7 @@ class PropertyGraph:
     def remove_relationship(self, rel_id: int) -> None:
         rel = self.relationship(rel_id)
         del self._rels[rel_id]
+        self._degrees = None
         self._out[rel.start].remove(rel_id)
         self._in[rel.end].remove(rel_id)
         if self._rels_by_label is not None:
@@ -378,29 +455,40 @@ class PropertyGraph:
             dup._by_uid = {key: list(ids) for key, ids in self._by_uid.items()}
         if self._rels_by_label is not None:
             dup._rels_by_label = {key: list(ids) for key, ids in self._rels_by_label.items()}
+        dup._by_structure = {
+            label: {key: list(ids) for key, ids in index.items()} for label, index in self._by_structure.items()
+        }
+        dup._keys = dict(self._keys)
         return dup
 
     def audit(self) -> list[str]:
         """Consistency check of the adjacency and lazy indexes; empty list means ok.
 
-        Built label, ``$uid`` and relationship label indexes are compared with
-        a fresh rebuild, so an in-place ``$uid`` change made after the first
-        lookup shows here.
+        Built label, ``$uid``, relationship label and equality indexes, and
+        the kept structural keys, are compared with a fresh rebuild, so an
+        in-place property change made after the first lookup shows here.
         """
         problems = []
-        for name, index, items, key_of in (
-            ("label", self._by_label, self.nodes, _label_key),
-            ("$uid", self._by_uid, self.nodes, _uid_key),
-            ("relationship label", self._rels_by_label, self.relationships, _label_key),
-        ):
+        indexes = [
+            ("label", self._by_label, self.nodes(), _label_key),
+            ("$uid", self._by_uid, self.nodes(), _uid_key),
+            ("relationship label", self._rels_by_label, self.relationships(), _label_key),
+        ]
+        for label, index in self._by_structure.items():
+            same_label = [node for node in self.nodes() if node.label == label]
+            indexes.append((f"{label!r} equality", index, same_label, structural_key))
+        for name, index, items, key_of in indexes:
             if index is None:
                 continue
-            rebuilt = _build_index(items(), key_of)
+            rebuilt = _build_index(items, key_of)
             for key in sorted(set(index) | set(rebuilt), key=repr):
                 if index.get(key, []) != rebuilt.get(key, []):
                     problems.append(
                         f"{name} index entry {key!r} is {index.get(key, [])}, a rebuild gives {rebuilt.get(key, [])}"
                     )
+        for node_id, key in self._keys.items():
+            if node_id not in self._nodes or structural_key(self._nodes[node_id]) != key:
+                problems.append(f"kept structural key of node {node_id} is stale")
         rel_ids = list(self._rels)
         if any(a > b for a, b in zip(rel_ids, rel_ids[1:])):
             problems.append("relationships are not stored in ascending id order")

@@ -21,6 +21,15 @@ Matching semantics:
   Everything else, ``count(n)`` included, enumerates paths.
 * A start node pattern with an integer ``$uid`` or a label is looked up in
   the graph's ``$uid`` or label index, so it costs O(matches), not O(nodes).
+* A query of non-optional MATCH clauses, at most one WHERE after them and a
+  RETURN with a count is planned (``_planned``): single-node clauses pinned
+  by ``$uid`` run first; a WHERE that is exactly ``equals(x, y)``, with ``y``
+  bound, gives ``x`` its candidates from the graph's equality index; and a
+  path whose last node is anchored (bound, ``$uid``, or such candidates) is
+  matched backwards when its first node is not anchored or the estimate
+  from the graph's degree statistics is smaller (``_match_planned``).  The
+  rows are the same bag; only their order changes, which the count hides.
+  A graph ``extract`` returns is matched forwards until it is filled.
 * OPTIONAL MATCH yields one row with the clause's new variables absent when
   nothing matches.
 * Comparisons and boolean operators use three-valued logic; WHERE keeps a
@@ -33,13 +42,14 @@ Matching semantics:
 
 Row order is deterministic: candidates are enumerated by ascending node and
 relationship id in clause order (reachability by breadth-first search:
-ascending target id).
+ascending target id).  Planned queries, whose rows only a count reads, are
+the exception.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cypher_ast import (
     And,
@@ -60,6 +70,7 @@ from .cypher_ast import (
     ReturnClause,
     Variable,
     WhereClause,
+    children,
     expression_text,
 )
 from .cypher_frontend import _find_counts
@@ -67,7 +78,6 @@ from .errors import ExecutionError, TypeMismatchError
 from .property_graph import (
     UID_KEY,
     PropertyGraph,
-    canon_properties,
     ensure_user_label,
     value_tag,
     values_equal,
@@ -136,6 +146,14 @@ def _node_matches(graph: PropertyGraph, node_id: int, pattern: NodePattern) -> b
     return True
 
 
+def _uid_literal(pattern: NodePattern) -> int | None:
+    """The pattern's first integer ``$uid`` literal, if any."""
+    for key, literal in pattern.properties:
+        if key == UID_KEY and isinstance(literal.value, int) and not isinstance(literal.value, bool):
+            return literal.value
+    return None
+
+
 def _start_candidates(graph: PropertyGraph, pattern: NodePattern, binding: dict) -> list[int]:
     """Ids of the nodes a path may start from, ascending.
 
@@ -150,13 +168,9 @@ def _start_candidates(graph: PropertyGraph, pattern: NodePattern, binding: dict)
         if not isinstance(value, NodeRef):
             raise ExecutionError(f"variable {pattern.var!r} is not a node")
         return [value.id] if _node_matches(graph, value.id, pattern) else []
-    uids = [
-        literal.value
-        for key, literal in pattern.properties
-        if key == UID_KEY and isinstance(literal.value, int) and not isinstance(literal.value, bool)
-    ]
-    if uids:
-        candidates = graph.nodes_with_uid(uids[0])
+    uid = _uid_literal(pattern)
+    if uid is not None:
+        candidates = graph.nodes_with_uid(uid)
     elif pattern.label is not None:
         candidates = graph.nodes_with_label(pattern.label)
     else:
@@ -187,7 +201,14 @@ def _bind(graph: PropertyGraph, binding: dict, pattern: NodePattern, node_id: in
     return new
 
 
-def _match_path(graph: PropertyGraph, path: PathPattern, binding: dict, reach_only: bool = False) -> list[dict]:
+def _match_path(
+    graph: PropertyGraph,
+    path: PathPattern,
+    binding: dict,
+    reach_only: bool = False,
+    starts: list[int] | None = None,
+    reverse: bool = False,
+) -> list[dict]:
     """All extensions of ``binding`` along ``path``, depth first by ascending id.
 
     One loop over an explicit stack, so the number of hops is not limited by
@@ -195,24 +216,36 @@ def _match_path(graph: PropertyGraph, path: PathPattern, binding: dict, reach_on
     states entered through a relationship, that relationship's id (an int):
     popping the id releases it for reuse, as returning from a recursive call
     would.  ``reach_only`` (see ``_reach_only``) switches a fresh target to
-    set-semantics reachability.
+    set-semantics reachability.  ``starts`` are the ids the match starts
+    from, ascending and already checked against the start node's pattern
+    (default: ``_start_candidates``).  ``reverse`` matches the path from its
+    last node, which gives the same rows in another order when
+    ``_reversible`` holds; ``starts`` are then the last node's candidates.
     """
-    first = path.nodes[0]
     if reach_only and path.nodes[-1].var not in binding:
-        return _match_reachable(graph, path, binding)
+        return _match_reachable(graph, _reversed(path) if reverse else path, binding, starts)
+    # Whether a closed walk counts in each segment; None: when the target is bound.
+    closes = [None] * len(path.rels)
+    if reverse:
+        # The forward rule, carried over: where the forward target was bound on entry.
+        closes = [node.var in binding for node in reversed(path.nodes[1:])]
+        path = _reversed(path)
+    first = path.nodes[0]
     last = len(path.rels)
     plan = []
     for seg, rel in enumerate(path.rels):
         node = path.nodes[seg + 1]
         checked = node.label is not None or bool(node.properties)
-        plan.append((rel, rel.hops.variable_length, *rel.hops.bounds(), node, checked))
+        plan.append((rel, rel.hops.variable_length, *rel.hops.bounds(), node, checked, closes[seg]))
     step_caches: list[dict[int, list]] = [{} for _ in path.rels]
 
     results: list[dict] = []
     used: set[int] = set()
     # state: (segment, segment start node, node, hops into segment, binding, relationship entered by)
     stack: list = []
-    for node_id in reversed(_start_candidates(graph, first, binding)):
+    if starts is None:
+        starts = _start_candidates(graph, first, binding)
+    for node_id in reversed(starts):
         start_binding = _bind(graph, binding, first, node_id)
         if start_binding is not None:
             stack.append((0, node_id, node_id, 0, start_binding, None))
@@ -227,7 +260,7 @@ def _match_path(graph: PropertyGraph, path: PathPattern, binding: dict, reach_on
         if via is not None:
             used.add(via)
             stack.append(via)
-        rel_pattern, variable_length, lo, hi, target, checked = plan[seg]
+        rel_pattern, variable_length, lo, hi, target, checked, closes = plan[seg]
         steps = step_caches[seg].get(node_id)
         if steps is None:
             types = frozenset(rel_pattern.types) if rel_pattern.types else None
@@ -261,7 +294,9 @@ def _match_path(graph: PropertyGraph, path: PathPattern, binding: dict, reach_on
                     stack.append((seg, seg_start, other.id, depth + 1, binding, rel.id))
         # A path may end here; it is explored before any longer one.  A
         # closed walk counts only when the target is pinned to a bound node.
-        if depth >= lo and (depth == 0 or node_id != seg_start or target.var in binding):
+        if depth >= lo and (
+            depth == 0 or node_id != seg_start or (target.var in binding if closes is None else closes)
+        ):
             nxt = _bind(graph, binding, target, node_id, checked)
             if nxt is not None and ends:
                 results.append(nxt)
@@ -298,12 +333,12 @@ def _reachable(graph: PropertyGraph, start: int, rel_pattern: RelPattern) -> lis
     return sorted(seen)
 
 
-def _match_reachable(graph: PropertyGraph, path: PathPattern, binding: dict) -> list[dict]:
+def _match_reachable(graph: PropertyGraph, path: PathPattern, binding: dict, starts: list[int] | None) -> list[dict]:
     """One row per (start, reachable target) pair: the path bag with duplicates removed."""
     first, target = path.nodes
     checked = target.label is not None or bool(target.properties)
     rows = []
-    for start in _start_candidates(graph, first, binding):
+    for start in _start_candidates(graph, first, binding) if starts is None else starts:
         start_binding = _bind(graph, binding, first, start)
         if start_binding is None:
             continue
@@ -357,11 +392,20 @@ def _pattern_variables(patterns) -> list[str]:
     return seen
 
 
-def _extensions(graph: PropertyGraph, patterns, seed: dict, reach_only: bool = False) -> list[dict]:
-    """All extensions of ``seed`` satisfying every pattern, left to right."""
+def _extensions(
+    graph: PropertyGraph, patterns, seed: dict, reach_only: bool = False, probe: dict | None = None
+) -> list[dict]:
+    """All extensions of ``seed`` satisfying every pattern, left to right.
+
+    With a ``probe`` (see ``_planned``) each path is matched from its
+    selective end, and the rows come in no defined order.
+    """
     acc = [seed]
     for path in patterns:
-        acc = [match for binding in acc for match in _match_path(graph, path, binding, reach_only)]
+        if probe is None:
+            acc = [match for binding in acc for match in _match_path(graph, path, binding, reach_only)]
+        else:
+            acc = [match for binding in acc for match in _match_planned(graph, path, binding, reach_only, probe)]
         if not acc:
             break
     return acc
@@ -374,6 +418,127 @@ def match_pattern(graph: PropertyGraph, patterns, seed: dict | None = None, opti
     if acc or not optional:
         return acc
     return [{**dict.fromkeys(_pattern_variables(patterns), ABSENT), **seed}]
+
+
+# --- planning -------------------------------------------------------------------
+
+# Hops beyond its lower bound that a variable-length segment is estimated to walk.
+_HORIZON = 2
+_FLIPPED = {"out": "in", "in": "out", "both": "both"}
+
+
+def _planned(query: Query) -> tuple[tuple, dict | None]:
+    """The clauses to run, and the equality probe when the planner applies.
+
+    The planner applies to a query of non-optional MATCH clauses, then at
+    most one WHERE, then a RETURN that aggregates, so that row order cannot
+    show.  It moves the single-node MATCH clauses pinned by an integer
+    ``$uid`` to the front, each unless an earlier clause names its variable,
+    and reads a WHERE that is exactly ``equals(x, y)`` as the probe
+    ``{x: y, y: x}`` (empty otherwise).  The WHERE still runs.  Without the
+    planner the probe is None.
+    """
+    *body, last = query.clauses or (None,)
+    where = body.pop() if body and isinstance(body[-1], WhereClause) else None
+    if not (isinstance(last, ReturnClause) and any(_find_counts(item.expr) for item in last.items)):
+        return query.clauses, None
+    if not body or not all(isinstance(clause, MatchClause) and not clause.optional for clause in body):
+        return query.clauses, None
+    pinned, rest, named = [], [], set()
+    for clause in body:
+        node = clause.patterns[0].nodes[0]
+        single = len(clause.patterns) == 1 and not clause.patterns[0].rels
+        if single and _uid_literal(node) is not None and node.var not in named:
+            pinned.append(clause)
+        else:
+            rest.append(clause)
+        named.update(_pattern_variables(clause.patterns))
+    probe = {}
+    if where is not None:
+        sides = children(where.expr) if isinstance(where.expr, EqualsCall) else ()
+        if all(isinstance(side, Variable) for side in sides):
+            probe = {side.name: other.name for side, other in zip(sides, reversed(sides))}
+        rest.append(where)
+    return (*pinned, *rest, last), probe
+
+
+def _match_planned(graph: PropertyGraph, path: PathPattern, binding: dict, reach_only: bool, probe: dict) -> list[dict]:
+    """``_match_path`` from the end of ``path`` that is estimated to walk less.
+
+    The path is matched backwards only on a filled graph, when ``_reversible``
+    holds and its last node is anchored (see ``_anchor``): always when the
+    first node is not anchored, and otherwise when the estimate from the
+    degree statistics (``_expansion``) is smaller backwards.
+    """
+    starts = _anchor(graph, path.nodes[0], binding, probe)
+    if path.rels and graph.filled and _reversible(path, binding):
+        ends = _anchor(graph, path.nodes[-1], binding, probe)
+        if ends is not None and (
+            starts is None or _expansion(graph, path, len(ends), True) < _expansion(graph, path, len(starts), False)
+        ):
+            return _match_path(graph, path, binding, reach_only, ends, reverse=True)
+    return _match_path(graph, path, binding, reach_only, starts)
+
+
+def _anchor(graph: PropertyGraph, pattern: NodePattern, binding: dict, probe: dict) -> list[int] | None:
+    """Candidate ids of an anchored end node, ascending; None when it is not anchored.
+
+    An end is anchored by a bound variable, an integer ``$uid`` literal, or a
+    probe partner bound to a node: the nodes ``equals`` can hold for are then
+    read from the equality index.
+    """
+    if pattern.var in binding or _uid_literal(pattern) is not None:
+        return _start_candidates(graph, pattern, binding)
+    other = binding.get(probe.get(pattern.var))
+    if isinstance(other, NodeRef):
+        return [node_id for node_id in graph.equal_nodes(other.id) if _node_matches(graph, node_id, pattern)]
+    return None
+
+
+def _reversible(path: PathPattern, binding: dict) -> bool:
+    """True when matching ``path`` from its last node gives the same rows.
+
+    Every variable occurs once in the path, and none but the last node's is
+    bound on entry.  The closed-walk rule then depends only on which nodes
+    were bound on entry, which ``_match_path`` carries over to the reversed
+    pattern; a repeated variable would make it depend on the direction.
+    """
+    names = [node.var for node in path.nodes] + [rel.var for rel in path.rels]
+    names = [name for name in names if name is not None]
+    anchor = path.nodes[-1].var
+    return len(names) == len(set(names)) and all(name == anchor or name not in binding for name in names)
+
+
+def _reversed(path: PathPattern) -> PathPattern:
+    """``path`` read from its last node: nodes and relationships reversed, directions flipped."""
+    rels = tuple(replace(rel, direction=_FLIPPED[rel.direction]) for rel in reversed(path.rels))
+    return PathPattern(tuple(reversed(path.nodes)), rels)
+
+
+def _expansion(graph: PropertyGraph, path: PathPattern, count: int, backward: bool) -> float:
+    """Estimated paths walked from ``count`` start nodes in one direction.
+
+    The count times, per segment, the average degree of its relationship
+    types in the walking direction (``PropertyGraph.degrees``); a
+    variable-length segment sums the degree's powers over its lower bound and
+    up to ``_HORIZON`` more hops.
+    """
+    degrees = graph.degrees()
+    estimate = float(count)
+    for rel in path.rels:
+        out = inc = 0.0
+        for label in rel.types or (None,):
+            label_out, label_in = degrees.get(label, (0.0, 0.0))
+            out += label_out
+            inc += label_in
+        if rel.direction == "both":
+            degree = out + inc
+        else:
+            degree = out if (rel.direction == "out") != backward else inc
+        lo, hi = rel.hops.bounds()
+        top = lo + _HORIZON if hi is None else min(hi, lo + _HORIZON)
+        estimate *= sum(degree**hops for hops in range(lo, top + 1))
+    return estimate
 
 
 # --- expressions -----------------------------------------------------------------
@@ -411,13 +576,7 @@ def _structural_equals(graph: PropertyGraph, left, right):
     if left is ABSENT or right is ABSENT:
         return ABSENT
     if isinstance(left, NodeRef) and isinstance(right, NodeRef):
-        if left.id == right.id:
-            return True
-        a = graph.node(left.id)
-        b = graph.node(right.id)
-        return a.label == b.label and (
-            canon_properties(a.properties, ignore_uid=True) == canon_properties(b.properties, ignore_uid=True)
-        )
+        return left.id == right.id or graph.structural_key(left.id) == graph.structural_key(right.id)
     if isinstance(left, (NodeRef, RelRef)) or isinstance(right, (NodeRef, RelRef)):
         return False
     return values_equal(left, right)
@@ -505,17 +664,22 @@ def _kleene_or(left, right):
 # --- clause execution ----------------------------------------------------------
 
 
-def _match_clause(graph: PropertyGraph, clause: MatchClause, rows: list[dict], reach_only: bool) -> list[dict]:
+def _match_clause(
+    graph: PropertyGraph, clause: MatchClause, rows: list[dict], reach_only: bool, probe: dict | None = None
+) -> list[dict]:
     absent = dict.fromkeys(_pattern_variables(clause.patterns), ABSENT)
-    if rows and all(absent.keys().isdisjoint(row) for row in rows):
+    joins = set(absent)
+    if probe:
+        joins.update(probe[name] for name in absent if name in probe)
+    if rows and all(joins.isdisjoint(row) for row in rows):
         # no variable joins the incoming rows: match once, cross-join
-        base = _extensions(graph, clause.patterns, {}, reach_only)
+        base = _extensions(graph, clause.patterns, {}, reach_only, probe)
         if not base and clause.optional:
             base = [absent]
         return [{**row, **extension} for row in rows for extension in base]
     out: list[dict] = []
     for row in rows:
-        matched = _extensions(graph, clause.patterns, row, reach_only)
+        matched = _extensions(graph, clause.patterns, row, reach_only, probe)
         if matched:
             out.extend(matched)
         elif clause.optional:
@@ -594,13 +758,7 @@ def _references_rows(expr) -> bool:
     """True when the expression reads row variables outside of count(...)."""
     if isinstance(expr, (Variable, PropertyAccess)):
         return True
-    if isinstance(expr, Count):
-        return False
-    if isinstance(expr, (And, Or, Comparison, EqualsCall)):
-        return _references_rows(expr.left) or _references_rows(expr.right)
-    if isinstance(expr, Not):
-        return _references_rows(expr.operand)
-    return False
+    return not isinstance(expr, Count) and any(map(_references_rows, children(expr)))
 
 
 def _eval_aggregate(expr, rows: list[dict], graph: PropertyGraph):
@@ -693,13 +851,14 @@ def execute(query: Query, graph: PropertyGraph) -> tuple[ResultTable, PropertyGr
     """
     rows: list[dict] = [{}]
     table: ResultTable | None = None
-    for i, clause in enumerate(query.clauses):
+    clauses, probe = _planned(query)
+    for i, clause in enumerate(clauses):
         if isinstance(clause, CreateClause):
             rows = _create_clause(graph, clause, rows)
         elif isinstance(clause, MergeClause):
             rows = _merge_clause(graph, clause, rows)
         elif isinstance(clause, MatchClause):
-            rows = _match_clause(graph, clause, rows, _reach_only(clause, query.clauses[i + 1 :]))
+            rows = _match_clause(graph, clause, rows, _reach_only(clause, clauses[i + 1 :]), probe)
         elif isinstance(clause, WhereClause):
             rows = _where_clause(graph, clause, rows)
         elif isinstance(clause, ReturnClause):

@@ -106,6 +106,7 @@ class HeapSnapshot:
         self._validated = False
         self._decls_cache: dict[str, MappingProxyType] = {}
         self._plans: dict[str, _ClassPlan] = {}
+        self._roots_of: dict[int, list[str]] | None = None
 
     def class_info(self, name: str) -> ClassInfo:
         return self._class_map[name]
@@ -152,6 +153,15 @@ class HeapSnapshot:
                 statics += _referenced_ids(self._class_map[name].statics.values())
             plan = self._plans[cls] = _ClassPlan(refs, tuple(statics))
         return plan
+
+    def _root_names(self) -> dict[int, list[str]]:
+        """Object id -> the names of the roots that point at it (cached)."""
+        if self._roots_of is None:
+            roots_of: dict[int, list[str]] = {}
+            for name, target in self.roots.items():
+                roots_of.setdefault(target, []).append(name)
+            self._roots_of = roots_of
+        return self._roots_of
 
     def _ensure_valid(self):
         if not self._validated:
@@ -215,6 +225,7 @@ class HeapSnapshot:
                 raise UnknownRootError(target)
             if not isinstance(name, str) or not name:
                 raise SnapshotSchemaError(f"bad root name {name!r}", "roots")
+        self._root_names()
         self._validated = True
         return self
 
@@ -424,11 +435,12 @@ class SnapshotGraph(PropertyGraph):
     Built on demand, without filling the graph: ``node``, ``relationship``,
     ``neighbors(..., "out")`` (a node's outgoing edges, and for a reference
     array field also the array node and its ``element`` edges),
-    ``nodes_with_uid`` and ``nodes_with_label`` for a label that only object
-    nodes can carry.  Every other method first fills the graph (``fill``),
-    and from then on the graph behaves exactly like a PropertyGraph.  Nodes
-    and relationships built before the fill are kept, so their identity does
-    not change.  ``node_count`` and ``relationship_count`` never fill.
+    ``nodes_with_uid``, and ``nodes_with_label`` and ``equal_nodes`` for a
+    label that only object nodes can carry.  Every other method first fills
+    the graph (``fill``), and from then on the graph behaves exactly like a
+    PropertyGraph.  Nodes and relationships built before the fill are kept,
+    so their identity does not change.  ``node_count``,
+    ``relationship_count``, ``filled`` and ``structural_key`` never fill.
 
     The snapshot was validated, so nothing built here is checked again.
     ``$uid`` lookups before the fill read the snapshot's object map: an
@@ -512,12 +524,13 @@ class SnapshotGraph(PropertyGraph):
                     for index, element in enumerate(value.ids):
                         if element in node_of:
                             edges.append((ELEMENT_LABEL, array_node, node_of[element], {"index": index}))
-        roots = self._snapshot.roots
-        for name in sorted(roots):
-            if roots[name] in node_of:
-                binder = self._first_tail_node + len(labels)
-                labels.append(LOCAL_LABEL)
-                edges.append((name, binder, node_of[roots[name]], {}))
+        roots_of = self._snapshot._root_names()
+        # The key-view intersection walks the smaller side: O(min(root targets, included)).
+        binders = sorted((name, target) for target in roots_of.keys() & node_of.keys() for name in roots_of[target])
+        for name, target in binders:
+            binder = self._first_tail_node + len(labels)
+            labels.append(LOCAL_LABEL)
+            edges.append((name, binder, node_of[target], {}))
         return labels, edges
 
     # -- building -------------------------------------------------------------
@@ -655,6 +668,10 @@ class SnapshotGraph(PropertyGraph):
     def relationship_count(self) -> int:
         return len(self._rels) if self._filled else self._next_rel_id
 
+    @property
+    def filled(self) -> bool:
+        return self._filled
+
     def node(self, node_id: int) -> Node:
         try:
             return self._nodes[node_id]
@@ -707,6 +724,7 @@ class SnapshotGraph(PropertyGraph):
     nodes = _filled_first(PropertyGraph.nodes)
     relationships = _filled_first(PropertyGraph.relationships)
     relationships_with_label = _filled_first(PropertyGraph.relationships_with_label)
+    degrees = _filled_first(PropertyGraph.degrees)
     add_node = _filled_first(PropertyGraph.add_node)
     add_relationship = _filled_first(PropertyGraph.add_relationship)
     remove_relationship = _filled_first(PropertyGraph.remove_relationship)

@@ -396,3 +396,25 @@ class TestBoundedAgreesWithSubSnapshot:
             assert structurally_equal(fast, slow)
             uids = {n.properties["$uid"] for n in fast.nodes() if "$uid" in n.properties}
             assert uids == {o.id for o in snap.objects if o.id in keep and o.cls not in blacklist}
+
+
+class _NotIterable(dict):
+    """A root map that fails the test when a caller walks it."""
+
+    def _walked(self, *args):
+        raise AssertionError("snapshot.roots was iterated")
+
+    __iter__ = keys = values = items = _walked
+
+
+class TestBinderNumbering:
+    def test_bounded_extract_does_not_walk_every_root(self):
+        objects = [HeapObject(i, "app.Item", {"n": i}) for i in range(1, 1001)]
+        roots = {f"r{i:06d}": 2 + i % 999 for i in range(100_000)}
+        roots.update(z=1, a=1)
+        snapshot = HeapSnapshot([simple_class("app.Item", prims=("n",))], objects, roots).validate()
+        snapshot.roots = _NotIterable(snapshot.roots)
+        graph = extract(snapshot, ExtractionConfig(root=1))
+        assert graph.node_count == 4  # the object, its class node and two binders
+        binders = [rel.label for rel in graph.fill().relationships() if rel.label != "instanceof"]
+        assert binders == ["a", "z"]
