@@ -16,13 +16,11 @@ reads an index that is built on its first lookup and from then on kept up to
 date by ``add_node`` (node indexes), ``add_relationship`` and
 ``remove_relationship`` (the relationship label index) and ``copy``.
 
-For the query planner the graph also keeps an equality index and degree
-statistics.  ``equal_nodes`` reads the equality index, which maps each
-node's ``structural_key`` (what ``equals`` compares) to ascending ids; it is
-built one label at a time on first use and kept by ``add_node`` and
-``copy``.  ``structural_key`` computes a node's key once and keeps it.
-``degrees`` gives the average out- and in-degree per relationship label; it
-is computed on first use and dropped by every relationship write.
+For the query planner the graph also keeps an equality index.
+``equal_nodes`` reads it; it maps each node's ``structural_key`` (what
+``equals`` compares) to ascending ids, is built one label at a time on first
+use and is kept by ``add_node`` and ``copy``.  ``structural_key`` computes a
+node's key once and keeps it.
 
 The ``$uid`` contract: set ``$uid`` through ``add_node``, or in place on
 ``Node.properties`` before the graph is first queried.  An in-place change
@@ -38,7 +36,6 @@ import contextlib
 import gc
 import heapq
 from bisect import bisect_left, insort
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -194,8 +191,8 @@ class Relationship:
 class PropertyGraph:
     """Mutable in-memory multigraph; single writer, no internal locking.
 
-    Label, ``$uid``, relationship label and equality lookups, and the degree
-    statistics, are served from lazy indexes (see the module docstring).
+    Label, ``$uid``, relationship label and equality lookups are served
+    from lazy indexes (see the module docstring).
     """
 
     def __init__(self):
@@ -216,8 +213,6 @@ class PropertyGraph:
         # key -> ascending ids), and the structural keys computed so far.
         self._by_structure: dict[str, dict[tuple, list[int]]] = {}
         self._keys: dict[int, tuple] = {}
-        # Relationship label (None: any) -> average (out, in) degree.
-        self._degrees: dict[str | None, tuple[float, float]] | None = None
 
     # -- accessors ----------------------------------------------------------
 
@@ -301,26 +296,6 @@ class PropertyGraph:
                 index.setdefault(self.structural_key(node.id), []).append(node.id)
         return index.get(key, [])
 
-    def degrees(self) -> dict[str | None, tuple[float, float]]:
-        """Average degrees per relationship label: label -> (out, in).
-
-        ``out`` is the label's relationship count over its distinct start
-        nodes and ``in`` the count over its distinct end nodes; the key None
-        covers every label.  Computed on first use and dropped by every
-        relationship write.
-        """
-        if self._degrees is None:
-            counts: Counter = Counter()
-            starts: dict = {}
-            ends: dict = {}
-            for rel in self._rels.values():
-                for label in (rel.label, None):
-                    counts[label] += 1
-                    starts.setdefault(label, set()).add(rel.start)
-                    ends.setdefault(label, set()).add(rel.end)
-            self._degrees = {label: (n / len(starts[label]), n / len(ends[label])) for label, n in counts.items()}
-        return self._degrees
-
     # -- mutation -------------------------------------------------------------
 
     def add_node(self, label: str, properties: dict | None = None, *, node_id: int | None = None) -> int:
@@ -365,7 +340,6 @@ class PropertyGraph:
         rel_id = self._next_rel_id
         self._next_rel_id += 1
         self._rels[rel_id] = Relationship(rel_id, label, start, end, props)
-        self._degrees = None
         self._out[start].append(rel_id)
         self._in[end].append(rel_id)
         if self._rels_by_label is not None:
@@ -375,7 +349,6 @@ class PropertyGraph:
     def remove_relationship(self, rel_id: int) -> None:
         rel = self.relationship(rel_id)
         del self._rels[rel_id]
-        self._degrees = None
         self._out[rel.start].remove(rel_id)
         self._in[rel.end].remove(rel_id)
         if self._rels_by_label is not None:

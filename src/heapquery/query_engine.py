@@ -26,9 +26,8 @@ Matching semantics:
   by ``$uid`` run first; a WHERE that is exactly ``equals(x, y)``, with ``y``
   bound, gives ``x`` its candidates from the graph's equality index; and a
   path whose last node is anchored (bound, ``$uid``, or such candidates) is
-  matched backwards when its first node is not anchored or the estimate
-  from the graph's degree statistics is smaller (``_match_planned``).  The
-  rows are the same bag; only their order changes, which the count hides.
+  matched backwards (``_match_planned``).  The rows are the same bag; only
+  their order changes, which the count hides.
   A graph ``extract`` returns is matched forwards until it is filled.
 * OPTIONAL MATCH yields one row with the clause's new variables absent when
   nothing matches.
@@ -422,8 +421,6 @@ def match_pattern(graph: PropertyGraph, patterns, seed: dict | None = None, opti
 
 # --- planning -------------------------------------------------------------------
 
-# Hops beyond its lower bound that a variable-length segment is estimated to walk.
-_HORIZON = 2
 _FLIPPED = {"out": "in", "in": "out", "both": "both"}
 
 
@@ -463,21 +460,16 @@ def _planned(query: Query) -> tuple[tuple, dict | None]:
 
 
 def _match_planned(graph: PropertyGraph, path: PathPattern, binding: dict, reach_only: bool, probe: dict) -> list[dict]:
-    """``_match_path`` from the end of ``path`` that is estimated to walk less.
+    """``_match_path``, from the last node of ``path`` when that end is anchored.
 
     The path is matched backwards only on a filled graph, when ``_reversible``
-    holds and its last node is anchored (see ``_anchor``): always when the
-    first node is not anchored, and otherwise when the estimate from the
-    degree statistics (``_expansion``) is smaller backwards.
+    holds and its last node is anchored (see ``_anchor``).
     """
-    starts = _anchor(graph, path.nodes[0], binding, probe)
     if path.rels and graph.filled and _reversible(path, binding):
         ends = _anchor(graph, path.nodes[-1], binding, probe)
-        if ends is not None and (
-            starts is None or _expansion(graph, path, len(ends), True) < _expansion(graph, path, len(starts), False)
-        ):
+        if ends is not None:
             return _match_path(graph, path, binding, reach_only, ends, reverse=True)
-    return _match_path(graph, path, binding, reach_only, starts)
+    return _match_path(graph, path, binding, reach_only, _anchor(graph, path.nodes[0], binding, probe))
 
 
 def _anchor(graph: PropertyGraph, pattern: NodePattern, binding: dict, probe: dict) -> list[int] | None:
@@ -513,32 +505,6 @@ def _reversed(path: PathPattern) -> PathPattern:
     """``path`` read from its last node: nodes and relationships reversed, directions flipped."""
     rels = tuple(replace(rel, direction=_FLIPPED[rel.direction]) for rel in reversed(path.rels))
     return PathPattern(tuple(reversed(path.nodes)), rels)
-
-
-def _expansion(graph: PropertyGraph, path: PathPattern, count: int, backward: bool) -> float:
-    """Estimated paths walked from ``count`` start nodes in one direction.
-
-    The count times, per segment, the average degree of its relationship
-    types in the walking direction (``PropertyGraph.degrees``); a
-    variable-length segment sums the degree's powers over its lower bound and
-    up to ``_HORIZON`` more hops.
-    """
-    degrees = graph.degrees()
-    estimate = float(count)
-    for rel in path.rels:
-        out = inc = 0.0
-        for label in rel.types or (None,):
-            label_out, label_in = degrees.get(label, (0.0, 0.0))
-            out += label_out
-            inc += label_in
-        if rel.direction == "both":
-            degree = out + inc
-        else:
-            degree = out if (rel.direction == "out") != backward else inc
-        lo, hi = rel.hops.bounds()
-        top = lo + _HORIZON if hi is None else min(hi, lo + _HORIZON)
-        estimate *= sum(degree**hops for hops in range(lo, top + 1))
-    return estimate
 
 
 # --- expressions -----------------------------------------------------------------

@@ -724,7 +724,6 @@ class SnapshotGraph(PropertyGraph):
     nodes = _filled_first(PropertyGraph.nodes)
     relationships = _filled_first(PropertyGraph.relationships)
     relationships_with_label = _filled_first(PropertyGraph.relationships_with_label)
-    degrees = _filled_first(PropertyGraph.degrees)
     add_node = _filled_first(PropertyGraph.add_node)
     add_relationship = _filled_first(PropertyGraph.add_relationship)
     remove_relationship = _filled_first(PropertyGraph.remove_relationship)

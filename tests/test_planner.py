@@ -301,7 +301,7 @@ class TestEqualityIndex:
             assert sorted(v for (v,) in table.rows) == [False, True]
         assert sorted(computed) == list(range(51))
 
-    def test_audit_after_writes_with_index_and_statistics_built(self):
+    def test_audit_after_writes_with_the_index_built(self):
         graph = build_tree_graph()
         text = (
             "MATCH (p {`$uid`: 12}) MATCH (t {`$uid`: 16})-[:root]->(r)-[:left|right*0..]->(n) "
@@ -309,7 +309,7 @@ class TestEqualityIndex:
         )
         table, _ = execute(parsed(text), graph)
         assert table.rows == [(1,)]
-        assert graph._by_structure and graph._degrees is not None
+        assert graph._by_structure
         writes = [
             "CREATE (x:`BinaryTree$Node` {value: 2})-[:left]->(y:Extra {value: 10}) RETURN x",
             "MATCH (n {`$uid`: 13}) CREATE (n)-[:right]->(m:`BinaryTree$Node` {value: 2}) RETURN m",
@@ -317,11 +317,9 @@ class TestEqualityIndex:
         ]
         for write in writes:
             _, graph = execute(parsed(write), graph)
-            assert graph._degrees is None, write
             assert graph.audit() == [], write
             table, _ = execute(parsed(text), graph)
             assert table.as_bag() == enumerate_rows(graph, parsed(text)), write
-            assert graph._degrees is not None
         assert table.rows == [(2,)]
         assert graph.copy().audit() == []
 
@@ -343,14 +341,3 @@ class TestEqualityIndex:
         problems = g.audit()
         assert any("'K' equality index" in p for p in problems)
         assert any(f"structural key of node {a}" in p for p in problems)
-
-    def test_degrees(self):
-        g = PropertyGraph()
-        hub = g.add_node("H")
-        leaves = [g.add_node("L") for _ in range(4)]
-        for leaf in leaves:
-            g.add_relationship("element", hub, leaf)
-        g.add_relationship("next", leaves[0], leaves[1])
-        assert g.degrees() == {"element": (4.0, 1.0), "next": (1.0, 1.0), None: (2.5, 1.25)}
-        g.add_relationship("next", leaves[1], leaves[2])
-        assert g.degrees()["next"] == (1.0, 1.0) and g.degrees()[None] == (2.0, 1.5)
