@@ -9,9 +9,11 @@ ones unless force-collect is enabled.
 
 Extraction returns a SnapshotGraph, which queries the snapshot in place.
 So the ``extract`` stage of ``timings=`` (and of the CLI's ``--time``) is
-the selection of objects and the numbering of the graph, and building the
-nodes and relationships that a query touches is timed in ``execute``.  A
-query that writes, or that scans every node, builds the whole graph there.
+the selection of objects and the numbering of the graph, which the
+snapshot keeps: for a root set used before it is only a lookup.  Building
+the nodes and relationships that a query touches is timed in ``execute``.
+A query that scans every node builds the whole graph there; a ``CREATE``,
+or a ``MERGE`` that starts at a ``$uid`` or a class label, does not.
 
 Not thread safe: callers serialize access to a context.  Every pipeline
 failure is re-raised as PipelineError naming the failing stage.
@@ -121,9 +123,16 @@ class QueryContext:
     ``validate()`` already did; queries do not validate it again, so it must
     not be changed afterwards.
 
-    ``cache_extractions`` memoizes extracted subgraphs per (root, config)
-    key, fully built when stored, so later queries pay no extraction.  It is
-    off by default.  A write query (one with a CREATE or MERGE clause) on a
+    Without caching, every query gets a new graph, and only the numbering
+    of the graph is shared: ``extract`` keeps it on the snapshot per
+    ``ExtractionConfig.key()`` (bounded in size, see ``extract``), so a
+    query from a root set used before does not visit the reachable objects
+    again, and each query builds only the nodes and edges it touches.
+
+    ``cache_extractions`` instead keeps the graph itself per key, fully
+    built when stored, so later queries build nothing; it costs memory for
+    every node and edge of every cached graph, without a bound.  It is off
+    by default.  A write query (one with a CREATE or MERGE clause) on a
     caching context runs on a copy of the cached graph, so its writes, and
     those of a write query that fails, are not seen by later queries.
     """
@@ -139,16 +148,11 @@ class QueryContext:
     def _extract(self, config: ExtractionConfig) -> PropertyGraph:
         if not self.cache_extractions:
             return extract(self.snapshot, config)
-        roots = config.root_ids()
-        key = (
-            tuple(roots) if roots is not None else None,
-            frozenset(config.whitelist),
-            frozenset(config.blacklist),
-            config.force_collect,
-        )
-        if key not in self._cache:
-            self._cache[key] = extract(self.snapshot, config).fill()
-        return self._cache[key]
+        key = config.key()
+        graph = self._cache.get(key)
+        if graph is None:
+            graph = self._cache[key] = extract(self.snapshot, config).fill()
+        return graph
 
 
 def _stage(timings: dict | None, name: str, started: float):

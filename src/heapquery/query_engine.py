@@ -728,57 +728,33 @@ def _references_rows(expr) -> bool:
 
 
 def _eval_aggregate(expr, rows: list[dict], graph: PropertyGraph):
+    """Evaluate a RETURN item of an aggregating RETURN over all ``rows``.
+
+    The ``count`` leaves, and the variables and properties outside them
+    (which must be constant across rows), are evaluated first, left to
+    right; the operators above them then run once, in ``eval_expression``.
+    """
+    return eval_expression({}, _aggregated(expr, rows, graph), graph)
+
+
+def _aggregated(expr, rows: list[dict], graph: PropertyGraph):
+    """``expr`` with each leaf that reads rows replaced by a Literal of its value over ``rows``."""
     if isinstance(expr, Count):
         if expr.expr is None:
-            return len(rows)
-        values = []
-        for row in rows:
-            value = eval_expression(row, expr.expr, graph)
-            if value is not ABSENT:
-                values.append(value)
-        if expr.distinct:
-            return len({cell_tag(v) for v in values})
-        return len(values)
+            return Literal(len(rows))
+        values = [value for value in (eval_expression(row, expr.expr, graph) for row in rows) if value is not ABSENT]
+        return Literal(len({cell_tag(v) for v in values}) if expr.distinct else len(values))
     if isinstance(expr, (Variable, PropertyAccess)):
-        tags = set()
-        value = ABSENT
-        for row in rows:
-            value = eval_expression(row, expr, graph)
-            tags.add(cell_tag(value))
-        if len(tags) > 1:
+        if len({cell_tag(eval_expression(row, expr, graph)) for row in rows}) > 1:
             raise ExecutionError(
                 f"{expression_text(expr)} is not constant across rows; grouped aggregation is not supported"
             )
-        return value
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Comparison):
-        left = _eval_aggregate(expr.left, rows, graph)
-        right = _eval_aggregate(expr.right, rows, graph)
-        if left is ABSENT or right is ABSENT:
-            return ABSENT
-        if expr.op == "=":
-            return _compare_eq(left, right)
-        if expr.op == "<>":
-            return not _compare_eq(left, right)
-        return _compare_order(expr.op, left, right)
-    if isinstance(expr, EqualsCall):
-        return _structural_equals(
-            graph,
-            _eval_aggregate(expr.left, rows, graph),
-            _eval_aggregate(expr.right, rows, graph),
-        )
-    if isinstance(expr, And):
-        return _kleene_and(_eval_aggregate(expr.left, rows, graph), _eval_aggregate(expr.right, rows, graph))
-    if isinstance(expr, Or):
-        return _kleene_or(_eval_aggregate(expr.left, rows, graph), _eval_aggregate(expr.right, rows, graph))
+        return Literal(eval_expression(rows[-1], expr, graph) if rows else ABSENT)
     if isinstance(expr, Not):
-        value = _eval_aggregate(expr.operand, rows, graph)
-        if value is ABSENT:
-            return ABSENT
-        _require_bool(value, "NOT")
-        return not value
-    raise ExecutionError(f"cannot aggregate {expr!r}")
+        return Not(_aggregated(expr.operand, rows, graph))
+    if isinstance(expr, (Comparison, EqualsCall, And, Or)):
+        return replace(expr, left=_aggregated(expr.left, rows, graph), right=_aggregated(expr.right, rows, graph))
+    return expr
 
 
 def _return_clause(graph: PropertyGraph, clause: ReturnClause, rows: list[dict]) -> ResultTable:

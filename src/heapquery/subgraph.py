@@ -9,7 +9,8 @@ unreachable objects first.  It returns a SnapshotGraph, a PropertyGraph that
 queries the snapshot in place: ``extract`` computes the selected objects and
 the id of every node and relationship, which costs O(reachable objects) for a
 bounded extraction, and a node or relationship is built only when a caller
-first touches it.
+first touches it.  The snapshot keeps that numbering per extraction key, so
+repeated extractions from the same roots share it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import wraps
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
@@ -93,7 +95,9 @@ class HeapSnapshot:
     A snapshot is validated once: by ``load_snapshot``, by an explicit
     ``validate()``, or at its first ``QueryContext`` or ``extract``.  It must
     not be changed after it is built, because the object and class maps, the
-    validation result and the per-class caches are computed only once.
+    validation result, the per-class caches and the numberings ``extract``
+    keeps (at most ``len(objects)`` included objects in all, see
+    ``extract``) are computed only once.
     """
 
     classes: list
@@ -107,6 +111,7 @@ class HeapSnapshot:
         self._decls_cache: dict[str, MappingProxyType] = {}
         self._plans: dict[str, _ClassPlan] = {}
         self._roots_of: dict[int, list[str]] | None = None
+        self._numberings: dict[tuple, _Numbering] = {}  # ExtractionConfig.key() -> numbering, least recent first
 
     def class_info(self, name: str) -> ClassInfo:
         return self._class_map[name]
@@ -276,9 +281,10 @@ class ExtractionConfig:
 
     ``whitelist`` empty means no type restriction; a non-empty whitelist
     guarantees inclusion of its instances plus their reachable closure.
-    ``root`` (an object id or list of ids) restricts candidates to the
-    reachable closure of the roots.  ``force_collect`` drops objects
-    unreachable from the snapshot's named roots before anything else.
+    ``root`` (an integer object id or a list or tuple of them) restricts
+    candidates to the reachable closure of the roots.  ``force_collect``
+    drops objects unreachable from the snapshot's named roots before
+    anything else.
     """
 
     whitelist: frozenset = frozenset()
@@ -294,10 +300,28 @@ class ExtractionConfig:
         return [self.root]
 
     def validate(self) -> "ExtractionConfig":
+        for root in self.root_ids() or ():
+            if isinstance(root, bool) or not isinstance(root, int):
+                raise ExtractionConfigError(f"root ids must be integers, got {root!r}")
         overlap = set(self.whitelist) & set(self.blacklist)
         if overlap:
             raise ExtractionConfigError(f"classes in both whitelist and blacklist: {sorted(overlap)}")
         return self
+
+    def key(self) -> tuple:
+        """(root ids as a frozenset or None, whitelist, blacklist, force_collect) of a valid config.
+
+        Configs with equal keys extract the same graph: the order and
+        repetition of root ids do not matter.  Raises ExtractionConfigError
+        for an invalid config.
+        """
+        roots = self.validate().root_ids()
+        return (
+            None if roots is None else frozenset(roots),
+            frozenset(self.whitelist),
+            frozenset(self.blacklist),
+            bool(self.force_collect),
+        )
 
 
 class _ClassPlan(NamedTuple):
@@ -385,15 +409,34 @@ def extract(snapshot: HeapSnapshot, config: ExtractionConfig | None = None) -> "
     root, and neither a whitelist nor force-collect, only the objects
     reachable from the root are visited.
 
-    The graph is a SnapshotGraph: this call computes the included objects
-    and numbers every node and relationship; they are built when first
-    touched.
+    The graph is a SnapshotGraph: nodes and relationships are built when
+    first touched.  What this call computes, the included objects and the id
+    of every node and relationship, is kept on the snapshot under
+    ``config.key()``, so a later call with the same key (the same root set,
+    in any order) reuses it instead of visiting the objects again.  Every
+    call returns a new graph, so writes on one graph are not seen by
+    another.  The kept numberings of a snapshot hold at most
+    ``len(snapshot.objects)`` included objects in all; the least recently
+    used are dropped first.
     """
-    config = (config or ExtractionConfig()).validate()
+    config = config or ExtractionConfig()
+    key = config.key()
     snapshot._ensure_valid()
+    kept = snapshot._numberings
+    numbering = kept.pop(key, None)
+    if numbering is None:
+        numbering = _number(snapshot, _select(snapshot, config))
+        held = sum(len(n.included) for n in kept.values()) + len(numbering.included)
+        while held > len(snapshot.objects):  # never drops the new one: it fits alone
+            held -= len(kept.pop(next(iter(kept))).included)
+    kept[key] = numbering  # the most recently used come last
+    return SnapshotGraph(snapshot, numbering)
+
+
+def _select(snapshot: HeapSnapshot, config: ExtractionConfig) -> list[HeapObject]:
+    """The objects ``config`` includes, ascending by id."""
     if config.force_collect:
         snapshot = collect(snapshot)
-
     root_ids = config.root_ids()
     if root_ids is not None:
         candidates = follow_references(snapshot, root_ids)
@@ -404,9 +447,105 @@ def extract(snapshot: HeapSnapshot, config: ExtractionConfig | None = None) -> "
     if config.whitelist:
         seeds = [o.id for o in snapshot.objects if o.cls in config.whitelist]
         candidates |= follow_references(snapshot, seeds)
+    return [obj for obj in map(snapshot.object, sorted(candidates)) if obj.cls not in config.blacklist]
 
-    included = [obj for obj in map(snapshot.object, sorted(candidates)) if obj.cls not in config.blacklist]
-    return SnapshotGraph(snapshot, included)
+
+class _Numbering(NamedTuple):
+    """The ids of one extraction, shared by every graph extracted with its key.
+
+    Nothing here changes after ``_number`` returns.  It holds no reference
+    to the snapshot that keeps it, so a dropped snapshot leaves no cycle.
+    ``slots`` maps an object or class node id to a position in ``included``
+    (an object) or a class name (its node); ``by_class`` lists the object
+    node ids of each class, ascending.  Object i owns the field edges
+    numbered from ``len(included) + rel_starts[i]`` and the array nodes
+    from ``first_array + array_starts[i]`` up to the next object's.
+    ``tail_nodes`` are the labels of the static array and binder nodes, and
+    ``tail_rels`` the ``(label, start, end, properties)`` of their edges;
+    each graph builds its own copy of those property maps.
+    """
+
+    included: list
+    node_of: dict
+    slots: list
+    class_nodes: dict
+    by_class: dict
+    rel_starts: list
+    array_starts: list
+    first_array: int
+    first_tail_node: int
+    first_tail_rel: int
+    tail_nodes: list
+    tail_rels: list
+
+
+def _number(snapshot: HeapSnapshot, included: list[HeapObject]) -> _Numbering:
+    """Number the nodes and relationships of the graph of ``included`` (see SnapshotGraph).
+
+    A collected snapshot has the classes and roots of the one it came from,
+    so ``snapshot`` is the one ``extract`` was given also under force-collect.
+    """
+    # Object and class nodes come first.
+    node_of: dict[int, int] = {}
+    slots: list = []
+    class_nodes: dict[str, int] = {}
+    by_class: dict[str, list[int]] = {}
+    for i, obj in enumerate(included):
+        node_id = node_of[obj.id] = len(slots)
+        slots.append(i)
+        if obj.cls not in class_nodes:
+            class_nodes[obj.cls] = len(slots)
+            slots.append(obj.cls)
+            by_class[obj.cls] = []
+        by_class[obj.cls].append(node_id)
+    rel_starts = [0]
+    array_starts = [0]
+    rels = arrays = 0
+    plans = snapshot._plans  # ``_build_object`` reads the plans this loop ensures
+    for obj in included:
+        fields = obj.fields
+        for name, array_label in (plans.get(obj.cls) or snapshot._plan(obj.cls)).refs:
+            value = fields.get(name)
+            if value is None:
+                continue
+            if array_label is None:
+                rels += value.id in node_of
+            else:
+                arrays += 1
+                rels += 1 + sum(1 for element in value.ids if element in node_of)
+        rel_starts.append(rels)
+        array_starts.append(arrays)
+
+    # Then the static arrays per class by name, and the binders by root name.
+    first_tail_node = len(slots) + arrays
+    labels: list[str] = []
+    edges: list[tuple] = []
+    for cls in sorted(class_nodes):
+        class_node = class_nodes[cls]
+        statics = snapshot.class_info(cls).statics
+        for name in sorted(statics):
+            value = statics[name]
+            if isinstance(value, Ref):
+                if value.id in node_of:
+                    edges.append((name, class_node, node_of[value.id], {}))
+            elif isinstance(value, RefArray):
+                array_node = first_tail_node + len(labels)
+                labels.append("java.lang.Object[]")
+                edges.append((name, class_node, array_node, {}))
+                for index, element in enumerate(value.ids):
+                    if element in node_of:
+                        edges.append((ELEMENT_LABEL, array_node, node_of[element], {"index": index}))
+    roots_of = snapshot._root_names()
+    # The key-view intersection walks the smaller side: O(min(root targets, included)).
+    binders = sorted((name, target) for target in roots_of.keys() & node_of.keys() for name in roots_of[target])
+    for name, target in binders:
+        binder = first_tail_node + len(labels)
+        labels.append(LOCAL_LABEL)
+        edges.append((name, binder, node_of[target], {}))
+    return _Numbering(
+        included, node_of, slots, class_nodes, by_class, rel_starts, array_starts,
+        len(slots), first_tail_node, len(included) + rels, labels, edges,
+    )
 
 
 def _filled_first(method):
@@ -431,119 +570,54 @@ class SnapshotGraph(PropertyGraph):
     edges and reference-array nodes with their ``element`` edges, in field
     declaration order; then per class (by name), its static reference edges
     and arrays (by static name); then the ``Local`` binders by root name.
+    The numbering is shared with the other graphs ``extract`` returns for
+    the same key; the nodes and relationships are this graph's own.
 
     Built on demand, without filling the graph: ``node``, ``relationship``,
     ``neighbors(..., "out")`` (a node's outgoing edges, and for a reference
     array field also the array node and its ``element`` edges),
     ``nodes_with_uid``, and ``nodes_with_label`` and ``equal_nodes`` for a
-    label that only object nodes can carry.  Every other method first fills
-    the graph (``fill``), and from then on the graph behaves exactly like a
-    PropertyGraph.  Nodes and relationships built before the fill are kept,
-    so their identity does not change.  ``node_count``,
-    ``relationship_count``, ``filled`` and ``structural_key`` never fill.
+    label that only object nodes can carry.  ``add_node`` without an
+    explicit id and ``add_relationship`` append above the numbered range
+    without filling (building only the new edge's endpoints and the start's
+    outgoing edges), and the lookups above find the nodes they add.  Every
+    other method first fills the graph (``fill``), and from then on the
+    graph behaves exactly like a PropertyGraph, with the same ids and
+    adjacency as if it had been filled before the writes.  Nodes and
+    relationships built before the fill are kept, so their identity does not
+    change.  ``node_count``, ``relationship_count``, ``filled`` and
+    ``structural_key`` never fill.
 
     The snapshot was validated, so nothing built here is checked again.
     ``$uid`` lookups before the fill read the snapshot's object map: an
     in-place change of a node's ``$uid`` is not seen by them.
     """
 
-    def __init__(self, snapshot: HeapSnapshot, included: list[HeapObject]):
+    def __init__(self, snapshot: HeapSnapshot, numbering: _Numbering):
         super().__init__()
         self._snapshot = snapshot
-        self._included = included
+        self._numbering = numbering
         self._filled = False
         self._tail_built = False
-        # Object and class nodes come first: ``_slots`` maps their ids to a
-        # position in ``included`` (an object) or a class name (its node).
-        node_of: dict[int, int] = {}
-        slots: list = []
-        class_nodes: dict[str, int] = {}
-        by_class: dict[str, list[int]] = {}
-        for i, obj in enumerate(included):
-            node_id = node_of[obj.id] = len(slots)
-            slots.append(i)
-            if obj.cls not in class_nodes:
-                class_nodes[obj.cls] = len(slots)
-                slots.append(obj.cls)
-                by_class[obj.cls] = []
-            by_class[obj.cls].append(node_id)
-        # Object i owns the field edges numbered from ``rel_starts[i]`` and
-        # the array nodes from ``array_starts[i]`` up to the next object's.
-        rel_starts = [0]
-        array_starts = [0]
-        rels = arrays = 0
-        plans = snapshot._plans  # ``_build_object`` reads the plans this loop ensures
-        for obj in included:
-            fields = obj.fields
-            for name, array_label in (plans.get(obj.cls) or snapshot._plan(obj.cls)).refs:
-                value = fields.get(name)
-                if value is None:
-                    continue
-                if array_label is None:
-                    rels += value.id in node_of
-                else:
-                    arrays += 1
-                    rels += 1 + sum(1 for element in value.ids if element in node_of)
-            rel_starts.append(rels)
-            array_starts.append(arrays)
-        self._node_of = node_of
-        self._slots = slots
-        self._class_nodes = class_nodes
-        self._by_class = by_class
-        self._rel_starts = rel_starts
-        self._array_starts = array_starts
-        self._first_field_rel = len(included)
-        self._first_array = len(slots)
-        self._first_tail_node = len(slots) + arrays
-        self._first_tail_rel = len(included) + rels
-        self._tail_nodes, self._tail_rels = self._number_tail()
-        self._next_node_id = self._first_tail_node + len(self._tail_nodes)
-        self._next_rel_id = self._first_tail_rel + len(self._tail_rels)
-
-    def _number_tail(self) -> tuple[list, list]:
-        """Labels of the static array and binder nodes, and specs of their edges.
-
-        An edge spec is ``(label, start, end, properties)``.  These come last
-        in the numbering: statics per class by name, then binders by root name.
-        """
-        node_of = self._node_of
-        labels: list[str] = []
-        edges: list[tuple] = []
-        for cls in sorted(self._class_nodes):
-            class_node = self._class_nodes[cls]
-            statics = self._snapshot.class_info(cls).statics
-            for name in sorted(statics):
-                value = statics[name]
-                if isinstance(value, Ref):
-                    if value.id in node_of:
-                        edges.append((name, class_node, node_of[value.id], {}))
-                elif isinstance(value, RefArray):
-                    array_node = self._first_tail_node + len(labels)
-                    labels.append("java.lang.Object[]")
-                    edges.append((name, class_node, array_node, {}))
-                    for index, element in enumerate(value.ids):
-                        if element in node_of:
-                            edges.append((ELEMENT_LABEL, array_node, node_of[element], {"index": index}))
-        roots_of = self._snapshot._root_names()
-        # The key-view intersection walks the smaller side: O(min(root targets, included)).
-        binders = sorted((name, target) for target in roots_of.keys() & node_of.keys() for name in roots_of[target])
-        for name, target in binders:
-            binder = self._first_tail_node + len(labels)
-            labels.append(LOCAL_LABEL)
-            edges.append((name, binder, node_of[target], {}))
-        return labels, edges
+        self._next_node_id = numbering.first_tail_node + len(numbering.tail_nodes)
+        self._next_rel_id = numbering.first_tail_rel + len(numbering.tail_rels)
+        # Until the fill, the label and ``$uid`` indexes hold only the nodes
+        # ``add_node`` appended; the numbering finds the others.
+        self._by_label = {}
+        self._by_uid = {}
 
     # -- building -------------------------------------------------------------
 
     def _build_slot(self, node_id: int) -> Node:
         """Build the object or class-metadata node ``node_id``."""
-        slot = self._slots[node_id]
+        numbering = self._numbering
+        slot = numbering.slots[node_id]
         if slot.__class__ is int:
-            obj = self._included[slot]
+            obj = numbering.included[slot]
             props = {UID_KEY: obj.id}
             for name, value in obj.fields.items():
                 if value is not None and not isinstance(value, (Ref, RefArray)):
-                    props[name] = value
+                    props[name] = list(value) if value.__class__ is list else value  # the snapshot's stays unchanged
             node = Node(node_id, obj.cls, props)
         else:
             statics = self._snapshot.class_info(slot).statics
@@ -551,27 +625,29 @@ class SnapshotGraph(PropertyGraph):
             for name in sorted(statics):
                 value = statics[name]
                 if value is not None and not isinstance(value, (Ref, RefArray)):
-                    props[name] = value
+                    props[name] = list(value) if value.__class__ is list else value
             node = Node(node_id, CLASS_LABEL, props)
         self._nodes[node_id] = node
         return node
 
     def _build_object(self, i: int) -> None:
         """Build the outgoing edges of object ``i``, its array nodes and their edges."""
-        obj = self._included[i]
-        start = self._node_of[obj.id]
-        nodes, rels, out, node_of = self._nodes, self._rels, self._out, self._node_of
+        numbering = self._numbering
+        obj = numbering.included[i]
+        node_of = numbering.node_of
+        start = node_of[obj.id]
+        nodes, rels, out = self._nodes, self._rels, self._out
         if start in out:
             return
         if start not in nodes:
             self._build_slot(start)
-        end = self._class_nodes[obj.cls]
+        end = numbering.class_nodes[obj.cls]
         if end not in nodes:
             self._build_slot(end)
         rels[i] = Relationship(i, INSTANCEOF_LABEL, start, end, {})
         own = out[start] = [i]
-        rel_id = self._first_field_rel + self._rel_starts[i]
-        array_id = self._first_array + self._array_starts[i]
+        rel_id = len(numbering.included) + numbering.rel_starts[i]
+        array_id = numbering.first_array + numbering.array_starts[i]
         for name, array_label in self._snapshot._plans[obj.cls].refs:
             value = obj.fields.get(name)
             if value is None:
@@ -604,44 +680,52 @@ class SnapshotGraph(PropertyGraph):
         """Build the static and binder nodes and edges, with the class nodes they leave."""
         if self._tail_built:
             return
+        numbering = self._numbering
         nodes, rels, out = self._nodes, self._rels, self._out
-        for class_node in self._class_nodes.values():
+        for class_node in numbering.class_nodes.values():
             if class_node not in nodes:
                 self._build_slot(class_node)
             out[class_node] = []
-        for node_id, label in enumerate(self._tail_nodes, self._first_tail_node):
+        for node_id, label in enumerate(numbering.tail_nodes, numbering.first_tail_node):
             nodes[node_id] = Node(node_id, label, {})
             out[node_id] = []
-        for rel_id, (label, start, end, props) in enumerate(self._tail_rels, self._first_tail_rel):
+        for rel_id, (label, start, end, props) in enumerate(numbering.tail_rels, numbering.first_tail_rel):
             if end not in nodes:
                 self._build_slot(end)
-            rels[rel_id] = Relationship(rel_id, label, start, end, props)
+            rels[rel_id] = Relationship(rel_id, label, start, end, dict(props))
             out[start].append(rel_id)
         self._tail_built = True
 
     def _build_out(self, node_id: int) -> None:
         """Build the outgoing edges of ``node_id``, with what is built alongside them."""
-        if node_id < self._first_array:
-            slot = self._slots[node_id]
+        numbering = self._numbering
+        if node_id < numbering.first_array:
+            slot = numbering.slots[node_id]
             if slot.__class__ is int:
                 self._build_object(slot)
             else:
                 self._build_tail()
-        elif node_id < self._first_tail_node:
-            self._build_object(bisect_right(self._array_starts, node_id - self._first_array) - 1)
+        elif node_id < numbering.first_tail_node:
+            self._build_object(bisect_right(numbering.array_starts, node_id - numbering.first_array) - 1)
         else:
             self._build_tail()
+
+    def _ensure_out(self, node_id: int) -> None:
+        """Build ``node_id`` and its outgoing edges unless they are built; raises for an unknown id."""
+        if node_id not in self._out:
+            self.node(node_id)
+            self._build_out(node_id)
 
     @collector_paused()
     def fill(self) -> "SnapshotGraph":
         """Build every node and relationship now, in ascending id order.
 
-        Nodes and relationships built earlier are kept.  Returns the graph; a
-        filled graph is left as it is.
+        Nodes and relationships built or added earlier are kept.  Returns the
+        graph; a filled graph is left as it is.
         """
         if self._filled:
             return self
-        for i in range(len(self._included)):  # builds every object and class node too
+        for i in range(len(self._numbering.included)):  # builds every object and class node too
             self._build_object(i)
         self._build_tail()
         nodes = self._nodes
@@ -652,10 +736,9 @@ class SnapshotGraph(PropertyGraph):
         for rel in self._rels.values():
             incoming[rel.end].append(rel.id)
         self._filled = True
-        # Only building reads the snapshot and the numbering; a filled graph
-        # need not keep them alive.
-        self._snapshot = self._included = self._node_of = self._slots = self._by_class = None
-        self._class_nodes = self._rel_starts = self._array_starts = self._tail_nodes = self._tail_rels = None
+        # A filled graph reads neither the numbering nor the snapshot, and
+        # builds its label and ``$uid`` indexes from every node when first used.
+        self._snapshot = self._numbering = self._by_label = self._by_uid = None
         return self
 
     # -- PropertyGraph surface --------------------------------------------------
@@ -678,7 +761,7 @@ class SnapshotGraph(PropertyGraph):
         except KeyError:
             if self._filled or not isinstance(node_id, int) or not 0 <= node_id < self._next_node_id:
                 raise NodeNotFoundError(node_id) from None
-        if node_id < self._first_array:
+        if node_id < self._numbering.first_array:
             return self._build_slot(node_id)
         self._build_out(node_id)
         return self._nodes[node_id]
@@ -688,10 +771,12 @@ class SnapshotGraph(PropertyGraph):
         if rel is None:
             if self._filled or not isinstance(rel_id, int) or not 0 <= rel_id < self._next_rel_id:
                 raise RelationshipNotFoundError(rel_id)
-            if rel_id < self._first_field_rel:
+            numbering = self._numbering
+            objects = len(numbering.included)  # the ids of the ``instanceof`` edges
+            if rel_id < objects:
                 self._build_object(rel_id)
-            elif rel_id < self._first_tail_rel:
-                self._build_object(bisect_right(self._rel_starts, rel_id - self._first_field_rel) - 1)
+            elif rel_id < numbering.first_tail_rel:
+                self._build_object(bisect_right(numbering.rel_starts, rel_id - objects) - 1)
             else:
                 self._build_tail()
             rel = self._rels[rel_id]
@@ -701,31 +786,44 @@ class SnapshotGraph(PropertyGraph):
         if not self._filled:
             if direction != "out":
                 self.fill()
-            elif node_id not in self._out:
-                self.node(node_id)
-                self._build_out(node_id)
+            else:
+                self._ensure_out(node_id)
         return PropertyGraph.neighbors(self, node_id, direction, types)
 
     def nodes_with_uid(self, uid: int) -> Iterator[Node]:
         if self._filled:
             return PropertyGraph.nodes_with_uid(self, uid)
-        node_id = self._node_of.get(uid)
-        return iter(() if node_id is None else (self.node(node_id),))
+        node_id = self._numbering.node_of.get(uid)
+        numbered = () if node_id is None else (node_id,)
+        return map(self.node, chain(numbered, tuple(self._by_uid.get(uid, ()))))
 
     def nodes_with_label(self, label: str) -> Iterator[Node]:
         if not self._filled:
-            # Only object nodes carry a label that is not reserved and does
-            # not end in "[]" (the array labels); they are listed per class.
+            # Of the numbered nodes, only object nodes carry a label that is
+            # not reserved and does not end in "[]" (the array labels); they
+            # are listed per class.  Nodes added since are in the label index,
+            # copied here so that a caller may add nodes while it iterates.
             if isinstance(label, str) and label not in RESERVED_LABELS and not label.endswith("[]"):
-                return map(self.node, self._by_class.get(label, ()))
+                added = tuple(self._by_label.get(label, ()))
+                return map(self.node, chain(self._numbering.by_class.get(label, ()), added))
             self.fill()
         return PropertyGraph.nodes_with_label(self, label)
+
+    def add_node(self, label: str, properties: dict | None = None, *, node_id: int | None = None) -> int:
+        if node_id is not None and not self._filled:
+            self.fill()
+        return PropertyGraph.add_node(self, label, properties, node_id=node_id)
+
+    def add_relationship(self, label: str, start: int, end: int, properties: dict | None = None) -> int:
+        if not self._filled:
+            self._ensure_out(start)  # built first, so the new edge goes after its numbered ones
+            self.node(end)
+            self._in.setdefault(end, [])  # ``fill`` rebuilds the incoming lists; nothing reads them before
+        return PropertyGraph.add_relationship(self, label, start, end, properties)
 
     nodes = _filled_first(PropertyGraph.nodes)
     relationships = _filled_first(PropertyGraph.relationships)
     relationships_with_label = _filled_first(PropertyGraph.relationships_with_label)
-    add_node = _filled_first(PropertyGraph.add_node)
-    add_relationship = _filled_first(PropertyGraph.add_relationship)
     remove_relationship = _filled_first(PropertyGraph.remove_relationship)
     set_field_edge = _filled_first(PropertyGraph.set_field_edge)
     copy = _filled_first(PropertyGraph.copy)

@@ -11,11 +11,12 @@ from heapquery.api import (
     query_string,
     query_unbounded,
 )
-from heapquery.errors import CursorError, DanglingReferenceError, PipelineError, UnknownColumnError
+from heapquery.errors import CursorError, DanglingReferenceError, ExtractionConfigError, PipelineError, UnknownColumnError
 from heapquery.snapshot_io import graph_to_snapshot, load_snapshot
 from heapquery.subgraph import ClassInfo, ExtractionConfig, FieldDecl, HeapObject, HeapSnapshot, Ref, extract
 
 from .conftest import CONTAINS_KEY_QUERY, DATA, REPOK_QUERY, TWO_HOP_QUERY, UID, build_tree_graph
+from .generators import build_large_snapshot
 from .oracles import reachable_from
 
 
@@ -48,6 +49,15 @@ class TestQueryBounded:
         rs = query_bounded(ctx, [UID["a"], UID["d"]], "MATCH (n:`BinaryTree$Node`) RETURN count(n)")
         rs.next()
         assert rs.get(0) == 2
+
+    @pytest.mark.parametrize("cache", [False, True])
+    @pytest.mark.parametrize("root", [True, 1.0, "1", [[1]], [1, True]])
+    def test_root_ids_must_be_integers(self, root, cache):
+        ctx = QueryContext(build_large_snapshot()[0], cache_extractions=cache)
+        with pytest.raises(PipelineError) as exc:
+            query_bounded(ctx, root, "MATCH (n) RETURN count(n)")
+        assert exc.value.stage == "extract"
+        assert isinstance(exc.value.__cause__, ExtractionConfigError)
 
 
 class TestQueryUnbounded:
@@ -191,6 +201,14 @@ class TestExtractionMemo:
         first = query_unbounded(ctx, "MATCH (n) RETURN count(n)")
         second = query_unbounded(ctx, "MATCH (n) RETURN count(n)")
         assert first._graph is second._graph
+
+    def test_root_order_shares_one_entry(self, tree_snapshot):
+        ctx = QueryContext(tree_snapshot, cache_extractions=True)
+        first = query_bounded(ctx, [UID["a"], UID["d"]], "MATCH (n) RETURN count(n)")
+        second = query_bounded(ctx, [UID["d"], UID["a"], UID["d"]], "MATCH (n) RETURN count(n)")
+        assert first._graph is second._graph
+        assert len(ctx._cache) == 1
+        assert len(tree_snapshot._numberings) == 1
 
     def test_cached_graph_is_filled(self, tree_snapshot):
         ctx = QueryContext(tree_snapshot, cache_extractions=True)

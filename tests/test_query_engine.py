@@ -6,7 +6,7 @@ import pytest
 
 from heapquery.cypher_ast import NodePattern, PathPattern, RelPattern
 from heapquery.cypher_frontend import expand_positional, parse, validate
-from heapquery.errors import TypeMismatchError
+from heapquery.errors import ExecutionError, TypeMismatchError
 from heapquery.property_graph import PropertyGraph, structurally_equal
 from heapquery.query_engine import (
     ABSENT,
@@ -156,6 +156,44 @@ class TestEvalExpression:
         assert len(kept.rows) == 1
         dropped, _ = execute(expanded("MATCH (n:A) WHERE n.q = 1 AND n.p = 1 RETURN n", []), g)
         assert dropped.rows == []
+
+
+class TestAggregatingReturn:
+    @staticmethod
+    def graph() -> PropertyGraph:
+        g = PropertyGraph()
+        for props in ({"p": 1, "k": 7}, {"p": 2, "k": 7}, {"p": 2, "k": 7, "q": "x"}):
+            g.add_node("A", props)
+        return g
+
+    @pytest.mark.parametrize(
+        "text, row",
+        [
+            ("MATCH (n:A) RETURN count(n) > 2 AND count(DISTINCT n.p) = 2", (True, )),
+            ("MATCH (n:A) RETURN count(n.q), n.k = 7 OR count(*) < 0, n.k = count(*)", (1, True, False)),
+            ("MATCH (n:A) RETURN NOT count(n.missing) > 0, n.missing = count(n)", (True, ABSENT)),
+            ("MATCH (n:A), (m:A {p: 1}) RETURN equals(m, m) AND count(*) = 3", (True,)),
+        ],
+    )
+    def test_values(self, text, row):
+        table, _ = execute(expanded(text, []), self.graph())
+        assert table.rows == [row]
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("MATCH (n:A) RETURN n.p = count(n)", ExecutionError, "n.p is not constant across rows; grouped aggregation is not supported"),
+            ("MATCH (n:A) RETURN equals(n, n) AND count(n) > 0", ExecutionError, "n is not constant across rows; grouped aggregation is not supported"),
+            ("MATCH (n:A) RETURN NOT count(n)", TypeMismatchError, "NOT needs a boolean, got 3"),
+            ("MATCH (n:A) RETURN count(n) AND true", TypeMismatchError, "AND needs a boolean, got 3"),
+            ("MATCH (n:A) RETURN false OR count(n)", TypeMismatchError, "OR needs a boolean, got 3"),
+            ("MATCH (n:A) RETURN count(n) < 'x'", TypeMismatchError, "cannot order 3 < 'x'"),
+        ],
+    )
+    def test_errors(self, text, error, message):
+        with pytest.raises(error) as exc:
+            execute(expanded(text, []), self.graph())
+        assert str(exc.value) == message
 
 
 class TestExecute:

@@ -3,17 +3,21 @@
 A SnapshotGraph numbers every node and relationship up front and builds
 them on first touch.  Filled, it must equal ``oracles.reference_extract``
 in ids, labels, properties, endpoints and adjacency; partly built, it must
-give the same query rows in the same order.
+give the same query rows in the same order.  Graphs extracted with one key
+share that numbering and nothing else.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from heapquery import subgraph
+from heapquery.api import QueryContext, query_bounded
 from heapquery.cypher_frontend import expand_positional
-from heapquery.errors import NodeNotFoundError, RelationshipNotFoundError
+from heapquery.errors import NodeNotFoundError, RelationshipNotFoundError, UnknownRootError
 from heapquery.subgraph import (
     ClassInfo,
     ExtractionConfig,
@@ -25,6 +29,7 @@ from heapquery.subgraph import (
     SnapshotGraph,
     collect,
     extract,
+    follow_references,
 )
 
 from .conftest import CONTAINS_KEY_QUERY, REACHABLE_QUERY, REPOK_QUERY, TWO_HOP_QUERY, UID, run_query
@@ -156,6 +161,138 @@ def test_filled_graph_equals_reference_extract():
         assert graph.add_relationship("extra", new_node, new_node) == expected.add_relationship("extra", new_node, new_node)
         assert graph.audit() == []
     assert lazy_cases > 50
+
+
+def _random_writes(rng: random.Random, node_count: int) -> list:
+    """``add_node`` and ``add_relationship`` calls on a graph of ``node_count`` nodes, some between new nodes."""
+    writes = []
+    for _ in range(rng.randint(1, 5)):
+        if not node_count or rng.random() < 0.4:
+            props = rng.choice([{}, {"v": 1}, {"$uid": rng.randint(0, 13)}])
+            writes.append(("add_node", rng.choice(["demo.C0", "demo.C1", "Extra"]), props))
+            node_count += 1
+        else:
+            writes.append(("add_relationship", "extra", rng.randrange(node_count), rng.randrange(node_count)))
+    return writes
+
+
+def _apply(graph, writes) -> list[int]:
+    return [getattr(graph, name)(*args) for name, *args in writes]
+
+
+def _assert_same_graph(graph, expected):
+    assert _nodes(graph) == _nodes(expected)
+    assert _rels(graph) == _rels(expected)
+    for node in expected.nodes():
+        for direction in ("out", "in"):
+            got = [(r.id, o.id) for r, o in graph.neighbors(node.id, direction)]
+            assert got == [(r.id, o.id) for r, o in expected.neighbors(node.id, direction)]
+    assert graph.audit() == []
+
+
+def test_repeated_extractions_share_the_numbering_and_not_the_graph():
+    rng = random.Random(607)
+    for _ in range(300):
+        snapshot = _with_hierarchy_and_statics(rng, random_snapshot(rng))
+        config = _random_config(rng, snapshot)
+        expected = reference_extract(snapshot, config)
+        labels = ["demo.C0", "demo.C1", "Extra"]
+
+        # Writes on an unfilled graph append without filling, and a later
+        # fill gives what filling first would have.
+        written = extract(snapshot, config)
+        if rng.random() < 0.5:
+            _touch_and_compare(rng, written, expected)
+        writes = _random_writes(rng, expected.node_count)
+        filled_first = extract(snapshot, config).fill()
+        assert _apply(written, writes) == _apply(filled_first, writes)
+        assert not written._filled
+        for label in labels:
+            assert [n.id for n in written.nodes_with_label(label)] == [n.id for n in filled_first.nodes_with_label(label)]
+        for uid in range(14):
+            assert [n.id for n in written.nodes_with_uid(uid)] == [n.id for n in filled_first.nodes_with_uid(uid)]
+        rows = _rows(written, "MERGE (m:`demo.C1` {v: 1}) RETURN m")
+        assert rows == _rows(filled_first, "MERGE (m:`demo.C1` {v: 1}) RETURN m")
+        _rows(written, "CREATE (x:`demo.C0` {v: 2}) RETURN x")
+        assert not written._filled
+        written.fill()
+        _rows(filled_first, "CREATE (x:`demo.C0` {v: 2}) RETURN x")
+        _assert_same_graph(written, filled_first)
+
+        # The second and third graph with the key see none of those writes,
+        # and share no property map with the written graphs.
+        roots = config.root_ids()
+        reordered = replace(config, root=None if roots is None else roots[::-1])
+        for again in (extract(snapshot, config), extract(snapshot, reordered)):
+            for label in labels:
+                assert [n.id for n in again.nodes_with_label(label)] == [n.id for n in expected.nodes_with_label(label)]
+            _assert_same_graph(again, expected)
+            for rel in again.relationships():
+                assert rel.properties is not written.relationship(rel.id).properties
+        assert len(snapshot._numberings) == 1
+
+
+def test_list_properties_are_not_shared():
+    cls = ClassInfo("A", None, (FieldDecl("xs", "primitive-array", "int[]"),), {"ys": [4]})
+    snapshot = HeapSnapshot([cls], [HeapObject(1, "A", {"xs": [1, 2]})], {})
+    for config in (ExtractionConfig(root=1), ExtractionConfig()):
+        graph = extract(snapshot, config)
+        graph.node(0).properties["xs"].append(3)
+        graph.node(1).properties["ys"].append(5)
+        again = extract(snapshot, config)
+        assert (again.node(0).properties["xs"], again.node(1).properties["ys"]) == ([1, 2], [4])
+    assert snapshot.object(1).fields["xs"] == [1, 2]
+
+
+def test_adding_nodes_while_iterating_an_unfilled_lookup():
+    graph = extract(_chain_snapshot(5), ExtractionConfig())
+    graph.add_node("c.Cell", {"$uid": 3})
+    for _ in graph.nodes_with_label("c.Cell"):  # 5 numbered and 1 added
+        graph.add_node("c.Cell", {"$uid": 3})
+    for _ in graph.nodes_with_uid(3):  # 1 numbered and 7 added
+        graph.add_node("c.Cell", {"$uid": 3})
+    assert not graph._filled
+    assert (len(list(graph.nodes_with_label("c.Cell"))), len(list(graph.nodes_with_uid(3)))) == (20, 16)
+
+
+def test_unknown_root_leaves_no_numbering():
+    snapshot = _chain_snapshot(10)
+    for root in (404, [1, 404]):
+        for _ in range(2):
+            with pytest.raises(UnknownRootError):
+                extract(snapshot, ExtractionConfig(root=root))
+        assert snapshot._numberings == {}
+    extract(snapshot, ExtractionConfig(root=[1, 1]))
+    assert list(snapshot._numberings) == [ExtractionConfig(root=1).key()]
+
+
+def test_kept_numberings_hold_at_most_the_snapshot_objects():
+    snapshot = _chain_snapshot(50)  # root i reaches the 51 - i objects from i on
+    held = lambda: sum(len(n.included) for n in snapshot._numberings.values())  # noqa: E731
+    for root in (41, 31, 41, 21, 46):
+        graph = extract(snapshot, ExtractionConfig(root=root))
+        assert held() <= len(snapshot.objects)
+        assert next(reversed(snapshot._numberings)) == ExtractionConfig(root=root).key()
+        assert [n.properties["$uid"] for n in graph.nodes_with_label("c.Cell")] == list(range(root, 51))
+    # 10 + 20 + 30 objects do not fit: 31 was used least recently, and is dropped
+    assert [key[0] for key in snapshot._numberings] == [{41}, {21}, {46}]
+    extract(snapshot, ExtractionConfig(root=1))
+    assert [key[0] for key in snapshot._numberings] == [{1}]
+
+
+def test_repeated_root_does_not_follow_references_again(monkeypatch):
+    calls = []
+
+    def counting(snapshot, start_ids):
+        calls.append(list(start_ids))
+        return follow_references(snapshot, start_ids)
+
+    monkeypatch.setattr(subgraph, "follow_references", counting)
+    snapshot, headers, _, data = _probe_snapshot(random.Random(8))
+    ctx = QueryContext(snapshot)
+    for root in ([headers[0], headers[1]], [headers[1], headers[0]], headers[1], [headers[1]]):
+        query_bounded(ctx, root, PROBE_UID, data[1][0])
+    assert calls == [[headers[0], headers[1]], [headers[1]]]
 
 
 # --- query rows on fresh graphs -------------------------------------------------------
@@ -331,12 +468,20 @@ def test_write_after_partial_reads_keeps_identity():
     built_rels = dict(graph._rels)
     assert built_nodes and not graph._filled
     rows = _rows(graph, "MATCH (r {$1}) CREATE (r)-[:extra]->(x:@2 {value: -1}) RETURN x", headers[0], "bench.Data")
-    assert graph._filled and len(rows) == 1
+    assert not graph._filled and len(rows) == 1  # the write appended without filling
+    assert all(graph.node(node_id) is node for node_id, node in built_nodes.items())
+    assert all(graph.relationship(rel_id) is rel for rel_id, rel in built_rels.items())
+    graph.fill()
     assert all(graph.node(node_id) is node for node_id, node in built_nodes.items())
     assert all(graph.relationship(rel_id) is rel for rel_id, rel in built_rels.items())
     assert list(graph._nodes) == sorted(graph._nodes)
     assert list(graph._rels) == sorted(graph._rels)
     assert graph.audit() == []
+
+
+# Writes that append above the numbered range without filling.
+_ADD_NODE = lambda g: g.add_node("New")  # noqa: E731
+_ADD_RELATIONSHIP = lambda g: g.add_relationship("new", 0, 1)  # noqa: E731
 
 
 @pytest.mark.parametrize(
@@ -352,16 +497,17 @@ def test_write_after_partial_reads_keeps_identity():
         lambda g: list(g.nodes_with_label("c.Cell[]")),
         lambda g: g.copy(),
         lambda g: g.audit(),
-        lambda g: g.add_node("New"),
-        lambda g: g.add_relationship("new", 0, 1),
+        _ADD_NODE,
+        _ADD_RELATIONSHIP,
         lambda g: g.remove_relationship(0),
         lambda g: g.set_field_edge("next", 0, 0),
+        lambda g: g.add_node("New", node_id=20),
     ],
 )
 def test_whole_graph_calls_fill_first(touch):
     graph = extract(_chain_snapshot(5), ExtractionConfig())
     touch(graph)
-    assert graph._filled
+    assert graph._filled is (touch not in (_ADD_NODE, _ADD_RELATIONSHIP))
     assert graph.audit() == []
 
 

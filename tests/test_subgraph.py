@@ -25,7 +25,7 @@ from heapquery.subgraph import (
 )
 
 from .conftest import UID, build_tree_graph
-from .generators import random_snapshot
+from .generators import build_large_snapshot, random_snapshot
 from .oracles import reachable_from
 
 
@@ -113,6 +113,13 @@ class TestExtract:
     def test_unknown_root_rejected(self, tree_snapshot):
         with pytest.raises(UnknownRootError):
             extract(tree_snapshot, ExtractionConfig(root=404))
+
+    @pytest.mark.parametrize("root", [True, 1.0, "1", [[1]], [1, False], (1, 2.0)])
+    def test_root_ids_must_be_integers(self, root):
+        snapshot, *_ = build_large_snapshot()  # holds an object with id 1
+        with pytest.raises(ExtractionConfigError, match="root ids must be integers"):
+            extract(snapshot, ExtractionConfig(root=root))
+        assert snapshot._numberings == {}
 
     def test_force_collect_drops_garbage(self, tree_snapshot):
         extra = [HeapObject(200, "BinaryTree$Node", {"value": 9})]
