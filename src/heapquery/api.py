@@ -129,12 +129,12 @@ class QueryContext:
     query from a root set used before does not visit the reachable objects
     again, and each query builds only the nodes and edges it touches.
 
-    ``cache_extractions`` instead keeps the graph itself per key, fully
-    built when stored, so later queries build nothing; it costs memory for
-    every node and edge of every cached graph, without a bound.  It is off
-    by default.  A write query (one with a CREATE or MERGE clause) on a
-    caching context runs on a copy of the cached graph, so its writes, and
-    those of a write query that fails, are not seen by later queries.
+    ``cache_extractions`` instead keeps the graph itself per key, filled
+    when stored (the numbering is then dropped), so later queries build
+    nothing; it costs memory for every node and edge of every cached graph,
+    without a bound.  It is off by default.  A write query (one with a
+    CREATE or MERGE clause) on a caching context runs on a copy of the cached
+    graph, so its writes, and those of a failing one, are not seen later.
     """
 
     snapshot: HeapSnapshot
@@ -152,6 +152,7 @@ class QueryContext:
         graph = self._cache.get(key)
         if graph is None:
             graph = self._cache[key] = extract(self.snapshot, config).fill()
+            self.snapshot._numberings.pop(key, None)  # the filled graph never reads it again
         return graph
 
 

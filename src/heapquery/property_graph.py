@@ -10,11 +10,13 @@ Costs: ``nodes()`` sorts only after ``add_node(node_id=...)`` inserted an id
 below an existing one; ``relationships()`` never sorts, because relationship
 ids only grow and removal keeps the order of the rest; ``neighbors()``
 returns the adjacency lists, which are kept in ascending relationship id,
-without sorting (``both`` merges the two lists).  ``nodes_with_label``,
-``nodes_with_uid`` and ``relationships_with_label`` cost O(matches): each
-reads an index that is built on its first lookup and from then on kept up to
-date by ``add_node`` (node indexes), ``add_relationship`` and
-``remove_relationship`` (the relationship label index) and ``copy``.
+without sorting (``both`` merges the two lists).  ``node_ids_with_label``,
+``nodes_with_label``, ``nodes_with_uid`` and ``relationships_with_label``
+cost O(matches): each reads an index that is built on its first lookup and
+from then on kept up to date by ``add_node`` (node indexes),
+``add_relationship`` and ``remove_relationship`` (the relationship label
+index) and ``copy``.  The node lookups iterate a copy of the index list, so
+a caller may add nodes while it iterates.
 
 For the query planner the graph also keeps an equality index.
 ``equal_nodes`` reads it; it maps each node's ``structural_key`` (what
@@ -255,18 +257,20 @@ class PropertyGraph:
         # copy lets a caller add or remove relationships while it iterates.
         return iter(list(self._rels.values()))
 
-    def nodes_with_label(self, label: str) -> Iterator[Node]:
+    def node_ids_with_label(self, label: str) -> list[int]:
+        """Ids of the nodes labeled ``label``, ascending (a copy of the index list)."""
         if self._by_label is None:
             self._by_label = _build_index(self.nodes(), _label_key)
-        for node_id in self._by_label.get(label, ()):
-            yield self._nodes[node_id]
+        return list(self._by_label.get(label, ()))
+
+    def nodes_with_label(self, label: str) -> Iterator[Node]:
+        return map(self.node, self.node_ids_with_label(label))
 
     def nodes_with_uid(self, uid: int) -> Iterator[Node]:
         """Nodes whose ``$uid`` property is the integer ``uid``."""
         if self._by_uid is None:
             self._by_uid = _build_index(self.nodes(), _uid_key)
-        for node_id in self._by_uid.get(uid, ()):
-            yield self._nodes[node_id]
+        return map(self.node, list(self._by_uid.get(uid, ())))
 
     def relationships_with_label(self, label: str) -> Iterator[Relationship]:
         """Relationships labeled ``label``, in ascending id order."""
@@ -292,8 +296,8 @@ class PropertyGraph:
         index = self._by_structure.get(key[0])
         if index is None:
             index = self._by_structure[key[0]] = {}
-            for node in self.nodes_with_label(key[0]):
-                index.setdefault(self.structural_key(node.id), []).append(node.id)
+            for other in self.node_ids_with_label(key[0]):
+                index.setdefault(self.structural_key(other), []).append(other)
         return index.get(key, [])
 
     # -- mutation -------------------------------------------------------------

@@ -12,6 +12,9 @@ Matching semantics:
   zero-length paths (``*0..``) always stay on the start node.
 * Paths have no length limit: the matcher is one loop over an explicit
   stack, not a recursion per hop.
+* A closed walk of no upper bound, out or in (``(m)-[:f*]->(m)``), only
+  steps inside its start's strongly connected component, found by Tarjan's
+  algorithm: a cost cut only, since no pruned branch could return.
 * Reachability consumed only as a set is a breadth-first search instead of
   path enumeration.  That holds for a single non-optional MATCH of one
   variable-length segment (no relationship variable, lower bound 0 or 1)
@@ -20,7 +23,8 @@ Matching semantics:
   distinct rows of the enumeration, ordered by start id, then target id.
   Everything else, ``count(n)`` included, enumerates paths.
 * A start node pattern with an integer ``$uid`` or a label is looked up in
-  the graph's ``$uid`` or label index, so it costs O(matches), not O(nodes).
+  the graph's ``$uid`` or label index, so it costs O(matches), not O(nodes);
+  a label alone builds no node.
 * A query of non-optional MATCH clauses, at most one WHERE after them and a
   RETURN with a count is planned (``_planned``): single-node clauses pinned
   by ``$uid`` run first; a WHERE that is exactly ``equals(x, y)``, with ``y``
@@ -158,7 +162,8 @@ def _start_candidates(graph: PropertyGraph, pattern: NodePattern, binding: dict)
 
     A bound variable gives its one node; otherwise the ``$uid`` index (for an
     integer ``$uid`` literal), then the label index, then a full scan supply
-    the candidates, each checked against the whole pattern.
+    the candidates, each checked against the whole pattern.  A pattern of a
+    label alone takes the label index's ids as they are, building no node.
     """
     if pattern.var is not None and pattern.var in binding:
         value = binding[pattern.var]
@@ -167,6 +172,8 @@ def _start_candidates(graph: PropertyGraph, pattern: NodePattern, binding: dict)
         if not isinstance(value, NodeRef):
             raise ExecutionError(f"variable {pattern.var!r} is not a node")
         return [value.id] if _node_matches(graph, value.id, pattern) else []
+    if pattern.label is not None and not pattern.properties:
+        return graph.node_ids_with_label(pattern.label)
     uid = _uid_literal(pattern)
     if uid is not None:
         candidates = graph.nodes_with_uid(uid)
@@ -220,6 +227,9 @@ def _match_path(
     (default: ``_start_candidates``).  ``reverse`` matches the path from its
     last node, which gives the same rows in another order when
     ``_reversible`` holds; ``starts`` are then the last node's candidates.
+    An unbounded out or in segment that must end where it starts steps only
+    to nodes in its start's strongly connected component (``_components``):
+    a walk that leaves it never returns, so the rows stay the same.
     """
     if reach_only and path.nodes[-1].var not in binding:
         return _match_reachable(graph, _reversed(path) if reverse else path, binding, starts)
@@ -235,8 +245,18 @@ def _match_path(
     for seg, rel in enumerate(path.rels):
         node = path.nodes[seg + 1]
         checked = node.label is not None or bool(node.properties)
-        plan.append((rel, rel.hops.variable_length, *rel.hops.bounds(), node, checked, closes[seg]))
+        lo, hi = rel.hops.bounds()
+        # A segment that must end where it starts gets a component map, filled as it goes.
+        returns = hi is None and rel.direction != "both" and node.var is not None and node.var == path.nodes[seg].var
+        plan.append((rel, rel.hops.variable_length, lo, hi, node, checked, closes[seg], {} if returns else None))
+    types = [frozenset(rel.types) if rel.types else None for rel in path.rels]
     step_caches: list[dict[int, list]] = [{} for _ in path.rels]
+
+    def steps_of(seg: int, node_id: int) -> list:
+        steps = step_caches[seg].get(node_id)
+        if steps is None:
+            steps = step_caches[seg][node_id] = graph.neighbors(node_id, path.rels[seg].direction, types[seg])
+        return steps
 
     results: list[dict] = []
     used: set[int] = set()
@@ -259,11 +279,8 @@ def _match_path(
         if via is not None:
             used.add(via)
             stack.append(via)
-        rel_pattern, variable_length, lo, hi, target, checked, closes = plan[seg]
-        steps = step_caches[seg].get(node_id)
-        if steps is None:
-            types = frozenset(rel_pattern.types) if rel_pattern.types else None
-            steps = step_caches[seg][node_id] = graph.neighbors(node_id, rel_pattern.direction, types)
+        rel_pattern, variable_length, lo, hi, target, checked, closes, comps = plan[seg]
+        steps = steps_of(seg, node_id)
         ends = seg + 1 == last
         if not variable_length:
             found = []
@@ -288,8 +305,13 @@ def _match_path(
                 stack.extend(reversed(found))
             continue
         if hi is None or depth < hi:
+            scc = None
+            if comps is not None:
+                if seg_start not in comps:
+                    _components(seg_start, lambda n, seg=seg: steps_of(seg, n), comps)
+                scc = comps[seg_start]
             for rel, other in reversed(steps):
-                if rel.id not in used:
+                if rel.id not in used and (scc is None or comps[other.id] == scc):
                     stack.append((seg, seg_start, other.id, depth + 1, binding, rel.id))
         # A path may end here; it is explored before any longer one.  A
         # closed walk counts only when the target is pinned to a bound node.
@@ -302,6 +324,43 @@ def _match_path(
             elif nxt is not None:
                 stack.append((seg + 1, node_id, node_id, 0, nxt, None))
     return results
+
+
+def _components(start: int, steps, comps: dict[int, int]) -> None:
+    """Find the strongly connected components of the nodes ``start`` reaches.
+
+    Tarjan's algorithm over an explicit stack.  ``steps(node_id)`` gives a
+    node's ``(relationship, node)`` pairs.  Each reached node missing from
+    ``comps`` is entered there with the id of its component's root.  Nodes
+    already in ``comps`` are passed over: their components, found by an
+    earlier call, are complete.
+    """
+    index = {start: 0}
+    low = {start: 0}
+    pending = [start]  # reached nodes whose component is not yet known
+    work = [(start, iter(steps(start)))]
+    while work:
+        node_id, edges = work[-1]
+        for _, other in edges:
+            nxt = other.id
+            if nxt in comps:
+                continue
+            if nxt not in index:
+                index[nxt] = low[nxt] = len(index)
+                pending.append(nxt)
+                work.append((nxt, iter(steps(nxt))))
+                break
+            low[node_id] = min(low[node_id], index[nxt])
+        else:
+            work.pop()
+            if low[node_id] == index[node_id]:
+                member = None
+                while member != node_id:
+                    member = pending.pop()
+                    comps[member] = node_id
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node_id])
 
 
 def _reachable(graph: PropertyGraph, start: int, rel_pattern: RelPattern) -> list[int]:
@@ -742,10 +801,26 @@ def _aggregated(expr, rows: list[dict], graph: PropertyGraph):
     if isinstance(expr, Count):
         if expr.expr is None:
             return Literal(len(rows))
-        values = [value for value in (eval_expression(row, expr.expr, graph) for row in rows) if value is not ABSENT]
+        try:  # a variable is read from each row, unless a row lacks it
+            values = [row[expr.expr.name] for row in rows] if isinstance(expr.expr, Variable) else None
+        except KeyError:
+            values = None
+        if values is None:
+            values = [eval_expression(row, expr.expr, graph) for row in rows]
+        values = [value for value in values if value is not ABSENT]
         return Literal(len({cell_tag(v) for v in values}) if expr.distinct else len(values))
     if isinstance(expr, (Variable, PropertyAccess)):
-        if len({cell_tag(eval_expression(row, expr, graph)) for row in rows}) > 1:
+        # The leaf's value depends only on the variable's value: one row per
+        # distinct bound object (by identity, first occurrence first) will do.
+        name = expr.name if isinstance(expr, Variable) else expr.var
+        firsts: dict[int, dict] = {}
+        try:
+            for row in rows:
+                firsts.setdefault(id(row[name]), row)
+            sample = firsts.values()
+        except KeyError:
+            sample = rows
+        if len({cell_tag(eval_expression(row, expr, graph)) for row in sample}) > 1:
             raise ExecutionError(
                 f"{expression_text(expr)} is not constant across rows; grouped aggregation is not supported"
             )

@@ -576,11 +576,12 @@ class SnapshotGraph(PropertyGraph):
     Built on demand, without filling the graph: ``node``, ``relationship``,
     ``neighbors(..., "out")`` (a node's outgoing edges, and for a reference
     array field also the array node and its ``element`` edges),
-    ``nodes_with_uid``, and ``nodes_with_label`` and ``equal_nodes`` for a
-    label that only object nodes can carry.  ``add_node`` without an
-    explicit id and ``add_relationship`` append above the numbered range
-    without filling (building only the new edge's endpoints and the start's
-    outgoing edges), and the lookups above find the nodes they add.  Every
+    ``nodes_with_uid``, and ``node_ids_with_label`` (which builds no node),
+    ``nodes_with_label`` and ``equal_nodes`` for a label only objects carry.
+    ``add_node`` without an explicit id and ``add_relationship`` append above
+    the numbered range without filling (building only the new edge's
+    endpoints and the start's outgoing edges), and the lookups above find the
+    nodes they add.  Every
     other method first fills the graph (``fill``), and from then on the
     graph behaves exactly like a PropertyGraph, with the same ids and
     adjacency as if it had been filled before the writes.  Nodes and
@@ -797,17 +798,15 @@ class SnapshotGraph(PropertyGraph):
         numbered = () if node_id is None else (node_id,)
         return map(self.node, chain(numbered, tuple(self._by_uid.get(uid, ()))))
 
-    def nodes_with_label(self, label: str) -> Iterator[Node]:
+    def node_ids_with_label(self, label: str) -> list[int]:
         if not self._filled:
             # Of the numbered nodes, only object nodes carry a label that is
             # not reserved and does not end in "[]" (the array labels); they
-            # are listed per class.  Nodes added since are in the label index,
-            # copied here so that a caller may add nodes while it iterates.
+            # are listed per class.  Nodes added since are in the label index.
             if isinstance(label, str) and label not in RESERVED_LABELS and not label.endswith("[]"):
-                added = tuple(self._by_label.get(label, ()))
-                return map(self.node, chain(self._numbering.by_class.get(label, ()), added))
+                return self._numbering.by_class.get(label, []) + self._by_label.get(label, [])
             self.fill()
-        return PropertyGraph.nodes_with_label(self, label)
+        return PropertyGraph.node_ids_with_label(self, label)
 
     def add_node(self, label: str, properties: dict | None = None, *, node_id: int | None = None) -> int:
         if node_id is not None and not self._filled:
