@@ -1,8 +1,10 @@
 """Public query facade over a heap snapshot.
 
 A QueryContext owns a snapshot plus default extraction settings.  Each call
-runs the full pipeline: expand positional arguments, extract the (sub)graph,
-parse, validate, execute, and wrap rows in a ResultSet.  Bounded queries
+runs the one query pipeline, which the CLI's ``query`` and ``repl`` share:
+expand positional arguments, extract the (sub)graph, parse, validate (and
+lint the first query into ``ResultSet.warnings``), execute, and wrap rows
+in a ResultSet.  Bounded queries
 restrict extraction to objects reachable from the supplied root(s);
 unbounded queries see every object in the snapshot, including unreachable
 ones unless force-collect is enabled.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-from .cypher_frontend import expand_positional, parse, validate
+from .cypher_frontend import expand_positional, lint, parse, validate
 from .errors import (
     CastError,
     CursorError,
@@ -50,12 +52,13 @@ class ResultSet:
     ``next()`` advances to the following row and reports whether one exists;
     accessors are valid only after it returned True.  Node-valued cells are
     returned as their ``$uid`` by ``get`` and as graph nodes by ``get_node``.
+    ``warnings`` holds the lint diagnostics of the (first) query.
     """
 
-    def __init__(self, table: ResultTable, graph: PropertyGraph, snapshot: HeapSnapshot | None = None):
+    def __init__(self, table: ResultTable, graph: PropertyGraph, warnings=()):
         self._table = table
         self._graph = graph
-        self._snapshot = snapshot
+        self.warnings = list(warnings)
         self._row = 0  # 1-based once positioned
 
     @property
@@ -156,57 +159,57 @@ class QueryContext:
         return graph
 
 
-def _stage(timings: dict | None, name: str, started: float):
-    if timings is not None:
-        timings[name] = timings.get(name, 0.0) + (time.perf_counter() - started) * 1000.0
+class _Stage:
+    """Times one pipeline stage into ``timings`` and tags its errors with the stage name."""
+
+    __slots__ = ("timings", "name", "started")
+
+    def __init__(self, timings: dict | None, name: str):
+        self.timings = timings
+        self.name = name
+
+    def __enter__(self):
+        self.started = time.perf_counter()
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, Exception):
+            raise PipelineError(self.name, exc) from exc
+        if exc is None and self.timings is not None:
+            elapsed = (time.perf_counter() - self.started) * 1000.0
+            self.timings[self.name] = self.timings.get(self.name, 0.0) + elapsed
 
 
 @collector_paused()
-def _run_pipeline(ctx: QueryContext, root, fmt: str, args, timings: dict | None = None) -> ResultSet:
-    t0 = time.perf_counter()
-    try:
+def _run_pipeline(ctx: QueryContext, root, fmt: str, args, timings: dict | None = None, session=None) -> ResultSet:
+    """Expand, extract, parse, validate (and lint), execute.
+
+    A ``session`` graph takes the place of the extraction.  It is shared
+    with later queries, as a cached graph is, so a write runs on a copy of
+    it, which the result holds.
+    """
+    with _Stage(timings, "expand"):
         expansion = expand_positional(fmt, args)
-    except Exception as exc:
-        raise PipelineError("expand", exc) from exc
-    _stage(timings, "expand", t0)
-
-    t0 = time.perf_counter()
-    try:
-        config = replace(ctx.defaults, root=root)
-        graph = ctx._extract(config)
-    except Exception as exc:
-        raise PipelineError("extract", exc) from exc
-    _stage(timings, "extract", t0)
-
-    t0 = time.perf_counter()
-    try:
+    if session is None:
+        with _Stage(timings, "extract"):
+            graph = ctx._extract(replace(ctx.defaults, root=root))
+    else:
+        graph = session
+    with _Stage(timings, "parse"):
         queries = [parse(text) for text in expansion.queries()]
-    except Exception as exc:
-        raise PipelineError("parse", exc) from exc
-    _stage(timings, "parse", t0)
-
-    t0 = time.perf_counter()
-    try:
+    with _Stage(timings, "validate"):
         for query in queries:
             diagnostics = validate(query)
             if diagnostics:
                 raise QueryValidationError(diagnostics)
-    except Exception as exc:
-        raise PipelineError("validate", exc) from exc
-    _stage(timings, "validate", t0)
-
-    t0 = time.perf_counter()
-    try:
-        if ctx.cache_extractions and any(query.writes for query in queries):
-            graph = graph.copy()  # the cached graph is shared by later queries
+        warnings = lint(queries[0]) if queries else []
+    with _Stage(timings, "execute"):
+        if (session is not None or ctx.cache_extractions) and any(query.writes for query in queries):
+            graph = graph.copy()  # later queries read the shared graph
         if expansion.is_batch:
             table, graph = execute_batch(queries, graph)
         else:
             table, graph = execute(queries[0], graph)
-    except Exception as exc:
-        raise PipelineError("execute", exc) from exc
-    _stage(timings, "execute", t0)
-    return ResultSet(table, graph, ctx.snapshot)
+    return ResultSet(table, graph, warnings)
 
 
 def query_bounded(ctx: QueryContext, root, fmt: str, *args, timings: dict | None = None) -> ResultSet:
@@ -223,48 +226,36 @@ def query_unbounded(ctx: QueryContext, fmt: str, *args, timings: dict | None = N
     return _run_pipeline(ctx, None, fmt, args, timings)
 
 
-def _single_cell(rs: ResultSet):
+def _scalar_query(ctx: QueryContext, root, fmt: str, args, kind: str, fits):
+    """The single cell of a 1x1 result, and the ResultSet; ``fits(value)`` checks its ``kind``."""
+    rs = _run_pipeline(ctx, root, fmt, args)
     table = rs.table
     if table.row_count != 1 or len(table.columns) != 1:
         raise PipelineError("result", ShapeError(table.row_count, len(table.columns)))
     rs.next()
-    return table.rows[0][0], rs
-
-
-def _scalar_query(ctx: QueryContext, root, fmt: str, args):
-    if root is None:
-        rs = query_unbounded(ctx, fmt, *args)
-    else:
-        rs = query_bounded(ctx, root, fmt, *args)
-    return _single_cell(rs)
+    value = table.rows[0][0]
+    if not fits(value):
+        raise PipelineError("result", CastError(f"expected {kind}, got {value!r}"))
+    return value, rs
 
 
 def query_boolean(ctx: QueryContext, fmt: str, *args, root=None) -> bool:
-    value, _ = _scalar_query(ctx, root, fmt, args)
-    if not isinstance(value, bool):
-        raise PipelineError("result", CastError(f"expected a boolean, got {value!r}"))
-    return value
+    return _scalar_query(ctx, root, fmt, args, "a boolean", lambda v: isinstance(v, bool))[0]
 
 
 def query_long(ctx: QueryContext, fmt: str, *args, root=None) -> int:
-    value, _ = _scalar_query(ctx, root, fmt, args)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise PipelineError("result", CastError(f"expected an integer, got {value!r}"))
-    return value
+    return _scalar_query(
+        ctx, root, fmt, args, "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)
+    )[0]
 
 
 def query_string(ctx: QueryContext, fmt: str, *args, root=None) -> str:
-    value, _ = _scalar_query(ctx, root, fmt, args)
-    if not isinstance(value, str):
-        raise PipelineError("result", CastError(f"expected a string, got {value!r}"))
-    return value
+    return _scalar_query(ctx, root, fmt, args, "a string", lambda v: isinstance(v, str))[0]
 
 
 def query_object(ctx: QueryContext, fmt: str, *args, root=None) -> tuple[int, HeapObject]:
     """Single-object query: returns (uid, snapshot object)."""
-    value, rs = _scalar_query(ctx, root, fmt, args)
-    if not isinstance(value, NodeRef):
-        raise PipelineError("result", CastError(f"expected a node, got {value!r}"))
+    value, rs = _scalar_query(ctx, root, fmt, args, "a node", lambda v: isinstance(v, NodeRef))
     node = rs._graph.node(value.id)
     uid = node.properties.get(UID_KEY)
     if uid is None or not ctx.snapshot.has_object(uid):

@@ -8,8 +8,13 @@ Subcommands:
   ARGS feed ``$``/``@``/``[]`` markers in order.
 * ``export <snapshot> -o DIR [flags]``: write nodes.csv and
   relationships.csv for the extracted subgraph.
-* ``repl <snapshot>``: interactive loop; writes accumulate in the in-memory
-  graph for the session.
+* ``repl <snapshot> [flags]``: interactive loop over one graph extracted
+  with the same flags; the writes of each query that succeeds accumulate in
+  it for the session.
+
+``query`` and ``repl`` run every query through the API's pipeline
+(``api._run_pipeline``), so they report the same stage-tagged errors and
+lint warnings.
 
 Exit codes: 0 success, 1 input/IO errors, 2 query-pipeline errors.
 """
@@ -21,12 +26,11 @@ import os
 import sys
 import tempfile
 
-from .api import QueryContext, query_bounded, query_unbounded
-from .cypher_frontend import expand_positional, lint, parse, validate
-from .errors import HeapQueryError, PipelineError, QueryValidationError
+from .api import QueryContext, ResultSet, _run_pipeline, query_bounded, query_unbounded
+from .errors import HeapQueryError, PipelineError
 from .heap_model import run_to_point
 from .property_graph import UID_KEY, PropertyGraph
-from .query_engine import ABSENT, NodeRef, RelRef, ResultTable, execute
+from .query_engine import ABSENT, NodeRef, RelRef
 from .snapshot_io import export_csv, graph_to_snapshot, load_snapshot, save_snapshot
 from .subgraph import ExtractionConfig, extract
 
@@ -62,12 +66,6 @@ def _render_cell(graph: PropertyGraph, value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
-
-
-def _print_table(table: ResultTable, graph: PropertyGraph, out) -> None:
-    print("\t".join(table.columns), file=out)
-    for row in table.rows:
-        print("\t".join(_render_cell(graph, v) for v in row), file=out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,100 +109,64 @@ def _config_from_args(args) -> ExtractionConfig:
     return ExtractionConfig(
         whitelist=args.whitelist,
         blacklist=args.blacklist,
+        root=args.root or None,
         force_collect=args.gc,
     )
 
 
-def cmd_run(args) -> int:
+def _extract_from_args(snapshot, args) -> PropertyGraph:
     try:
-        with open(args.program, "r", encoding="utf-8") as f:
-            text = f.read()
-        graph = run_to_point(text)
-        snapshot = graph_to_snapshot(graph)
-    except (OSError, HeapQueryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return extract(snapshot, _config_from_args(args))
+    except HeapQueryError as exc:
+        raise PipelineError("extract", exc) from exc
+
+
+def _print_result(rs: ResultSet) -> None:
+    """Lint warnings to stderr, then the table, tab-separated, to stdout."""
+    for warning in rs.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    print("\t".join(rs.table.columns))
+    for row in rs.table.rows:
+        print("\t".join(_render_cell(rs._graph, value) for value in row))
+
+
+def cmd_run(args) -> int:
+    with open(args.program, "r", encoding="utf-8") as f:
+        text = f.read()
+    snapshot = graph_to_snapshot(run_to_point(text))
     sys.stdout.write(save_snapshot(snapshot).decode("utf-8") + "\n")
     return 0
 
 
 def cmd_query(args) -> int:
-    try:
-        snapshot = _load_snapshot_file(args.snapshot)
-    except (OSError, HeapQueryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    ctx = QueryContext(snapshot, _config_from_args(args))
+    ctx = QueryContext(_load_snapshot_file(args.snapshot), _config_from_args(args))
     values = [_coerce_arg(a) for a in args.args]
     timings: dict | None = {} if args.time else None
-    try:
-        if args.root:
-            rs = query_bounded(ctx, args.root, args.text, *values, timings=timings)
-        else:
-            rs = query_unbounded(ctx, args.text, *values, timings=timings)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _warn_lint(args.text, values)
+    if args.root:
+        rs = query_bounded(ctx, args.root, args.text, *values, timings=timings)
+    else:
+        rs = query_unbounded(ctx, args.text, *values, timings=timings)
     if timings is not None:
         stages = " ".join(f"{name}={ms:.3f}" for name, ms in timings.items())
         print(f"time_ms {stages}", file=sys.stderr)
-    _print_table(rs.table, rs._graph, sys.stdout)
+    _print_result(rs)
     return 0
 
 
-def _warn_lint(fmt: str, values) -> None:
-    try:
-        expansion = expand_positional(fmt, values)
-        for text in expansion.queries()[:1]:
-            for warning in lint(parse(text)):
-                print(f"warning: {warning}", file=sys.stderr)
-    except HeapQueryError:
-        pass
-
-
 def cmd_export(args) -> int:
-    try:
-        snapshot = _load_snapshot_file(args.snapshot)
-    except (OSError, HeapQueryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    config = ExtractionConfig(
-        whitelist=args.whitelist,
-        blacklist=args.blacklist,
-        root=args.root or None,
-        force_collect=args.gc,
-    )
-    try:
-        graph = extract(snapshot, config)
-    except HeapQueryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    bundle = export_csv(graph)
-    try:
-        os.makedirs(args.output, exist_ok=True)
-        for name, data in (("nodes.csv", bundle.nodes), ("relationships.csv", bundle.relationships)):
-            fd, tmp = tempfile.mkstemp(dir=args.output, prefix=f".{name}.")
-            with os.fdopen(fd, "wb") as f:
-                f.write(data)
-            os.replace(tmp, os.path.join(args.output, name))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    bundle = export_csv(_extract_from_args(_load_snapshot_file(args.snapshot), args))
+    os.makedirs(args.output, exist_ok=True)
+    for name, data in (("nodes.csv", bundle.nodes), ("relationships.csv", bundle.relationships)):
+        fd, tmp = tempfile.mkstemp(dir=args.output, prefix=f".{name}.")
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, os.path.join(args.output, name))
     return 0
 
 
 def cmd_repl(args) -> int:
-    try:
-        snapshot = _load_snapshot_file(args.snapshot)
-    except (OSError, HeapQueryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        graph = extract(snapshot, _config_from_args(args))
-    except HeapQueryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ctx = QueryContext(_load_snapshot_file(args.snapshot))
+    graph = _extract_from_args(ctx.snapshot, args)
     while True:
         try:
             line = input("> ")
@@ -217,17 +179,12 @@ def cmd_repl(args) -> int:
         if line in (":quit", ":q", ":exit"):
             return 0
         try:
-            query = parse(line)
-            diagnostics = validate(query)
-            if diagnostics:
-                raise QueryValidationError(diagnostics)
-            for warning in lint(query):
-                print(f"warning: {warning}", file=sys.stderr)
-            table, graph = execute(query, graph)
-        except HeapQueryError as exc:
+            rs = _run_pipeline(ctx, None, line, (), session=graph)
+        except PipelineError as exc:
             print(f"error: {exc}", file=sys.stderr)
             continue
-        _print_table(table, graph, sys.stdout)
+        graph = rs._graph  # a write's copy, kept only because the query succeeded
+        _print_result(rs)
 
 
 def main(argv=None) -> int:
@@ -244,7 +201,11 @@ def main(argv=None) -> int:
         print(f"error: unexpected arguments {extra}", file=sys.stderr)
         return 1
     handler = {"run": cmd_run, "query": cmd_query, "export": cmd_export, "repl": cmd_repl}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (OSError, HeapQueryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, PipelineError) else 1
 
 
 if __name__ == "__main__":

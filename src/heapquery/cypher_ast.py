@@ -78,6 +78,27 @@ def children(expr) -> tuple:
     return ()
 
 
+def find_counts(expr) -> list[Count]:
+    """The count(...) calls in ``expr``, outermost first, left to right."""
+    found = [expr] if isinstance(expr, Count) else []
+    for child in children(expr):
+        found.extend(find_counts(child))
+    return found
+
+
+def pattern_variables(patterns) -> list[str]:
+    """The node and relationship variables named in ``patterns``, first occurrence first."""
+    seen = []
+    for path in patterns:
+        for node in path.nodes:
+            if node.var is not None and node.var not in seen:
+                seen.append(node.var)
+        for rel in path.rels:
+            if rel.var is not None and rel.var not in seen:
+                seen.append(rel.var)
+    return seen
+
+
 # --- patterns --------------------------------------------------------------------
 
 

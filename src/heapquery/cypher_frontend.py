@@ -36,9 +36,11 @@ from .cypher_ast import (
     Variable,
     WhereClause,
     children,
+    find_counts,
+    pattern_variables,
 )
 from .errors import ExpansionError, QuerySyntaxError, UnsupportedFeatureError
-from .property_graph import UID_KEY
+from .property_graph import RESERVED_LABELS, UID_KEY
 
 # openCypher keywords we recognize but do not support.
 UNSUPPORTED_KEYWORDS = frozenset(
@@ -514,7 +516,7 @@ def validate(query: Query) -> list[Diagnostic]:
             else:
                 if not node.label:
                     out.append(Diagnostic(f"{clause_name} requires a label on new node {node.var or '(anonymous)'}"))
-                elif node.label in ("Local", "Class"):
+                elif node.label in RESERVED_LABELS:
                     out.append(Diagnostic(f"label {node.label!r} is reserved and cannot be {clause_name.lower()}d"))
             for key, _ in node.properties:
                 if key == UID_KEY:
@@ -571,7 +573,7 @@ def validate(query: Query) -> list[Diagnostic]:
                 out.append(Diagnostic("WHERE must immediately follow a MATCH clause"))
             _check_expr(clause.expr, bound, out, aggregates_allowed=False)
         elif isinstance(clause, ReturnClause):
-            has_count = [bool(_find_counts(item.expr)) for item in clause.items]
+            has_count = [bool(find_counts(item.expr)) for item in clause.items]
             if any(has_count) and not all(has_count):
                 out.append(Diagnostic("mixing aggregated and plain RETURN items is not supported"))
             for item in clause.items:
@@ -588,18 +590,9 @@ def lint(query: Query) -> list[Diagnostic]:
     created: set[str] = set()
     for clause in query.clauses:
         if isinstance(clause, CreateClause):
-            paths = clause.patterns
+            created.update(pattern_variables(clause.patterns))
         elif isinstance(clause, MergeClause):
-            paths = (clause.pattern,)
-        else:
-            continue
-        for path in paths:
-            for node in path.nodes:
-                if node.var:
-                    created.add(node.var)
-            for rel in path.rels:
-                if rel.var:
-                    created.add(rel.var)
+            created.update(pattern_variables((clause.pattern,)))
     if not created:
         return []
     returned: set[str] = set()
@@ -618,14 +611,6 @@ def _expr_variables(expr) -> set[str]:
     if isinstance(expr, PropertyAccess):
         return {expr.var}
     return set().union(*map(_expr_variables, children(expr)))
-
-
-def _find_counts(expr) -> list[Count]:
-    """The count(...) calls in ``expr``, outermost first, left to right."""
-    found = [expr] if isinstance(expr, Count) else []
-    for child in children(expr):
-        found.extend(_find_counts(child))
-    return found
 
 
 # --- positional arguments -----------------------------------------------------------

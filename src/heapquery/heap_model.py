@@ -34,6 +34,7 @@ from .errors import (
 )
 from .property_graph import (
     CLASS_LABEL,
+    CLASS_NAME_KEY,
     INSTANCEOF_LABEL,
     LOCAL_LABEL,
     RESERVED_LABELS,
@@ -593,9 +594,9 @@ def resolve_variable(graph: PropertyGraph, name: str) -> int:
 
 def _class_node(graph: PropertyGraph, cls: str) -> int:
     for node in graph.nodes_with_label(CLASS_LABEL):
-        if node.properties.get("name") == cls:
+        if node.properties.get(CLASS_NAME_KEY) == cls:
             return node.id
-    return graph.add_node(CLASS_LABEL, {"name": cls})
+    return graph.add_node(CLASS_LABEL, {CLASS_NAME_KEY: cls})
 
 
 def mk_fields(graph: PropertyGraph, instance: int | None, cls: str, args: tuple, ct: ClassTable):

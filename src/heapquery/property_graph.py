@@ -15,8 +15,8 @@ without sorting (``both`` merges the two lists).  ``node_ids_with_label``,
 cost O(matches): each reads an index that is built on its first lookup and
 from then on kept up to date by ``add_node`` (node indexes),
 ``add_relationship`` and ``remove_relationship`` (the relationship label
-index) and ``copy``.  The node lookups iterate a copy of the index list, so
-a caller may add nodes while it iterates.
+index) and ``copy``.  The lookups iterate a copy of the index list, so a
+caller may add nodes or relationships while it iterates.
 
 For the query planner the graph also keeps an equality index.
 ``equal_nodes`` reads it; it maps each node's ``structural_key`` (what
@@ -64,6 +64,13 @@ RESERVED_LABELS = frozenset({LOCAL_LABEL, CLASS_LABEL})
 # reference-array node -> element.
 INSTANCEOF_LABEL = "instanceof"
 ELEMENT_LABEL = "element"
+
+# Property keys of heap graphs: a class node's class name, and an element
+# edge's position in its array.  An array node's label is its element type
+# followed by ARRAY_SUFFIX.
+CLASS_NAME_KEY = "name"
+ELEMENT_INDEX_KEY = "index"
+ARRAY_SUFFIX = "[]"
 
 _PRIMITIVE_TYPES = (bool, int, float, str)
 
@@ -176,10 +183,6 @@ class Node:
     label: str
     properties: dict = field(default_factory=dict)
 
-    @property
-    def uid(self) -> int | None:
-        return self.properties.get(UID_KEY)
-
 
 @dataclass
 class Relationship:
@@ -273,11 +276,11 @@ class PropertyGraph:
         return map(self.node, list(self._by_uid.get(uid, ())))
 
     def relationships_with_label(self, label: str) -> Iterator[Relationship]:
-        """Relationships labeled ``label``, in ascending id order."""
+        """Relationships labeled ``label``, in ascending id order (from a copy of the index list)."""
         if self._rels_by_label is None:
             self._rels_by_label = _build_index(self.relationships(), _label_key)
-        for rel_id in self._rels_by_label.get(label, ()):
-            yield self._rels[rel_id]
+        rels = self._rels
+        return iter([rels[rel_id] for rel_id in self._rels_by_label.get(label, ())])
 
     def structural_key(self, node_id: int) -> tuple:
         """The node's ``structural_key``, computed once and then kept."""

@@ -75,8 +75,9 @@ from .cypher_ast import (
     WhereClause,
     children,
     expression_text,
+    find_counts,
+    pattern_variables,
 )
-from .cypher_frontend import _find_counts
 from .errors import ExecutionError, TypeMismatchError
 from .property_graph import (
     UID_KEY,
@@ -432,22 +433,10 @@ def _reach_only(clause, later: tuple) -> bool:
         return False
     if len(later) != 1 or not isinstance(later[0], ReturnClause):
         return False
-    counts = [count for item in later[0].items for count in _find_counts(item.expr)]
+    counts = [count for item in later[0].items for count in find_counts(item.expr)]
     if counts:
         return all(count.distinct for count in counts)
     return later[0].distinct
-
-
-def _pattern_variables(patterns) -> list[str]:
-    seen = []
-    for path in patterns:
-        for node in path.nodes:
-            if node.var is not None and node.var not in seen:
-                seen.append(node.var)
-        for rel in path.rels:
-            if rel.var is not None and rel.var not in seen:
-                seen.append(rel.var)
-    return seen
 
 
 def _extensions(
@@ -475,7 +464,7 @@ def match_pattern(graph: PropertyGraph, patterns, seed: dict | None = None, opti
     acc = _extensions(graph, patterns, seed)
     if acc or not optional:
         return acc
-    return [{**dict.fromkeys(_pattern_variables(patterns), ABSENT), **seed}]
+    return [{**dict.fromkeys(pattern_variables(patterns), ABSENT), **seed}]
 
 
 # --- planning -------------------------------------------------------------------
@@ -496,7 +485,7 @@ def _planned(query: Query) -> tuple[tuple, dict | None]:
     """
     *body, last = query.clauses or (None,)
     where = body.pop() if body and isinstance(body[-1], WhereClause) else None
-    if not (isinstance(last, ReturnClause) and any(_find_counts(item.expr) for item in last.items)):
+    if not (isinstance(last, ReturnClause) and any(find_counts(item.expr) for item in last.items)):
         return query.clauses, None
     if not body or not all(isinstance(clause, MatchClause) and not clause.optional for clause in body):
         return query.clauses, None
@@ -508,7 +497,7 @@ def _planned(query: Query) -> tuple[tuple, dict | None]:
             pinned.append(clause)
         else:
             rest.append(clause)
-        named.update(_pattern_variables(clause.patterns))
+        named.update(pattern_variables(clause.patterns))
     probe = {}
     if where is not None:
         sides = children(where.expr) if isinstance(where.expr, EqualsCall) else ()
@@ -692,7 +681,7 @@ def _kleene_or(left, right):
 def _match_clause(
     graph: PropertyGraph, clause: MatchClause, rows: list[dict], reach_only: bool, probe: dict | None = None
 ) -> list[dict]:
-    absent = dict.fromkeys(_pattern_variables(clause.patterns), ABSENT)
+    absent = dict.fromkeys(pattern_variables(clause.patterns), ABSENT)
     joins = set(absent)
     if probe:
         joins.update(probe[name] for name in absent if name in probe)
@@ -834,7 +823,7 @@ def _aggregated(expr, rows: list[dict], graph: PropertyGraph):
 
 def _return_clause(graph: PropertyGraph, clause: ReturnClause, rows: list[dict]) -> ResultTable:
     columns = [item.alias or expression_text(item.expr) for item in clause.items]
-    aggregated = any(_find_counts(item.expr) for item in clause.items)
+    aggregated = any(find_counts(item.expr) for item in clause.items)
     if aggregated:
         if not rows and any(_references_rows(item.expr) for item in clause.items):
             return ResultTable(columns, [])

@@ -26,7 +26,10 @@ from dataclasses import dataclass
 
 from .errors import NotSnapshotShapedError, SnapshotSchemaError
 from .property_graph import (
+    ARRAY_SUFFIX,
     CLASS_LABEL,
+    CLASS_NAME_KEY,
+    ELEMENT_INDEX_KEY,
     ELEMENT_LABEL,
     INSTANCEOF_LABEL,
     LOCAL_LABEL,
@@ -222,7 +225,7 @@ def graph_to_snapshot(graph: PropertyGraph) -> HeapSnapshot:
             class_nodes.append(node)
         elif node.label == LOCAL_LABEL:
             local_nodes.append(node)
-        elif node.label.endswith("[]"):
+        elif node.label.endswith(ARRAY_SUFFIX):
             array_nodes[node.id] = node
         else:
             instance_nodes.append(node)
@@ -252,14 +255,14 @@ def graph_to_snapshot(graph: PropertyGraph) -> HeapSnapshot:
             )
 
     for node in class_nodes:
-        name = node.properties.get("name")
+        name = node.properties.get(CLASS_NAME_KEY)
         if not isinstance(name, str) or not name:
             raise NotSnapshotShapedError(f"Class node {node.id} has no name property")
         if name in declared_class_names:
             raise NotSnapshotShapedError(f"two Class nodes for {name!r}")
         declared_class_names.add(name)
         class_decls.setdefault(name, {})
-        statics = {key: value for key, value in node.properties.items() if key != "name"}
+        statics = {key: value for key, value in node.properties.items() if key != CLASS_NAME_KEY}
         class_statics[name] = statics
 
     objects = []
@@ -289,7 +292,7 @@ def graph_to_snapshot(graph: PropertyGraph) -> HeapSnapshot:
                     raise NotSnapshotShapedError(f"array node {other.id} is shared")
                 array_owned[other.id] = node.id
                 fields[rel.label] = _collect_array(graph, other.id, object_ids)
-                declare_field(cls, FieldDecl(rel.label, "reference-array", other.label[:-2]))
+                declare_field(cls, FieldDecl(rel.label, "reference-array", other.label[: -len(ARRAY_SUFFIX)]))
             else:
                 if other.id not in object_ids:
                     raise NotSnapshotShapedError(
@@ -304,13 +307,13 @@ def graph_to_snapshot(graph: PropertyGraph) -> HeapSnapshot:
             raise NotSnapshotShapedError(f"node {node.id} has {len(instanceof)} instanceof edges")
         if instanceof:
             target = instanceof[0][1]
-            if target.label != CLASS_LABEL or target.properties.get("name") != cls:
+            if target.label != CLASS_LABEL or target.properties.get(CLASS_NAME_KEY) != cls:
                 raise NotSnapshotShapedError(f"node {node.id} instanceof edge does not match its label")
         objects.append(HeapObject(object_ids[node.id], cls, fields))
 
     # Static reference edges leave Class nodes.
     for node in class_nodes:
-        name = node.properties["name"]
+        name = node.properties[CLASS_NAME_KEY]
         for rel, other in graph.neighbors(node.id, "out"):
             if other.id in array_nodes:
                 if other.id in array_owned:
@@ -359,7 +362,7 @@ def _collect_array(graph: PropertyGraph, array_id: int, object_ids: dict[int, in
     for rel, target in graph.neighbors(array_id, "out"):
         if rel.label != ELEMENT_LABEL:
             raise NotSnapshotShapedError(f"array node {array_id} has a non-element edge {rel.label!r}")
-        index = rel.properties.get("index")
+        index = rel.properties.get(ELEMENT_INDEX_KEY)
         if not isinstance(index, int) or isinstance(index, bool) or index < 0:
             raise NotSnapshotShapedError(f"element edge {rel.id} has a bad index")
         if index in elements:

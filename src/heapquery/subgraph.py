@@ -33,7 +33,10 @@ from .errors import (
     UnknownRootError,
 )
 from .property_graph import (
+    ARRAY_SUFFIX,
     CLASS_LABEL,
+    CLASS_NAME_KEY,
+    ELEMENT_INDEX_KEY,
     ELEMENT_LABEL,
     INSTANCEOF_LABEL,
     LOCAL_LABEL,
@@ -149,7 +152,7 @@ class HeapSnapshot:
         plan = self._plans.get(cls)
         if plan is None:
             refs = tuple(
-                (decl.name, f"{decl.type}[]" if decl.kind == "reference-array" else None)
+                (decl.name, decl.type + ARRAY_SUFFIX if decl.kind == "reference-array" else None)
                 for decl in self.field_decls(cls).values()
                 if decl.kind in ("reference", "reference-array")
             )
@@ -200,7 +203,7 @@ class HeapSnapshot:
                     raise SnapshotSchemaError(f"static name must be a non-empty string, got {name!r}", f"classes[{i}].statics")
                 if name == UID_KEY:
                     raise SnapshotSchemaError(f"static name {name!r} is reserved", f"classes[{i}].statics.{name}")
-                if name == "name":
+                if name == CLASS_NAME_KEY:
                     raise SnapshotSchemaError(
                         "static field 'name' collides with the class-metadata name property",
                         f"classes[{i}].statics.name",
@@ -530,11 +533,11 @@ def _number(snapshot: HeapSnapshot, included: list[HeapObject]) -> _Numbering:
                     edges.append((name, class_node, node_of[value.id], {}))
             elif isinstance(value, RefArray):
                 array_node = first_tail_node + len(labels)
-                labels.append("java.lang.Object[]")
+                labels.append("java.lang.Object" + ARRAY_SUFFIX)
                 edges.append((name, class_node, array_node, {}))
                 for index, element in enumerate(value.ids):
                     if element in node_of:
-                        edges.append((ELEMENT_LABEL, array_node, node_of[element], {"index": index}))
+                        edges.append((ELEMENT_LABEL, array_node, node_of[element], {ELEMENT_INDEX_KEY: index}))
     roots_of = snapshot._root_names()
     # The key-view intersection walks the smaller side: O(min(root targets, included)).
     binders = sorted((name, target) for target in roots_of.keys() & node_of.keys() for name in roots_of[target])
@@ -622,7 +625,7 @@ class SnapshotGraph(PropertyGraph):
             node = Node(node_id, obj.cls, props)
         else:
             statics = self._snapshot.class_info(slot).statics
-            props = {"name": slot}
+            props = {CLASS_NAME_KEY: slot}
             for name in sorted(statics):
                 value = statics[name]
                 if value is not None and not isinstance(value, (Ref, RefArray)):
@@ -672,7 +675,7 @@ class SnapshotGraph(PropertyGraph):
                 if end is not None:
                     if end not in nodes:
                         self._build_slot(end)
-                    rels[rel_id] = Relationship(rel_id, ELEMENT_LABEL, array_id, end, {"index": index})
+                    rels[rel_id] = Relationship(rel_id, ELEMENT_LABEL, array_id, end, {ELEMENT_INDEX_KEY: index})
                     elements.append(rel_id)
                     rel_id += 1
             array_id += 1
@@ -803,7 +806,7 @@ class SnapshotGraph(PropertyGraph):
             # Of the numbered nodes, only object nodes carry a label that is
             # not reserved and does not end in "[]" (the array labels); they
             # are listed per class.  Nodes added since are in the label index.
-            if isinstance(label, str) and label not in RESERVED_LABELS and not label.endswith("[]"):
+            if isinstance(label, str) and label not in RESERVED_LABELS and not label.endswith(ARRAY_SUFFIX):
                 return self._numbering.by_class.get(label, []) + self._by_label.get(label, [])
             self.fill()
         return PropertyGraph.node_ids_with_label(self, label)

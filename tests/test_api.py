@@ -168,6 +168,23 @@ class TestBatch:
         assert sorted(uids) == sorted([UID["a"], UID["e"]])
 
 
+class TestWarnings:
+    def test_unreturned_create_warns(self, ctx):
+        rs = query_unbounded(ctx, "CREATE (x:Tmp) RETURN 1")
+        assert [w.message for w in rs.warnings] == [
+            "query creates entities but returns none of them; they cannot be referenced afterwards"
+        ]
+
+    def test_read_has_no_warnings(self, ctx):
+        assert query_unbounded(ctx, "MATCH (n) RETURN count(n)").warnings == []
+
+    def test_empty_batch_returns_the_empty_table(self, ctx):
+        rs = query_unbounded(ctx, "MATCH (n {[]1}) RETURN n", [])
+        assert rs.columns() == []
+        assert rs.row_count() == 0
+        assert rs.warnings == []
+
+
 class TestStageTagging:
     def test_expand_stage(self, ctx):
         with pytest.raises(PipelineError) as exc:

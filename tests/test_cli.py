@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import io
 import json
+import re
 
 import pytest
 
 from heapquery.cli import main
+from heapquery.cypher_frontend import _Parser
 from heapquery.property_graph import structurally_equal
 from heapquery.snapshot_io import load_snapshot
 from heapquery.subgraph import extract
@@ -115,6 +117,19 @@ class TestQuery:
         main(["query", snapshot_path, "-q", "CREATE (x:Tmp) RETURN 1"])
         assert "warning" in capsys.readouterr().err
 
+    def test_query_is_parsed_once(self, snapshot_path, monkeypatch, capsys):
+        calls = []
+        parse_query = _Parser.parse_query
+
+        def counting(self):
+            calls.append(1)
+            return parse_query(self)
+
+        monkeypatch.setattr(_Parser, "parse_query", counting)
+        assert main(["query", snapshot_path, "-q", "CREATE (x:Tmp) RETURN 1"]) == 0
+        assert "warning" in capsys.readouterr().err
+        assert len(calls) == 1
+
     def test_output_is_byte_deterministic(self, snapshot_path, capsys):
         argv = ["query", snapshot_path, "-q", "MATCH (n)-[:left|right*1..]->(m) RETURN n, m"]
         main(argv)
@@ -139,6 +154,11 @@ class TestExport:
         nodes = (out_dir / "nodes.csv").read_text().strip().splitlines()
         assert len(nodes) == 1 + 2  # leaf + its class node
 
+    def test_conflicting_lists_exit_2_names_stage(self, snapshot_path, tmp_path, capsys):
+        argv = ["export", snapshot_path, "-o", str(tmp_path / "csv"), "--whitelist", "X", "--blacklist", "X"]
+        assert main(argv) == 2
+        assert "error: [extract]" in capsys.readouterr().err
+
     def test_unwritable_output(self, snapshot_path, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -146,9 +166,9 @@ class TestExport:
 
 
 class TestRepl:
-    def run_repl(self, snapshot_path, lines, monkeypatch, capsys):
+    def run_repl(self, snapshot_path, lines, monkeypatch, capsys, flags=()):
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
-        code = main(["repl", snapshot_path])
+        code = main(["repl", snapshot_path, *flags])
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
@@ -180,6 +200,34 @@ class TestRepl:
         )
         assert code == 0
         assert "count(x)\n1\n" in out
+
+    def test_root_flag_restricts_the_session_graph(self, snapshot_path, monkeypatch, capsys):
+        code, out, _ = self.run_repl(
+            snapshot_path, ["MATCH (n) RETURN count(n)", ":quit"], monkeypatch, capsys, flags=["--root", str(UID["a"])]
+        )
+        assert code == 0
+        assert "count(n)\n2\n" in out  # the leaf and its class node
+
+    def test_failed_write_leaves_nothing(self, snapshot_path, monkeypatch, capsys):
+        code, out, err = self.run_repl(
+            snapshot_path,
+            [
+                "MATCH (n) CREATE (m:New) RETURN NOT 1",
+                "MATCH (n) RETURN count(n)",
+                "CREATE (x:Extra) RETURN x",
+                "MATCH (n) RETURN count(n)",
+                ":quit",
+            ],
+            monkeypatch,
+            capsys,
+        )
+        assert code == 0
+        assert "[execute]" in err
+        assert re.findall(r"count\(n\)\n(\d+)", out) == ["9", "10"]
+
+    def test_bad_line_names_stage(self, snapshot_path, monkeypatch, capsys):
+        _, _, err = self.run_repl(snapshot_path, ["MATCH (n RETURN", ":quit"], monkeypatch, capsys)
+        assert "error: [parse]" in err
 
     def test_bad_line_keeps_looping(self, snapshot_path, monkeypatch, capsys):
         code, out, err = self.run_repl(

@@ -307,6 +307,16 @@ class TestRelationshipLabelIndex:
         assert [(rel.id, rel.label) for rel in g.relationships()] == [(3, "f"), (4, "g"), (5, "f")]
         assert g.audit() == []
 
+    def test_adding_relationships_while_iterating_a_lookup_terminates(self):
+        g = PropertyGraph()
+        a = g.add_node("A")
+        g.add_relationship("x", a, a)
+        for steps, _ in enumerate(g.relationships_with_label("x")):
+            assert steps < 1000, "iteration did not end"
+            g.add_relationship("x", a, a)
+        assert [rel.id for rel in g.relationships_with_label("x")] == [0, 1]
+        assert g.audit() == []
+
     def test_copy_keeps_an_independent_index(self):
         g = build_tree_graph()
         lefts = [rel.id for rel in g.relationships_with_label("left")]
