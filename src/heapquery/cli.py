@@ -167,9 +167,10 @@ def cmd_export(args) -> int:
 def cmd_repl(args) -> int:
     ctx = QueryContext(_load_snapshot_file(args.snapshot))
     graph = _extract_from_args(ctx.snapshot, args)
+    prompt = "> " if sys.stdin.isatty() else ""  # piped output holds only the tables
     while True:
         try:
-            line = input("> ")
+            line = input(prompt)
         except EOFError:
             print("", file=sys.stderr)
             return 0

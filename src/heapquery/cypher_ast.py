@@ -1,5 +1,11 @@
 """AST for the supported openCypher subset, plus the canonical printer.
 
+``And`` and ``Or`` are n-ary.  The parser splices a first operand of the
+same kind into the node, parenthesized or not, and never a later one:
+``(a AND b) AND c`` is ``And((a, b, c))`` and prints as ``a AND b AND c``,
+while ``a AND (b AND c)`` keeps its inner node and its parentheses.
+``walk`` visits an expression's nodes without recursion.
+
 The printer produces text the parser accepts, and parsing canonical text
 yields the identical AST (round-trip stability, property-tested).
 """
@@ -49,14 +55,12 @@ class Comparison:
 
 @dataclass(frozen=True)
 class And:
-    left: object
-    right: object
+    operands: tuple  # two or more; the first is never an And
 
 
 @dataclass(frozen=True)
 class Or:
-    left: object
-    right: object
+    operands: tuple  # two or more; the first is never an Or
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,9 @@ Expression = Literal | Variable | PropertyAccess | Count | EqualsCall | Comparis
 
 def children(expr) -> tuple:
     """The direct sub-expressions of ``expr``, left to right."""
-    if isinstance(expr, (EqualsCall, Comparison, And, Or)):
+    if isinstance(expr, (And, Or)):
+        return expr.operands
+    if isinstance(expr, (EqualsCall, Comparison)):
         return expr.left, expr.right
     if isinstance(expr, Not):
         return (expr.operand,)
@@ -78,12 +84,19 @@ def children(expr) -> tuple:
     return ()
 
 
+def walk(expr, leaves=()):
+    """The nodes of ``expr`` in preorder, left to right; not below instances of ``leaves``."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, leaves):
+            stack.extend(reversed(children(node)))
+
+
 def find_counts(expr) -> list[Count]:
     """The count(...) calls in ``expr``, outermost first, left to right."""
-    found = [expr] if isinstance(expr, Count) else []
-    for child in children(expr):
-        found.extend(find_counts(child))
-    return found
+    return [node for node in walk(expr) if isinstance(node, Count)]
 
 
 def pattern_variables(patterns) -> list[str]:
@@ -235,12 +248,11 @@ def expression_text(expr) -> str:
 
 # precedence: OR(1) < AND(2) < NOT(3) < comparison(4) < atom(5)
 def _expr_text(expr, parent_level: int) -> str:
-    if isinstance(expr, Or):
-        text = f"{_expr_text(expr.left, 1)} OR {_expr_text(expr.right, 2)}"
-        level = 1
-    elif isinstance(expr, And):
-        text = f"{_expr_text(expr.left, 2)} AND {_expr_text(expr.right, 3)}"
-        level = 2
+    if isinstance(expr, (Or, And)):
+        level = 1 if isinstance(expr, Or) else 2
+        first, *rest = expr.operands
+        word = " OR " if level == 1 else " AND "
+        text = word.join([_expr_text(first, level), *(_expr_text(operand, level + 1) for operand in rest)])
     elif isinstance(expr, Not):
         text = f"NOT {_expr_text(expr.operand, 3)}"
         level = 3

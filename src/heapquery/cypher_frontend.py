@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cypher_ast import (
     And,
@@ -35,11 +36,11 @@ from .cypher_ast import (
     ReturnItem,
     Variable,
     WhereClause,
-    children,
     find_counts,
     pattern_variables,
+    walk,
 )
-from .errors import ExpansionError, QuerySyntaxError, UnsupportedFeatureError
+from .errors import ExpansionError, QuerySyntaxError, UnsupportedFeatureError, text_position
 from .property_graph import RESERVED_LABELS, UID_KEY
 
 # openCypher keywords we recognize but do not support.
@@ -62,17 +63,21 @@ _TOKEN_RE = re.compile(
   | (?P<backtick>`(?:[^`]|``)*`)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op><=|>=|<>|<-|->|\.\.|[()\[\]{},:.|*=<>-])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
+# Each parenthesis, NOT, count( and equals( opens a level.  The parser
+# recurses up to nine frames per level, so a query at the limit parses,
+# prints and runs well inside Python's default recursion limit of 1,000.
+MAX_NESTING = 64
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # float/int/string/ident/backtick/op/eof
     text: str
-    line: int
-    column: int
+    offset: int  # of the token's first character in the query text
 
     def keyword(self) -> str | None:
         """Uppercase form when the token can act as a keyword."""
@@ -83,22 +88,13 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise QuerySyntaxError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tok = m.group()
+        if kind == "bad":
+            raise QuerySyntaxError(f"unexpected character {m[kind]!r}", *text_position(text, m.start()))
         if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, tok, line, m.start() - line_start + 1))
-        if "\n" in tok:
-            line += tok.count("\n")
-            line_start = m.start() + tok.rfind("\n") + 1
-        pos = m.end()
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+            tokens.append(Token(kind, m[kind], m.start()))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
@@ -124,8 +120,10 @@ def _unescape_backtick(text: str) -> str:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0  # expression nesting levels open
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
@@ -137,7 +135,16 @@ class _Parser:
 
     def error(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
-        raise QuerySyntaxError(message, tok.line, tok.column)
+        raise QuerySyntaxError(message, *text_position(self.text, tok.offset))
+
+    def nest(self, tok: Token, parse):
+        """``parse()`` one nesting level below ``tok``; past ``MAX_NESTING`` levels, a syntax error."""
+        if self.depth == MAX_NESTING:
+            self.error(f"expression nested deeper than the limit of {MAX_NESTING} levels", tok)
+        self.depth += 1
+        expr = parse()
+        self.depth -= 1
+        return expr
 
     def expect_op(self, op: str) -> Token:
         tok = self.advance()
@@ -334,23 +341,24 @@ class _Parser:
     # --- expressions -----------------------------------------------------------------
 
     def parse_expression(self):
-        return self.parse_or()
-
-    def parse_or(self):
-        left = self.parse_and()
-        while self.take_keyword("OR"):
-            left = Or(left, self.parse_and())
-        return left
+        return self.parse_chain("OR", Or, self.parse_and)
 
     def parse_and(self):
-        left = self.parse_not()
-        while self.take_keyword("AND"):
-            left = And(left, self.parse_not())
-        return left
+        return self.parse_chain("AND", And, self.parse_not)
+
+    def parse_chain(self, word: str, kind, operand):
+        """``operand (word operand)*`` as one ``kind`` node; a first operand of that kind is spliced in."""
+        first = operand()
+        if not self.at_keyword(word):
+            return first
+        operands = list(first.operands) if isinstance(first, kind) else [first]
+        while self.take_keyword(word):
+            operands.append(operand())
+        return kind(tuple(operands))
 
     def parse_not(self):
-        if self.take_keyword("NOT"):
-            return Not(self.parse_not())
+        if self.at_keyword("NOT"):
+            return Not(self.nest(self.advance(), self.parse_not))
         return self.parse_comparison()
 
     def parse_comparison(self):
@@ -365,8 +373,7 @@ class _Parser:
     def parse_atom(self):
         tok = self.peek()
         if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            expr = self.parse_expression()
+            expr = self.nest(self.advance(), self.parse_expression)
             self.expect_op(")")
             return expr
         kw = tok.keyword()
@@ -385,17 +392,8 @@ class _Parser:
             return Literal(_unescape_string(tok.text))
         if tok.kind == "ident" and self.at_op("(", ahead=1):
             name = tok.text.upper()
-            if name == "COUNT":
-                self.advance()
-                return self.parse_count()
-            if name == "EQUALS":
-                self.advance()
-                self.expect_op("(")
-                left = self.parse_expression()
-                self.expect_op(",")
-                right = self.parse_expression()
-                self.expect_op(")")
-                return EqualsCall(left, right)
+            if name in ("COUNT", "EQUALS"):
+                return self.nest(self.advance(), self.parse_count if name == "COUNT" else self.parse_equals)
             raise UnsupportedFeatureError(f"function {tok.text}()")
         if tok.kind in ("ident", "backtick"):
             var = self.name("variable")
@@ -416,6 +414,14 @@ class _Parser:
         expr = self.parse_expression()
         self.expect_op(")")
         return Count(expr, distinct)
+
+    def parse_equals(self) -> EqualsCall:
+        self.expect_op("(")
+        left = self.parse_expression()
+        self.expect_op(",")
+        right = self.parse_expression()
+        self.expect_op(")")
+        return EqualsCall(left, right)
 
     def parse_literal_expr(self) -> Literal:
         negative = False
@@ -469,26 +475,20 @@ class Diagnostic:
         return self.message
 
 
-def _check_expr(expr, bound: dict, out: list, *, aggregates_allowed: bool, in_aggregate: bool = False):
-    """Append to ``out`` the diagnostics of one expression under ``bound`` variables.
-
-    A module-level function rather than a closure in ``validate``: a nested
-    function that calls itself holds a reference cycle through its closure.
-    """
-    if isinstance(expr, Variable):
-        if expr.name not in bound:
-            out.append(Diagnostic(f"unbound variable {expr.name!r}"))
-    elif isinstance(expr, PropertyAccess):
-        if expr.var not in bound:
-            out.append(Diagnostic(f"unbound variable {expr.var!r}"))
-    elif isinstance(expr, Count):
-        if not aggregates_allowed:
-            out.append(Diagnostic("count(...) is only allowed in RETURN items"))
-        elif in_aggregate:
-            out.append(Diagnostic("nested count(...) is not allowed"))
-        in_aggregate = True
-    for child in children(expr):
-        _check_expr(child, bound, out, aggregates_allowed=aggregates_allowed, in_aggregate=in_aggregate)
+def _check_expr(expr, bound: dict, out: list, *, aggregates_allowed: bool):
+    """Append to ``out`` the diagnostics of one expression under ``bound`` variables, in preorder."""
+    for outer in walk(expr, Count):
+        # A count(...) is walked whole here, so every count below it is nested.
+        for node in walk(outer) if isinstance(outer, Count) else (outer,):
+            if isinstance(node, (Variable, PropertyAccess)):
+                name = node.name if isinstance(node, Variable) else node.var
+                if name not in bound:
+                    out.append(Diagnostic(f"unbound variable {name!r}"))
+            elif isinstance(node, Count):
+                if not aggregates_allowed:
+                    out.append(Diagnostic("count(...) is only allowed in RETURN items"))
+                elif node is not outer:
+                    out.append(Diagnostic("nested count(...) is not allowed"))
 
 
 def validate(query: Query) -> list[Diagnostic]:
@@ -606,11 +606,11 @@ def lint(query: Query) -> list[Diagnostic]:
 
 
 def _expr_variables(expr) -> set[str]:
-    if isinstance(expr, Variable):
-        return {expr.name}
-    if isinstance(expr, PropertyAccess):
-        return {expr.var}
-    return set().union(*map(_expr_variables, children(expr)))
+    return {
+        node.name if isinstance(node, Variable) else node.var
+        for node in walk(expr)
+        if isinstance(node, (Variable, PropertyAccess))
+    }
 
 
 # --- positional arguments -----------------------------------------------------------

@@ -50,6 +50,12 @@ class SizeLimitExceededError(GraphError):
 # --- mini-language (parsing and evaluation) ---------------------------------
 
 
+def text_position(text: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of ``offset`` in ``text``, for the syntax errors below."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
 class ProgramError(HeapQueryError):
     pass
 

@@ -31,6 +31,7 @@ from .errors import (
     ReservedLabelError,
     UnboundVariableError,
     UnknownTypeError,
+    text_position,
 )
 from .property_graph import (
     CLASS_LABEL,
@@ -233,18 +234,12 @@ class _Token(NamedTuple):
     offset: int  # of the token's first character in the program text
 
 
-def _position(text: str, offset: int) -> tuple[int, int]:
-    """1-based (line, column) of ``offset`` in ``text``."""
-    line_start = text.rfind("\n", 0, offset) + 1
-    return text.count("\n", 0, offset) + 1, offset - line_start + 1
-
-
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "bad":
-            raise ProgramSyntaxError(f"unexpected character {m[kind]!r}", *_position(text, m.start(kind)))
+            raise ProgramSyntaxError(f"unexpected character {m[kind]!r}", *text_position(text, m.start(kind)))
         if kind != "comment":
             tokens.append(_Token(kind, m[kind], m.start(kind)))
     tokens.append(_Token("eof", "", len(text)))
@@ -267,7 +262,7 @@ class _Parser:
 
     def error(self, message: str, tok: _Token | None = None):
         tok = tok or self.peek()
-        raise ProgramSyntaxError(message, *_position(self.text, tok.offset))
+        raise ProgramSyntaxError(message, *text_position(self.text, tok.offset))
 
     def expect(self, text: str) -> _Token:
         tok = self.next()

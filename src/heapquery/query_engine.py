@@ -73,10 +73,10 @@ from .cypher_ast import (
     ReturnClause,
     Variable,
     WhereClause,
-    children,
     expression_text,
     find_counts,
     pattern_variables,
+    walk,
 )
 from .errors import ExecutionError, TypeMismatchError
 from .property_graph import (
@@ -458,15 +458,6 @@ def _extensions(
     return acc
 
 
-def match_pattern(graph: PropertyGraph, patterns, seed: dict | None = None, optional: bool = False) -> list[dict]:
-    """All extensions of ``seed`` satisfying every pattern, in match order."""
-    seed = dict(seed or {})
-    acc = _extensions(graph, patterns, seed)
-    if acc or not optional:
-        return acc
-    return [{**dict.fromkeys(pattern_variables(patterns), ABSENT), **seed}]
-
-
 # --- planning -------------------------------------------------------------------
 
 _FLIPPED = {"out": "in", "in": "out", "both": "both"}
@@ -500,7 +491,7 @@ def _planned(query: Query) -> tuple[tuple, dict | None]:
         named.update(pattern_variables(clause.patterns))
     probe = {}
     if where is not None:
-        sides = children(where.expr) if isinstance(where.expr, EqualsCall) else ()
+        sides = (where.expr.left, where.expr.right) if isinstance(where.expr, EqualsCall) else ()
         if all(isinstance(side, Variable) for side in sides):
             probe = {side.name: other.name for side, other in zip(sides, reversed(sides))}
         rest.append(where)
@@ -629,14 +620,15 @@ def eval_expression(binding: dict, expr, graph: PropertyGraph):
         left = eval_expression(binding, expr.left, graph)
         right = eval_expression(binding, expr.right, graph)
         return _structural_equals(graph, left, right)
-    if isinstance(expr, And):
-        left = eval_expression(binding, expr.left, graph)
-        right = eval_expression(binding, expr.right, graph)
-        return _kleene_and(left, right)
-    if isinstance(expr, Or):
-        left = eval_expression(binding, expr.left, graph)
-        right = eval_expression(binding, expr.right, graph)
-        return _kleene_or(left, right)
+    if isinstance(expr, (And, Or)):
+        # Folded left to right; an operand is evaluated only after the one
+        # before it is combined, so errors come in the order of a binary chain.
+        word, dominant = ("AND", False) if isinstance(expr, And) else ("OR", True)
+        first, *rest = expr.operands
+        value = eval_expression(binding, first, graph)
+        for operand in rest:
+            value = _kleene(word, dominant, value, eval_expression(binding, operand, graph))
+        return value
     if isinstance(expr, Not):
         value = eval_expression(binding, expr.operand, graph)
         if value is ABSENT:
@@ -653,26 +645,16 @@ def _require_bool(value, where: str):
         raise TypeMismatchError(f"{where} needs a boolean, got {value!r}")
 
 
-def _kleene_and(left, right):
+def _kleene(word: str, dominant: bool, left, right):
+    """Three-valued AND (``dominant`` False) or OR (``dominant`` True) of two operands."""
     for v in (left, right):
         if v is not ABSENT:
-            _require_bool(v, "AND")
-    if left is False or right is False:
-        return False
+            _require_bool(v, word)
+    if left is dominant or right is dominant:
+        return dominant
     if left is ABSENT or right is ABSENT:
         return ABSENT
-    return True
-
-
-def _kleene_or(left, right):
-    for v in (left, right):
-        if v is not ABSENT:
-            _require_bool(v, "OR")
-    if left is True or right is True:
-        return True
-    if left is ABSENT or right is ABSENT:
-        return ABSENT
-    return False
+    return not dominant
 
 
 # --- clause execution ----------------------------------------------------------
@@ -770,23 +752,17 @@ def _merge_clause(graph: PropertyGraph, clause: MergeClause, rows: list[dict]) -
 
 def _references_rows(expr) -> bool:
     """True when the expression reads row variables outside of count(...)."""
-    if isinstance(expr, (Variable, PropertyAccess)):
-        return True
-    return not isinstance(expr, Count) and any(map(_references_rows, children(expr)))
-
-
-def _eval_aggregate(expr, rows: list[dict], graph: PropertyGraph):
-    """Evaluate a RETURN item of an aggregating RETURN over all ``rows``.
-
-    The ``count`` leaves, and the variables and properties outside them
-    (which must be constant across rows), are evaluated first, left to
-    right; the operators above them then run once, in ``eval_expression``.
-    """
-    return eval_expression({}, _aggregated(expr, rows, graph), graph)
+    return any(isinstance(node, (Variable, PropertyAccess)) for node in walk(expr, Count))
 
 
 def _aggregated(expr, rows: list[dict], graph: PropertyGraph):
-    """``expr`` with each leaf that reads rows replaced by a Literal of its value over ``rows``."""
+    """``expr`` with each leaf that reads rows replaced by a Literal of its value over ``rows``.
+
+    An aggregating RETURN item is evaluated as ``eval_expression({}, _aggregated(...))``:
+    the ``count`` leaves, and the variables and properties outside them (which
+    must be constant across rows), are evaluated first, left to right; the
+    operators above them then run once.
+    """
     if isinstance(expr, Count):
         if expr.expr is None:
             return Literal(len(rows))
@@ -816,7 +792,9 @@ def _aggregated(expr, rows: list[dict], graph: PropertyGraph):
         return Literal(eval_expression(rows[-1], expr, graph) if rows else ABSENT)
     if isinstance(expr, Not):
         return Not(_aggregated(expr.operand, rows, graph))
-    if isinstance(expr, (Comparison, EqualsCall, And, Or)):
+    if isinstance(expr, (And, Or)):
+        return type(expr)(tuple(_aggregated(operand, rows, graph) for operand in expr.operands))
+    if isinstance(expr, (Comparison, EqualsCall)):
         return replace(expr, left=_aggregated(expr.left, rows, graph), right=_aggregated(expr.right, rows, graph))
     return expr
 
@@ -827,7 +805,7 @@ def _return_clause(graph: PropertyGraph, clause: ReturnClause, rows: list[dict])
     if aggregated:
         if not rows and any(_references_rows(item.expr) for item in clause.items):
             return ResultTable(columns, [])
-        row = tuple(_eval_aggregate(item.expr, rows, graph) for item in clause.items)
+        row = tuple(eval_expression({}, _aggregated(item.expr, rows, graph), graph) for item in clause.items)
         table_rows = [row]
     else:
         table_rows = [

@@ -111,11 +111,9 @@ def _encode_value(value):
 @collector_paused()
 def load_snapshot(data: bytes | str) -> HeapSnapshot:
     """Parse and eagerly validate a snapshot document."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or JSON nested too deeply
         raise SnapshotSchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SnapshotSchemaError("top level must be an object")
@@ -407,7 +405,10 @@ def export_csv(graph: PropertyGraph) -> CsvBundle:
 
 
 def _read_csv(data: bytes, expected_header: list) -> list[list]:
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotSchemaError(f"CSV file is not UTF-8: {exc}") from exc
     rows = list(csv.reader(io.StringIO(text)))
     if not rows:
         raise SnapshotSchemaError("empty CSV file")
@@ -426,7 +427,7 @@ def _parse_props(text: str, kind: str, key) -> dict:
         return {}
     try:
         props = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SnapshotSchemaError(f"bad props JSON in {kind} {key!r}: {exc}") from exc
     if not isinstance(props, dict):
         raise SnapshotSchemaError(f"props in {kind} {key!r} must be a JSON object")

@@ -334,19 +334,17 @@ def _eval_simple(graph: PropertyGraph, binding: dict, expr):
             )
         return value_tag_like(left) == value_tag_like(right)
     if isinstance(expr, And):
-        left = _eval_simple(graph, binding, expr.left)
-        right = _eval_simple(graph, binding, expr.right)
-        if left is False or right is False:
+        values = [_eval_simple(graph, binding, operand) for operand in expr.operands]
+        if any(value is False for value in values):
             return False
-        if left is None or right is None:
+        if any(value is None for value in values):
             return None
         return True
     if isinstance(expr, Or):
-        left = _eval_simple(graph, binding, expr.left)
-        right = _eval_simple(graph, binding, expr.right)
-        if left is True or right is True:
+        values = [_eval_simple(graph, binding, operand) for operand in expr.operands]
+        if any(value is True for value in values):
             return True
-        if left is None or right is None:
+        if any(value is None for value in values):
             return None
         return False
     if isinstance(expr, Not):

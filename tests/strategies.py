@@ -101,10 +101,11 @@ def expressions(draw, depth: int = 2, allow_count: bool = False):
         return draw(_atoms())
     if choice == 1:
         return Comparison(draw(st.sampled_from(["=", "<>", "<", "<=", ">", ">="])), draw(inner), draw(inner))
-    if choice == 2:
-        return And(draw(inner), draw(inner))
-    if choice == 3:
-        return Or(draw(inner), draw(inner))
+    if choice in (2, 3):
+        # n-ary, with a first operand of the same kind spliced in, as the parser does
+        kind = And if choice == 2 else Or
+        first, *rest = draw(st.lists(inner, min_size=2, max_size=3))
+        return kind((*(first.operands if isinstance(first, kind) else (first,)), *rest))
     if choice == 4:
         return Not(draw(inner))
     if choice == 5:

@@ -11,7 +11,16 @@ from heapquery.api import (
     query_string,
     query_unbounded,
 )
-from heapquery.errors import CursorError, DanglingReferenceError, ExtractionConfigError, PipelineError, UnknownColumnError
+from heapquery.cypher_ast import query_text
+from heapquery.cypher_frontend import MAX_NESTING, parse
+from heapquery.errors import (
+    CursorError,
+    DanglingReferenceError,
+    ExtractionConfigError,
+    PipelineError,
+    QuerySyntaxError,
+    UnknownColumnError,
+)
 from heapquery.snapshot_io import graph_to_snapshot, load_snapshot
 from heapquery.subgraph import ClassInfo, ExtractionConfig, FieldDecl, HeapObject, HeapSnapshot, Ref, extract
 
@@ -210,6 +219,51 @@ class TestStageTagging:
         with pytest.raises(PipelineError) as exc:
             query_unbounded(ctx, "MATCH (n:S) WHERE n.s < 1 RETURN n")
         assert exc.value.stage == "execute"
+
+
+# Queries nested ``n`` levels deep: the text, the column of the token that opens level ``n``,
+# and the value the query returns at the limit.
+NESTED = {
+    "parentheses": (lambda n: "RETURN " + "(" * n + "1" + ")" * n, lambda n: 7 + n, 1),
+    "not": (lambda n: "RETURN " + "NOT " * n + "true", lambda n: 4 + 4 * n, MAX_NESTING % 2 == 0),
+    "equals": (lambda n: "RETURN " + "equals(" * n + "1" + ", 1)" * n, lambda n: 1 + 7 * n, False),
+    "count": (lambda n: "MATCH (n) RETURN count(" + "(" * (n - 1) + "n" + ")" * (n - 1) + ")", lambda n: 22 + n, 9),
+}
+
+
+class TestExpressionSize:
+    def test_long_and_chain_in_return(self, ctx):
+        rs = query_unbounded(ctx, "MATCH (n) RETURN count(n) > 0" + " AND true" * 9_999)
+        assert rs.table.rows == [(True,)]
+
+    def test_long_or_chain_in_where(self, ctx):
+        terms = " OR ".join(f"n.value = {i}" for i in range(0, 2_000, 2))
+        assert query_long(ctx, f"MATCH (n) WHERE {terms} RETURN count(n)") == 2
+
+    @pytest.mark.parametrize("form", NESTED)
+    def test_nesting_at_the_limit_runs(self, ctx, form):
+        build, _, value = NESTED[form]
+        text = build(MAX_NESTING)
+        assert query_text(parse(text))
+        assert query_unbounded(ctx, text).table.rows == [(value,)]
+
+    @pytest.mark.parametrize("form", NESTED)
+    def test_nesting_past_the_limit_is_a_syntax_error(self, ctx, form):
+        build, column, _ = NESTED[form]
+        with pytest.raises(PipelineError) as exc:
+            query_unbounded(ctx, build(MAX_NESTING + 1))
+        cause = exc.value.cause
+        assert exc.value.stage == "parse"
+        assert isinstance(cause, QuerySyntaxError)
+        assert (cause.line, cause.column) == (1, column(MAX_NESTING + 1))
+        assert f"limit of {MAX_NESTING} levels" in str(cause)
+
+    @pytest.mark.parametrize("text", ["RETURN " + "(" * 300 + "1" + ")" * 300, "RETURN " + "NOT " * 1_000 + "true"])
+    def test_deep_nesting_is_not_a_recursion_error(self, ctx, text):
+        with pytest.raises(PipelineError) as exc:
+            query_unbounded(ctx, text)
+        assert exc.value.stage == "parse"
+        assert isinstance(exc.value.cause, QuerySyntaxError)
 
 
 class TestExtractionMemo:

@@ -106,6 +106,12 @@ class TestQuery:
     def test_missing_snapshot_exit_1(self, capsys):
         assert main(["query", "/nonexistent.json", "-q", "RETURN 1"]) == 1
 
+    def test_snapshot_not_utf8_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"classes": "\xff"}')
+        assert main(["query", str(path), "-q", "RETURN 1"]) == 1
+        assert capsys.readouterr().err.startswith("error: not valid JSON: 'utf-8' codec can't decode")
+
     def test_time_flag_reports_stages(self, snapshot_path, capsys):
         main(["query", snapshot_path, "-q", "MATCH (n) RETURN count(n)", "--time"])
         err = capsys.readouterr().err
@@ -239,6 +245,17 @@ class TestRepl:
         assert code == 0
         assert "error" in err
         assert "1" in out
+
+    def test_piped_output_holds_only_tables(self, snapshot_path, monkeypatch, capsys):
+        _, out, _ = self.run_repl(snapshot_path, ["RETURN 1", "MATCH (n) RETURN count(n)", ":quit"], monkeypatch, capsys)
+        assert out == "1\n1\ncount(n)\n9\n"
+
+    def test_prompt_on_a_terminal(self, snapshot_path, monkeypatch, capsys):
+        stdin = io.StringIO("RETURN 1\n:quit\n")
+        stdin.isatty = lambda: True
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["repl", snapshot_path]) == 0
+        assert capsys.readouterr().out == "> 1\n1\n> "
 
     def test_quit_exits_zero(self, snapshot_path, monkeypatch, capsys):
         code, _, _ = self.run_repl(snapshot_path, [":quit"], monkeypatch, capsys)

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heapquery.cypher_ast import (
+    And,
     Count,
     Hops,
     Literal,
     MatchClause,
     NodePattern,
+    Or,
     PathPattern,
     Query,
     RelPattern,
@@ -17,6 +19,7 @@ from heapquery.cypher_ast import (
     ReturnItem,
     Variable,
     WhereClause,
+    expression_text,
     query_text,
 )
 from heapquery.cypher_frontend import (
@@ -136,6 +139,24 @@ class TestParse:
         assert exc.value.line == 1
         assert exc.value.column > 1
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("MATCH (n)\nWHERE n.v >\nRETURN n", (3, 1)),
+            ("MATCH (n)\n  RETURN n\n  )", (3, 3)),
+            ("MATCH (n)\nRETURN n ; 1", (2, 10)),
+            ("MATCH (n)\nRETURN\n", (3, 1)),
+            ("// first line\nMATCH (n\nRETURN n", (3, 1)),
+            ("MATCH (n)\r\nRETURN n ]", (2, 10)),
+            ("MATCH (n)\nWHERE n.s = 'a\nb' AND\n\tRETURN n", (4, 2)),
+            ("MATCH (n:`A\nB`)-[:f*1..]->\n  (m RETURN m", (3, 6)),
+        ],
+    )
+    def test_syntax_error_line_and_column(self, text, position):
+        with pytest.raises(QuerySyntaxError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.column) == position
+
     def test_backtick_names_preserved(self):
         query = parse("MATCH (n:`BinaryTree$Node`) RETURN n.`odd name`")
         match = query.clauses[0]
@@ -176,6 +197,22 @@ class TestParse:
         query = parse("MATCH (n) WHERE 1 < n.value AND n.value <= 5 RETURN n")
         where = query.clauses[1]
         assert isinstance(where, WhereClause)
+
+    @pytest.mark.parametrize(
+        "text, tree, printed",
+        [
+            ("a AND b AND c", And((Variable("a"), Variable("b"), Variable("c"))), "a AND b AND c"),
+            ("(a AND b) AND c", And((Variable("a"), Variable("b"), Variable("c"))), "a AND b AND c"),
+            ("a AND (b AND c)", And((Variable("a"), And((Variable("b"), Variable("c"))))), "a AND (b AND c)"),
+            ("(a OR b) OR c OR d", Or(tuple(map(Variable, "abcd"))), "a OR b OR c OR d"),
+            ("(a OR b) AND c", And((Or((Variable("a"), Variable("b"))), Variable("c"))), "(a OR b) AND c"),
+            ("a OR b AND c", Or((Variable("a"), And((Variable("b"), Variable("c"))))), "a OR b AND c"),
+        ],
+    )
+    def test_and_or_chains_are_n_ary(self, text, tree, printed):
+        expr = parse(f"RETURN {text}").clauses[0].items[0].expr
+        assert expr == tree
+        assert expression_text(expr) == printed
 
     def test_trailing_garbage(self):
         with pytest.raises(QuerySyntaxError):

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from heapquery.cypher_ast import NodePattern, PathPattern, RelPattern
 from heapquery.cypher_frontend import expand_positional, parse, validate
 from heapquery.errors import ExecutionError, TypeMismatchError
 from heapquery.property_graph import PropertyGraph, structurally_equal
@@ -13,7 +12,6 @@ from heapquery.query_engine import (
     NodeRef,
     execute,
     execute_batch,
-    match_pattern,
 )
 from heapquery.subgraph import ExtractionConfig, extract
 
@@ -54,12 +52,8 @@ class TestMatchPattern:
     def test_optional_match_yields_absent_row(self):
         g = PropertyGraph()
         g.add_node("A")
-        path = PathPattern(
-            (NodePattern("n"), NodePattern("m")),
-            (RelPattern(None, ("f",), "out"),),
-        )
-        rows = match_pattern(g, (path,), optional=True)
-        assert rows == [{"n": ABSENT, "m": ABSENT}]
+        table, _ = execute(expanded("OPTIONAL MATCH (n)-[:f]->(m) RETURN n, m", []), g)
+        assert table.rows == [(ABSENT, ABSENT)]
 
     def test_range_one_to_two(self, tree_graph):
         query = expanded("MATCH (n {value: 4})-[:left|right*1..2]->(m) RETURN m", [])
@@ -243,9 +237,9 @@ class TestExecute:
         assert len(once.rows) == len({r for r in once.rows})
 
     def test_count_star_equals_binding_bag(self, tree_graph):
-        rows = match_pattern(tree_graph, parse("MATCH (n)-[:left]->(m) RETURN n").clauses[0].patterns)
+        rows, _ = execute(expanded("MATCH (n)-[:left]->(m) RETURN n", []), tree_graph)
         table, _ = execute(expanded("MATCH (n)-[:left]->(m) RETURN count(*)", []), tree_graph)
-        assert table.rows == [(len(rows),)]
+        assert table.rows == [(rows.row_count,)]
 
     def test_determinism(self, tree_graph):
         first, _ = execute(expanded("MATCH (n)-[:left|right*1..]->(m) RETURN n, m", []), tree_graph)

@@ -61,6 +61,16 @@ class TestLoadSnapshot:
         with pytest.raises(SnapshotSchemaError):
             load_snapshot(b"{nope")
 
+    def test_bytes_not_utf8(self):
+        with pytest.raises(SnapshotSchemaError) as exc:
+            load_snapshot(b'{"classes": "\xff"}')
+        assert str(exc.value).startswith("not valid JSON: 'utf-8' codec can't decode byte 0xff")
+
+    def test_json_nested_too_deeply(self):
+        with pytest.raises(SnapshotSchemaError) as exc:
+            load_snapshot("[" * 100_000 + "]" * 100_000)
+        assert str(exc.value).startswith("not valid JSON: maximum recursion depth exceeded")
+
     def test_unknown_value_object(self):
         doc = '{"classes":[{"name":"A","fields":[]}],"objects":[{"id":1,"class":"A","fields":{"x":{"wat":1}}}],"roots":{}}'
         with pytest.raises(SnapshotSchemaError):
@@ -306,6 +316,14 @@ class TestCsv:
         rels = (",".join(RELS_HEADER) + "\n0,99,f,{}\n").encode()
         with pytest.raises(NodeNotFoundError):
             import_csv(CsvBundle(nodes, rels))
+
+    @pytest.mark.parametrize("table", ["nodes", "relationships"])
+    def test_csv_not_utf8_rejected(self, table):
+        files = {"nodes": (",".join(NODES_HEADER) + "\n").encode(), "relationships": (",".join(RELS_HEADER) + "\n").encode()}
+        files[table] += b"0,\xff,{}\n"
+        with pytest.raises(SnapshotSchemaError) as exc:
+            import_csv(CsvBundle(files["nodes"], files["relationships"]))
+        assert str(exc.value).startswith("CSV file is not UTF-8")
 
     def test_unknown_header_rejected(self):
         bundle = CsvBundle(b"wrong,header\n", b"also,wrong\n")
