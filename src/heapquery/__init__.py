@@ -12,7 +12,7 @@ from .api import (
 )
 from .cypher_frontend import expand_positional, lint, parse, validate
 from .heap_model import parse_program, run_program, run_to_point
-from .property_graph import Node, PropertyGraph, Relationship, structurally_equal
+from .property_graph import Node, PropertyGraph, Relationship
 from .query_engine import ABSENT, NodeRef, RelRef, ResultTable, execute, execute_batch
 from .snapshot_io import (
     CsvBundle,
@@ -79,6 +79,5 @@ __all__ = [
     "run_program",
     "run_to_point",
     "save_snapshot",
-    "structurally_equal",
     "validate",
 ]

@@ -3,8 +3,9 @@
 A QueryContext owns a snapshot plus default extraction settings.  Each call
 runs the one query pipeline, which the CLI's ``query`` and ``repl`` share:
 expand positional arguments, extract the (sub)graph, parse, validate (and
-lint the first query into ``ResultSet.warnings``), execute, and wrap rows
-in a ResultSet.  Bounded queries
+lint into ``ResultSet.warnings``), execute, and wrap rows in a ResultSet.
+A ``[]k`` query is parsed, validated and linted once; each id of its
+collection is then bound into the parsed query.  Bounded queries
 restrict extraction to objects reachable from the supplied root(s);
 unbounded queries see every object in the snapshot, including unreachable
 ones unless force-collect is enabled.
@@ -32,7 +33,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-from .cypher_frontend import expand_positional, lint, parse, validate
+from .cypher_frontend import bind_slot, expand_positional, lint, parse, validate
 from .errors import (
     CastError,
     CursorError,
@@ -52,7 +53,7 @@ class ResultSet:
     ``next()`` advances to the following row and reports whether one exists;
     accessors are valid only after it returned True.  Node-valued cells are
     returned as their ``$uid`` by ``get`` and as graph nodes by ``get_node``.
-    ``warnings`` holds the lint diagnostics of the (first) query.
+    ``warnings`` holds the lint diagnostics of the query.
     """
 
     def __init__(self, table: ResultTable, graph: PropertyGraph, warnings=()):
@@ -188,27 +189,26 @@ def _run_pipeline(ctx: QueryContext, root, fmt: str, args, timings: dict | None 
     it, which the result holds.
     """
     with _Stage(timings, "expand"):
-        expansion = expand_positional(fmt, args)
+        tokens, batch = expand_positional(fmt, args)
     if session is None:
         with _Stage(timings, "extract"):
             graph = ctx._extract(replace(ctx.defaults, root=root))
     else:
         graph = session
     with _Stage(timings, "parse"):
-        queries = [parse(text) for text in expansion.queries()]
+        query = parse(tokens, fmt)
     with _Stage(timings, "validate"):
-        for query in queries:
-            diagnostics = validate(query)
-            if diagnostics:
-                raise QueryValidationError(diagnostics)
-        warnings = lint(queries[0]) if queries else []
+        diagnostics = validate(query)
+        if diagnostics:
+            raise QueryValidationError(diagnostics)
+        warnings = lint(query)
     with _Stage(timings, "execute"):
-        if (session is not None or ctx.cache_extractions) and any(query.writes for query in queries):
+        if (session is not None or ctx.cache_extractions) and query.writes:
             graph = graph.copy()  # later queries read the shared graph
-        if expansion.is_batch:
-            table, graph = execute_batch(queries, graph)
+        if batch is None:
+            table, graph = execute(query, graph)
         else:
-            table, graph = execute(queries[0], graph)
+            table, graph = execute_batch([bind_slot(query, uid) for uid in batch], graph)
     return ResultSet(table, graph, warnings)
 
 

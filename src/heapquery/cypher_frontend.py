@@ -1,17 +1,23 @@
-"""Lexer, parser and validator for the openCypher subset, and the
-positional-argument expander that runs before parsing.
+"""Lexer, parser and validator for the openCypher subset, and the binding
+of positional arguments.
 
 Supported: CREATE, MERGE, MATCH, OPTIONAL MATCH, WHERE, RETURN [DISTINCT],
 node/relationship patterns with label alternation and hop specifications,
 comparisons, AND/OR/NOT, count(...), equals(...), literals and AS aliases.
 Recognized openCypher constructs outside the subset raise
 UnsupportedFeatureError naming the construct.
+
+The markers ``$k``, ``@k`` and ``[]k`` are tokens (so none is bound inside a
+string, backticks or a ``//`` comment), which ``expand_positional`` replaces
+by tokens at the marker's offset: syntax errors point into the format
+string.  A ``[]k`` query is parsed once, with ``SLOT`` where ``bind_slot``
+then puts each id.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .cypher_ast import (
@@ -40,7 +46,7 @@ from .cypher_ast import (
     pattern_variables,
     walk,
 )
-from .errors import ExpansionError, QuerySyntaxError, UnsupportedFeatureError, text_position
+from .errors import MAX_NESTING, ExpansionError, QuerySyntaxError, UnsupportedFeatureError, text_position
 from .property_graph import RESERVED_LABELS, UID_KEY
 
 # openCypher keywords we recognize but do not support.
@@ -53,6 +59,10 @@ UNSUPPORTED_KEYWORDS = frozenset(
 
 _CLAUSE_KEYWORDS = frozenset({"CREATE", "MERGE", "MATCH", "OPTIONAL", "WHERE", "RETURN"})
 
+# A quote that the string alternative cannot close (the text ends first, or
+# an escape is followed by a line break) is one ``bad`` token up to its
+# closing quote or the end of the text, and a backtick without a closing one
+# runs to the end: no marker inside either is bound.
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -62,22 +72,18 @@ _TOKEN_RE = re.compile(
   | (?P<string>'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")
   | (?P<backtick>`(?:[^`]|``)*`)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<marker>\$\d+|@\d+|\[\]\d+)
   | (?P<op><=|>=|<>|<-|->|\.\.|[()\[\]{},:.|*=<>-])
-  | (?P<bad>.)
+  | (?P<bad>'(?:[^'\\]|\\[\s\S])*'?|"(?:[^"\\]|\\[\s\S])*"?|`[\s\S]*|.)
     """,
     re.VERBOSE,
 )
 
-# Each parenthesis, NOT, count( and equals( opens a level.  The parser
-# recurses up to nine frames per level, so a query at the limit parses,
-# prints and runs well inside Python's default recursion limit of 1,000.
-MAX_NESTING = 64
-
 
 class Token(NamedTuple):
-    kind: str  # float/int/string/ident/backtick/op/eof
+    kind: str  # float/int/string/backtick/ident/marker/op/bad/eof, and slot (see expand_positional)
     text: str
-    offset: int  # of the token's first character in the query text
+    offset: int  # of the token's first character (of its marker, once expanded) in the query text
 
     def keyword(self) -> str | None:
         """Uppercase form when the token can act as a keyword."""
@@ -87,13 +93,9 @@ class Token(NamedTuple):
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise QuerySyntaxError(f"unexpected character {m[kind]!r}", *text_position(text, m.start()))
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, m[kind], m.start()))
+    """The tokens of ``text`` without whitespace and comments, then ``eof``; the parser rejects ``bad`` ones."""
+    matches = _TOKEN_RE.finditer(text)
+    tokens = [Token(m.lastgroup, m[m.lastgroup], m.start()) for m in matches if m.lastgroup not in ("ws", "comment")]
     tokens.append(Token("eof", "", len(text)))
     return tokens
 
@@ -119,11 +121,14 @@ def _unescape_backtick(text: str) -> str:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, tokens: list[Token], text: str):
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = tokens
         self.i = 0
         self.depth = 0  # expression nesting levels open
+        for tok in tokens:
+            if tok.kind in ("bad", "marker"):  # a marker here was never expanded
+                self.error(f"unexpected character {tok.text[0]!r}", tok)
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
@@ -451,12 +456,17 @@ class _Parser:
         if tok.kind == "string":
             self.advance()
             return Literal(_unescape_string(tok.text))
+        if tok.kind == "slot":
+            self.advance()
+            return SLOT
         return self.parse_literal_expr()
 
 
-def parse(text: str) -> Query:
-    """Parse query text into a Query AST (no validation)."""
-    parser = _Parser(text)
+def parse(source: str | list[Token], text: str = "") -> Query:
+    """Parse query text, or the tokens of ``text``, into a Query AST (no validation)."""
+    if isinstance(source, str):
+        source, text = tokenize(source), source
+    parser = _Parser(source, text)
     query = parser.parse_query()
     tok = parser.peek()
     if tok.kind != "eof":
@@ -615,108 +625,70 @@ def _expr_variables(expr) -> set[str]:
 
 # --- positional arguments -----------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Expansion:
-    """Result of positional-argument expansion.
-
-    ``text`` is the expanded query when no ``[]`` marker is present;
-    ``batch`` is the per-element expansion list otherwise.
-    """
-
-    text: str | None
-    batch: tuple | None = None
-
-    @property
-    def is_batch(self) -> bool:
-        return self.batch is not None
-
-    def queries(self) -> list[str]:
-        return list(self.batch) if self.is_batch else [self.text]
+# The literal a ``[]k`` marker parses to, until ``bind_slot`` puts an id in its place.
+SLOT = Literal(None)
 
 
-_MARKER_RE = re.compile(r"\$(\d+)|@(\d+)|\[\](\d+)")
+def expand_positional(fmt: str, args) -> tuple[list[Token], list[int] | None]:
+    """The tokens of ``fmt`` with its ``$k`` (unique id), ``@k`` (class name) and ``[]k`` (batch) markers bound.
 
-
-def _argument(args, index: int, marker: str):
-    if index < 1 or index > len(args):
-        raise ExpansionError(f"positional argument {marker}{index} is out of range (got {len(args)} arguments)")
-    return args[index - 1]
-
-
-def expand_positional(fmt: str, args) -> Expansion:
-    """Expand ``$k`` (unique id), ``@k`` (class name) and ``[]k`` (batch) markers.
-
-    Markers inside string literals or backtick quotes are left alone, and
-    text outside markers is preserved byte for byte.  At most one ``[]``
-    marker is supported; it produces one query per collection element whose
-    results are bag-unioned by the engine.
+    ``$k`` becomes the tokens of `` `$uid`: <id> ``, ``@k`` one name token,
+    and ``[]k`` `` `$uid`: `` and a ``slot`` token.  Also returned: the ids
+    of the one ``[]k`` collection allowed, or None without one.
     """
     args = list(args)
-    pieces: list[str] = []
-    batch_site: int | None = None
-    batch_values: list[int] | None = None
-    i = 0
-    n = len(fmt)
-    while i < n:
-        ch = fmt[i]
-        if ch == "`":
-            end = fmt.find("`", i + 1)
-            if end == -1:
-                pieces.append(fmt[i:])
-                break
-            pieces.append(fmt[i : end + 1])
-            i = end + 1
+    tokens: list[Token] = []
+    batch = None
+    for tok in tokenize(fmt):
+        if tok.kind != "marker":
+            tokens.append(tok)
             continue
-        if ch in ("'", '"'):
-            j = i + 1
-            while j < n:
-                if fmt[j] == "\\" and j + 1 < n:
-                    j += 2
-                    continue
-                if fmt[j] == ch:
-                    break
-                j += 1
-            pieces.append(fmt[i : j + 1])
-            i = j + 1
-            continue
-        m = _MARKER_RE.match(fmt, i)
-        if not m:
-            pieces.append(ch)
-            i += 1
-            continue
-        if m.group(1) is not None:
-            index = int(m.group(1))
-            value = _argument(args, index, "$")
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ExpansionError(f"${index} needs a unique id (integer), got {value!r}")
-            pieces.append(f"`{UID_KEY}`: {value}")
-        elif m.group(2) is not None:
-            index = int(m.group(2))
-            value = _argument(args, index, "@")
+        marker = tok.text.rstrip("0123456789")
+        index = int(tok.text[len(marker) :])
+        if index < 1 or index > len(args):
+            raise ExpansionError(f"positional argument {marker}{index} is out of range (got {len(args)} arguments)")
+        value = args[index - 1]
+        if marker == "@":
             if not isinstance(value, str) or not value:
                 raise ExpansionError(f"@{index} needs a class name (string), got {value!r}")
-            pieces.append("`" + value.replace("`", "``") + "`")
-        else:
-            index = int(m.group(3))
-            value = _argument(args, index, "[]")
-            if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-                raise ExpansionError(f"[]{index} needs a collection of unique ids, got {value!r}")
-            elements = list(value)
-            for element in elements:
-                if isinstance(element, bool) or not isinstance(element, int):
-                    raise ExpansionError(f"[]{index} elements must be unique ids (integers), got {element!r}")
-            if batch_site is not None:
-                raise ExpansionError("only one [] marker is supported per query")
-            batch_site = len(pieces)
-            batch_values = elements
-            pieces.append("")  # placeholder
-        i = m.end()
+            tokens.append(Token("backtick", "`" + value.replace("`", "``") + "`", tok.offset))
+            continue
+        tokens += (Token("backtick", f"`{UID_KEY}`", tok.offset), Token("op", ":", tok.offset))
+        if marker == "$":
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ExpansionError(f"${index} needs a unique id (integer), got {value!r}")
+            if value < 0:
+                tokens.append(Token("op", "-", tok.offset))
+            tokens.append(Token("int", str(abs(value)), tok.offset))
+            continue
+        if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+            raise ExpansionError(f"[]{index} needs a collection of unique ids, got {value!r}")
+        ids = list(value)
+        for element in ids:
+            if isinstance(element, bool) or not isinstance(element, int):
+                raise ExpansionError(f"[]{index} elements must be unique ids (integers), got {element!r}")
+        if batch is not None:
+            raise ExpansionError("only one [] marker is supported per query")
+        batch = ids
+        tokens.append(Token("slot", tok.text, tok.offset))
+    return tokens, batch
 
-    if batch_site is None:
-        return Expansion("".join(pieces))
-    texts = []
-    for element in batch_values:
-        pieces[batch_site] = f"`{UID_KEY}`: {element}"
-        texts.append("".join(pieces))
-    return Expansion(None, tuple(texts))
+
+def bind_slot(query: Query, uid: int) -> Query:
+    """``query`` with ``uid`` in place of ``SLOT`` in its node property maps."""
+    value = Literal(uid)
+
+    def bound(path: PathPattern) -> PathPattern:
+        nodes = tuple(
+            NodePattern(n.var, n.label, tuple((k, value if v is SLOT else v) for k, v in n.properties)) for n in path.nodes
+        )
+        return PathPattern(nodes, path.rels)
+
+    clauses = []
+    for clause in query.clauses:
+        if isinstance(clause, MergeClause):
+            clause = MergeClause(bound(clause.pattern))
+        elif isinstance(clause, (MatchClause, CreateClause)):
+            clause = replace(clause, patterns=tuple(map(bound, clause.patterns)))
+        clauses.append(clause)
+    return Query(tuple(clauses))

@@ -40,14 +40,12 @@ class InvalidPropertyError(GraphError):
     pass
 
 
-class SizeLimitExceededError(GraphError):
-    def __init__(self, size: int, limit: int):
-        super().__init__(f"graph has {size} nodes, structural comparison is limited to {limit}")
-        self.size = size
-        self.limit = limit
-
-
 # --- mini-language (parsing and evaluation) ---------------------------------
+
+# Nesting limit of both parsers: a level is a query's parenthesis, NOT,
+# count( or equals( (up to nine parser frames each), or a program's ``new``.
+# At the limit both stay well inside Python's default recursion limit of 1,000.
+MAX_NESTING = 64
 
 
 def text_position(text: str, offset: int) -> tuple[int, int]:

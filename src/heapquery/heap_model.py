@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import (
+    MAX_NESTING,
     ArityMismatchError,
     EvalError,
     NoSuchMethodError,
@@ -251,6 +252,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # levels of ``new`` open
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -459,9 +461,9 @@ class _Parser:
                 self.error(f"variable {var!r} shadows an earlier binding", nxt)
             declared.add(var)
             self.expect("=")
-            self.expect("new")
+            new = self.expect("new")
             cls = self.ident("class name")
-            args = self.parse_args()
+            args = self.parse_args(new)
             self.expect(";")
             return New(var, cls, args)
         name = tok.text
@@ -489,7 +491,11 @@ class _Parser:
         self.expect(";")
         return MethodInvoke(name, member, tuple(args))
 
-    def parse_args(self) -> tuple:
+    def parse_args(self, new: _Token) -> tuple:
+        """The arguments after ``new C``; past ``MAX_NESTING`` levels of ``new``, a syntax error."""
+        if self.depth == MAX_NESTING:
+            self.error(f"new nested deeper than the limit of {MAX_NESTING} levels", new)
+        self.depth += 1
         self.expect("(")
         args: list[Arg] = []
         while self.peek().text != ")":
@@ -497,6 +503,7 @@ class _Parser:
             if self.peek().text == ",":
                 self.next()
         self.expect(")")
+        self.depth -= 1
         return tuple(args)
 
     def parse_arg(self) -> Arg:
@@ -516,7 +523,7 @@ class _Parser:
             return LitArg(body.replace('\\"', '"').replace("\\\\", "\\"))
         if tok.text == "new":
             cls = self.ident("class name")
-            return NewArg(cls, self.parse_args())
+            return NewArg(cls, self.parse_args(tok))
         if tok.kind == "ident" and (tok.text not in _KEYWORDS or tok.text == "this"):
             return VarArg(tok.text)
         self.error(f"bad constructor argument {tok.text!r}", tok)

@@ -47,12 +47,10 @@ from .errors import (
     NodeNotFoundError,
     RelationshipNotFoundError,
     ReservedLabelError,
-    SizeLimitExceededError,
 )
 
 # Node property key holding an object's unique heap identifier.  The key is
-# identity metadata: structural comparison and the query-level equals()
-# builtin both ignore it.
+# identity metadata: the query-level equals() builtin ignores it.
 UID_KEY = "$uid"
 
 # Labels that may not name user classes.
@@ -73,8 +71,6 @@ ELEMENT_INDEX_KEY = "index"
 ARRAY_SUFFIX = "[]"
 
 _PRIMITIVE_TYPES = (bool, int, float, str)
-
-ISO_NODE_LIMIT = 64
 
 
 @contextlib.contextmanager
@@ -521,86 +517,3 @@ def _uid_key(node: Node) -> int | None:
 
 def _copy_props(props: dict) -> dict:
     return {k: (list(v) if isinstance(v, list) else v) for k, v in props.items()}
-
-
-# -- structural comparison ----------------------------------------------------
-
-
-def structurally_equal(g1: PropertyGraph, g2: PropertyGraph, *, max_nodes: int = ISO_NODE_LIMIT) -> bool:
-    """Id-insensitive isomorphism of labeled, propertied multigraphs.
-
-    True iff some bijection of nodes preserves labels, property maps and
-    labeled relationships (with their property maps).  The reserved ``$uid``
-    node property is identity metadata and is ignored.  Intended for small
-    graphs; raises SizeLimitExceededError beyond ``max_nodes``.
-    """
-    for g in (g1, g2):
-        if g.node_count > max_nodes:
-            raise SizeLimitExceededError(g.node_count, max_nodes)
-    if g1.node_count != g2.node_count or g1.relationship_count != g2.relationship_count:
-        return False
-
-    sig1 = _node_signatures(g1)
-    sig2 = _node_signatures(g2)
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return False
-
-    candidates: dict[int, list[int]] = {}
-    by_sig: dict[tuple, list[int]] = {}
-    for node_id, sig in sig2.items():
-        by_sig.setdefault(sig, []).append(node_id)
-    for node_id, sig in sig1.items():
-        candidates[node_id] = by_sig.get(sig, [])
-        if not candidates[node_id]:
-            return False
-
-    # Most-constrained-first ordering keeps the backtracking shallow.
-    order = sorted(candidates, key=lambda n: (len(candidates[n]), n))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def edges_between(g: PropertyGraph, a: int, b: int):
-        out = []
-        for rel, other in g.neighbors(a, "out"):
-            if other.id == b:
-                out.append((rel.label, canon_properties(rel.properties)))
-        return sorted(out)
-
-    def consistent(n1: int, n2: int) -> bool:
-        for m1, m2 in mapping.items():
-            if edges_between(g1, n1, m1) != edges_between(g2, n2, m2):
-                return False
-            if edges_between(g1, m1, n1) != edges_between(g2, m2, n2):
-                return False
-        return edges_between(g1, n1, n1) == edges_between(g2, n2, n2)
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        n1 = order[i]
-        for n2 in candidates[n1]:
-            if n2 in used or not consistent(n1, n2):
-                continue
-            mapping[n1] = n2
-            used.add(n2)
-            if extend(i + 1):
-                return True
-            del mapping[n1]
-            used.remove(n2)
-        return False
-
-    return extend(0)
-
-
-def _node_signatures(g: PropertyGraph) -> dict[int, tuple]:
-    sigs = {}
-    for node in g.nodes():
-        out = sorted((rel.label, canon_properties(rel.properties)) for rel, _ in g.neighbors(node.id, "out"))
-        inc = sorted((rel.label, canon_properties(rel.properties)) for rel, _ in g.neighbors(node.id, "in"))
-        sigs[node.id] = (
-            node.label,
-            canon_properties(node.properties, ignore_uid=True),
-            tuple(out),
-            tuple(inc),
-        )
-    return sigs

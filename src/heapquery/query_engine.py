@@ -855,7 +855,7 @@ def execute(query: Query, graph: PropertyGraph) -> tuple[ResultTable, PropertyGr
 
 
 def execute_batch(queries, graph: PropertyGraph) -> tuple[ResultTable, PropertyGraph]:
-    """Run expanded batch queries in order, bag-unioning their rows."""
+    """Run the queries of a batch in order, bag-unioning their rows."""
     columns: list | None = None
     rows: list = []
     for query in queries:

@@ -217,17 +217,17 @@ class HeapSnapshot:
             if obj.id in seen:
                 raise DuplicateObjectIdError(obj.id)
             seen.add(obj.id)
-        for obj in self.objects:
+        for i, obj in enumerate(self.objects):
             if obj.cls not in self._class_map:
-                raise SnapshotSchemaError(f"unknown class {obj.cls!r}", f"objects[{obj.id}]")
+                raise SnapshotSchemaError(f"unknown class {obj.cls!r}", f"objects[{i}]")
             decls = self.field_decls(obj.cls)
             for name, value in obj.fields.items():
                 decl = decls.get(name)
                 if decl is None:
                     raise SnapshotSchemaError(
-                        f"field {name!r} not declared by {obj.cls!r}", f"objects[{obj.id}].fields.{name}"
+                        f"field {name!r} not declared by {obj.cls!r}", f"objects[{i}].fields.{name}"
                     )
-                self._check_value(value, decl, ("objects", obj.id, "fields", name))
+                self._check_value(value, decl, ("objects", i, "fields", name))
         for name, target in self.roots.items():
             if target not in self._object_map:
                 raise UnknownRootError(target)
@@ -240,7 +240,7 @@ class HeapSnapshot:
     def _check_value(self, value, decl: FieldDecl | None, where: tuple):
         """Check one field or static value against its declaration.
 
-        ``where`` is the value's (section, index, part, name); it is formatted
+        ``where`` is the value's (section, position in it, part, name); it is formatted
         into a path such as ``objects[7].fields.next`` only on the raise paths,
         because a load checks every field.
         """

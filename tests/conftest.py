@@ -8,10 +8,13 @@ from heapquery import (
     HeapSnapshot,
     PropertyGraph,
     execute,
+    expand_positional,
     load_snapshot,
     parse,
     validate,
 )
+from heapquery.cypher_ast import Query
+from heapquery.cypher_frontend import bind_slot
 from heapquery.errors import QueryValidationError
 
 DATA = Path(__file__).parent / "data"
@@ -62,6 +65,16 @@ def run_query(graph: PropertyGraph, text: str):
     if diagnostics:
         raise QueryValidationError(diagnostics)
     return execute(query, graph)
+
+
+def expanded_queries(fmt: str, *args) -> list[Query]:
+    """The validated queries of a format string: one, or one per id of its ``[]`` collection."""
+    tokens, batch = expand_positional(fmt, args)
+    query = parse(tokens, fmt)
+    diagnostics = validate(query)
+    if diagnostics:
+        raise QueryValidationError(diagnostics)
+    return [query] if batch is None else [bind_slot(query, uid) for uid in batch]
 
 
 def build_tree_graph(*, with_uids: bool = True, with_classes: bool = True, with_binder: bool = False) -> PropertyGraph:

@@ -4,13 +4,17 @@ Everything here recomputes expected results from first principles without
 calling into the code paths under test: reachability by explicit BFS over
 snapshot objects, pattern matching by brute-force enumeration over all
 relationships, the tree invariant by the classic worklist algorithm, map
-membership by an imperative bucket walk, and field assignment by replaying
-a (node, field) -> target table.
+membership by an imperative bucket walk, field assignment by replaying
+a (node, field) -> target table, graph equality by backtracking isomorphism
+search, and positional arguments by textual substitution: one query text per
+``[]`` element, each parsed on its own.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter, deque
+from dataclasses import dataclass
 
 from heapquery.cypher_ast import (
     And,
@@ -28,6 +32,7 @@ from heapquery.cypher_ast import (
     Variable,
     WhereClause,
 )
+from heapquery.errors import ExpansionError
 from heapquery.property_graph import (
     CLASS_LABEL,
     ELEMENT_LABEL,
@@ -503,3 +508,209 @@ def replay_field_assignments(
     for (node_id, fieldname), target in sorted(fields.items()):
         graph.add_relationship(fieldname, remap[node_id], remap[target])
     return graph
+
+
+# --- structural comparison -----------------------------------------------------------
+
+ISO_NODE_LIMIT = 64
+
+
+class SizeLimitExceededError(Exception):
+    def __init__(self, size: int, limit: int):
+        super().__init__(f"graph has {size} nodes, structural comparison is limited to {limit}")
+        self.size = size
+        self.limit = limit
+
+
+
+def structurally_equal(g1: PropertyGraph, g2: PropertyGraph, *, max_nodes: int = ISO_NODE_LIMIT) -> bool:
+    """Id-insensitive isomorphism of labeled, propertied multigraphs.
+
+    True iff some bijection of nodes preserves labels, property maps and
+    labeled relationships (with their property maps).  The reserved ``$uid``
+    node property is identity metadata and is ignored.  Intended for small
+    graphs; raises SizeLimitExceededError beyond ``max_nodes``.
+    """
+    for g in (g1, g2):
+        if g.node_count > max_nodes:
+            raise SizeLimitExceededError(g.node_count, max_nodes)
+    if g1.node_count != g2.node_count or g1.relationship_count != g2.relationship_count:
+        return False
+
+    sig1 = _node_signatures(g1)
+    sig2 = _node_signatures(g2)
+    if sorted(sig1.values()) != sorted(sig2.values()):
+        return False
+
+    candidates: dict[int, list[int]] = {}
+    by_sig: dict[tuple, list[int]] = {}
+    for node_id, sig in sig2.items():
+        by_sig.setdefault(sig, []).append(node_id)
+    for node_id, sig in sig1.items():
+        candidates[node_id] = by_sig.get(sig, [])
+        if not candidates[node_id]:
+            return False
+
+    # Most-constrained-first ordering keeps the backtracking shallow.
+    order = sorted(candidates, key=lambda n: (len(candidates[n]), n))
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def edges_between(g: PropertyGraph, a: int, b: int):
+        out = []
+        for rel, other in g.neighbors(a, "out"):
+            if other.id == b:
+                out.append((rel.label, canon_properties(rel.properties)))
+        return sorted(out)
+
+    def consistent(n1: int, n2: int) -> bool:
+        for m1, m2 in mapping.items():
+            if edges_between(g1, n1, m1) != edges_between(g2, n2, m2):
+                return False
+            if edges_between(g1, m1, n1) != edges_between(g2, m2, n2):
+                return False
+        return edges_between(g1, n1, n1) == edges_between(g2, n2, n2)
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        n1 = order[i]
+        for n2 in candidates[n1]:
+            if n2 in used or not consistent(n1, n2):
+                continue
+            mapping[n1] = n2
+            used.add(n2)
+            if extend(i + 1):
+                return True
+            del mapping[n1]
+            used.remove(n2)
+        return False
+
+    return extend(0)
+
+
+def _node_signatures(g: PropertyGraph) -> dict[int, tuple]:
+    sigs = {}
+    for node in g.nodes():
+        out = sorted((rel.label, canon_properties(rel.properties)) for rel, _ in g.neighbors(node.id, "out"))
+        inc = sorted((rel.label, canon_properties(rel.properties)) for rel, _ in g.neighbors(node.id, "in"))
+        sigs[node.id] = (
+            node.label,
+            canon_properties(node.properties, ignore_uid=True),
+            tuple(out),
+            tuple(inc),
+        )
+    return sigs
+
+
+# --- positional arguments -----------------------------------------------------------
+
+# The textual expander that ran before the markers became tokens of the lexer,
+# kept as the reference for the token path.  Unlike the lexer it binds markers
+# inside // comments, and a substituted value can merge with adjacent text.
+
+
+@dataclass(frozen=True)
+class Expansion:
+    """Result of positional-argument expansion.
+
+    ``text`` is the expanded query when no ``[]`` marker is present;
+    ``batch`` is the per-element expansion list otherwise.
+    """
+
+    text: str | None
+    batch: tuple | None = None
+
+    @property
+    def is_batch(self) -> bool:
+        return self.batch is not None
+
+    def queries(self) -> list[str]:
+        return list(self.batch) if self.is_batch else [self.text]
+
+
+_MARKER_RE = re.compile(r"\$(\d+)|@(\d+)|\[\](\d+)")
+
+
+def _argument(args, index: int, marker: str):
+    if index < 1 or index > len(args):
+        raise ExpansionError(f"positional argument {marker}{index} is out of range (got {len(args)} arguments)")
+    return args[index - 1]
+
+
+def expand_positional(fmt: str, args) -> Expansion:
+    """Expand ``$k`` (unique id), ``@k`` (class name) and ``[]k`` (batch) markers.
+
+    Markers inside string literals or backtick quotes are left alone, and
+    text outside markers is preserved byte for byte.  At most one ``[]``
+    marker is supported; it produces one query per collection element whose
+    results are bag-unioned by the engine.
+    """
+    args = list(args)
+    pieces: list[str] = []
+    batch_site: int | None = None
+    batch_values: list[int] | None = None
+    i = 0
+    n = len(fmt)
+    while i < n:
+        ch = fmt[i]
+        if ch == "`":
+            end = fmt.find("`", i + 1)
+            if end == -1:
+                pieces.append(fmt[i:])
+                break
+            pieces.append(fmt[i : end + 1])
+            i = end + 1
+            continue
+        if ch in ("'", '"'):
+            j = i + 1
+            while j < n:
+                if fmt[j] == "\\" and j + 1 < n:
+                    j += 2
+                    continue
+                if fmt[j] == ch:
+                    break
+                j += 1
+            pieces.append(fmt[i : j + 1])
+            i = j + 1
+            continue
+        m = _MARKER_RE.match(fmt, i)
+        if not m:
+            pieces.append(ch)
+            i += 1
+            continue
+        if m.group(1) is not None:
+            index = int(m.group(1))
+            value = _argument(args, index, "$")
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ExpansionError(f"${index} needs a unique id (integer), got {value!r}")
+            pieces.append(f"`{UID_KEY}`: {value}")
+        elif m.group(2) is not None:
+            index = int(m.group(2))
+            value = _argument(args, index, "@")
+            if not isinstance(value, str) or not value:
+                raise ExpansionError(f"@{index} needs a class name (string), got {value!r}")
+            pieces.append("`" + value.replace("`", "``") + "`")
+        else:
+            index = int(m.group(3))
+            value = _argument(args, index, "[]")
+            if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+                raise ExpansionError(f"[]{index} needs a collection of unique ids, got {value!r}")
+            elements = list(value)
+            for element in elements:
+                if isinstance(element, bool) or not isinstance(element, int):
+                    raise ExpansionError(f"[]{index} elements must be unique ids (integers), got {element!r}")
+            if batch_site is not None:
+                raise ExpansionError("only one [] marker is supported per query")
+            batch_site = len(pieces)
+            batch_values = elements
+            pieces.append("")  # placeholder
+        i = m.end()
+
+    if batch_site is None:
+        return Expansion("".join(pieces))
+    texts = []
+    for element in batch_values:
+        pieces[batch_site] = f"`{UID_KEY}`: {element}"
+        texts.append("".join(pieces))
+    return Expansion(None, tuple(texts))

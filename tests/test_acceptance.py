@@ -11,9 +11,9 @@ import statistics
 import time
 from contextlib import contextmanager
 
-from heapquery.cypher_frontend import expand_positional, parse, validate
+from heapquery.cypher_frontend import parse, validate
 from heapquery.heap_model import FieldAssign, parse_program, run_to_point, step_command
-from heapquery.property_graph import PropertyGraph, structurally_equal
+from heapquery.property_graph import PropertyGraph
 from heapquery.query_engine import execute
 from heapquery.snapshot_io import (
     export_csv,
@@ -32,6 +32,7 @@ from .conftest import (
     TWO_HOP_QUERY,
     UID,
     build_tree_graph,
+    expanded_queries,
 )
 from .generators import (
     build_hashmap_snapshot,
@@ -46,6 +47,7 @@ from .oracles import (
     hashmap_contains,
     reachable_from,
     replay_field_assignments,
+    structurally_equal,
     worklist_repok,
 )
 
@@ -61,9 +63,7 @@ def criterion(number: int, label: str):
 
 
 def run(graph: PropertyGraph, fmt: str, *args):
-    text = expand_positional(fmt, list(args)).text
-    query = parse(text)
-    assert validate(query) == []
+    (query,) = expanded_queries(fmt, *args)
     return execute(query, graph)
 
 
@@ -72,8 +72,7 @@ def test_criterion_1_tree_fixture_suite():
         started = time.perf_counter()
 
         # creation query on an empty graph builds the instance subgraph
-        text = expand_positional(TREE_CREATE_QUERY, ["BinaryTree$Node", "BinaryTree"]).text
-        table, created = run(PropertyGraph(), text)
+        table, created = run(PropertyGraph(), TREE_CREATE_QUERY, "BinaryTree$Node", "BinaryTree")
         assert structurally_equal(created, build_tree_graph(with_uids=False, with_classes=False))
         assert len(table.rows) == 1
         assert created.node(table.rows[0][0].id).label == "BinaryTree"

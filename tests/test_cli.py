@@ -8,11 +8,11 @@ import pytest
 
 from heapquery.cli import main
 from heapquery.cypher_frontend import _Parser
-from heapquery.property_graph import structurally_equal
 from heapquery.snapshot_io import load_snapshot
 from heapquery.subgraph import extract
 
 from .conftest import DATA, UID, build_point_graph
+from .oracles import structurally_equal
 
 
 @pytest.fixture

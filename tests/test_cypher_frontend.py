@@ -23,39 +23,55 @@ from heapquery.cypher_ast import (
     query_text,
 )
 from heapquery.cypher_frontend import (
+    SLOT,
     Diagnostic,
+    Token,
+    bind_slot,
     expand_positional,
     lint,
     parse,
+    tokenize,
     validate,
 )
 from heapquery.errors import ExpansionError, QuerySyntaxError, UnsupportedFeatureError
 
+from . import oracles
 from .strategies import queries
+
+
+def kinds_and_texts(tokens) -> list[tuple[str, str]]:
+    return [(tok.kind, tok.text) for tok in tokens]
+
+
+def assert_expands_to(fmt: str, args, text: str):
+    """``fmt`` with ``args`` gives the tokens of ``text``, and no batch."""
+    tokens, batch = expand_positional(fmt, args)
+    assert batch is None
+    assert kinds_and_texts(tokens) == kinds_and_texts(tokenize(text))
 
 
 class TestExpandPositional:
     def test_uid_marker(self):
-        expansion = expand_positional("MATCH (n {$1})-[*]-(m) RETURN m", [42])
-        assert expansion.text == "MATCH (n {`$uid`: 42})-[*]-(m) RETURN m"
-        assert not expansion.is_batch
+        assert_expands_to("MATCH (n {$1})-[*]-(m) RETURN m", [42], "MATCH (n {`$uid`: 42})-[*]-(m) RETURN m")
 
     def test_class_marker(self):
-        expansion = expand_positional("CREATE (a:@1 {value:1})", ["BinaryTree$Node"])
-        assert expansion.text == "CREATE (a:`BinaryTree$Node` {value:1})"
+        assert_expands_to("CREATE (a:@1 {value:1})", ["BinaryTree$Node"], "CREATE (a:`BinaryTree$Node` {value:1})")
 
     def test_collection_marker_builds_batch(self):
-        expansion = expand_positional("MATCH (n {[]1})-[*]->(m) RETURN m", [[1, 2]])
-        assert expansion.is_batch
-        assert list(expansion.batch) == [
-            "MATCH (n {`$uid`: 1})-[*]->(m) RETURN m",
-            "MATCH (n {`$uid`: 2})-[*]->(m) RETURN m",
+        fmt = "MATCH (n {[]1})-[*]->(m) RETURN m"
+        tokens, batch = expand_positional(fmt, [[1, 2]])
+        assert batch == [1, 2]
+        query = parse(tokens, fmt)
+        assert [bind_slot(query, uid) for uid in batch] == [
+            parse("MATCH (n {`$uid`: 1})-[*]->(m) RETURN m"),
+            parse("MATCH (n {`$uid`: 2})-[*]->(m) RETURN m"),
         ]
 
     def test_empty_collection(self):
-        expansion = expand_positional("MATCH (n {[]1}) RETURN n", [[]])
-        assert expansion.is_batch
-        assert expansion.queries() == []
+        fmt = "MATCH (n {[]1}) RETURN n"
+        tokens, batch = expand_positional(fmt, [[]])
+        assert batch == []
+        assert parse(tokens, fmt).clauses[0].patterns[0].nodes[0].properties == (("$uid", SLOT),)
 
     def test_index_out_of_range(self):
         with pytest.raises(ExpansionError):
@@ -69,41 +85,90 @@ class TestExpandPositional:
 
     def test_markers_inside_quotes_untouched(self):
         fmt = "MATCH (n {`$uid`: 1}) WHERE n.s = '$1 @2 []3' RETURN n"
-        assert expand_positional(fmt, []).text == fmt
+        assert_expands_to(fmt, [], fmt)
 
     def test_escaped_backslash_before_closing_quote(self):
         # the string literal ends at the quote after \\; $1 outside expands
         fmt = "MATCH (n) WHERE n.s = 'a\\\\' RETURN n, $1"
-        out = expand_positional(fmt, [4]).text
-        assert out == fmt.replace("$1", "`$uid`: 4")
+        assert_expands_to(fmt, [4], fmt.replace("$1", "`$uid`: 4"))
 
     def test_text_outside_markers_is_byte_identical(self):
         fmt = "MATCH\t(n {$1}) RETURN  n  // c $x"
-        out = expand_positional(fmt, [5]).text
-        assert out == fmt.replace("$1", "`$uid`: 5")
+        tokens, _ = expand_positional(fmt, [5])
+        kept = [tok for tok in tokens if tok.offset != fmt.index("$1")]
+        assert [fmt[tok.offset : tok.offset + len(tok.text)] for tok in kept] == [tok.text for tok in kept]
+        assert kinds_and_texts(tokens) == kinds_and_texts(tokenize(fmt.replace("$1", "`$uid`: 5")))
 
     def test_only_one_collection_marker(self):
         with pytest.raises(ExpansionError):
             expand_positional("MATCH (n {[]1})-[]->(m {[]2}) RETURN n", [[1], [2]])
 
     def test_mixed_markers(self):
-        expansion = expand_positional("MATCH (n:@2 {$1}) RETURN n", [7, "A"])
-        assert expansion.text == "MATCH (n:`A` {`$uid`: 7}) RETURN n"
+        assert_expands_to("MATCH (n:@2 {$1}) RETURN n", [7, "A"], "MATCH (n:`A` {`$uid`: 7}) RETURN n")
 
     def test_uid_marker_combines_with_other_properties(self):
-        expansion = expand_positional("MATCH (n {$1, value: 3}) RETURN n", [9])
-        query = parse(expansion.text)
-        node = query.clauses[0].patterns[0].nodes[0]
+        fmt = "MATCH (n {$1, value: 3}) RETURN n"
+        tokens, _ = expand_positional(fmt, [9])
+        node = parse(tokens, fmt).clauses[0].patterns[0].nodes[0]
         assert node.properties == (("$uid", Literal(9)), ("value", Literal(3)))
 
+    def test_negative_uid_is_a_negative_literal(self):
+        assert_expands_to("MATCH (n {$1}) RETURN n", [-3], "MATCH (n {`$uid`: -3}) RETURN n")
+
+    def test_marker_in_a_comment_is_not_bound(self):
+        fmt = "MATCH (n) // see $3 and []1\nRETURN n"
+        assert_expands_to(fmt, [], fmt)
+
+    @pytest.mark.parametrize(
+        "fmt, args, text",
+        [
+            ("RETURN @1`x`", ["A"], "RETURN `A` `x`"),  # as text, one name "A`x"
+            ("RETURN @1@2", ["A", "B"], "RETURN `A` `B`"),
+            ("RETURN $1.5", [4], "RETURN `$uid`: 4 .5"),  # as text, the float 4.5
+            ("RETURN $1e3", [4], "RETURN `$uid`: 4 e3"),
+        ],
+    )
+    def test_marker_does_not_merge_with_adjacent_text(self, fmt, args, text):
+        assert_expands_to(fmt, args, text)
+        assert kinds_and_texts(tokenize(oracles.expand_positional(fmt, args).text)) != kinds_and_texts(tokenize(text))
+
     @settings(max_examples=80, deadline=None)
-    @given(st.text(alphabet="MATCH(n) RETUoqa{}:`'.x\\-$@[]0", max_size=30))
+    @given(st.text(alphabet="MATCH(n) RETUoqa{}:`'.x\\-$@[]0/\n", max_size=30))
     def test_marker_free_text_is_untouched(self, fmt):
         import re
 
         if re.search(r"\$\d|@\d|\[\]\d", fmt):
             return  # only marker-free inputs assert identity
-        assert expand_positional(fmt, []).text == fmt
+        assert_expands_to(fmt, [], fmt)
+
+
+class TestTokenize:
+    @pytest.mark.parametrize(
+        "text, bad",
+        [
+            ("RETURN 1 # 2", "#"),
+            ("RETURN 'ab", "'ab"),
+            ("RETURN 'a\\\nb' = 1", "'a\\\nb'"),
+            ("RETURN `a $1", "`a $1"),
+        ],
+    )
+    def test_bad_tokens(self, text, bad):
+        assert [tok.text for tok in tokenize(text) if tok.kind == "bad"] == [bad]
+        with pytest.raises(QuerySyntaxError) as exc:
+            parse(text)
+        assert str(exc.value).endswith(f"unexpected character {bad[0]!r}")
+
+    def test_markers_are_tokens(self):
+        assert [tok for tok in tokenize("$1 @22 []3") if tok.kind == "marker"] == [
+            Token("marker", "$1", 0),
+            Token("marker", "@22", 3),
+            Token("marker", "[]3", 7),
+        ]
+
+    def test_unexpanded_marker_is_a_syntax_error(self):
+        with pytest.raises(QuerySyntaxError) as exc:
+            parse("MATCH (n {$1}) RETURN n")
+        assert (exc.value.line, exc.value.column) == (1, 11)
 
 
 class TestParse:

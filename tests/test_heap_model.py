@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from heapquery.errors import (
+    MAX_NESTING,
     ArityMismatchError,
     EvalError,
     NoSuchMethodError,
@@ -27,9 +28,10 @@ from heapquery.heap_model import (
     run_to_point,
     step_command,
 )
-from heapquery.property_graph import PropertyGraph, structurally_equal
+from heapquery.property_graph import PropertyGraph
 
 from .conftest import build_point_graph
+from .oracles import structurally_equal
 
 TWO_CLASS_PROGRAM = """
 class D { D g; D(D g) { this.g = g; } }
@@ -91,6 +93,25 @@ class TestParse:
             parse_program(text)
         assert (exc.value.line, exc.value.column) == (line, column)
         assert str(exc.value) == f"{line}:{column}: {message}"
+
+    @staticmethod
+    def nested_new(depth: int) -> str:
+        """One statement of ``depth`` nested ``new C(...)``."""
+        return "class C { C c; C(C c) { this.c = c; } }\nC x = " + "new C(" * depth + "null" + ")" * depth + ";"
+
+    def test_nesting_at_the_limit_runs(self):
+        graph = run_to_point(self.nested_new(MAX_NESTING))
+        assert sum(1 for node in graph.nodes() if node.label == "C") == MAX_NESTING
+
+    def test_nesting_past_the_limit_is_a_positioned_syntax_error(self):
+        with pytest.raises(ProgramSyntaxError) as exc:
+            run_to_point(self.nested_new(MAX_NESTING + 1))
+        column = len("C x = ") + len("new C(") * MAX_NESTING + 1  # of the new that opens one level too many
+        assert str(exc.value) == f"2:{column}: new nested deeper than the limit of {MAX_NESTING} levels"
+
+    def test_deep_nesting_is_not_a_recursion_error(self):
+        with pytest.raises(ProgramSyntaxError):
+            run_to_point(self.nested_new(1_000))
 
     def test_shadowing_rejected(self):
         text = "class A { A() {} } A x = new A(); A x = new A(); return x;"

@@ -8,14 +8,13 @@ import random
 import pytest
 
 from heapquery import query_engine
-from heapquery.cypher_frontend import expand_positional, parse, validate
 from heapquery.errors import InvalidPropertyError
 from heapquery.heap_model import parse_program, run_program
 from heapquery.property_graph import PropertyGraph
 from heapquery.query_engine import execute
 from heapquery.snapshot_io import CsvBundle, export_csv, import_csv
 
-from .conftest import build_tree_graph
+from .conftest import build_tree_graph, expanded_queries
 from .generators import random_graph
 from .oracles import enumerate_rows
 
@@ -23,9 +22,8 @@ ARROWS = {"out": ("-", "->"), "in": ("<-", "-"), "both": ("-", "-")}
 HOPS = {"*": 1, "*0..": 0, "*1..3": 1, "*2..": 2}  # spelling -> lower bound
 
 
-def parsed(text: str):
-    query = parse(text)
-    assert validate(query) == [], text
+def parsed(fmt: str, *args):
+    (query,) = expanded_queries(fmt, *args)
     return query
 
 
@@ -124,20 +122,20 @@ class TestScaleGuards:
         return g
 
     def test_long_chain_count_needs_no_recursion(self, chain):
-        query = parsed(expand_positional("MATCH (a {$1})-[:next*]->(m) RETURN count(m)", [1]).text)
+        query = parsed("MATCH (a {$1})-[:next*]->(m) RETURN count(m)", 1)
         table, _ = execute(query, chain)
         assert table.rows == [(99_999,)]
 
     def test_long_chain_distinct_targets(self, chain, monkeypatch):
         bfs = count_calls(monkeypatch, "_reachable")
-        query = parsed(expand_positional("MATCH (a {$1})-[:next*]->(m) RETURN DISTINCT m", [1]).text)
+        query = parsed("MATCH (a {$1})-[:next*]->(m) RETURN DISTINCT m", 1)
         table, _ = execute(query, chain)
         assert table.row_count == 99_999
         assert len(bfs) == 1
 
     def test_uid_lookup_checks_only_its_matches(self, chain, monkeypatch):
         checks = count_calls(monkeypatch, "_node_matches")
-        query = parsed(expand_positional("MATCH (x {$1}) RETURN x", [50_000]).text)
+        query = parsed("MATCH (x {$1}) RETURN x", 50_000)
         table, _ = execute(query, chain)
         assert [x.id for (x,) in table.rows] == [49_999]
         assert len(checks) <= 2

@@ -10,12 +10,11 @@ from collections import Counter
 import pytest
 
 from heapquery import QueryContext, property_graph, query_bounded, query_engine
-from heapquery.cypher_frontend import expand_positional, parse, validate
 from heapquery.property_graph import PropertyGraph
 from heapquery.query_engine import cell_tag, execute
 from heapquery.subgraph import ExtractionConfig, extract
 
-from .conftest import CONTAINS_KEY_QUERY, REPOK_QUERY, build_tree_graph
+from .conftest import CONTAINS_KEY_QUERY, REPOK_QUERY, build_tree_graph, expanded_queries
 from .generators import build_hashmap_snapshot, random_graph
 from .oracles import enumerate_rows, hashmap_contains
 
@@ -23,9 +22,8 @@ ARROWS = {"out": ("-", "->"), "in": ("<-", "-"), "both": ("-", "-")}
 HOPS = ["", "*0..", "*1..3", "*"]
 
 
-def parsed(text: str):
-    query = parse(text)
-    assert validate(query) == [], text
+def parsed(fmt: str, *args):
+    (query,) = expanded_queries(fmt, *args)
     return query
 
 
@@ -201,7 +199,7 @@ class TestWhereItRuns:
         graph = extract(snapshot).fill()
         reversals = count_calls(monkeypatch, "_reversed")
         for key in [obj.id for obj in snapshot.objects if obj.cls == "app.Key"]:
-            query = parsed(expand_positional(CONTAINS_KEY_QUERY, [map_id, key]).text)
+            query = parsed(CONTAINS_KEY_QUERY, map_id, key)
             table, _ = execute(query, graph)
             assert table.rows == [(hashmap_contains(snapshot, map_id, key),)]
         assert len(reversals) == 61
@@ -211,17 +209,17 @@ class TestWhereItRuns:
         snapshot, map_id, probe_id, present = hashmap
         graph = extract(snapshot, ExtractionConfig(root=[map_id, probe_id]))
         reversals = count_calls(monkeypatch, "_reversed")
-        query = parsed(expand_positional(CONTAINS_KEY_QUERY, [map_id, probe_id]).text)
+        query = parsed(CONTAINS_KEY_QUERY, map_id, probe_id)
         table, _ = execute(query, graph)
         assert table.rows == [(present,)]
         assert not graph.filled
         uid_end = "MATCH (e:`java.util.HashMap$Node`)-[:key]->(k {$1}) RETURN count(e)"
-        table, _ = execute(parsed(expand_positional(uid_end, [map_id + 1]).text), graph)
+        table, _ = execute(parsed(uid_end, map_id + 1), graph)
         assert table.rows == [(1,)]
         assert reversals == []
         assert not graph.filled
         graph.fill()
-        execute(parsed(expand_positional(uid_end, [map_id + 1]).text), graph)
+        execute(parsed(uid_end, map_id + 1), graph)
         assert len(reversals) == 1
 
     @pytest.mark.parametrize(
@@ -257,13 +255,13 @@ class TestWhereItRuns:
 
     def test_repok_stays_forward(self, monkeypatch, tree_graph):
         reversals = count_calls(monkeypatch, "_reversed")
-        query = parsed(expand_positional(REPOK_QUERY, [16]).text)
+        query = parsed(REPOK_QUERY, 16)
         table, _ = execute(query, tree_graph)
         assert table.rows == [(True,)]
         assert reversals == []
 
     def test_planned_clauses(self):
-        query = parsed(expand_positional(CONTAINS_KEY_QUERY, [1, 2]).text)
+        query = parsed(CONTAINS_KEY_QUERY, 1, 2)
         clauses, probe = query_engine._planned(query)
         assert clauses == (query.clauses[1], query.clauses[0], *query.clauses[2:])
         assert probe == {"k": "p", "p": "k"}

@@ -9,16 +9,15 @@ from heapquery.errors import (
     InvalidPropertyError,
     NodeNotFoundError,
     ReservedLabelError,
-    SizeLimitExceededError,
 )
 from heapquery.property_graph import (
     PropertyGraph,
     ensure_user_label,
-    structurally_equal,
     values_equal,
 )
 
 from .conftest import build_point_graph, build_tree_graph
+from .oracles import SizeLimitExceededError, structurally_equal
 from .strategies import graphs, rebuild_permuted
 
 

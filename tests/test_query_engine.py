@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from heapquery.cypher_frontend import expand_positional, parse, validate
+from heapquery.cypher_frontend import validate
 from heapquery.errors import ExecutionError, TypeMismatchError
-from heapquery.property_graph import PropertyGraph, structurally_equal
+from heapquery.property_graph import PropertyGraph
 from heapquery.query_engine import (
     ABSENT,
     NodeRef,
@@ -22,9 +22,10 @@ from .conftest import (
     TREE_CREATE_QUERY,
     TWO_HOP_QUERY,
     UID,
+    expanded_queries,
 )
 from .generators import build_hashmap_snapshot, build_tree_case, random_graph, random_query
-from .oracles import enumerate_rows, hashmap_contains, worklist_repok
+from .oracles import enumerate_rows, hashmap_contains, structurally_equal, worklist_repok
 
 
 def node_by_value(graph, value):
@@ -32,8 +33,7 @@ def node_by_value(graph, value):
 
 
 def expanded(fmt, args):
-    query = parse(expand_positional(fmt, args).text)
-    assert validate(query) == []
+    (query,) = expanded_queries(fmt, *args)
     return query
 
 
@@ -193,7 +193,7 @@ class TestAggregatingReturn:
 class TestExecute:
     def test_tree_creation_query(self, tree_instances_graph):
         graph = PropertyGraph()
-        table, graph = execute(expanded(expand_positional(TREE_CREATE_QUERY, ["BinaryTree$Node", "BinaryTree"]).text, []), graph)
+        table, graph = execute(expanded(TREE_CREATE_QUERY, ["BinaryTree$Node", "BinaryTree"]), graph)
         assert structurally_equal(graph, tree_instances_graph)
         assert len(table.rows) == 1
         (result,) = table.rows[0]
@@ -297,22 +297,19 @@ class TestInvariantQueries:
 
 class TestExecuteBatch:
     def test_union_of_per_element_results(self, tree_graph):
-        expansion = expand_positional("MATCH (n {[]1})-[:left|right]->(m) RETURN m", [[UID["a"], UID["b"]]])
-        queries = [parse(text) for text in expansion.queries()]
+        queries = expanded_queries("MATCH (n {[]1})-[:left|right]->(m) RETURN m", [UID["a"], UID["b"]])
         table, _ = execute_batch(queries, tree_graph)
         # a has no children, b has two
         values = sorted(tree_graph.node(v.id).properties["value"] for (v,) in table.rows)
         assert values == [1, 3]
 
     def test_empty_collection(self, tree_graph):
-        expansion = expand_positional("MATCH (n {[]1}) RETURN n", [[]])
-        table, _ = execute_batch([parse(t) for t in expansion.queries()], tree_graph)
+        table, _ = execute_batch(expanded_queries("MATCH (n {[]1}) RETURN n", []), tree_graph)
         assert table.columns == []
         assert table.rows == []
 
     def test_singleton_equals_plain_execute(self, tree_graph):
-        expansion = expand_positional("MATCH (n {[]1})-[:left]->(m) RETURN m", [[UID["c"]]])
-        batch_table, _ = execute_batch([parse(t) for t in expansion.queries()], tree_graph)
+        batch_table, _ = execute_batch(expanded_queries("MATCH (n {[]1})-[:left]->(m) RETURN m", [UID["c"]]), tree_graph)
         plain_table, _ = execute(expanded("MATCH (n {$1})-[:left]->(m) RETURN m", [UID["c"]]), tree_graph)
         assert batch_table.rows == plain_table.rows
 
@@ -324,8 +321,7 @@ class TestExecuteBatch:
         for _ in range(20):
             uids = [rng.choice(list(UID.values())) for _ in range(rng.randint(0, 4))]
             fmt = "MATCH (n {[]1})-[:left|right*1..]->(m) RETURN m"
-            expansion = expand_positional(fmt, [uids])
-            batch_table, _ = execute_batch([parse(t) for t in expansion.queries()], tree_graph)
+            batch_table, _ = execute_batch(expanded_queries(fmt, uids), tree_graph)
             singles = Counter()
             for uid in uids:
                 single, _ = execute(expanded("MATCH (n {$1})-[:left|right*1..]->(m) RETURN m", [uid]), tree_graph)

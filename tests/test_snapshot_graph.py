@@ -16,8 +16,8 @@ import pytest
 
 from heapquery import subgraph
 from heapquery.api import QueryContext, query_bounded
-from heapquery.cypher_frontend import expand_positional
 from heapquery.errors import NodeNotFoundError, RelationshipNotFoundError, UnknownRootError
+from heapquery.query_engine import execute
 from heapquery.subgraph import (
     ClassInfo,
     ExtractionConfig,
@@ -32,7 +32,7 @@ from heapquery.subgraph import (
     follow_references,
 )
 
-from .conftest import CONTAINS_KEY_QUERY, REACHABLE_QUERY, REPOK_QUERY, TWO_HOP_QUERY, UID, run_query
+from .conftest import CONTAINS_KEY_QUERY, REACHABLE_QUERY, REPOK_QUERY, TWO_HOP_QUERY, UID, expanded_queries
 from .generators import build_hashmap_snapshot, build_large_snapshot, build_tree_case, random_snapshot
 from .oracles import reference_extract
 
@@ -56,8 +56,8 @@ def _rels(graph):
 
 def _rows(graph, fmt: str, *args) -> list:
     rows = []
-    for text in expand_positional(fmt, args).queries():
-        table, _ = run_query(graph, text)
+    for query in expanded_queries(fmt, *args):
+        table, _ = execute(query, graph)
         rows.extend(table.rows)
     return rows
 

@@ -14,7 +14,7 @@ from heapquery.errors import (
     SnapshotSchemaError,
 )
 from heapquery.heap_model import run_to_point
-from heapquery.property_graph import PropertyGraph, structurally_equal
+from heapquery.property_graph import PropertyGraph
 from heapquery.snapshot_io import (
     NODES_HEADER,
     RELS_HEADER,
@@ -29,6 +29,7 @@ from heapquery.subgraph import ExtractionConfig, extract
 
 from .conftest import DATA
 from .generators import random_snapshot
+from .oracles import structurally_equal
 from .strategies import graphs
 
 
@@ -142,19 +143,22 @@ class TestErrorLocations:
         doc = _one_object_doc('{"name":"r","kind":"reference","type":"A"}', '"r":{"ref":99}')
         with pytest.raises(DanglingReferenceError) as exc:
             load_snapshot(doc)
-        assert str(exc.value) == "objects[7].fields.r: reference to unknown object id 99"
+        assert str(exc.value) == "objects[0].fields.r: reference to unknown object id 99"
         doc = _one_object_doc('{"name":"r","kind":"reference","type":"A"}', '"r":5')
         with pytest.raises(SnapshotSchemaError) as exc:
             load_snapshot(doc)
-        assert str(exc.value) == "objects[7].fields.r: reference field holds a primitive"
+        assert str(exc.value) == "objects[0].fields.r: reference field holds a primitive"
         doc = _one_object_doc("", '"q":5')
         with pytest.raises(SnapshotSchemaError) as exc:
             load_snapshot(doc)
-        assert str(exc.value) == "objects[7].fields.q: field 'q' not declared by 'A'"
+        assert str(exc.value) == "objects[0].fields.q: field 'q' not declared by 'A'"
+        with pytest.raises(SnapshotSchemaError) as exc:
+            load_snapshot(_one_object_doc("", "").replace('"class":"A"', '"class":"B"'))
+        assert str(exc.value) == "objects[0]: unknown class 'B'"
         doc = _one_object_doc('{"name":"xs","kind":"primitive-array","type":"int"}', '"xs":[1,"a"]')
         with pytest.raises(InvalidPropertyError) as exc:
             load_snapshot(doc)
-        assert str(exc.value) == "list value for key 'objects[7].fields.xs' must be homogeneous, got ['int', 'str']"
+        assert str(exc.value) == "list value for key 'objects[0].fields.xs' must be homogeneous, got ['int', 'str']"
         doc = _one_object_doc("", "", ',"statics":{"s":{"ref":99}}')
         with pytest.raises(DanglingReferenceError) as exc:
             load_snapshot(doc)

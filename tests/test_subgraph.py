@@ -9,7 +9,6 @@ from heapquery.errors import (
     ExtractionConfigError,
     UnknownRootError,
 )
-from heapquery.property_graph import structurally_equal
 from heapquery.snapshot_io import load_snapshot
 from heapquery.subgraph import (
     ClassInfo,
@@ -26,7 +25,7 @@ from heapquery.subgraph import (
 
 from .conftest import UID, build_tree_graph
 from .generators import build_large_snapshot, random_snapshot
-from .oracles import reachable_from
+from .oracles import reachable_from, structurally_equal
 
 
 def simple_class(name: str, refs=(), prims=(), ref_arrays=(), statics=None) -> ClassInfo:
