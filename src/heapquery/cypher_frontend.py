@@ -142,6 +142,12 @@ class _Parser:
         tok = tok or self.peek()
         raise QuerySyntaxError(message, *text_position(self.text, tok.offset))
 
+    def int_value(self, tok: Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than ``sys.get_int_max_str_digits()`` allows
+            self.error(f"integer literal of {len(tok.text)} digits is too long", tok)
+
     def nest(self, tok: Token, parse):
         """``parse()`` one nesting level below ``tok``; past ``MAX_NESTING`` levels, a syntax error."""
         if self.depth == MAX_NESTING:
@@ -333,11 +339,11 @@ class _Parser:
         lo = None
         hi = None
         if self.peek().kind == "int":
-            lo = int(self.advance().text)
+            lo = self.int_value(self.advance())
         if self.at_op(".."):
             self.advance()
             if self.peek().kind == "int":
-                hi = int(self.advance().text)
+                hi = self.int_value(self.advance())
             return Hops("range", lo if lo is not None else 1, hi)
         if lo is not None:
             return Hops("exact", lo, lo)
@@ -435,7 +441,7 @@ class _Parser:
             negative = True
         tok = self.advance()
         if tok.kind == "int":
-            value: object = -int(tok.text) if negative else int(tok.text)
+            value: object = -self.int_value(tok) if negative else self.int_value(tok)
         elif tok.kind == "float":
             value = -float(tok.text) if negative else float(tok.text)
         else:
@@ -644,9 +650,11 @@ def expand_positional(fmt: str, args) -> tuple[list[Token], list[int] | None]:
             tokens.append(tok)
             continue
         marker = tok.text.rstrip("0123456789")
-        index = int(tok.text[len(marker) :])
+        digits = tok.text[len(marker) :]
+        index = int(digits) if len(digits) < 10 else 0  # a longer index is out of range anyway
         if index < 1 or index > len(args):
-            raise ExpansionError(f"positional argument {marker}{index} is out of range (got {len(args)} arguments)")
+            shown = index if len(digits) < 10 else digits
+            raise ExpansionError(f"positional argument {marker}{shown} is out of range (got {len(args)} arguments)")
         value = args[index - 1]
         if marker == "@":
             if not isinstance(value, str) or not value:
@@ -657,9 +665,13 @@ def expand_positional(fmt: str, args) -> tuple[list[Token], list[int] | None]:
         if marker == "$":
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ExpansionError(f"${index} needs a unique id (integer), got {value!r}")
+            try:
+                text = str(abs(value))
+            except ValueError:  # more digits than ``sys.get_int_max_str_digits()`` allows
+                raise ExpansionError(f"${index} is an id of {value.bit_length()} bits, too long to bind") from None
             if value < 0:
                 tokens.append(Token("op", "-", tok.offset))
-            tokens.append(Token("int", str(abs(value)), tok.offset))
+            tokens.append(Token("int", text, tok.offset))
             continue
         if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
             raise ExpansionError(f"[]{index} needs a collection of unique ids, got {value!r}")

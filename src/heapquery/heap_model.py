@@ -515,7 +515,10 @@ class _Parser:
         if tok.text == "false":
             return LitArg(False)
         if tok.kind == "int":
-            return LitArg(int(tok.text))
+            try:
+                return LitArg(int(tok.text))
+            except ValueError:  # more digits than ``sys.get_int_max_str_digits()`` allows
+                self.error(f"integer literal of {len(tok.text)} digits is too long", tok)
         if tok.kind == "float":
             return LitArg(float(tok.text))
         if tok.kind == "string":

@@ -35,6 +35,7 @@ from .property_graph import (
     LOCAL_LABEL,
     UID_KEY,
     PropertyGraph,
+    check_property_value,
     collector_paused,
 )
 from .subgraph import (
@@ -44,6 +45,8 @@ from .subgraph import (
     HeapSnapshot,
     Ref,
     RefArray,
+    _is_name,
+    _referenced_ids,
 )
 
 NODES_HEADER = ["nodeId:ID", "label:LABEL", "props:JSON"]
@@ -53,51 +56,30 @@ RELS_HEADER = [":START_ID", ":END_ID", ":TYPE", "props:JSON"]
 # --- snapshot JSON ---------------------------------------------------------------
 
 
-class _BadValue(Exception):
-    """A field value ``_decode_value`` rejects; the caller adds the location."""
-
-    def __init__(self, message: str, suffix: str = ""):
-        self.message = message
-        self.suffix = suffix  # the element index within the value, if any
-
-
-def _decode_value(value):
+def _decode_value(value, path: str):
+    """A field or static value decoded by its JSON shape alone; ``path`` locates it in errors."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, list):
         for i, element in enumerate(value):
             if not (element is None or isinstance(element, (bool, int, float, str))):
-                raise _BadValue("primitive arrays may only hold JSON literals", f"[{i}]")
+                raise SnapshotSchemaError("primitive arrays may only hold JSON literals", f"{path}[{i}]")
         return value
     if isinstance(value, dict):
         if set(value) == {"ref"}:
             if not isinstance(value["ref"], int) or isinstance(value["ref"], bool):
-                raise _BadValue("ref must be an integer object id")
+                raise SnapshotSchemaError("ref must be an integer object id", path)
             return Ref(value["ref"])
         if set(value) == {"refs"}:
             ids = value["refs"]
             if not isinstance(ids, list):
-                raise _BadValue("refs must be a list")
+                raise SnapshotSchemaError("refs must be a list", path)
             for i, element in enumerate(ids):
                 if element is not None and (not isinstance(element, int) or isinstance(element, bool)):
-                    raise _BadValue("refs elements must be object ids or null", f"[{i}]")
+                    raise SnapshotSchemaError("refs elements must be object ids or null", f"{path}[{i}]")
             return RefArray(ids)
-        raise _BadValue(f"unrecognized value object with keys {sorted(value)}")
-    raise _BadValue(f"unsupported value {value!r}")
-
-
-def _decode_values(raw: dict, section: str, index: int, part: str) -> dict:
-    """Decode the name -> value map at ``{section}[{index}].{part}``.
-
-    The location is formatted only when a value is rejected.
-    """
-    decoded = {}
-    try:
-        for name, value in raw.items():
-            decoded[name] = _decode_value(value)
-    except _BadValue as exc:
-        raise SnapshotSchemaError(exc.message, f"{section}[{index}].{part}.{name}{exc.suffix}") from None
-    return decoded
+        raise SnapshotSchemaError(f"unrecognized value object with keys {sorted(value)}", path)
+    raise SnapshotSchemaError(f"unsupported value {value!r}", path)
 
 
 def _encode_value(value):
@@ -108,9 +90,121 @@ def _encode_value(value):
     return value
 
 
+_SCALARS = frozenset((bool, int, float, str))
+_SLOT_TYPES = frozenset((int, type(None)))  # of the elements of a reference array
+
+
+def _member(entry: dict, key: str, kind: type, at: str = ""):
+    """``entry[key]``, empty when absent, which must be a JSON array (``list``) or object (``dict``)."""
+    value = entry[key] if key in entry else kind()
+    if type(value) is not kind:
+        shape = "a list" if kind is list else "an object"
+        raise SnapshotSchemaError(f"{key} must be {shape}", f"{at}.{key}" if at else key)
+    return value
+
+
+def _load_class(raw, i: int) -> ClassInfo:
+    path = f"classes[{i}]"
+    if type(raw) is not dict or "name" not in raw:
+        raise SnapshotSchemaError("class entries need a name", path)
+    if not _is_name(raw["name"]):
+        raise SnapshotSchemaError(f"class name must be a non-empty string, got {raw['name']!r}", path)
+    fields = []
+    for j, f in enumerate(_member(raw, "fields", list, path)):
+        if type(f) is not dict or not {"name", "kind", "type"} <= f.keys():
+            raise SnapshotSchemaError("field declarations need name/kind/type", f"{path}.fields[{j}]")
+        fields.append(FieldDecl(f["name"], f["kind"], f["type"]))
+    statics = {}
+    for name, value in _member(raw, "statics", dict, path).items():
+        where = f"{path}.statics.{name}"
+        value = _decode_value(value, where)
+        if type(value) is list:
+            check_property_value(value, key=where)
+        statics[name] = value
+    return ClassInfo(raw["name"], raw.get("superclass"), tuple(fields), statics)
+
+
+def _reject_field(value, kind: str, path: str):
+    """Raise the error for a field value that ``_load_objects`` refused: that of
+    ``_decode_value`` or, for a value it decodes, that of ``validate``."""
+    value = _decode_value(value, path)
+    if isinstance(value, Ref):
+        holds = "a reference"
+    elif isinstance(value, RefArray):
+        holds = "a reference array"
+    else:
+        check_property_value(value, key=path)
+        holds = "a primitive"
+    raise SnapshotSchemaError(f"{kind} field holds {holds}", path)
+
+
+def _load_objects(entries: list, kinds: dict, refs: list) -> list:
+    """Decode, check and build each object entry by the declared kinds of its fields.
+
+    ``kinds`` maps a class name to its field names (inherited ones included)
+    and their kinds.  The ids the fields reference are appended to ``refs``,
+    to be checked once every object id is known.
+    """
+    objects = []
+    for i, raw in enumerate(entries):
+        if type(raw) is not dict or "id" not in raw or "class" not in raw:
+            raise SnapshotSchemaError("object entries need id and class", f"objects[{i}]")
+        object_id = raw["id"]
+        if type(object_id) is not int:  # a bool is not an id
+            raise SnapshotSchemaError("object id must be an integer", f"objects[{i}]")
+        cls = raw["class"]
+        declared = kinds.get(cls) if type(cls) is str else None
+        if declared is None:
+            raise SnapshotSchemaError(f"unknown class {cls!r}", f"objects[{i}]")
+        fields = raw["fields"] if "fields" in raw else {}
+        if type(fields) is not dict:
+            raise SnapshotSchemaError("fields must be an object", f"objects[{i}].fields")
+        # A copy: the document's own map would keep the freed document's memory
+        # in use around it, and queries over the scattered objects ran slower.
+        fields = dict(fields)
+        for name, value in fields.items():
+            kind = declared.get(name)
+            if kind is None:
+                raise SnapshotSchemaError(f"field {name!r} not declared by {cls!r}", f"objects[{i}].fields.{name}")
+            if value is None:
+                continue
+            value_type = type(value)
+            if kind == "primitive" or kind == "primitive-array":  # either takes a scalar or a list
+                if value_type in _SCALARS:
+                    continue
+                if value_type is list:
+                    element_types = set(map(type, value))
+                    if len(element_types) <= 1 and element_types <= _SCALARS:
+                        continue
+            elif value_type is dict and len(value) == 1:
+                if kind == "reference":
+                    target = value.get("ref")
+                    if type(target) is int:
+                        fields[name] = Ref(target)
+                        refs.append(target)
+                        continue
+                else:
+                    ids = value.get("refs")
+                    if type(ids) is list and set(map(type, ids)) <= _SLOT_TYPES:
+                        fields[name] = RefArray(ids)
+                        refs += [e for e in ids if e is not None] if None in ids else ids
+                        continue
+            _reject_field(value, kind, f"objects[{i}].fields.{name}")
+        objects.append(HeapObject(object_id, cls, fields))
+    return objects
+
+
 @collector_paused()
 def load_snapshot(data: bytes | str) -> HeapSnapshot:
-    """Parse and eagerly validate a snapshot document."""
+    """Parse a snapshot document, checking it in the same pass, and return it validated.
+
+    The classes are decoded and checked first.  Then each object is decoded by
+    the declared kinds of its fields, checked and built once.  After the last
+    object, the ids are checked for repeats, and the referenced ids and the
+    roots against the object map.  A fault raises a ``HeapQueryError`` (a
+    ``SnapshotError`` for most) whose path names the offending element, such
+    as ``objects[3].fields.next``.
+    """
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or JSON nested too deeply
@@ -121,41 +215,27 @@ def load_snapshot(data: bytes | str) -> HeapSnapshot:
         if key not in doc:
             raise SnapshotSchemaError(f"missing top-level key {key!r}")
 
-    classes = []
-    for i, raw in enumerate(doc["classes"]):
-        path = f"classes[{i}]"
-        if not isinstance(raw, dict) or "name" not in raw:
-            raise SnapshotSchemaError("class entries need a name", path)
-        fields = []
-        for j, f in enumerate(raw.get("fields", [])):
-            fpath = f"{path}.fields[{j}]"
-            if not isinstance(f, dict) or not {"name", "kind", "type"} <= set(f):
-                raise SnapshotSchemaError("field declarations need name/kind/type", fpath)
-            fields.append(FieldDecl(f["name"], f["kind"], f["type"]))
-        statics = _decode_values(raw.get("statics", {}), "classes", i, "statics")
-        classes.append(ClassInfo(raw["name"], raw.get("superclass"), tuple(fields), statics))
-
-    objects = []
-    for i, raw in enumerate(doc["objects"]):
-        if not isinstance(raw, dict) or "id" not in raw or "class" not in raw:
-            raise SnapshotSchemaError("object entries need id and class", f"objects[{i}]")
-        if not isinstance(raw["id"], int) or isinstance(raw["id"], bool):
-            raise SnapshotSchemaError("object id must be an integer", f"objects[{i}]")
-        fields = _decode_values(raw.get("fields", {}), "objects", i, "fields")
-        objects.append(HeapObject(raw["id"], raw["class"], fields))
-
-    roots = doc["roots"]
-    if not isinstance(roots, dict):
-        raise SnapshotSchemaError("roots must be an object", "roots")
-    parsed_roots = {}
+    classes = [_load_class(raw, i) for i, raw in enumerate(_member(doc, "classes", list))]
+    declared = HeapSnapshot(classes, [], {})  # the classes alone, to check them before any object
+    declared._check_classes()
+    kinds = {
+        info.name: {name: decl.kind for name, decl in declared.field_decls(info.name).items()} for info in classes
+    }
+    refs = _referenced_ids(value for info in classes for value in info.statics.values())
+    objects = _load_objects(_member(doc, "objects", list), kinds, refs)
+    roots = _member(doc, "roots", dict)
     for name, target in roots.items():
-        if not isinstance(target, int) or isinstance(target, bool):
+        if type(target) is not int:
             raise SnapshotSchemaError("root targets must be object ids", f"roots.{name}")
-        parsed_roots[name] = target
 
-    snapshot = HeapSnapshot(classes, objects, parsed_roots)
-    snapshot.validate()
-    return snapshot
+    snapshot = HeapSnapshot(classes, objects, roots)
+    ids = snapshot._object_map
+    # Each value was checked as it was decoded.  Left of the value checks of
+    # ``validate``: the ids are distinct (the map is keyed by id, so it is as
+    # long as ``objects`` only then) and every referenced id is one of them.
+    # If either fails, ``validate`` runs all of them, to name the fault.
+    snapshot._values_checked = len(ids) == len(objects) and all(map(ids.__contains__, refs))
+    return snapshot.validate()
 
 
 @collector_paused()

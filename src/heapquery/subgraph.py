@@ -111,6 +111,7 @@ class HeapSnapshot:
         self._class_map = {c.name: c for c in self.classes}
         self._object_map = {o.id: o for o in self.objects}
         self._validated = False
+        self._values_checked = False
         self._decls_cache: dict[str, MappingProxyType] = {}
         self._plans: dict[str, _ClassPlan] = {}
         self._roots_of: dict[int, list[str]] | None = None
@@ -176,6 +177,48 @@ class HeapSnapshot:
             self.validate()
 
     def validate(self) -> "HeapSnapshot":
+        """Check the snapshot and raise its first fault.
+
+        ``load_snapshot`` checks the statics and objects of a snapshot as it
+        decodes them and sets ``_values_checked``; then this runs only the
+        class and root checks.
+        """
+        self._check_classes()
+        if not self._values_checked:
+            for i, info in enumerate(self.classes):
+                for name, value in info.statics.items():
+                    self._check_value(value, None, ("classes", i, "statics", name))
+
+            seen = set()
+            for i, obj in enumerate(self.objects):
+                if isinstance(obj.id, bool) or not isinstance(obj.id, int):
+                    raise SnapshotSchemaError(f"object id must be an integer, got {obj.id!r}", f"objects[{i}]")
+                if obj.id in seen:
+                    raise DuplicateObjectIdError(obj.id)
+                seen.add(obj.id)
+            for i, obj in enumerate(self.objects):
+                if obj.cls not in self._class_map:
+                    raise SnapshotSchemaError(f"unknown class {obj.cls!r}", f"objects[{i}]")
+                decls = self.field_decls(obj.cls)
+                for name, value in obj.fields.items():
+                    decl = decls.get(name)
+                    if decl is None:
+                        raise SnapshotSchemaError(
+                            f"field {name!r} not declared by {obj.cls!r}", f"objects[{i}].fields.{name}"
+                        )
+                    self._check_value(value, decl, ("objects", i, "fields", name))
+        for name, target in self.roots.items():
+            if target not in self._object_map:
+                raise UnknownRootError(target)
+            if not isinstance(name, str) or not name:
+                raise SnapshotSchemaError(f"bad root name {name!r}", "roots")
+        self._root_names()
+        self._validated = True
+        return self
+
+    def _check_classes(self):
+        """The checks of ``validate`` that read nothing but the classes: names,
+        field declarations, superclass chains and static names."""
         seen_classes = set()
         for i, info in enumerate(self.classes):
             path = f"classes[{i}]"
@@ -186,8 +229,9 @@ class HeapSnapshot:
             if info.name in seen_classes:
                 raise SnapshotSchemaError(f"class {info.name!r} declared twice", path)
             seen_classes.add(info.name)
-            if info.superclass is not None and info.superclass not in self._class_map:
-                raise SnapshotSchemaError(f"unknown superclass {info.superclass!r}", path)
+            superclass = info.superclass
+            if superclass is not None and (not isinstance(superclass, str) or superclass not in self._class_map):
+                raise SnapshotSchemaError(f"unknown superclass {superclass!r}", path)
             for j, f in enumerate(info.fields):
                 if not _is_name(f.name):
                     raise SnapshotSchemaError(f"field name must be a non-empty string, got {f.name!r}", f"{path}.fields[{j}]")
@@ -198,7 +242,7 @@ class HeapSnapshot:
         for i, info in enumerate(self.classes):
             self._superclass_chain(info.name, f"classes[{i}]")
         for i, info in enumerate(self.classes):
-            for name, value in info.statics.items():
+            for name in info.statics:
                 if not _is_name(name):
                     raise SnapshotSchemaError(f"static name must be a non-empty string, got {name!r}", f"classes[{i}].statics")
                 if name == UID_KEY:
@@ -208,41 +252,13 @@ class HeapSnapshot:
                         "static field 'name' collides with the class-metadata name property",
                         f"classes[{i}].statics.name",
                     )
-                self._check_value(value, None, ("classes", i, "statics", name))
-
-        seen = set()
-        for i, obj in enumerate(self.objects):
-            if isinstance(obj.id, bool) or not isinstance(obj.id, int):
-                raise SnapshotSchemaError(f"object id must be an integer, got {obj.id!r}", f"objects[{i}]")
-            if obj.id in seen:
-                raise DuplicateObjectIdError(obj.id)
-            seen.add(obj.id)
-        for i, obj in enumerate(self.objects):
-            if obj.cls not in self._class_map:
-                raise SnapshotSchemaError(f"unknown class {obj.cls!r}", f"objects[{i}]")
-            decls = self.field_decls(obj.cls)
-            for name, value in obj.fields.items():
-                decl = decls.get(name)
-                if decl is None:
-                    raise SnapshotSchemaError(
-                        f"field {name!r} not declared by {obj.cls!r}", f"objects[{i}].fields.{name}"
-                    )
-                self._check_value(value, decl, ("objects", i, "fields", name))
-        for name, target in self.roots.items():
-            if target not in self._object_map:
-                raise UnknownRootError(target)
-            if not isinstance(name, str) or not name:
-                raise SnapshotSchemaError(f"bad root name {name!r}", "roots")
-        self._root_names()
-        self._validated = True
-        return self
 
     def _check_value(self, value, decl: FieldDecl | None, where: tuple):
         """Check one field or static value against its declaration.
 
         ``where`` is the value's (section, position in it, part, name); it is formatted
         into a path such as ``objects[7].fields.next`` only on the raise paths,
-        because a load checks every field.
+        because ``validate`` checks every field of a hand-built snapshot.
         """
         if value is None:
             return

@@ -6,12 +6,14 @@ snapshot objects, pattern matching by brute-force enumeration over all
 relationships, the tree invariant by the classic worklist algorithm, map
 membership by an imperative bucket walk, field assignment by replaying
 a (node, field) -> target table, graph equality by backtracking isomorphism
-search, and positional arguments by textual substitution: one query text per
-``[]`` element, each parsed on its own.
+search, positional arguments by textual substitution (one query text per
+``[]`` element, each parsed on its own), and snapshot loading by decoding
+every value first and validating the built snapshot afterwards.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -32,7 +34,7 @@ from heapquery.cypher_ast import (
     Variable,
     WhereClause,
 )
-from heapquery.errors import ExpansionError
+from heapquery.errors import ExpansionError, SnapshotSchemaError
 from heapquery.property_graph import (
     CLASS_LABEL,
     ELEMENT_LABEL,
@@ -41,9 +43,18 @@ from heapquery.property_graph import (
     UID_KEY,
     PropertyGraph,
     canon_properties,
+    collector_paused,
     value_tag,
 )
-from heapquery.subgraph import ExtractionConfig, HeapSnapshot, Ref, RefArray
+from heapquery.subgraph import (
+    ClassInfo,
+    ExtractionConfig,
+    FieldDecl,
+    HeapObject,
+    HeapSnapshot,
+    Ref,
+    RefArray,
+)
 
 
 # --- snapshot reachability ------------------------------------------------------
@@ -714,3 +725,108 @@ def expand_positional(fmt: str, args) -> Expansion:
         pieces[batch_site] = f"`{UID_KEY}`: {element}"
         texts.append("".join(pieces))
     return Expansion(None, tuple(texts))
+
+
+# --- snapshot loading --------------------------------------------------------------
+
+# The two-pass loader that ran before ``load_snapshot`` checked each object while
+# decoding it: every value is decoded without its declaration, then
+# ``HeapSnapshot.validate`` walks the snapshot again.  Kept as the reference for
+# the one-pass loader's results and error messages.
+
+
+class _BadValue(Exception):
+    """A field value ``_decode_value`` rejects; the caller adds the location."""
+
+    def __init__(self, message: str, suffix: str = ""):
+        self.message = message
+        self.suffix = suffix  # the element index within the value, if any
+
+
+def _decode_value(value):
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, list):
+        for i, element in enumerate(value):
+            if not (element is None or isinstance(element, (bool, int, float, str))):
+                raise _BadValue("primitive arrays may only hold JSON literals", f"[{i}]")
+        return value
+    if isinstance(value, dict):
+        if set(value) == {"ref"}:
+            if not isinstance(value["ref"], int) or isinstance(value["ref"], bool):
+                raise _BadValue("ref must be an integer object id")
+            return Ref(value["ref"])
+        if set(value) == {"refs"}:
+            ids = value["refs"]
+            if not isinstance(ids, list):
+                raise _BadValue("refs must be a list")
+            for i, element in enumerate(ids):
+                if element is not None and (not isinstance(element, int) or isinstance(element, bool)):
+                    raise _BadValue("refs elements must be object ids or null", f"[{i}]")
+            return RefArray(ids)
+        raise _BadValue(f"unrecognized value object with keys {sorted(value)}")
+    raise _BadValue(f"unsupported value {value!r}")
+
+
+def _decode_values(raw: dict, section: str, index: int, part: str) -> dict:
+    """Decode the name -> value map at ``{section}[{index}].{part}``.
+
+    The location is formatted only when a value is rejected.
+    """
+    decoded = {}
+    try:
+        for name, value in raw.items():
+            decoded[name] = _decode_value(value)
+    except _BadValue as exc:
+        raise SnapshotSchemaError(exc.message, f"{section}[{index}].{part}.{name}{exc.suffix}") from None
+    return decoded
+
+
+@collector_paused()
+def reference_load_snapshot(data: bytes | str) -> HeapSnapshot:
+    """Parse and eagerly validate a snapshot document."""
+    try:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or JSON nested too deeply
+        raise SnapshotSchemaError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SnapshotSchemaError("top level must be an object")
+    for key in ("classes", "objects", "roots"):
+        if key not in doc:
+            raise SnapshotSchemaError(f"missing top-level key {key!r}")
+
+    classes = []
+    for i, raw in enumerate(doc["classes"]):
+        path = f"classes[{i}]"
+        if not isinstance(raw, dict) or "name" not in raw:
+            raise SnapshotSchemaError("class entries need a name", path)
+        fields = []
+        for j, f in enumerate(raw.get("fields", [])):
+            fpath = f"{path}.fields[{j}]"
+            if not isinstance(f, dict) or not {"name", "kind", "type"} <= set(f):
+                raise SnapshotSchemaError("field declarations need name/kind/type", fpath)
+            fields.append(FieldDecl(f["name"], f["kind"], f["type"]))
+        statics = _decode_values(raw.get("statics", {}), "classes", i, "statics")
+        classes.append(ClassInfo(raw["name"], raw.get("superclass"), tuple(fields), statics))
+
+    objects = []
+    for i, raw in enumerate(doc["objects"]):
+        if not isinstance(raw, dict) or "id" not in raw or "class" not in raw:
+            raise SnapshotSchemaError("object entries need id and class", f"objects[{i}]")
+        if not isinstance(raw["id"], int) or isinstance(raw["id"], bool):
+            raise SnapshotSchemaError("object id must be an integer", f"objects[{i}]")
+        fields = _decode_values(raw.get("fields", {}), "objects", i, "fields")
+        objects.append(HeapObject(raw["id"], raw["class"], fields))
+
+    roots = doc["roots"]
+    if not isinstance(roots, dict):
+        raise SnapshotSchemaError("roots must be an object", "roots")
+    parsed_roots = {}
+    for name, target in roots.items():
+        if not isinstance(target, int) or isinstance(target, bool):
+            raise SnapshotSchemaError("root targets must be object ids", f"roots.{name}")
+        parsed_roots[name] = target
+
+    snapshot = HeapSnapshot(classes, objects, parsed_roots)
+    snapshot.validate()
+    return snapshot

@@ -165,3 +165,80 @@ def queries(draw):
     )
     clauses.append(ReturnClause(items, draw(st.booleans())))
     return Query(tuple(clauses))
+
+
+# --- snapshot documents for the loader ------------------------------------------
+
+_KINDS = ("reference", "reference-array", "primitive", "primitive-array")
+_json_scalars = st.one_of(
+    st.integers(-3, 3), st.booleans(), st.sampled_from(["x", "y", ""]), st.sampled_from([0.5, -1.5])
+)
+_json_primitives = st.one_of(
+    st.none(),
+    _json_scalars,
+    st.lists(st.integers(0, 2), max_size=2),
+    st.lists(st.sampled_from(["x", "y"]), max_size=2),
+    st.lists(st.booleans(), max_size=2),
+)
+
+
+def declared_kinds(doc: dict) -> dict[str, dict[str, str]]:
+    """Class name -> field name -> kind, inherited fields included, of a valid document."""
+    by_name = {c["name"]: c for c in doc["classes"]}
+    kinds = {}
+    for name in by_name:
+        chain = [name]
+        while "superclass" in by_name[chain[-1]]:
+            chain.append(by_name[chain[-1]]["superclass"])
+        kinds[name] = {f["name"]: f["kind"] for c in reversed(chain) for f in by_name[c]["fields"]}
+    return kinds
+
+
+@st.composite
+def snapshot_documents(draw, max_objects: int = 6):
+    """A valid snapshot document, as ``json.loads`` returns it.
+
+    It has every field kind, null values and slots, classes that inherit
+    fields, statics of every value shape, and roots.
+    """
+    names = [f"demo.C{i}" for i in range(draw(st.integers(1, 3)))]
+    ids = draw(st.lists(st.integers(-5, 40), min_size=1, max_size=max_objects, unique=True))
+    any_id = st.sampled_from(ids)
+    refs = st.fixed_dictionaries({"refs": st.lists(st.one_of(st.none(), any_id), max_size=3)})
+    classes = []
+    for i, name in enumerate(names):
+        entry = {"name": name}
+        if i and draw(st.booleans()):
+            entry["superclass"] = names[draw(st.integers(0, i - 1))]
+        kinds = draw(st.lists(st.sampled_from(_KINDS), max_size=3))
+        entry["fields"] = [
+            {"name": f"f{i}{j}", "kind": kind, "type": "int" if "primitive" in kind else draw(st.sampled_from(names))}
+            for j, kind in enumerate(kinds)
+        ]
+        statics = draw(
+            st.dictionaries(
+                st.sampled_from(["s", "t", "cache"]),
+                st.one_of(_json_primitives, any_id.map(lambda x: {"ref": x}), refs),
+                max_size=2,
+            )
+        )
+        if statics:
+            entry["statics"] = statics
+        classes.append(entry)
+    doc = {"classes": classes, "objects": [], "roots": {}}
+    kinds = declared_kinds(doc)
+    values = {
+        "reference": st.one_of(st.none(), any_id.map(lambda x: {"ref": x})),
+        "reference-array": st.one_of(st.none(), refs),
+        "primitive": _json_primitives,
+        "primitive-array": _json_primitives,
+    }
+    for object_id in ids:
+        cls = draw(st.sampled_from(names))
+        fields = {name: draw(values[kind]) for name, kind in kinds[cls].items() if draw(st.booleans())}
+        entry = {"id": object_id, "class": cls}
+        if fields or draw(st.booleans()):
+            entry["fields"] = fields
+        doc["objects"].append(entry)
+    doc["roots"] = draw(st.dictionaries(st.sampled_from(["r0", "r1", "main"]), any_id, max_size=2))
+    return doc

@@ -112,6 +112,12 @@ class TestQuery:
         assert main(["query", str(path), "-q", "RETURN 1"]) == 1
         assert capsys.readouterr().err.startswith("error: not valid JSON: 'utf-8' codec can't decode")
 
+    def test_malformed_snapshot_shape_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"classes": [], "objects": 5, "roots": {}}')
+        assert main(["query", str(path), "-q", "RETURN 1"]) == 1
+        assert capsys.readouterr().err == "error: objects: objects must be a list\n"
+
     def test_time_flag_reports_stages(self, snapshot_path, capsys):
         main(["query", snapshot_path, "-q", "MATCH (n) RETURN count(n)", "--time"])
         err = capsys.readouterr().err

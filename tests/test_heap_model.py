@@ -113,6 +113,12 @@ class TestParse:
         with pytest.raises(ProgramSyntaxError):
             run_to_point(self.nested_new(1_000))
 
+    def test_integer_past_the_digit_limit_is_a_positioned_syntax_error(self):
+        text = "class C { int v; C(int v) { this.v = v; } }\nC x = new C(" + "9" * 5000 + ");"
+        with pytest.raises(ProgramSyntaxError) as exc:
+            run_to_point(text)
+        assert str(exc.value) == "2:13: integer literal of 5000 digits is too long"
+
     def test_shadowing_rejected(self):
         text = "class A { A() {} } A x = new A(); A x = new A(); return x;"
         with pytest.raises(ProgramSyntaxError):

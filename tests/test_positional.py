@@ -178,6 +178,28 @@ class TestPinnedDifferences:
         ]
 
 
+class TestPastTheDigitLimit:
+    """Integers with more digits than Python converts to or from text (4,300 by default)."""
+
+    def test_long_id_argument_is_an_expansion_error(self, ctx):
+        stage, cause = cause_of(lambda: query_unbounded(ctx, "MATCH (n {$1}) RETURN n", 10**5000))
+        assert (stage, type(cause)) == ("expand", ExpansionError)
+        assert str(cause) == f"$1 is an id of {(10**5000).bit_length()} bits, too long to bind"
+
+    def test_long_marker_index_is_out_of_range(self, ctx):
+        digits = "9" * 5000
+        stage, cause = cause_of(lambda: query_unbounded(ctx, "MATCH (n {$" + digits + "}) RETURN n", 1))
+        assert str(cause) == f"positional argument ${digits} is out of range (got 1 arguments)"
+
+    @pytest.mark.parametrize("fmt", ["RETURN {}", "RETURN -{}", "MATCH (n)-[*1..{}]->(m) RETURN m"])
+    def test_long_integer_literal_is_a_positioned_syntax_error(self, ctx, fmt):
+        fmt = fmt.format("9" * 5000)
+        stage, cause = cause_of(lambda: query_unbounded(ctx, fmt))
+        assert (stage, type(cause)) == ("parse", QuerySyntaxError)
+        assert (cause.line, cause.column) == (1, fmt.index("9") + 1)
+        assert str(cause).endswith("integer literal of 5000 digits is too long")
+
+
 class TestBatchIsParsedOnce:
     def test_fifty_ids_one_parse_and_one_validation(self, ctx, monkeypatch):
         calls = Counter()

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import copy
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heapquery.errors import (
     DanglingReferenceError,
     DuplicateObjectIdError,
+    HeapQueryError,
     InvalidPropertyError,
     NodeNotFoundError,
     NotSnapshotShapedError,
@@ -29,8 +33,8 @@ from heapquery.subgraph import ExtractionConfig, extract
 
 from .conftest import DATA
 from .generators import random_snapshot
-from .oracles import structurally_equal
-from .strategies import graphs
+from .oracles import reference_load_snapshot, structurally_equal
+from .strategies import declared_kinds, graphs, snapshot_documents
 
 
 class TestLoadSnapshot:
@@ -86,6 +90,196 @@ class TestLoadSnapshot:
             load_snapshot(doc)
         assert exc.value.path == "classes[0]"
 
+
+    @pytest.mark.parametrize(
+        "edit, path, message",
+        [
+            (lambda d: d.update(classes=5), "classes", "classes must be a list"),
+            (lambda d: d.update(objects=5), "objects", "objects must be a list"),
+            (lambda d: d["classes"][0].update(fields=5), "classes[0].fields", "fields must be a list"),
+            (lambda d: d["classes"][0].update(statics=[1]), "classes[0].statics", "statics must be an object"),
+            (lambda d: d["objects"][0].update(fields=[1]), "objects[0].fields", "fields must be an object"),
+            (lambda d: d["objects"][0].update({"class": [1]}), "objects[0]", "unknown class [1]"),
+            (lambda d: d["classes"][0].update(superclass=["x"]), "classes[0]", "unknown superclass ['x']"),
+            (lambda d: d["classes"][0].update(name={}), "classes[0]", "class name must be a non-empty string, got {}"),
+        ],
+    )
+    def test_malformed_shape_is_a_schema_error(self, edit, path, message):
+        doc = {"classes": [{"name": "A", "fields": []}], "objects": [{"id": 1, "class": "A", "fields": {}}], "roots": {}}
+        edit(doc)
+        with pytest.raises(SnapshotSchemaError) as exc:
+            load_snapshot(json.dumps(doc))
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: {message}"
+
+
+# --- the one-pass loader against the two-pass reference ------------------------------
+#
+# Each mutation makes one fault in a valid document, drawing its choices from
+# ``data``.  It returns the path of a section it gave a JSON type that the
+# section may not have, or None.  Such a section is rejected at its own path,
+# where the reference iterated a string or a map as if it were a list, and
+# crashed on other types.
+
+_OTHER_JSON = [5, 1.5, True, None, "x", [1], {}, {"k": 1}]
+_SECTIONS = {"classes": list, "objects": list, "fields": list, "statics": dict}
+
+
+def _missing_id(doc: dict) -> int:
+    return max((o["id"] for o in doc["objects"]), default=0) + 1
+
+
+def _an_id(doc: dict, data) -> int:
+    return data.draw(st.sampled_from([o["id"] for o in doc["objects"]]))
+
+
+def _declared_field(doc: dict, data, kinds: tuple):
+    """An (object, field name, kind) whose kind is one of ``kinds``, or None."""
+    declared = declared_kinds(doc)
+    choices = [
+        (obj, name, kind) for obj in doc["objects"] for name, kind in declared[obj["class"]].items() if kind in kinds
+    ]
+    return data.draw(st.sampled_from(choices)) if choices else None
+
+
+def _drop_key(doc, data):
+    places = [(doc, key) for key in ("classes", "objects", "roots")]
+    places += [(c, "name") for c in doc["classes"]]
+    places += [(f, key) for c in doc["classes"] for f in c["fields"] for key in ("name", "kind", "type")]
+    places += [(o, key) for o in doc["objects"] for key in ("id", "class")]
+    entry, key = data.draw(st.sampled_from(places))
+    del entry[key]
+
+
+def _retype(doc, data):
+    value = data.draw(st.sampled_from(_OTHER_JSON))
+    places = [(doc, "classes", "classes"), (doc, "objects", "objects"), (doc, "roots", "roots")]
+    for i, c in enumerate(doc["classes"]):
+        places += [(c, key, f"classes[{i}].{key}") for key in ("name", "superclass", "fields", "statics")]
+        places += [(f, key, None) for f in c["fields"] for key in ("name", "kind", "type")]
+        places += [(c["statics"], name, None) for name in c.get("statics", {})]
+    for i, o in enumerate(doc["objects"]):
+        places += [(o, key, f"objects[{i}].{key}") for key in ("id", "class", "fields")]
+        places += [(o["fields"], name, None) for name in o.get("fields", {})]
+    places += [(doc["roots"], name, None) for name in doc["roots"]]
+    entry, key, path = data.draw(st.sampled_from(places))
+    entry[key] = value
+    section = _SECTIONS.get(key)
+    if key == "fields" and path.startswith("objects"):
+        section = dict
+    return path if section is not None and type(value) is not section else None
+
+
+def _dangling(doc, data):
+    missing = _missing_id(doc)
+    found = _declared_field(doc, data, ("reference", "reference-array"))
+    if found is None or data.draw(st.booleans()):
+        holders = [c.setdefault("statics", {}) for c in doc["classes"]]
+        data.draw(st.sampled_from(holders))["cached"] = {"ref": missing}
+        return
+    obj, name, kind = found
+    obj.setdefault("fields", {})[name] = {"ref": missing} if kind == "reference" else {"refs": [None, missing]}
+
+
+def _duplicate_id(doc, data):
+    copied = copy.deepcopy(data.draw(st.sampled_from(doc["objects"])))
+    doc["objects"].insert(data.draw(st.integers(0, len(doc["objects"]))), copied)
+
+
+def _undeclared_field(doc, data):
+    data.draw(st.sampled_from(doc["objects"])).setdefault("fields", {})["undeclared"] = 1
+
+
+def _kind_mismatch(doc, data):
+    found = _declared_field(doc, data, ("reference", "reference-array", "primitive", "primitive-array"))
+    if found is None:
+        data.draw(st.sampled_from(doc["objects"]))["class"] = "demo.Undeclared"
+        return
+    obj, name, kind = found
+    target = _an_id(doc, data)
+    wrong = {
+        "reference": [5, [1], {"refs": [target]}],
+        "reference-array": [5, "x", {"ref": target}],
+        "primitive": [{"ref": target}, {"refs": [target]}],
+        "primitive-array": [{"ref": target}, {"refs": []}],
+    }[kind]
+    obj.setdefault("fields", {})[name] = data.draw(st.sampled_from(wrong))
+
+
+def _bool_id(doc, data):
+    choice = data.draw(st.integers(0, 3))
+    found = _declared_field(doc, data, ("reference", "reference-array"))
+    if choice == 0 or found is None:
+        data.draw(st.sampled_from(doc["objects"]))["id"] = data.draw(st.booleans())
+    elif choice == 1:
+        doc["roots"]["flag"] = True
+    else:
+        obj, name, kind = found
+        obj.setdefault("fields", {})[name] = {"ref": True} if kind == "reference" else {"refs": [False]}
+
+
+def _mixed_list(doc, data):
+    mixed = data.draw(st.sampled_from([[1, "a"], [1, True], [None, 1], [None], [1, [2]], [1.5, 2]]))
+    found = _declared_field(doc, data, ("primitive", "primitive-array"))
+    if found is None or data.draw(st.booleans()):
+        data.draw(st.sampled_from(doc["classes"])).setdefault("statics", {})["mixed"] = mixed
+    else:
+        obj, name, _ = found
+        obj.setdefault("fields", {})[name] = mixed
+
+
+def _empty_root_name(doc, data):
+    doc["roots"][""] = _an_id(doc, data)
+
+
+MUTATIONS = [
+    _drop_key,
+    _retype,
+    _dangling,
+    _duplicate_id,
+    _undeclared_field,
+    _kind_mismatch,
+    _bool_id,
+    _mixed_list,
+    _empty_root_name,
+]
+
+
+def _outcome(load, text: str):
+    try:
+        snapshot = load(text)
+    except Exception as exc:  # the reference also raises Python errors
+        return exc
+    return snapshot.classes, snapshot.objects, snapshot.roots
+
+
+class TestLoaderMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(snapshot_documents())
+    def test_valid_documents_load_equal(self, doc):
+        text = json.dumps(doc)
+        assert _outcome(load_snapshot, text) == _outcome(reference_load_snapshot, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(snapshot_documents(), st.sampled_from(MUTATIONS), st.data())
+    def test_one_fault_gives_the_reference_error(self, doc, mutation, data):
+        section = mutation(doc, data)
+        text = json.dumps(doc)
+        got = _outcome(load_snapshot, text)
+        if section is not None:
+            assert isinstance(got, SnapshotSchemaError) and got.path == section
+            return
+        expected = _outcome(reference_load_snapshot, text)
+        if isinstance(expected, HeapQueryError):
+            assert (type(got), str(got), getattr(got, "path", None)) == (
+                type(expected),
+                str(expected),
+                getattr(expected, "path", None),
+            )
+        elif isinstance(expected, Exception):  # a crash of the reference
+            assert isinstance(got, HeapQueryError), repr(got)
+        else:  # the mutation left the document valid
+            assert got == expected
 
 
 def _one_object_doc(fields_decl: str, fields: str, statics: str = "") -> str:
