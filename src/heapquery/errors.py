@@ -42,9 +42,9 @@ class InvalidPropertyError(GraphError):
 
 # --- mini-language (parsing and evaluation) ---------------------------------
 
-# Nesting limit of both parsers: a level is a query's parenthesis, NOT,
-# count( or equals( (up to nine parser frames each), or a program's ``new``.
-# At the limit both stay well inside Python's default recursion limit of 1,000.
+# Nesting limit of both parsers and of method calls: a level is a query's parenthesis,
+# NOT, count( or equals( (up to nine parser frames each), a program's ``new``, or an
+# open call.  At the limit the parsers stay well inside Python's recursion limit (1,000).
 MAX_NESTING = 64
 
 

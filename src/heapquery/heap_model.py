@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import (
@@ -44,6 +45,7 @@ from .property_graph import (
 )
 
 PRIMITIVE_TYPES = frozenset({"int", "double", "boolean", "String"})
+_NO_NAMES = MappingProxyType({})  # the renaming of the top-level commands: none
 
 
 # --- abstract syntax ---------------------------------------------------------
@@ -110,17 +112,11 @@ Command = New | FieldAssign | MethodInvoke
 
 
 @dataclass(frozen=True)
-class Return:
-    var: str | None
+class Body:
+    """Commands run in order, then ``return ret`` (None for a bare ``return``)."""
 
-
-@dataclass(frozen=True)
-class Seq:
-    command: Command
-    rest: "Expr"
-
-
-Expr = Seq | Return
+    commands: tuple
+    ret: str | None
 
 
 @dataclass(frozen=True)
@@ -128,7 +124,7 @@ class MethodDecl:
     name: str
     params: tuple          # of (name, type)
     return_type: str
-    body: Expr
+    body: Body
 
 
 @dataclass(frozen=True)
@@ -178,22 +174,14 @@ class ClassTable:
 @dataclass
 class Program:
     class_table: ClassTable
-    main: Expr
+    main: Body
     point: int | None = None  # index of the top-level command the marker precedes
 
 
 # --- lookups -----------------------------------------------------------------
 
 
-def fields_of(ct: ClassTable, cls: str) -> list[str]:
-    """Field names of a class: superclass fields first, declaration order."""
-    decl = ct[cls]
-    names = fields_of(ct, decl.superclass) if decl.superclass else []
-    names.extend(name for name, _ in decl.fields)
-    return names
-
-
-def mbody(ct: ClassTable, method: str, cls: str) -> tuple[tuple, Expr]:
+def mbody(ct: ClassTable, method: str, cls: str) -> tuple[tuple, Body]:
     """Resolve a method body: the nearest declaration in the chain wins."""
     cur: str | None = cls
     while cur is not None:
@@ -207,12 +195,12 @@ def mbody(ct: ClassTable, method: str, cls: str) -> tuple[tuple, Expr]:
 
 # --- parsing -----------------------------------------------------------------
 
-# One match per token with the whitespace before it.  The ``bad`` alternative
-# takes any other non-space character, so only whitespace falls between
-# matches.
+# A match takes the whitespace after its token, so ``ws`` matches only at the
+# start (a match per gap would make half as many again).  ``bad`` takes any other
+# character, so the matches cover the text; an open comment or string starts one.
 _TOKEN_RE = re.compile(
     r"""
-    \s*(?:
+    (?:
       (?P<point>/\*\s*POINT\s*\*/)
     | (?P<comment>//[^\n]*|/\*.*?\*/)
     | (?P<float>\d+\.\d+)
@@ -220,8 +208,9 @@ _TOKEN_RE = re.compile(
     | (?P<string>"(?:[^"\\]|\\.)*")
     | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
     | (?P<punct>[{}();,.=])
-    | (?P<bad>\S)
-    )
+    | (?P<ws>\s+)
+    | (?P<bad>.)
+    )\s*
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -230,19 +219,15 @@ _KEYWORDS = frozenset({"class", "extends", "new", "return", "null", "true", "fal
 
 
 class _Token(NamedTuple):
-    kind: str  # point/float/int/string/ident/punct/eof
+    kind: str  # point/float/int/string/ident/punct/bad/eof
     text: str
     offset: int  # of the token's first character in the program text
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ProgramSyntaxError(f"unexpected character {m[kind]!r}", *text_position(text, m.start(kind)))
-        if kind != "comment":
-            tokens.append(_Token(kind, m[kind], m.start(kind)))
+    """The tokens of ``text`` without whitespace and comments, then ``eof``; the parser rejects ``bad`` ones."""
+    matches = _TOKEN_RE.finditer(text)
+    tokens = [_Token(m.lastgroup, m[m.lastgroup], m.start()) for m in matches if m.lastgroup not in ("ws", "comment")]
     tokens.append(_Token("eof", "", len(text)))
     return tokens
 
@@ -253,6 +238,9 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0  # levels of ``new`` open
+        for tok in self.tokens:
+            if tok.kind == "bad":
+                self.error(f"unexpected character {tok.text!r}", tok)
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -297,7 +285,7 @@ class _Parser:
 
         commands: list[Command] = []
         point: int | None = None
-        ret: Return | None = None
+        ret: str | None = None
         declared: set[str] = set()
         while True:
             tok = self.peek()
@@ -320,10 +308,7 @@ class _Parser:
         if tok.kind != "eof":
             self.error(f"unexpected trailing input {tok.text!r}", tok)
 
-        expr: Expr = ret if ret is not None else Return(None)
-        for cmd in reversed(commands):
-            expr = Seq(cmd, expr)
-        program = Program(ct, expr, point)
+        program = Program(ct, Body(tuple(commands), ret), point)
         _check_types(program)
         return program
 
@@ -412,10 +397,7 @@ class _Parser:
             commands.append(self.parse_command(declared))
         ret = self.parse_return()
         self.expect("}")
-        body: Expr = ret
-        for cmd in reversed(commands):
-            body = Seq(cmd, body)
-        return MethodDecl(name, tuple(params), return_type, body)
+        return MethodDecl(name, tuple(params), return_type, Body(tuple(commands), ret))
 
     def parse_params(self) -> tuple:
         self.expect("(")
@@ -435,11 +417,12 @@ class _Parser:
 
     # commands ------------------------------------------------------------------
 
-    def parse_return(self) -> Return:
+    def parse_return(self) -> str | None:
+        """The variable a ``return`` names, or None for a bare ``return;``."""
         self.expect("return")
         if self.peek().text == ";":
             self.next()
-            return Return(None)
+            return None
         tok = self.next()
         var = "this" if tok.text == "this" else None
         if var is None:
@@ -447,7 +430,7 @@ class _Parser:
                 self.error(f"expected variable after return, got {tok.text!r}", tok)
             var = tok.text
         self.expect(";")
-        return Return(var)
+        return var
 
     def parse_command(self, declared: set[str]) -> Command:
         tok = self.next()
@@ -550,12 +533,10 @@ def _check_types(program: Program):
     _check_expr_types(ct, program.main)
 
 
-def _check_expr_types(ct: ClassTable, expr: Expr):
-    while isinstance(expr, Seq):
-        cmd = expr.command
+def _check_expr_types(ct: ClassTable, body: Body):
+    for cmd in body.commands:
         if isinstance(cmd, New):
             _check_new_types(ct, cmd.cls, cmd.args)
-        expr = expr.rest
 
 
 def _check_new_types(ct: ClassTable, cls: str, args: tuple):
@@ -604,14 +585,15 @@ def _class_node(graph: PropertyGraph, cls: str) -> int:
     return graph.add_node(CLASS_LABEL, {CLASS_NAME_KEY: cls})
 
 
-def mk_fields(graph: PropertyGraph, instance: int | None, cls: str, args: tuple, ct: ClassTable):
+def mk_fields(graph: PropertyGraph, instance: int | None, cls: str, args: tuple, ct: ClassTable, names=_NO_NAMES):
     """Field initializations for a constructor call.
 
     Splits the arguments across the superclass chain (the first ``k`` go to
-    the superclass), resolves variable arguments through their binding
-    relationships, and returns ``(edges, properties)`` where ``edges`` is a
-    list of (field, start, end) relationship specs for reference fields and
-    ``properties`` maps primitive fields to values.
+    the superclass), resolves variable arguments (renamed by ``names``, see
+    ``eval_expr``) through their binding relationships, and returns
+    ``(edges, properties)`` where ``edges`` is a list of (field, start, end)
+    relationship specs for reference fields and ``properties`` maps
+    primitive fields to values.
     """
     decl = ct[cls]
     if len(args) != len(decl.ctor_params):
@@ -622,7 +604,7 @@ def mk_fields(graph: PropertyGraph, instance: int | None, cls: str, args: tuple,
     props: dict[str, object] = {}
     k = decl.super_arg_count
     if decl.superclass is not None:
-        sup_edges, sup_props = mk_fields(graph, instance, decl.superclass, args[:k], ct)
+        sup_edges, sup_props = mk_fields(graph, instance, decl.superclass, args[:k], ct, names)
         edges.extend(sup_edges)
         props.update(sup_props)
     field_types = dict(decl.fields)
@@ -641,7 +623,7 @@ def mk_fields(graph: PropertyGraph, instance: int | None, cls: str, args: tuple,
             if isinstance(arg, NullArg):
                 continue
             if isinstance(arg, VarArg):
-                target = resolve_variable(graph, arg.name)
+                target = resolve_variable(graph, names.get(arg.name, arg.name))
             elif isinstance(arg, NodeRefArg):
                 target = arg.node_id
             elif isinstance(arg, LitArg):
@@ -652,20 +634,20 @@ def mk_fields(graph: PropertyGraph, instance: int | None, cls: str, args: tuple,
     return edges, props
 
 
-def _allocate(graph: PropertyGraph, cls: str, args: tuple, ct: ClassTable) -> int:
+def _allocate(graph: PropertyGraph, cls: str, args: tuple, ct: ClassTable, names=_NO_NAMES) -> int:
     """Create an instance node with fields and instanceof edge; no binder."""
     if cls not in ct:
         raise UnknownTypeError(f"allocation of unknown class {cls!r}")
     resolved = []
     for arg in args:
         if isinstance(arg, NewArg):
-            resolved.append(NodeRefArg(_allocate(graph, arg.cls, arg.args, ct)))
+            resolved.append(NodeRefArg(_allocate(graph, arg.cls, arg.args, ct, names)))
         else:
             resolved.append(arg)
     # The primitive fields go through add_node, which checks them (a ``$uid``
     # field must hold an integer) and indexes them.  The instance id is not
     # known yet, so the edge specs carry None as their start.
-    edges, props = mk_fields(graph, None, cls, tuple(resolved), ct)
+    edges, props = mk_fields(graph, None, cls, tuple(resolved), ct, names)
     instance = graph.add_node(cls, props)
     graph.add_relationship(INSTANCEOF_LABEL, instance, _class_node(graph, cls))
     for fieldname, _, end in edges:
@@ -673,70 +655,53 @@ def _allocate(graph: PropertyGraph, cls: str, args: tuple, ct: ClassTable) -> in
     return instance
 
 
-def step_command(graph: PropertyGraph, cmd: Command, ct: ClassTable) -> PropertyGraph:
-    """Apply one command to the graph (mutating it) and return the graph."""
+def step_command(graph: PropertyGraph, cmd: Command, ct: ClassTable, names=_NO_NAMES) -> PropertyGraph:
+    """Apply one command, its variables renamed by ``names`` (see ``eval_expr``),
+    to the graph (mutating it) and return the graph."""
     if isinstance(cmd, FieldAssign):
-        start = resolve_variable(graph, cmd.obj)
-        end = resolve_variable(graph, cmd.value)
+        start = resolve_variable(graph, names.get(cmd.obj, cmd.obj))
+        end = resolve_variable(graph, names.get(cmd.value, cmd.value))
         graph.set_field_edge(cmd.fieldname, start, end)
         return graph
     if isinstance(cmd, MethodInvoke):
-        recv = resolve_variable(graph, cmd.obj)
-        cls = graph.node(recv).label
-        params, body = mbody(ct, cmd.method, cls)
-        if len(cmd.args) != len(params):
-            raise ArityMismatchError(
-                f"method {cmd.method!r} takes {len(params)} argument(s), got {len(cmd.args)}"
-            )
-        subst = {pname: arg for (pname, _), arg in zip(params, cmd.args)}
-        subst["this"] = cmd.obj
-        return eval_expr(graph, _substitute(body, subst), ct)
+        return eval_expr(graph, Body((cmd,), None), ct, names)
     if isinstance(cmd, New):
         if _binding_rel(graph, cmd.var) is not None:
             raise EvalError(f"variable {cmd.var!r} is already bound")
-        instance = _allocate(graph, cmd.cls, cmd.args, ct)
+        instance = _allocate(graph, cmd.cls, cmd.args, ct, names)
         binder = graph.add_node(LOCAL_LABEL)
         graph.add_relationship(cmd.var, binder, instance)
         return graph
     raise EvalError(f"unknown command {cmd!r}")
 
 
-def eval_expr(graph: PropertyGraph, expr: Expr, ct: ClassTable) -> PropertyGraph:
-    """Big-step evaluation: returns leave the graph unchanged, sequences compose."""
-    while isinstance(expr, Seq):
-        graph = step_command(graph, expr.command, ct)
-        expr = expr.rest
-    return graph
+def eval_expr(graph: PropertyGraph, body: Body, ct: ClassTable, names=_NO_NAMES) -> PropertyGraph:
+    """Big-step evaluation of ``body.commands``; the return leaves the graph unchanged.
 
-
-def _substitute_arg(arg: Arg, subst: dict[str, str]) -> Arg:
-    # Module level, not a closure in ``_substitute``: a nested function that
-    # calls itself holds a reference cycle through its closure.
-    if isinstance(arg, VarArg):
-        return VarArg(subst.get(arg.name, arg.name))
-    if isinstance(arg, NewArg):
-        return NewArg(arg.cls, tuple(_substitute_arg(a, subst) for a in arg.args))
-    return arg
-
-
-def _substitute(expr: Expr, subst: dict[str, str]) -> Expr:
-    def sub(name: str) -> str:
-        return subst.get(name, name)
-
-    commands: list[Command] = []
-    while isinstance(expr, Seq):
-        cmd = expr.command
-        if isinstance(cmd, New):
-            commands.append(New(cmd.var, cmd.cls, tuple(_substitute_arg(a, subst) for a in cmd.args)))
-        elif isinstance(cmd, FieldAssign):
-            commands.append(FieldAssign(sub(cmd.obj), cmd.fieldname, sub(cmd.value)))
+    A call runs the callee's body under a renaming: ``names`` maps each
+    parameter and ``this`` of a body to the variable it stands for.  At most
+    ``MAX_NESTING`` calls are open at once: with no conditionals, recursion never returns.
+    """
+    frames = [(iter(body.commands), names)]
+    while frames:
+        commands, names = frames[-1]
+        for cmd in commands:
+            if not isinstance(cmd, MethodInvoke):
+                step_command(graph, cmd, ct, names)
+                continue
+            if len(frames) > MAX_NESTING:
+                raise EvalError(f"call of {cmd.method!r} nested deeper than the limit of {MAX_NESTING} calls")
+            receiver = names.get(cmd.obj, cmd.obj)
+            params, callee = mbody(ct, cmd.method, graph.node(resolve_variable(graph, receiver)).label)
+            if len(cmd.args) != len(params):
+                raise ArityMismatchError(f"method {cmd.method!r} takes {len(params)} argument(s), got {len(cmd.args)}")
+            renaming = {pname: names.get(arg, arg) for (pname, _), arg in zip(params, cmd.args)}
+            renaming["this"] = receiver
+            frames.append((iter(callee.commands), renaming))
+            break
         else:
-            commands.append(MethodInvoke(sub(cmd.obj), cmd.method, tuple(sub(a) for a in cmd.args)))
-        expr = expr.rest
-    result: Expr = Return(sub(expr.var) if expr.var else None)
-    for cmd in reversed(commands):
-        result = Seq(cmd, result)
-    return result
+            frames.pop()
+    return graph
 
 
 def run_program(program: Program) -> PropertyGraph:
@@ -749,13 +714,5 @@ def run_to_point(text: str) -> PropertyGraph:
     Without a marker the final graph is returned.
     """
     program = parse_program(text)
-    graph = PropertyGraph()
-    if program.point is None:
-        return eval_expr(graph, program.main, program.class_table)
-    expr = program.main
-    for _ in range(program.point):
-        if not isinstance(expr, Seq):
-            break
-        graph = step_command(graph, expr.command, program.class_table)
-        expr = expr.rest
-    return graph
+    commands = program.main.commands[: program.point]
+    return eval_expr(PropertyGraph(), Body(commands, None), program.class_table)

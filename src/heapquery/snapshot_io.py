@@ -233,8 +233,10 @@ def load_snapshot(data: bytes | str) -> HeapSnapshot:
     # Each value was checked as it was decoded.  Left of the value checks of
     # ``validate``: the ids are distinct (the map is keyed by id, so it is as
     # long as ``objects`` only then) and every referenced id is one of them.
-    # If either fails, ``validate`` runs all of them, to name the fault.
-    snapshot._values_checked = len(ids) == len(objects) and all(map(ids.__contains__, refs))
+    # If either fails, ``_check_values`` runs all of them, to name the fault.
+    if len(ids) != len(objects) or not all(map(ids.__contains__, refs)):
+        snapshot._check_values()
+    snapshot._loaded = True
     return snapshot.validate()
 
 
@@ -356,52 +358,26 @@ def graph_to_snapshot(graph: PropertyGraph) -> HeapSnapshot:
             element_type = _primitive_type(value[0]) if isinstance(value, list) and value else "java.lang.Object"
             declare_field(cls, FieldDecl(key, kind, element_type if kind == "primitive-array" else _primitive_type(value)))
             fields[key] = list(value) if isinstance(value, list) else value
-        seen_labels = set()
-        for rel, other in graph.neighbors(node.id, "out"):
+        instanceof = []
+        for rel, target in _fold_edges(graph, node.id, fields, array_nodes, array_owned, object_ids):
             if rel.label == INSTANCEOF_LABEL:
-                continue
-            if rel.label in seen_labels:
-                raise NotSnapshotShapedError(
-                    f"node {node.id} has multiple {rel.label!r} field edges"
-                )
-            seen_labels.add(rel.label)
-            if other.id in array_nodes:
-                if other.id in array_owned:
-                    raise NotSnapshotShapedError(f"array node {other.id} is shared")
-                array_owned[other.id] = node.id
-                fields[rel.label] = _collect_array(graph, other.id, object_ids)
-                declare_field(cls, FieldDecl(rel.label, "reference-array", other.label[: -len(ARRAY_SUFFIX)]))
+                instanceof.append(target)
+            elif target.id in array_nodes:
+                declare_field(cls, FieldDecl(rel.label, "reference-array", target.label[: -len(ARRAY_SUFFIX)]))
             else:
-                if other.id not in object_ids:
-                    raise NotSnapshotShapedError(
-                        f"field edge {rel.label!r} points at non-instance node {other.id}"
-                    )
-                fields[rel.label] = Ref(object_ids[other.id])
-                declare_field(cls, FieldDecl(rel.label, "reference", other.label))
-        instanceof = [
-            (rel, other) for rel, other in graph.neighbors(node.id, "out") if rel.label == INSTANCEOF_LABEL
-        ]
+                declare_field(cls, FieldDecl(rel.label, "reference", target.label))
         if len(instanceof) > 1:
             raise NotSnapshotShapedError(f"node {node.id} has {len(instanceof)} instanceof edges")
         if instanceof:
-            target = instanceof[0][1]
+            target = instanceof[0]
             if target.label != CLASS_LABEL or target.properties.get(CLASS_NAME_KEY) != cls:
                 raise NotSnapshotShapedError(f"node {node.id} instanceof edge does not match its label")
         objects.append(HeapObject(object_ids[node.id], cls, fields))
 
     # Static reference edges leave Class nodes.
     for node in class_nodes:
-        name = node.properties[CLASS_NAME_KEY]
-        for rel, other in graph.neighbors(node.id, "out"):
-            if other.id in array_nodes:
-                if other.id in array_owned:
-                    raise NotSnapshotShapedError(f"array node {other.id} is shared")
-                array_owned[other.id] = node.id
-                class_statics[name][rel.label] = _collect_array(graph, other.id, object_ids)
-            else:
-                if other.id not in object_ids:
-                    raise NotSnapshotShapedError(f"static edge {rel.label!r} points at node {other.id}")
-                class_statics[name][rel.label] = Ref(object_ids[other.id])
+        statics = class_statics[node.properties[CLASS_NAME_KEY]]
+        _fold_edges(graph, node.id, statics, array_nodes, array_owned, object_ids, skip=None)
 
     for array_id in array_nodes:
         if array_id not in array_owned:
@@ -433,6 +409,29 @@ def graph_to_snapshot(graph: PropertyGraph) -> HeapSnapshot:
     snapshot = HeapSnapshot(classes, objects, roots)
     snapshot.validate()
     return snapshot
+
+
+def _fold_edges(graph, node_id, fields, array_nodes, array_owned, object_ids, skip=INSTANCEOF_LABEL) -> list:
+    """Put each edge leaving ``node_id`` but those labeled ``skip`` into ``fields``
+    (a ``Ref``, or the ``RefArray`` of an array node it then owns) and return the
+    ``(relationship, target)`` pairs; a label already in ``fields`` would lose a value."""
+    edges = graph.neighbors(node_id, "out")
+    for rel, target in edges:
+        label = rel.label
+        if label == skip:
+            continue
+        if label in fields:
+            raise NotSnapshotShapedError(f"node {node_id} has more than one value for {label!r}")
+        if target.id in array_nodes:
+            if target.id in array_owned:
+                raise NotSnapshotShapedError(f"array node {target.id} is shared")
+            array_owned[target.id] = node_id
+            fields[label] = _collect_array(graph, target.id, object_ids)
+        elif target.id in object_ids:
+            fields[label] = Ref(object_ids[target.id])
+        else:
+            raise NotSnapshotShapedError(f"field edge {label!r} points at non-instance node {target.id}")
+    return edges
 
 
 def _collect_array(graph: PropertyGraph, array_id: int, object_ids: dict[int, int]) -> RefArray:

@@ -111,7 +111,7 @@ class HeapSnapshot:
         self._class_map = {c.name: c for c in self.classes}
         self._object_map = {o.id: o for o in self.objects}
         self._validated = False
-        self._values_checked = False
+        self._loaded = False  # set by ``load_snapshot``, see ``validate``
         self._decls_cache: dict[str, MappingProxyType] = {}
         self._plans: dict[str, _ClassPlan] = {}
         self._roots_of: dict[int, list[str]] | None = None
@@ -179,34 +179,13 @@ class HeapSnapshot:
     def validate(self) -> "HeapSnapshot":
         """Check the snapshot and raise its first fault.
 
-        ``load_snapshot`` checks the statics and objects of a snapshot as it
-        decodes them and sets ``_values_checked``; then this runs only the
-        class and root checks.
+        ``load_snapshot`` checks the classes, statics and objects of a
+        snapshot as it decodes them and sets ``_loaded``; then this runs only
+        the root checks.
         """
-        self._check_classes()
-        if not self._values_checked:
-            for i, info in enumerate(self.classes):
-                for name, value in info.statics.items():
-                    self._check_value(value, None, ("classes", i, "statics", name))
-
-            seen = set()
-            for i, obj in enumerate(self.objects):
-                if isinstance(obj.id, bool) or not isinstance(obj.id, int):
-                    raise SnapshotSchemaError(f"object id must be an integer, got {obj.id!r}", f"objects[{i}]")
-                if obj.id in seen:
-                    raise DuplicateObjectIdError(obj.id)
-                seen.add(obj.id)
-            for i, obj in enumerate(self.objects):
-                if obj.cls not in self._class_map:
-                    raise SnapshotSchemaError(f"unknown class {obj.cls!r}", f"objects[{i}]")
-                decls = self.field_decls(obj.cls)
-                for name, value in obj.fields.items():
-                    decl = decls.get(name)
-                    if decl is None:
-                        raise SnapshotSchemaError(
-                            f"field {name!r} not declared by {obj.cls!r}", f"objects[{i}].fields.{name}"
-                        )
-                    self._check_value(value, decl, ("objects", i, "fields", name))
+        if not self._loaded:
+            self._check_classes()
+            self._check_values()
         for name, target in self.roots.items():
             if target not in self._object_map:
                 raise UnknownRootError(target)
@@ -215,6 +194,31 @@ class HeapSnapshot:
         self._root_names()
         self._validated = True
         return self
+
+    def _check_values(self):
+        """The checks of ``validate`` of the object ids and of each static and field value."""
+        for i, info in enumerate(self.classes):
+            for name, value in info.statics.items():
+                self._check_value(value, None, ("classes", i, "statics", name))
+
+        seen = set()
+        for i, obj in enumerate(self.objects):
+            if isinstance(obj.id, bool) or not isinstance(obj.id, int):
+                raise SnapshotSchemaError(f"object id must be an integer, got {obj.id!r}", f"objects[{i}]")
+            if obj.id in seen:
+                raise DuplicateObjectIdError(obj.id)
+            seen.add(obj.id)
+        for i, obj in enumerate(self.objects):
+            if obj.cls not in self._class_map:
+                raise SnapshotSchemaError(f"unknown class {obj.cls!r}", f"objects[{i}]")
+            decls = self.field_decls(obj.cls)
+            for name, value in obj.fields.items():
+                decl = decls.get(name)
+                if decl is None:
+                    raise SnapshotSchemaError(
+                        f"field {name!r} not declared by {obj.cls!r}", f"objects[{i}].fields.{name}"
+                    )
+                self._check_value(value, decl, ("objects", i, "fields", name))
 
     def _check_classes(self):
         """The checks of ``validate`` that read nothing but the classes: names,
@@ -237,6 +241,8 @@ class HeapSnapshot:
                     raise SnapshotSchemaError(f"field name must be a non-empty string, got {f.name!r}", f"{path}.fields[{j}]")
                 if f.kind not in FIELD_KINDS:
                     raise SnapshotSchemaError(f"unknown field kind {f.kind!r}", f"{path}.fields.{f.name}")
+                if not _is_name(f.type):
+                    raise SnapshotSchemaError(f"field type must be a non-empty string, got {f.type!r}", f"{path}.fields.{f.name}")
                 if f.name in (UID_KEY, INSTANCEOF_LABEL):
                     raise SnapshotSchemaError(f"field name {f.name!r} is reserved", f"{path}.fields.{f.name}")
         for i, info in enumerate(self.classes):
@@ -282,7 +288,7 @@ class HeapSnapshot:
 
 
 def _is_name(name) -> bool:
-    """True for a usable class, field or static name: a non-empty string.
+    """True for a usable class, field, type or static name: a non-empty string.
 
     These names become node labels, relationship labels and property keys.
     """

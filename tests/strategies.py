@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 from hypothesis import strategies as st
 
@@ -242,3 +243,96 @@ def snapshot_documents(draw, max_objects: int = 6):
         doc["objects"].append(entry)
     doc["roots"] = draw(st.dictionaries(st.sampled_from(["r0", "r1", "main"]), any_id, max_size=2))
     return doc
+
+
+# --- object-language programs -------------------------------------------------
+
+_PROGRAM_CLASSES = """\
+class N {{
+  N a; N b; int v;
+  N(N a, N b, int v) {{ this.a = a; this.b = b; this.v = v; }}
+{methods}}}
+class M extends N {{
+  N c;
+  M(N a, N b, int v, N c) {{ super(a, b, v); this.c = c; }}
+}}
+"""
+_PROGRAM_METHODS = 3  # m0, m1 and m2, each ``N mK(N p, N q)``
+_PROGRAM_FIELDS = ["a", "b", "c"]
+
+
+def _pick(draw, items: list):
+    # Faster than ``draw(st.sampled_from(items))``, which builds a strategy per list.
+    return items[draw(st.integers(0, len(items) - 1))]
+
+
+def _allocation(draw, names: list, depth: int = 2) -> str:
+    """``new N(...)`` or ``new M(...)``; its reference arguments are ``names``, null or nested allocations."""
+
+    def ref() -> str:
+        kind = draw(st.integers(0 if names else 1, 2 if depth else 1))
+        return _pick(draw, names) if kind == 0 else "null" if kind == 1 else _allocation(draw, names, depth - 1)
+
+    value = draw(st.integers(0, 9))
+    if draw(st.booleans()):
+        return f"new N({ref()}, {ref()}, {value})"
+    return f"new M({ref()}, {ref()}, {value}, {ref()})"
+
+
+def _commands(draw, names: list, fresh: str, max_commands: int) -> list[str]:
+    """Allocations (which add to ``names``), field assignments and method calls.
+
+    Any method may call any other or itself, so calls back into a caller,
+    and recursion, are drawn too.
+    """
+    lines = []
+    for k in range(draw(st.integers(1, max_commands))):
+        kind = draw(st.sampled_from(["new", "assign", "call"] if names else ["new"]))
+        if kind == "new":
+            var = f"{fresh}{k}"
+            lines.append(f"{draw(st.sampled_from(['N', 'M']))} {var} = {_allocation(draw, names)};")
+            names.append(var)
+        elif kind == "assign":
+            target, value = _pick(draw, names), _pick(draw, names)
+            lines.append(f"{target}.{draw(st.sampled_from(_PROGRAM_FIELDS))} = {value};")
+        else:
+            receiver, p, q = (_pick(draw, names) for _ in range(3))
+            lines.append(f"{receiver}.m{draw(st.integers(0, _PROGRAM_METHODS - 1))}({p}, {q});")
+    return lines
+
+
+@st.composite
+def object_programs(draw) -> str:
+    """A program over the classes ``N`` and ``M extends N``, maybe with a ``/* POINT */`` marker.
+
+    Most draws run; some raise a typed error, such as a method that recurses
+    or a method local bound by an earlier call of the same method.
+    """
+    methods = ""
+    for i in range(_PROGRAM_METHODS):
+        body = " ".join(_commands(draw, ["this", "p", "q"], f"l{i}_", 3))
+        methods += f"  N m{i}(N p, N q) {{ {body} return this; }}\n"
+    variables: list[str] = []
+    lines = _commands(draw, variables, "v", 12)
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "/* POINT */")
+    if draw(st.booleans()):
+        lines.append(f"return {_pick(draw, variables)};")
+    return _PROGRAM_CLASSES.format(methods=methods) + "\n".join(lines) + "\n"
+
+
+_PROGRAM_TOKEN = re.compile(r"/\*\s*POINT\s*\*/|[A-Za-z_$][A-Za-z0-9_$]*|\d+|\S")
+_MUTATION_TOKENS = [
+    "", "new", "this", "null", "return", "class", "extends", "super", "int", "N", "M", "m0", "v0", "p", "a",
+    "(", ")", "{", "}", ";", ",", ".", "=", "0", "1.5", '"s"', "true", "9" * 5000, "@", "/*", "//", "/* POINT */",
+]
+
+
+@st.composite
+def mutated_object_programs(draw) -> str:
+    """An ``object_programs`` draw with one token deleted, doubled or replaced."""
+    text = draw(object_programs())
+    start, end = draw(st.sampled_from([m.span() for m in _PROGRAM_TOKEN.finditer(text)]))
+    token = text[start:end]
+    replacement = draw(st.one_of(st.just(f"{token} {token}"), st.sampled_from(_MUTATION_TOKENS)))
+    return text[:start] + replacement + text[end:]

@@ -12,15 +12,13 @@ from heapquery.errors import (
     UnknownTypeError,
 )
 from heapquery.heap_model import (
+    Body,
     FieldAssign,
     MethodInvoke,
     New,
     NullArg,
-    Return,
-    Seq,
     VarArg,
     eval_expr,
-    fields_of,
     mbody,
     mk_fields,
     parse_program,
@@ -50,13 +48,8 @@ class TestParse:
     def test_point_program_shape(self, point_program):
         program = parse_program(point_program)
         assert set(program.class_table.names()) == {"BinaryTree$Node", "BinaryTree"}
-        expr = program.main
-        commands = []
-        while isinstance(expr, Seq):
-            commands.append(expr.command)
-            expr = expr.rest
-        assert [type(c) for c in commands] == [New, New]
-        assert expr == Return("b")
+        assert [type(c) for c in program.main.commands] == [New, New]
+        assert program.main.ret == "b"
         assert program.point == 2
 
     def test_empty_class_base_constructor(self):
@@ -147,23 +140,11 @@ class TestParse:
 
 
 class TestLookups:
-    def test_fields_of_tree_node(self, point_program):
-        program = parse_program(point_program)
-        assert fields_of(program.class_table, "BinaryTree$Node") == ["left", "right", "value"]
-
-    def test_fields_of_empty(self):
-        program = parse_program("class A { A() {} } return;")
-        assert fields_of(program.class_table, "A") == []
-
-    def test_fields_of_superclass_first(self):
-        program = parse_program(TWO_CLASS_PROGRAM)
-        assert fields_of(program.class_table, "C") == ["g", "f"]
-
     def test_mbody_declared(self):
         program = parse_program("class A { A() {} A self() { return this; } } return;")
         params, body = mbody(program.class_table, "self", "A")
         assert params == ()
-        assert body == Return("this")
+        assert body == Body((), "this")
 
     def test_mbody_inherited(self):
         text = """
@@ -173,7 +154,7 @@ class TestLookups:
         """
         program = parse_program(text)
         params, body = mbody(program.class_table, "self", "B")
-        assert body == Return("this")
+        assert body == Body((), "this")
 
     def test_mbody_missing(self):
         program = parse_program("class A { A() {} } return;")
@@ -217,7 +198,7 @@ class TestMkFields:
 
     def test_second_allocation_of_point_program(self, point_program):
         # new BinaryTree(<fresh node>, 2): one root edge, size folded
-        from heapquery.heap_model import LitArg, NodeRefArg, Seq, run_to_point
+        from heapquery.heap_model import LitArg, NodeRefArg, run_to_point
 
         program = parse_program(point_program)
         g = run_to_point(point_program.replace("/* POINT */", "").replace(
@@ -263,8 +244,12 @@ class TestDeepHierarchy:
     """
 
     def test_field_order_spans_hierarchy(self):
+        from heapquery.heap_model import LitArg
+
         program = parse_program(self.TEXT)
-        assert fields_of(program.class_table, "C") == ["link", "tag", "extra", "depth"]
+        args = (VarArg("base"), LitArg(3), VarArg("other"), LitArg(9))
+        edges, props = mk_fields(run_program(program), None, "C", args, program.class_table)
+        assert [name for name, _, _ in edges] + list(props) == ["link", "extra", "tag", "depth"]
 
     def test_constructor_split_across_three_levels(self):
         from heapquery.heap_model import resolve_variable
@@ -340,10 +325,10 @@ class TestStepCommand:
     def test_new_growth_bound(self):
         program = parse_program("class A { A() {} } A x = new A(); A y = new A(); return x;")
         graph = PropertyGraph()
-        expr = program.main
-        step_command(graph, expr.command, program.class_table)
+        first, second = program.main.commands
+        step_command(graph, first, program.class_table)
         assert graph.node_count == 3  # instance + binder + fresh class node
-        step_command(graph, expr.rest.command, program.class_table)
+        step_command(graph, second, program.class_table)
         assert graph.node_count == 5  # class node deduplicated
 
     def test_unbound_variable(self):
@@ -382,8 +367,8 @@ class TestStepCommand:
         assert [(rel.label, other.id) for rel, other in graph.neighbors(a, "out") if rel.label == "next"] == [("next", b)]
 
     def test_long_method_body(self):
-        # Substituting the arguments into a body walks it in a loop, so the
-        # body's length is not bounded by the recursion limit.
+        # A call runs the body's commands in a loop, so the body's length is
+        # not bounded by the recursion limit.
         body = " ".join("this.next = o; o.next = this;" for _ in range(2500))
         text = f"class P {{ P next; P(P next) {{ this.next = next; }} P long(P o) {{ {body} return this; }} }}"
         text += " P a = new P(null); P b = new P(null); a.long(b);"
@@ -408,16 +393,14 @@ class TestEvalExpr:
         program = parse_program("class A { A() {} } A x = new A(); return x;")
         graph = run_program(program)
         before = graph.copy()
-        eval_expr(graph, Return("x"), program.class_table)
+        eval_expr(graph, Body((), "x"), program.class_table)
         assert structurally_equal(before, graph)
 
     def test_sequence_composes_steps(self, point_program):
         program = parse_program(point_program)
         stepped = PropertyGraph()
-        expr = program.main
-        while isinstance(expr, Seq):
-            stepped = step_command(stepped, expr.command, program.class_table)
-            expr = expr.rest
+        for cmd in program.main.commands:
+            stepped = step_command(stepped, cmd, program.class_table)
         assert structurally_equal(stepped, run_program(program))
 
     def test_full_program_reaches_point_graph(self, point_program, point_graph):

@@ -29,7 +29,7 @@ from heapquery.snapshot_io import (
     load_snapshot,
     save_snapshot,
 )
-from heapquery.subgraph import ExtractionConfig, extract
+from heapquery.subgraph import ClassInfo, ExtractionConfig, FieldDecl, HeapObject, HeapSnapshot, extract
 
 from .conftest import DATA
 from .generators import random_snapshot
@@ -43,6 +43,18 @@ class TestLoadSnapshot:
         assert len(snapshot.objects) == 6
         assert len(snapshot.classes) == 2
         assert snapshot.roots == {"f": 16}
+
+    @pytest.mark.parametrize("ref", [7, 99])  # a load that passes, and one that names a dangling reference
+    def test_classes_are_checked_once_per_load(self, monkeypatch, ref):
+        calls = []
+        original = HeapSnapshot._check_classes
+        monkeypatch.setattr(HeapSnapshot, "_check_classes", lambda self: calls.append(self) or original(self))
+        doc = _one_object_doc('{"name":"r","kind":"reference","type":"A"}', f'"r":{{"ref":{ref}}}')
+        try:
+            load_snapshot(doc)
+        except DanglingReferenceError:
+            assert ref == 99
+        assert len(calls) == 1
 
     def test_empty_document(self):
         snapshot = load_snapshot(b'{"classes":[],"objects":[],"roots":{}}')
@@ -327,6 +339,18 @@ class TestErrorLocations:
         assert exc.value.path == path
         assert str(exc.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("type_", [5, "", None])
+    def test_field_type_must_be_a_non_empty_string(self, type_):
+        message = f"classes[0].fields.rs: field type must be a non-empty string, got {type_!r}"
+        doc = _one_object_doc(json.dumps({"name": "rs", "kind": "reference-array", "type": type_}), "")
+        with pytest.raises(SnapshotSchemaError) as exc:
+            load_snapshot(doc)
+        assert str(exc.value) == message
+        info = ClassInfo("A", None, (FieldDecl("rs", "reference-array", type_),), {})
+        with pytest.raises(SnapshotSchemaError) as exc:
+            extract(HeapSnapshot([info], [HeapObject(7, "A", {})], {}))
+        assert str(exc.value) == message
+
     def test_bad_static_value(self):
         doc = _one_object_doc("", "", ',"statics":{"s":{"refs":"x"}}')
         with pytest.raises(SnapshotSchemaError) as exc:
@@ -432,6 +456,27 @@ class TestGraphToSnapshot:
         g.add_relationship("left", a, b)
         g.add_relationship("left", a, b)
         with pytest.raises(NotSnapshotShapedError):
+            graph_to_snapshot(g)
+
+    @pytest.mark.parametrize(
+        "edges, label",
+        [([("x", 0)], "x"), ([("y", 0), ("y", 1)], "y"), ([("x", 0), ("y", 0), ("y", 1)], "x")],
+        ids=["named-like-a-static-property", "repeated", "both"],
+    )
+    def test_static_edge_that_would_lose_a_value_rejected(self, edges, label):
+        g = PropertyGraph()
+        cls = g.add_node("Class", {"name": "A", "x": 1})
+        instances = [g.add_node("A"), g.add_node("A")]
+        for name, i in edges:
+            g.add_relationship(name, cls, instances[i])
+        with pytest.raises(NotSnapshotShapedError, match=f"node {cls} has more than one value for '{label}'"):
+            graph_to_snapshot(g)
+
+    def test_field_edge_named_like_a_property_rejected(self):
+        g = PropertyGraph()
+        a = g.add_node("A", {"x": 1})
+        g.add_relationship("x", a, a)
+        with pytest.raises(NotSnapshotShapedError, match=f"node {a} has more than one value for 'x'"):
             graph_to_snapshot(g)
 
     def test_duplicate_uid_rejected(self):

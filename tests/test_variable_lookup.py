@@ -8,7 +8,7 @@ import random
 import pytest
 
 from heapquery.errors import UnboundVariableError
-from heapquery.heap_model import Seq, parse_program, resolve_variable, run_program, step_command
+from heapquery.heap_model import parse_program, resolve_variable, run_program, step_command
 from heapquery.property_graph import PropertyGraph
 
 from .oracles import binding_target
@@ -56,10 +56,8 @@ class TestAgainstLinearScan:
         for case in range(200):
             program = parse_program(_random_program(rng))
             graph = PropertyGraph()
-            expr = program.main
-            while isinstance(expr, Seq):
-                step_command(graph, expr.command, program.class_table)
-                expr = expr.rest
+            for cmd in program.main.commands:
+                step_command(graph, cmd, program.class_table)
                 for name in NAMES:
                     assert _lookup(graph, name) == binding_target(graph, name), (case, name)
             assert graph.audit() == [], case
