@@ -4,8 +4,12 @@ A QueryContext owns a snapshot plus default extraction settings.  Each call
 runs the one query pipeline, which the CLI's ``query`` and ``repl`` share:
 expand positional arguments, extract the (sub)graph, parse, validate (and
 lint into ``ResultSet.warnings``), execute, and wrap rows in a ResultSet.
-A ``[]k`` query is parsed, validated and linted once; each id of its
-collection is then bound into the parsed query.  Bounded queries
+A context parses, validates and lints a format string once per tuple of
+``@k`` values, and keeps the result (``TEMPLATE_CACHE_SIZE``): a later call
+of the same template only checks its arguments and binds its ``$k`` ids,
+or each id of its ``[]k`` collection, into the parsed query.  A template
+that fails to parse or validate is not kept, so it fails the same way
+each time.  Bounded queries
 restrict extraction to objects reachable from the supplied root(s);
 unbounded queries see every object in the snapshot, including unreachable
 ones unless force-collect is enabled.
@@ -31,9 +35,12 @@ in before the call, also when the call raises.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
-from .cypher_frontend import bind_slot, expand_positional, lint, parse, validate
+from .cypher_ast import Query
+from .cypher_frontend import bind, check_arguments, expand_positional, lint, parse, slot_sites, validate
 from .errors import (
     CastError,
     CursorError,
@@ -119,6 +126,19 @@ class ResultSet:
         return self._graph.node(value.id)
 
 
+# The format strings a context keeps parsed, least recently used dropped
+# first, and for each the tuples of @k values it keeps, oldest dropped first.
+TEMPLATE_CACHE_SIZE = 64
+
+
+class _Parsed(NamedTuple):
+    """A validated query of a template, with its ``slot_sites`` and lint warnings."""
+
+    query: Query
+    sites: tuple
+    warnings: list
+
+
 @dataclass
 class QueryContext:
     """A snapshot plus default extraction settings.
@@ -139,6 +159,9 @@ class QueryContext:
     without a bound.  It is off by default.  A write query (one with a
     CREATE or MERGE clause) on a caching context runs on a copy of the cached
     graph, so its writes, and those of a failing one, are not seen later.
+
+    Parsed templates are kept per context, whether it caches extractions or
+    not (see the module docstring).
     """
 
     snapshot: HeapSnapshot
@@ -148,6 +171,26 @@ class QueryContext:
     def __post_init__(self):
         self.snapshot._ensure_valid()
         self._cache: dict = {}
+        self._templates: OrderedDict = OrderedDict()  # format string -> (its markers, {@k values: _Parsed})
+
+    def _cached(self, fmt: str, args) -> tuple:
+        """The kept parse of ``fmt`` for the ``@k`` values in ``args``, and ``args`` checked; None for what is not kept."""
+        template = self._templates.get(fmt)
+        if template is None:
+            return None, None
+        self._templates.move_to_end(fmt)
+        arguments = check_arguments(template[0], args)
+        return template[1].get(arguments.names), arguments
+
+    def _keep(self, fmt: str, markers: tuple, names: tuple, parsed: _Parsed) -> None:
+        if fmt not in self._templates:
+            if len(self._templates) == TEMPLATE_CACHE_SIZE:
+                self._templates.popitem(last=False)
+            self._templates[fmt] = (markers, {})
+        kept = self._templates[fmt][1]
+        if len(kept) == TEMPLATE_CACHE_SIZE:
+            del kept[next(iter(kept))]
+        kept[names] = parsed
 
     def _extract(self, config: ExtractionConfig) -> PropertyGraph:
         if not self.cache_extractions:
@@ -182,34 +225,43 @@ class _Stage:
 
 @collector_paused()
 def _run_pipeline(ctx: QueryContext, root, fmt: str, args, timings: dict | None = None, session=None) -> ResultSet:
-    """Expand, extract, parse, validate (and lint), execute.
+    """Expand, extract, parse, validate (and lint), execute; a kept template is not parsed or validated again.
 
     A ``session`` graph takes the place of the extraction.  It is shared
     with later queries, as a cached graph is, so a write runs on a copy of
     it, which the result holds.
     """
     with _Stage(timings, "expand"):
-        tokens, batch = expand_positional(fmt, args)
+        parsed, arguments = ctx._cached(fmt, args)
+        if parsed is None:
+            tokens, markers, checked = expand_positional(fmt, args)
+            if arguments is None:  # else checked twice, and a one-shot []k iterator is empty the second time
+                arguments = checked
     if session is None:
         with _Stage(timings, "extract"):
             graph = ctx._extract(replace(ctx.defaults, root=root))
     else:
         graph = session
     with _Stage(timings, "parse"):
-        query = parse(tokens, fmt)
+        if parsed is None:
+            query = parse(tokens, fmt)
     with _Stage(timings, "validate"):
-        diagnostics = validate(query)
-        if diagnostics:
-            raise QueryValidationError(diagnostics)
-        warnings = lint(query)
+        if parsed is None:
+            diagnostics = validate(query)
+            if diagnostics:
+                raise QueryValidationError(diagnostics)
+            parsed = _Parsed(query, slot_sites(query), lint(query))
+            ctx._keep(fmt, markers, arguments.names, parsed)
     with _Stage(timings, "execute"):
+        query = parsed.query
         if (session is not None or ctx.cache_extractions) and query.writes:
             graph = graph.copy()  # later queries read the shared graph
-        if batch is None:
-            table, graph = execute(query, graph)
+        queries = bind(query, parsed.sites, arguments)
+        if arguments.batch is None:
+            table, graph = execute(queries[0], graph)
         else:
-            table, graph = execute_batch([bind_slot(query, uid) for uid in batch], graph)
-    return ResultSet(table, graph, warnings)
+            table, graph = execute_batch(queries, graph)
+    return ResultSet(table, graph, parsed.warnings)
 
 
 def query_bounded(ctx: QueryContext, root, fmt: str, *args, timings: dict | None = None) -> ResultSet:

@@ -10,14 +10,18 @@ UnsupportedFeatureError naming the construct.
 The markers ``$k``, ``@k`` and ``[]k`` are tokens (so none is bound inside a
 string, backticks or a ``//`` comment), which ``expand_positional`` replaces
 by tokens at the marker's offset: syntax errors point into the format
-string.  A ``[]k`` query is parsed once, with ``SLOT`` where ``bind_slot``
-then puts each id.
+string.  An ``@k`` marker becomes its class name, so it is part of the
+parsed query.  A ``$k`` or ``[]k`` marker becomes a ``$uid`` entry whose
+value is a ``Slot``: the parsed query holds no id, validation and lint read
+none, and ``bind`` puts the ids of each call into it.  So a format string
+is parsed once per tuple of ``@k`` values (``check_arguments`` gives that
+tuple from the markers alone), and a ``[]k`` batch once for all its ids.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cypher_ast import (
@@ -464,7 +468,7 @@ class _Parser:
             return Literal(_unescape_string(tok.text))
         if tok.kind == "slot":
             self.advance()
-            return SLOT
+            return Slot(tok.text)
         return self.parse_literal_expr()
 
 
@@ -631,76 +635,140 @@ def _expr_variables(expr) -> set[str]:
 
 # --- positional arguments -----------------------------------------------------------
 
-# The literal a ``[]k`` marker parses to, until ``bind_slot`` puts an id in its place.
-SLOT = Literal(None)
+
+@dataclass(frozen=True)
+class Slot:
+    """The value of a ``$k`` or ``[]k`` marker's ``$uid`` entry in a parsed query, until ``bind``."""
+
+    marker: str  # as written, such as ``$1`` or ``[]2``
 
 
-def expand_positional(fmt: str, args) -> tuple[list[Token], list[int] | None]:
-    """The tokens of ``fmt`` with its ``$k`` (unique id), ``@k`` (class name) and ``[]k`` (batch) markers bound.
+class Marker(NamedTuple):
+    text: str  # as written
+    sigil: str  # $, @ or []
+    index: int  # k; 0, which is out of range, when k has 10 digits or more
 
-    ``$k`` becomes the tokens of `` `$uid`: <id> ``, ``@k`` one name token,
-    and ``[]k`` `` `$uid`: `` and a ``slot`` token.  Also returned: the ids
-    of the one ``[]k`` collection allowed, or None without one.
-    """
-    args = list(args)
-    tokens: list[Token] = []
+
+class Arguments(NamedTuple):
+    """The arguments of one call, checked against the markers of its format string."""
+
+    names: tuple  # the class name of each @k marker, in text order
+    ids: dict  # marker text -> id, for each $k marker
+    batch: tuple | None  # the []k marker's text and its ids, or None without one
+
+
+def check_arguments(markers, args) -> Arguments:
+    """The arguments that ``markers`` (in text order) take from ``args``; the first misfit raises ExpansionError."""
+    names = []
+    ids = {}
     batch = None
-    for tok in tokenize(fmt):
-        if tok.kind != "marker":
-            tokens.append(tok)
-            continue
-        marker = tok.text.rstrip("0123456789")
-        digits = tok.text[len(marker) :]
-        index = int(digits) if len(digits) < 10 else 0  # a longer index is out of range anyway
-        if index < 1 or index > len(args):
+    for text, sigil, index in markers:
+        if not 0 < index <= len(args):
+            digits = text[len(sigil) :]
             shown = index if len(digits) < 10 else digits
-            raise ExpansionError(f"positional argument {marker}{shown} is out of range (got {len(args)} arguments)")
+            raise ExpansionError(f"positional argument {sigil}{shown} is out of range (got {len(args)} arguments)")
         value = args[index - 1]
-        if marker == "@":
+        if sigil == "@":
             if not isinstance(value, str) or not value:
                 raise ExpansionError(f"@{index} needs a class name (string), got {value!r}")
-            tokens.append(Token("backtick", "`" + value.replace("`", "``") + "`", tok.offset))
-            continue
-        tokens += (Token("backtick", f"`{UID_KEY}`", tok.offset), Token("op", ":", tok.offset))
-        if marker == "$":
+            names.append(value)
+        elif sigil == "$":
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ExpansionError(f"${index} needs a unique id (integer), got {value!r}")
             try:
-                text = str(abs(value))
+                str(value)  # an id must be one a query text can hold
             except ValueError:  # more digits than ``sys.get_int_max_str_digits()`` allows
                 raise ExpansionError(f"${index} is an id of {value.bit_length()} bits, too long to bind") from None
-            if value < 0:
-                tokens.append(Token("op", "-", tok.offset))
-            tokens.append(Token("int", text, tok.offset))
-            continue
-        if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-            raise ExpansionError(f"[]{index} needs a collection of unique ids, got {value!r}")
-        ids = list(value)
-        for element in ids:
-            if isinstance(element, bool) or not isinstance(element, int):
-                raise ExpansionError(f"[]{index} elements must be unique ids (integers), got {element!r}")
-        if batch is not None:
-            raise ExpansionError("only one [] marker is supported per query")
-        batch = ids
-        tokens.append(Token("slot", tok.text, tok.offset))
-    return tokens, batch
+            ids[text] = value
+        else:
+            if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+                raise ExpansionError(f"[]{index} needs a collection of unique ids, got {value!r}")
+            elements = list(value)
+            for element in elements:
+                if isinstance(element, bool) or not isinstance(element, int):
+                    raise ExpansionError(f"[]{index} elements must be unique ids (integers), got {element!r}")
+            if batch is not None:
+                raise ExpansionError("only one [] marker is supported per query")
+            batch = (text, elements)
+    return Arguments(tuple(names), ids, batch)
 
 
-def bind_slot(query: Query, uid: int) -> Query:
-    """``query`` with ``uid`` in place of ``SLOT`` in its node property maps."""
-    value = Literal(uid)
+def expand_positional(fmt: str, args) -> tuple[list[Token], tuple[Marker, ...], Arguments]:
+    """The tokens of ``fmt`` with its ``$k`` (unique id), ``@k`` (class name) and ``[]k`` (batch) markers bound.
 
-    def bound(path: PathPattern) -> PathPattern:
-        nodes = tuple(
-            NodePattern(n.var, n.label, tuple((k, value if v is SLOT else v) for k, v in n.properties)) for n in path.nodes
-        )
-        return PathPattern(nodes, path.rels)
+    ``@k`` becomes one name token, and ``$k`` and ``[]k`` `` `$uid`: `` and
+    a ``slot`` token.  Also returned: the markers, in text order, and the
+    arguments they take (``check_arguments``).
+    """
+    tokens = tokenize(fmt)
+    markers = tuple(_marker(tok.text) for tok in tokens if tok.kind == "marker")
+    arguments = check_arguments(markers, args)
+    names = iter(arguments.names)
+    expanded: list[Token] = []
+    for tok in tokens:
+        if tok.kind != "marker":
+            expanded.append(tok)
+        elif tok.text[0] == "@":
+            expanded.append(Token("backtick", "`" + next(names).replace("`", "``") + "`", tok.offset))
+        else:
+            uid = Token("backtick", f"`{UID_KEY}`", tok.offset)
+            expanded += (uid, Token("op", ":", tok.offset), Token("slot", tok.text, tok.offset))
+    return expanded, markers, arguments
 
-    clauses = []
-    for clause in query.clauses:
+
+def _marker(text: str) -> Marker:
+    sigil = text.rstrip("0123456789")
+    digits = text[len(sigil) :]
+    return Marker(text, sigil, int(digits) if len(digits) < 10 else 0)
+
+
+def _paths(clause) -> tuple:
+    if isinstance(clause, MergeClause):
+        return (clause.pattern,)
+    if isinstance(clause, (MatchClause, CreateClause)):
+        return clause.patterns
+    return ()
+
+
+def slot_sites(query: Query) -> tuple:
+    """The (clause, path, node) indexes of the node patterns of ``query`` that hold a Slot."""
+    return tuple(
+        (c, p, n)
+        for c, clause in enumerate(query.clauses)
+        for p, path in enumerate(_paths(clause))
+        for n, node in enumerate(path.nodes)
+        if any(isinstance(value, Slot) for _, value in node.properties)
+    )
+
+
+def bind(query: Query, sites: tuple, arguments: Arguments) -> list[Query]:
+    """The queries a call runs: ``query`` with its ``$k`` ids bound, once or for each id of its ``[]k`` batch.
+
+    ``sites`` are the ``slot_sites`` of ``query``.  Only the node patterns
+    there are rebuilt, with the paths and clauses that hold them.
+    """
+    if arguments.batch is None:
+        return [_bind(query, sites, arguments.ids)]
+    marker, uids = arguments.batch
+    return [_bind(query, sites, {**arguments.ids, marker: uid}) for uid in uids]
+
+
+def _bind(query: Query, sites: tuple, ids: dict) -> Query:
+    if not sites:
+        return query
+    clauses = list(query.clauses)
+    for c, p, n in sites:
+        clause = clauses[c]
+        paths = list(_paths(clause))
+        nodes = list(paths[p].nodes)
+        node = nodes[n]
+        properties = tuple((key, Literal(ids[v.marker]) if isinstance(v, Slot) else v) for key, v in node.properties)
+        nodes[n] = NodePattern(node.var, node.label, properties)
+        paths[p] = PathPattern(tuple(nodes), paths[p].rels)
         if isinstance(clause, MergeClause):
-            clause = MergeClause(bound(clause.pattern))
-        elif isinstance(clause, (MatchClause, CreateClause)):
-            clause = replace(clause, patterns=tuple(map(bound, clause.patterns)))
-        clauses.append(clause)
+            clauses[c] = MergeClause(paths[0])
+        elif isinstance(clause, MatchClause):
+            clauses[c] = MatchClause(tuple(paths), clause.optional)
+        else:
+            clauses[c] = CreateClause(tuple(paths))
     return Query(tuple(clauses))

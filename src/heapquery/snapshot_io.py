@@ -208,7 +208,7 @@ def load_snapshot(data: bytes | str) -> HeapSnapshot:
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or JSON nested too deeply
-        raise SnapshotSchemaError(f"not valid JSON: {exc}") from exc
+        raise SnapshotSchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SnapshotSchemaError("top level must be an object")
     for key in ("classes", "objects", "roots"):
@@ -487,8 +487,11 @@ def _read_csv(data: bytes, expected_header: list) -> list[list]:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise SnapshotSchemaError(f"CSV file is not UTF-8: {exc}") from exc
-    rows = list(csv.reader(io.StringIO(text)))
+        raise SnapshotSchemaError(f"CSV file is not UTF-8: {exc}") from None
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:  # such as a carriage return inside an unquoted field
+        raise SnapshotSchemaError(f"malformed CSV file: {exc}") from None
     if not rows:
         raise SnapshotSchemaError("empty CSV file")
     if rows[0] != expected_header:
@@ -506,8 +509,8 @@ def _parse_props(text: str, kind: str, key) -> dict:
         return {}
     try:
         props = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise SnapshotSchemaError(f"bad props JSON in {kind} {key!r}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, an integer past the digit limit, or nesting too deep
+        raise SnapshotSchemaError(f"bad props JSON in {kind} {key!r}: {exc}") from None
     if not isinstance(props, dict):
         raise SnapshotSchemaError(f"props in {kind} {key!r} must be a JSON object")
     return props

@@ -14,7 +14,7 @@ from heapquery import (
     validate,
 )
 from heapquery.cypher_ast import Query
-from heapquery.cypher_frontend import bind_slot
+from heapquery.cypher_frontend import bind, slot_sites
 from heapquery.errors import QueryValidationError
 
 DATA = Path(__file__).parent / "data"
@@ -69,12 +69,12 @@ def run_query(graph: PropertyGraph, text: str):
 
 def expanded_queries(fmt: str, *args) -> list[Query]:
     """The validated queries of a format string: one, or one per id of its ``[]`` collection."""
-    tokens, batch = expand_positional(fmt, args)
+    tokens, _, arguments = expand_positional(fmt, args)
     query = parse(tokens, fmt)
     diagnostics = validate(query)
     if diagnostics:
         raise QueryValidationError(diagnostics)
-    return [query] if batch is None else [bind_slot(query, uid) for uid in batch]
+    return bind(query, slot_sites(query), arguments)
 
 
 def build_tree_graph(*, with_uids: bool = True, with_classes: bool = True, with_binder: bool = False) -> PropertyGraph:

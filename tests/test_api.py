@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
+
+from heapquery import api
 
 from heapquery.api import (
     QueryContext,
@@ -370,3 +375,15 @@ class TestValidateOnce:
         for _ in range(2):
             with pytest.raises(DanglingReferenceError):
                 extract(snapshot, ExtractionConfig(root=1))
+
+
+class TestTracedCallSites:
+    def test_each_api_call_site_of_the_benchmark_tracer_is_an_api_attribute(self):
+        """The traced benchmark wraps ``heapquery.api.<name>`` for its front-end and engine spans."""
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        names = [name for module, name, _ in tracing.CALL_SITES if module == "heapquery.api"]
+        assert names
+        assert [name for name in names if not callable(getattr(api, name, None))] == []

@@ -23,13 +23,14 @@ from heapquery.cypher_ast import (
     query_text,
 )
 from heapquery.cypher_frontend import (
-    SLOT,
     Diagnostic,
+    Slot,
     Token,
-    bind_slot,
+    bind,
     expand_positional,
     lint,
     parse,
+    slot_sites,
     tokenize,
     validate,
 )
@@ -43,35 +44,52 @@ def kinds_and_texts(tokens) -> list[tuple[str, str]]:
     return [(tok.kind, tok.text) for tok in tokens]
 
 
-def assert_expands_to(fmt: str, args, text: str):
-    """``fmt`` with ``args`` gives the tokens of ``text``, and no batch."""
-    tokens, batch = expand_positional(fmt, args)
-    assert batch is None
-    assert kinds_and_texts(tokens) == kinds_and_texts(tokenize(text))
+def assert_expands_to(fmt: str, args, text: str, ids=None):
+    """``fmt`` with ``args`` gives the tokens of ``text``, in which a ``$k`` marker stands for a slot, and no batch.
+
+    ``ids`` are the ``$k`` ids the arguments bind.
+    """
+    tokens, _, arguments = expand_positional(fmt, args)
+    assert arguments.batch is None
+    assert arguments.ids == (ids or {})
+    expected = [("slot" if kind == "marker" else kind, word) for kind, word in kinds_and_texts(tokenize(text))]
+    assert kinds_and_texts(tokens) == expected
+
+
+def bound_queries(fmt: str, args) -> list[Query]:
+    tokens, _, arguments = expand_positional(fmt, args)
+    query = parse(tokens, fmt)
+    return bind(query, slot_sites(query), arguments)
 
 
 class TestExpandPositional:
     def test_uid_marker(self):
-        assert_expands_to("MATCH (n {$1})-[*]-(m) RETURN m", [42], "MATCH (n {`$uid`: 42})-[*]-(m) RETURN m")
+        fmt = "MATCH (n {$1})-[*]-(m) RETURN m"
+        assert_expands_to(fmt, [42], "MATCH (n {`$uid`: $1})-[*]-(m) RETURN m", {"$1": 42})
+        assert bound_queries(fmt, [42]) == [parse("MATCH (n {`$uid`: 42})-[*]-(m) RETURN m")]
 
     def test_class_marker(self):
         assert_expands_to("CREATE (a:@1 {value:1})", ["BinaryTree$Node"], "CREATE (a:`BinaryTree$Node` {value:1})")
 
     def test_collection_marker_builds_batch(self):
         fmt = "MATCH (n {[]1})-[*]->(m) RETURN m"
-        tokens, batch = expand_positional(fmt, [[1, 2]])
-        assert batch == [1, 2]
-        query = parse(tokens, fmt)
-        assert [bind_slot(query, uid) for uid in batch] == [
+        assert expand_positional(fmt, [[1, 2]])[2].batch == ("[]1", [1, 2])
+        assert bound_queries(fmt, [[1, 2]]) == [
             parse("MATCH (n {`$uid`: 1})-[*]->(m) RETURN m"),
             parse("MATCH (n {`$uid`: 2})-[*]->(m) RETURN m"),
         ]
 
     def test_empty_collection(self):
         fmt = "MATCH (n {[]1}) RETURN n"
-        tokens, batch = expand_positional(fmt, [[]])
-        assert batch == []
-        assert parse(tokens, fmt).clauses[0].patterns[0].nodes[0].properties == (("$uid", SLOT),)
+        tokens, _, arguments = expand_positional(fmt, [[]])
+        assert arguments.batch == ("[]1", [])
+        assert parse(tokens, fmt).clauses[0].patterns[0].nodes[0].properties == (("$uid", Slot("[]1")),)
+        assert bound_queries(fmt, [[]]) == []
+
+    def test_uid_and_collection_markers_bind_together(self):
+        fmt = "MATCH (n {[]2})-->(m {$1}), (k {$1}) MERGE (m)-[:r]->(o:A {$1}) RETURN n"
+        text = "MATCH (n {{`$uid`: {}}})-->(m {{`$uid`: 7}}), (k {{`$uid`: 7}}) MERGE (m)-[:r]->(o:A {{`$uid`: 7}}) RETURN n"
+        assert bound_queries(fmt, [7, [3, 4]]) == [parse(text.format(3)), parse(text.format(4))]
 
     def test_index_out_of_range(self):
         with pytest.raises(ExpansionError):
@@ -90,30 +108,29 @@ class TestExpandPositional:
     def test_escaped_backslash_before_closing_quote(self):
         # the string literal ends at the quote after \\; $1 outside expands
         fmt = "MATCH (n) WHERE n.s = 'a\\\\' RETURN n, $1"
-        assert_expands_to(fmt, [4], fmt.replace("$1", "`$uid`: 4"))
+        assert_expands_to(fmt, [4], fmt.replace("$1", "`$uid`: $1"), {"$1": 4})
 
     def test_text_outside_markers_is_byte_identical(self):
         fmt = "MATCH\t(n {$1}) RETURN  n  // c $x"
-        tokens, _ = expand_positional(fmt, [5])
+        tokens, _, _ = expand_positional(fmt, [5])
         kept = [tok for tok in tokens if tok.offset != fmt.index("$1")]
         assert [fmt[tok.offset : tok.offset + len(tok.text)] for tok in kept] == [tok.text for tok in kept]
-        assert kinds_and_texts(tokens) == kinds_and_texts(tokenize(fmt.replace("$1", "`$uid`: 5")))
+        assert_expands_to(fmt, [5], fmt.replace("$1", "`$uid`: $1"), {"$1": 5})
 
     def test_only_one_collection_marker(self):
         with pytest.raises(ExpansionError):
             expand_positional("MATCH (n {[]1})-[]->(m {[]2}) RETURN n", [[1], [2]])
 
     def test_mixed_markers(self):
-        assert_expands_to("MATCH (n:@2 {$1}) RETURN n", [7, "A"], "MATCH (n:`A` {`$uid`: 7}) RETURN n")
+        assert_expands_to("MATCH (n:@2 {$1}) RETURN n", [7, "A"], "MATCH (n:`A` {`$uid`: $1}) RETURN n", {"$1": 7})
 
     def test_uid_marker_combines_with_other_properties(self):
-        fmt = "MATCH (n {$1, value: 3}) RETURN n"
-        tokens, _ = expand_positional(fmt, [9])
-        node = parse(tokens, fmt).clauses[0].patterns[0].nodes[0]
+        (query,) = bound_queries("MATCH (n {$1, value: 3}) RETURN n", [9])
+        node = query.clauses[0].patterns[0].nodes[0]
         assert node.properties == (("$uid", Literal(9)), ("value", Literal(3)))
 
     def test_negative_uid_is_a_negative_literal(self):
-        assert_expands_to("MATCH (n {$1}) RETURN n", [-3], "MATCH (n {`$uid`: -3}) RETURN n")
+        assert bound_queries("MATCH (n {$1}) RETURN n", [-3]) == [parse("MATCH (n {`$uid`: -3}) RETURN n")]
 
     def test_marker_in_a_comment_is_not_bound(self):
         fmt = "MATCH (n) // see $3 and []1\nRETURN n"
@@ -124,12 +141,14 @@ class TestExpandPositional:
         [
             ("RETURN @1`x`", ["A"], "RETURN `A` `x`"),  # as text, one name "A`x"
             ("RETURN @1@2", ["A", "B"], "RETURN `A` `B`"),
-            ("RETURN $1.5", [4], "RETURN `$uid`: 4 .5"),  # as text, the float 4.5
-            ("RETURN $1e3", [4], "RETURN `$uid`: 4 e3"),
+            ("RETURN $1.5", [4], "RETURN `$uid`: $1 .5"),  # as text, the float 4.5
+            ("RETURN $1e3", [4], "RETURN `$uid`: $1 e3"),
         ],
     )
     def test_marker_does_not_merge_with_adjacent_text(self, fmt, args, text):
-        assert_expands_to(fmt, args, text)
+        ids = {"$1": args[0]} if "$1" in fmt else {}
+        assert_expands_to(fmt, args, text, ids)
+        text = text.replace("$1", str(args[0]))
         assert kinds_and_texts(tokenize(oracles.expand_positional(fmt, args).text)) != kinds_and_texts(tokenize(text))
 
     @settings(max_examples=80, deadline=None)

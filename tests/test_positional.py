@@ -1,9 +1,10 @@
 """Positional markers through the query pipeline, against the textual expander.
 
 The pipeline expands a format string into tokens, parses and validates it
-once, and binds each id of a ``[]k`` collection into the parsed query.  The
-reference (``oracles.expand_positional``) substitutes text and parses one
-query per id.  The two agree except where ``TestPinnedDifferences`` below, or
+once per context and tuple of ``@k`` values, and binds the ``$k`` ids, or
+each id of a ``[]k`` collection, into the parsed query.  The reference
+(``oracles.expand_positional``) substitutes text and parses one query per
+id.  The two agree except where ``TestPinnedDifferences`` below, or
 ``test_marker_does_not_merge_with_adjacent_text`` in ``test_cypher_frontend``,
 pins a difference.
 """
@@ -138,6 +139,7 @@ class TestAgainstTextualExpansion:
             fmt, args = random_case(rng)
             outcome = token_outcome(ctx, fmt, args)
             assert outcome == textual_outcome(tree_snapshot, fmt, args), (fmt, args)
+            assert token_outcome(ctx, fmt, args) == outcome, (fmt, args)  # a kept template, if it parsed
             kinds[outcome[0] if isinstance(outcome[0], str) else "rows" if outcome[1] else "empty"] += 1
         assert set(kinds) == {"expand", "parse", "validate", "execute", "rows", "empty"}, kinds
 
@@ -156,6 +158,14 @@ class TestPinnedDifferences:
         stage, cause = cause_of(lambda: query_unbounded(ctx, fmt, "BinaryTree$Node", 13))
         assert (stage, type(cause)) == ("parse", QuerySyntaxError)
         assert (cause.line, cause.column) == (1, fmt.index("]") + 1)
+
+    @pytest.mark.parametrize("uid", [5, -5])
+    def test_uid_marker_outside_a_property_map_is_named_in_the_syntax_error(self, ctx, uid):
+        fmt = "MATCH ($1) RETURN 1"
+        stage, cause = cause_of(lambda: query_unbounded(ctx, fmt, uid))
+        assert (stage, str(cause)) == ("parse", "1:8: expected label, got '$1'")
+        with pytest.raises(QuerySyntaxError, match=f"expected label, got '{str(uid)[0]}'"):
+            parse(oracles.expand_positional(fmt, [uid]).text)
 
     def test_syntax_error_at_a_marker_is_positioned_at_the_marker(self, ctx):
         fmt = "MATCH (n)\n  RETURN $1"
@@ -220,3 +230,121 @@ class TestBatchIsParsedOnce:
     def test_each_id_is_bound_into_the_parsed_query(self, ctx):
         rs = query_unbounded(ctx, "MATCH (n {[]1}) RETURN n.value", [UID["c"], 999, UID["a"], UID["c"]])
         assert rs.table.rows == [(4,), (1,), (4,)]
+
+
+def count_calls(monkeypatch, *names: str) -> Counter:
+    """Counts the calls the pipeline makes to each of the ``api`` functions ``names``."""
+    calls = Counter()
+    for name in names:
+        original = getattr(api, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(api, name, counting)
+    return calls
+
+
+def values(rs) -> list:
+    return [row[0] for row in rs.table.rows]
+
+
+class TestTemplateCache:
+    def test_new_ids_reuse_the_parse_and_new_class_names_parse_once(self, ctx, monkeypatch):
+        calls = count_calls(monkeypatch, "expand_positional", "parse", "validate", "lint")
+        fmt = "MATCH (n:@2 {$1})-[:left|right]->(m) RETURN m.value"
+        assert values(query_unbounded(ctx, fmt, UID["b"], "BinaryTree$Node")) == [1, 3]
+        assert calls == {"expand_positional": 1, "parse": 1, "validate": 1, "lint": 1}
+        assert values(query_unbounded(ctx, fmt, UID["c"], "BinaryTree$Node")) == [2, 5]
+        assert calls == {"expand_positional": 1, "parse": 1, "validate": 1, "lint": 1}
+        assert values(query_unbounded(ctx, fmt, UID["c"], "BinaryTree")) == []
+        assert values(query_unbounded(ctx, fmt, UID["b"], "BinaryTree")) == []
+        assert calls == {"expand_positional": 2, "parse": 2, "validate": 2, "lint": 2}
+        assert values(query_unbounded(ctx, fmt, UID["a"], "BinaryTree$Node")) == []
+        assert calls["parse"] == 2
+
+    def test_a_batch_and_its_ids_reuse_the_parse(self, ctx, monkeypatch):
+        calls = count_calls(monkeypatch, "parse")
+        fmt = "MATCH (n {[]2})-[:left|right]->(m {$1}) RETURN n.value"
+        assert values(query_unbounded(ctx, fmt, UID["e"], [UID["a"], UID["b"], UID["b"]])) == [2, 2]
+        assert values(query_unbounded(ctx, fmt, UID["b"], iter([UID["c"], UID["a"]]))) == [4]
+        assert values(query_unbounded(ctx, fmt, UID["b"], [])) == []
+        assert calls["parse"] == 1
+
+    def test_a_one_shot_batch_with_new_class_names_is_read_once(self, ctx):
+        fmt = "MATCH (n:@1 {[]2}) RETURN count(n)"
+        assert values(query_unbounded(ctx, fmt, "BinaryTree$Node", iter([UID["a"], UID["f"]]))) == [1, 0]
+        assert values(query_unbounded(ctx, fmt, "BinaryTree", iter([UID["a"], UID["f"]]))) == [0, 1]
+
+    def test_contexts_do_not_share_templates(self, tree_snapshot, monkeypatch):
+        calls = count_calls(monkeypatch, "parse")
+        first, second = QueryContext(tree_snapshot), QueryContext(tree_snapshot)
+        for context in (first, second, first, second):
+            assert query_long(context, "MATCH (n {$1}) RETURN count(n)", UID["a"]) == 1
+        assert calls["parse"] == 2
+
+    def test_one_template_past_the_bound_drops_the_least_recently_used(self, ctx, monkeypatch):
+        calls = count_calls(monkeypatch, "parse")
+        fmts = [f"MATCH (n {{$1}}) RETURN n.value AS v{i}" for i in range(api.TEMPLATE_CACHE_SIZE + 1)]
+        for fmt in fmts[:-1]:
+            query_unbounded(ctx, fmt, UID["a"])
+        query_unbounded(ctx, fmts[0], UID["b"])  # now the most recently used
+        assert calls["parse"] == api.TEMPLATE_CACHE_SIZE
+        query_unbounded(ctx, fmts[-1], UID["a"])  # drops fmts[1]
+        for fmt in [fmts[0], *fmts[2:]]:
+            query_unbounded(ctx, fmt, UID["c"])
+        assert calls["parse"] == api.TEMPLATE_CACHE_SIZE + 1
+        assert values(query_unbounded(ctx, fmts[1], UID["c"])) == [4]
+        assert calls["parse"] == api.TEMPLATE_CACHE_SIZE + 2
+
+    def test_one_class_name_past_the_bound_drops_the_oldest(self, ctx, monkeypatch):
+        calls = count_calls(monkeypatch, "parse")
+        fmt = "MATCH (n:@1) RETURN count(n)"
+        names = [f"C{i}" for i in range(api.TEMPLATE_CACHE_SIZE + 1)]
+        for name in names:
+            assert query_long(ctx, fmt, name) == 0
+        for name in names[1:]:
+            query_long(ctx, fmt, name)
+        assert calls["parse"] == api.TEMPLATE_CACHE_SIZE + 1
+        assert query_long(ctx, fmt, names[0]) == 0
+        assert calls["parse"] == api.TEMPLATE_CACHE_SIZE + 2
+
+    @pytest.mark.parametrize(
+        "fmt, args",
+        [
+            ("MATCH (n {$1}) RETURN n ]", [UID["a"]]),  # parse
+            ("MATCH (n {$1}) RETURN m", [UID["a"]]),  # validate
+            ("CREATE (n:@1 {$2}) RETURN n", ["A", UID["a"]]),  # validate: $uid is not writable
+            ("MATCH (n:@1) RETURN n", [7]),  # expand
+            ("MATCH (n {$1}) RETURN n LIMIT 1", [UID["a"]]),  # parse: unsupported
+        ],
+    )
+    def test_a_failing_template_fails_the_same_way_each_time(self, ctx, fmt, args):
+        def outcome():
+            stage, cause = cause_of(lambda: query_unbounded(ctx, fmt, *args))
+            return stage, type(cause), str(cause)
+
+        first = outcome()
+        assert [outcome(), outcome()] == [first, first]
+        assert outcome() == cause_of_in_a_new_context(ctx, fmt, args)
+
+    @pytest.mark.parametrize(
+        "args, stage",
+        [(["A"], None), (["Class"], "validate"), ([""], "expand"), ([5], "expand"), (["A", 2], None)],
+    )
+    def test_a_kept_template_checks_each_call_like_a_new_one(self, ctx, args, stage):
+        fmt = "CREATE (n:@1) RETURN count(n)"
+        query_unbounded(ctx, fmt, "A")
+        if stage is None:
+            assert query_long(ctx, fmt, *args) == 1
+        else:
+            stage_and_cause = cause_of(lambda: query_unbounded(ctx, fmt, *args))
+            first = stage_and_cause[0], type(stage_and_cause[1]), str(stage_and_cause[1])
+            assert first[0] == stage
+            assert first == cause_of_in_a_new_context(ctx, fmt, args)
+
+
+def cause_of_in_a_new_context(ctx: QueryContext, fmt: str, args: list) -> tuple:
+    stage, cause = cause_of(lambda: query_unbounded(QueryContext(ctx.snapshot), fmt, *args))
+    return stage, type(cause), str(cause)
