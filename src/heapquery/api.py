@@ -44,6 +44,7 @@ from .cypher_frontend import bind, check_arguments, expand_positional, lint, par
 from .errors import (
     CastError,
     CursorError,
+    ExtractionConfigError,
     PipelineError,
     QueryValidationError,
     ShapeError,
@@ -141,7 +142,7 @@ class _Parsed(NamedTuple):
 
 @dataclass
 class QueryContext:
-    """A snapshot plus default extraction settings.
+    """A snapshot plus default extraction settings (whitelist, blacklist, force-collect).
 
     The snapshot is validated here unless ``load_snapshot`` or an earlier
     ``validate()`` already did; queries do not validate it again, so it must
@@ -169,6 +170,8 @@ class QueryContext:
     cache_extractions: bool = False
 
     def __post_init__(self):
+        if self.defaults.root is not None:  # each query passes its own, which would replace it
+            raise ExtractionConfigError(f"a context's defaults take no root, got {self.defaults.root!r}")
         self.snapshot._ensure_valid()
         self._cache: dict = {}
         self._templates: OrderedDict = OrderedDict()  # format string -> (its markers, {@k values: _Parsed})

@@ -105,18 +105,14 @@ def _load_snapshot_file(path: str):
         return load_snapshot(f.read())
 
 
-def _config_from_args(args) -> ExtractionConfig:
-    return ExtractionConfig(
-        whitelist=args.whitelist,
-        blacklist=args.blacklist,
-        root=args.root or None,
-        force_collect=args.gc,
-    )
+def _config_from_args(args, root=None) -> ExtractionConfig:
+    """The extraction flags; ``--root`` goes in only as ``root``, because a query passes it on its own."""
+    return ExtractionConfig(whitelist=args.whitelist, blacklist=args.blacklist, root=root, force_collect=args.gc)
 
 
 def _extract_from_args(snapshot, args) -> PropertyGraph:
     try:
-        return extract(snapshot, _config_from_args(args))
+        return extract(snapshot, _config_from_args(args, args.root or None))
     except HeapQueryError as exc:
         raise PipelineError("extract", exc) from exc
 

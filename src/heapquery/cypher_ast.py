@@ -1,4 +1,4 @@
-"""AST for the supported openCypher subset, plus the canonical printer.
+"""AST for the supported openCypher subset, plus the canonical text of an expression.
 
 ``And`` and ``Or`` are n-ary.  The parser splices a first operand of the
 same kind into the node, parenthesized or not, and never a later one:
@@ -6,8 +6,9 @@ same kind into the node, parenthesized or not, and never a later one:
 while ``a AND (b AND c)`` keeps its inner node and its parentheses.
 ``walk`` visits an expression's nodes without recursion.
 
-The printer produces text the parser accepts, and parsing canonical text
-yields the identical AST (round-trip stability, property-tested).
+``expression_text`` names a RETURN column that has no alias.  It produces
+text the parser accepts, and parsing it yields the identical expression; the
+tests print whole queries the same way to check that round trip.
 """
 
 from __future__ import annotations
@@ -284,81 +285,3 @@ def _expr_text(expr, parent_level: int) -> str:
     if level < parent_level:
         return f"({text})"
     return text
-
-
-def _props_text(properties: tuple) -> str:
-    inner = ", ".join(f"{quote_ident(k)}: {_literal_text(v.value)}" for k, v in properties)
-    return "{" + inner + "}"
-
-
-def _node_text(node: NodePattern) -> str:
-    parts = []
-    if node.var:
-        parts.append(quote_ident(node.var))
-    if node.label:
-        parts.append(":" + quote_ident(node.label))
-    body = "".join(parts)
-    if node.properties:
-        body = (body + " " if body else "") + _props_text(node.properties)
-    return f"({body})"
-
-
-def _hops_text(hops: Hops) -> str:
-    if hops.kind == "one":
-        return ""
-    if hops.kind == "exact":
-        return f"*{hops.lo}"
-    if hops.kind == "unbounded":
-        return "*"
-    hi = "" if hops.hi is None else str(hops.hi)
-    return f"*{hops.lo}..{hi}"
-
-
-def _rel_text(rel: RelPattern) -> str:
-    body = ""
-    if rel.var:
-        body += quote_ident(rel.var)
-    if rel.types:
-        body += ":" + "|".join(quote_ident(t) for t in rel.types)
-    body += _hops_text(rel.hops)
-    core = f"[{body}]" if body else "[]"
-    if rel.direction == "out":
-        return f"-{core}->"
-    if rel.direction == "in":
-        return f"<-{core}-"
-    return f"-{core}-"
-
-
-def _path_text(path: PathPattern) -> str:
-    out = [_node_text(path.nodes[0])]
-    for rel, node in zip(path.rels, path.nodes[1:]):
-        out.append(_rel_text(rel))
-        out.append(_node_text(node))
-    return "".join(out)
-
-
-def query_text(query: Query) -> str:
-    """Canonical single-line text of a query AST."""
-    parts = []
-    for clause in query.clauses:
-        if isinstance(clause, CreateClause):
-            parts.append("CREATE " + ", ".join(_path_text(p) for p in clause.patterns))
-        elif isinstance(clause, MergeClause):
-            parts.append("MERGE " + _path_text(clause.pattern))
-        elif isinstance(clause, MatchClause):
-            kw = "OPTIONAL MATCH" if clause.optional else "MATCH"
-            parts.append(kw + " " + ", ".join(_path_text(p) for p in clause.patterns))
-        elif isinstance(clause, WhereClause):
-            parts.append("WHERE " + expression_text(clause.expr))
-        elif isinstance(clause, ReturnClause):
-            kw = "RETURN DISTINCT" if clause.distinct else "RETURN"
-            items = []
-            for item in clause.items:
-                text = expression_text(item.expr)
-                if item.alias:
-                    text += " AS " + quote_ident(item.alias)
-                items.append(text)
-            parts.append(kw + " " + ", ".join(items))
-        else:
-            raise TypeError(f"not a clause: {clause!r}")
-    return " ".join(parts)

@@ -70,7 +70,8 @@ CLASS_NAME_KEY = "name"
 ELEMENT_INDEX_KEY = "index"
 ARRAY_SUFFIX = "[]"
 
-_PRIMITIVE_TYPES = (bool, int, float, str)
+# The types of a primitive property value, and of a primitive-array element.
+SCALAR_TYPES = (bool, int, float, str)
 
 
 @contextlib.contextmanager
@@ -112,14 +113,14 @@ def ensure_user_label(label: str) -> str:
 
 def check_property_value(value, *, key: str = ""):
     """Validate one property value; returns the value unchanged."""
-    if isinstance(value, _PRIMITIVE_TYPES):
+    if isinstance(value, SCALAR_TYPES):
         return value
     where = f" for key {key!r}" if key else ""
     if isinstance(value, list):
         kinds = {type(v) for v in value}
         if len(kinds) > 1:
             raise InvalidPropertyError(f"list value{where} must be homogeneous, got {sorted(k.__name__ for k in kinds)}")
-        if kinds and not issubclass(next(iter(kinds)), _PRIMITIVE_TYPES):
+        if kinds and not issubclass(next(iter(kinds)), SCALAR_TYPES):
             raise InvalidPropertyError(f"list value{where} may only hold primitives")
         return value
     raise InvalidPropertyError(f"unsupported property value{where}: {value!r} ({type(value).__name__})")

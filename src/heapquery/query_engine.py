@@ -51,7 +51,6 @@ the exception.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 
 from .cypher_ast import (
@@ -132,9 +131,6 @@ class ResultTable:
     @property
     def row_count(self) -> int:
         return len(self.rows)
-
-    def as_bag(self) -> Counter:
-        return Counter(tuple(cell_tag(v) for v in row) for row in self.rows)
 
 
 # --- pattern matching ---------------------------------------------------------

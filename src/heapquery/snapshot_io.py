@@ -33,9 +33,9 @@ from .property_graph import (
     ELEMENT_LABEL,
     INSTANCEOF_LABEL,
     LOCAL_LABEL,
+    SCALAR_TYPES,
     UID_KEY,
     PropertyGraph,
-    check_property_value,
     collector_paused,
 )
 from .subgraph import (
@@ -45,8 +45,8 @@ from .subgraph import (
     HeapSnapshot,
     Ref,
     RefArray,
+    _is_id,
     _is_name,
-    _referenced_ids,
 )
 
 NODES_HEADER = ["nodeId:ID", "label:LABEL", "props:JSON"]
@@ -58,16 +58,16 @@ RELS_HEADER = [":START_ID", ":END_ID", ":TYPE", "props:JSON"]
 
 def _decode_value(value, path: str):
     """A field or static value decoded by its JSON shape alone; ``path`` locates it in errors."""
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if value is None or isinstance(value, SCALAR_TYPES):
         return value
     if isinstance(value, list):
         for i, element in enumerate(value):
-            if not (element is None or isinstance(element, (bool, int, float, str))):
+            if not (element is None or isinstance(element, SCALAR_TYPES)):
                 raise SnapshotSchemaError("primitive arrays may only hold JSON literals", f"{path}[{i}]")
         return value
     if isinstance(value, dict):
         if set(value) == {"ref"}:
-            if not isinstance(value["ref"], int) or isinstance(value["ref"], bool):
+            if not _is_id(value["ref"]):
                 raise SnapshotSchemaError("ref must be an integer object id", path)
             return Ref(value["ref"])
         if set(value) == {"refs"}:
@@ -75,7 +75,7 @@ def _decode_value(value, path: str):
             if not isinstance(ids, list):
                 raise SnapshotSchemaError("refs must be a list", path)
             for i, element in enumerate(ids):
-                if element is not None and (not isinstance(element, int) or isinstance(element, bool)):
+                if element is not None and not _is_id(element):
                     raise SnapshotSchemaError("refs elements must be object ids or null", f"{path}[{i}]")
             return RefArray(ids)
         raise SnapshotSchemaError(f"unrecognized value object with keys {sorted(value)}", path)
@@ -90,7 +90,7 @@ def _encode_value(value):
     return value
 
 
-_SCALARS = frozenset((bool, int, float, str))
+_SCALARS = frozenset(SCALAR_TYPES)
 _SLOT_TYPES = frozenset((int, type(None)))  # of the elements of a reference array
 
 
@@ -114,58 +114,38 @@ def _load_class(raw, i: int) -> ClassInfo:
         if type(f) is not dict or not {"name", "kind", "type"} <= f.keys():
             raise SnapshotSchemaError("field declarations need name/kind/type", f"{path}.fields[{j}]")
         fields.append(FieldDecl(f["name"], f["kind"], f["type"]))
-    statics = {}
-    for name, value in _member(raw, "statics", dict, path).items():
-        where = f"{path}.statics.{name}"
-        value = _decode_value(value, where)
-        if type(value) is list:
-            check_property_value(value, key=where)
-        statics[name] = value
+    statics = {
+        name: _decode_value(value, f"{path}.statics.{name}") for name, value in _member(raw, "statics", dict, path).items()
+    }
     return ClassInfo(raw["name"], raw.get("superclass"), tuple(fields), statics)
 
 
-def _reject_field(value, kind: str, path: str):
-    """Raise the error for a field value that ``_load_objects`` refused: that of
-    ``_decode_value`` or, for a value it decodes, that of ``validate``."""
-    value = _decode_value(value, path)
-    if isinstance(value, Ref):
-        holds = "a reference"
-    elif isinstance(value, RefArray):
-        holds = "a reference array"
-    else:
-        check_property_value(value, key=path)
-        holds = "a primitive"
-    raise SnapshotSchemaError(f"{kind} field holds {holds}", path)
-
-
-def _load_objects(entries: list, kinds: dict, refs: list) -> list:
-    """Decode, check and build each object entry by the declared kinds of its fields.
+def _load_objects(entries: list, kinds: dict, refs: list) -> list | None:
+    """Each object entry built by the declared kinds of its fields, or None at the first that does not fit.
 
     ``kinds`` maps a class name to its field names (inherited ones included)
     and their kinds.  The ids the fields reference are appended to ``refs``,
-    to be checked once every object id is known.
+    to be checked once every object id is known.  This names no fault.
     """
     objects = []
-    for i, raw in enumerate(entries):
-        if type(raw) is not dict or "id" not in raw or "class" not in raw:
-            raise SnapshotSchemaError("object entries need id and class", f"objects[{i}]")
-        object_id = raw["id"]
-        if type(object_id) is not int:  # a bool is not an id
-            raise SnapshotSchemaError("object id must be an integer", f"objects[{i}]")
-        cls = raw["class"]
+    for raw in entries:
+        if type(raw) is not dict:
+            return None
+        object_id = raw.get("id")
+        cls = raw.get("class")
         declared = kinds.get(cls) if type(cls) is str else None
-        if declared is None:
-            raise SnapshotSchemaError(f"unknown class {cls!r}", f"objects[{i}]")
+        if type(object_id) is not int or declared is None:  # a bool is not an id
+            return None
         fields = raw["fields"] if "fields" in raw else {}
         if type(fields) is not dict:
-            raise SnapshotSchemaError("fields must be an object", f"objects[{i}].fields")
+            return None
         # A copy: the document's own map would keep the freed document's memory
         # in use around it, and queries over the scattered objects ran slower.
         fields = dict(fields)
         for name, value in fields.items():
             kind = declared.get(name)
             if kind is None:
-                raise SnapshotSchemaError(f"field {name!r} not declared by {cls!r}", f"objects[{i}].fields.{name}")
+                return None
             if value is None:
                 continue
             value_type = type(value)
@@ -189,8 +169,24 @@ def _load_objects(entries: list, kinds: dict, refs: list) -> list:
                         fields[name] = RefArray(ids)
                         refs += [e for e in ids if e is not None] if None in ids else ids
                         continue
-            _reject_field(value, kind, f"objects[{i}].fields.{name}")
+            return None
         objects.append(HeapObject(object_id, cls, fields))
+    return objects
+
+
+def _decode_objects(entries: list) -> list:
+    """Each object entry decoded by its JSON shape alone, for ``HeapSnapshot._check_objects``."""
+    objects = []
+    for i, raw in enumerate(entries):
+        at = f"objects[{i}]"
+        if type(raw) is not dict or "id" not in raw or "class" not in raw:
+            raise SnapshotSchemaError("object entries need id and class", at)
+        if type(raw["id"]) is not int:
+            raise SnapshotSchemaError("object id must be an integer", at)
+        fields = {
+            name: _decode_value(value, f"{at}.fields.{name}") for name, value in _member(raw, "fields", dict, at).items()
+        }
+        objects.append(HeapObject(raw["id"], raw["class"], fields))
     return objects
 
 
@@ -198,10 +194,11 @@ def _load_objects(entries: list, kinds: dict, refs: list) -> list:
 def load_snapshot(data: bytes | str) -> HeapSnapshot:
     """Parse a snapshot document, checking it in the same pass, and return it validated.
 
-    The classes are decoded and checked first.  Then each object is decoded by
-    the declared kinds of its fields, checked and built once.  After the last
-    object, the ids are checked for repeats, and the referenced ids and the
-    roots against the object map.  A fault raises a ``HeapQueryError`` (a
+    The classes are decoded and checked first: the objects are built by the
+    declared kinds of their fields, each once.  If one does not fit, or an id
+    repeats or a referenced id is unknown, the objects are decoded by JSON
+    shape alone and checked by ``validate``'s checks, which name the fault;
+    the statics always are.  A fault raises a ``HeapQueryError`` (a
     ``SnapshotError`` for most) whose path names the offending element, such
     as ``objects[3].fields.next``.
     """
@@ -221,21 +218,18 @@ def load_snapshot(data: bytes | str) -> HeapSnapshot:
     kinds = {
         info.name: {name: decl.kind for name, decl in declared.field_decls(info.name).items()} for info in classes
     }
-    refs = _referenced_ids(value for info in classes for value in info.statics.values())
-    objects = _load_objects(_member(doc, "objects", list), kinds, refs)
-    roots = _member(doc, "roots", dict)
-    for name, target in roots.items():
+    entries = _member(doc, "objects", list)
+    refs = []
+    objects = _load_objects(entries, kinds, refs)
+    snapshot = HeapSnapshot(classes, _decode_objects(entries) if objects is None else objects, _member(doc, "roots", dict))
+    for name, target in snapshot.roots.items():
         if type(target) is not int:
             raise SnapshotSchemaError("root targets must be object ids", f"roots.{name}")
-
-    snapshot = HeapSnapshot(classes, objects, roots)
+    snapshot._check_statics()
     ids = snapshot._object_map
-    # Each value was checked as it was decoded.  Left of the value checks of
-    # ``validate``: the ids are distinct (the map is keyed by id, so it is as
-    # long as ``objects`` only then) and every referenced id is one of them.
-    # If either fails, ``_check_values`` runs all of them, to name the fault.
-    if len(ids) != len(objects) or not all(map(ids.__contains__, refs)):
-        snapshot._check_values()
+    # The map is keyed by id, so it is as long as the objects only if no id repeats.
+    if objects is None or len(ids) != len(objects) or not all(map(ids.__contains__, refs)):
+        snapshot._check_objects()
     snapshot._loaded = True
     return snapshot.validate()
 
@@ -322,7 +316,6 @@ def graph_to_snapshot(graph: PropertyGraph) -> HeapSnapshot:
 
     class_decls: dict[str, dict[str, FieldDecl]] = {}
     class_statics: dict[str, dict] = {}
-    declared_class_names = set()
 
     def declare_field(cls: str, decl: FieldDecl):
         fields = class_decls.setdefault(cls, {})
@@ -338,12 +331,10 @@ def graph_to_snapshot(graph: PropertyGraph) -> HeapSnapshot:
         name = node.properties.get(CLASS_NAME_KEY)
         if not isinstance(name, str) or not name:
             raise NotSnapshotShapedError(f"Class node {node.id} has no name property")
-        if name in declared_class_names:
+        if name in class_statics:
             raise NotSnapshotShapedError(f"two Class nodes for {name!r}")
-        declared_class_names.add(name)
         class_decls.setdefault(name, {})
-        statics = {key: value for key, value in node.properties.items() if key != CLASS_NAME_KEY}
-        class_statics[name] = statics
+        class_statics[name] = {key: value for key, value in node.properties.items() if key != CLASS_NAME_KEY}
 
     objects = []
     array_owned: dict[int, int] = {}
@@ -406,9 +397,7 @@ def graph_to_snapshot(graph: PropertyGraph) -> HeapSnapshot:
             )
         )
     objects.sort(key=lambda o: o.id)
-    snapshot = HeapSnapshot(classes, objects, roots)
-    snapshot.validate()
-    return snapshot
+    return HeapSnapshot(classes, objects, roots).validate()
 
 
 def _fold_edges(graph, node_id, fields, array_nodes, array_owned, object_ids, skip=INSTANCEOF_LABEL) -> list:

@@ -41,6 +41,7 @@ from .property_graph import (
     INSTANCEOF_LABEL,
     LOCAL_LABEL,
     RESERVED_LABELS,
+    SCALAR_TYPES,
     UID_KEY,
     Node,
     PropertyGraph,
@@ -177,17 +178,18 @@ class HeapSnapshot:
             self.validate()
 
     def validate(self) -> "HeapSnapshot":
-        """Check the snapshot and raise its first fault.
+        """Check the snapshot and raise its first fault, a ``HeapQueryError``.
 
-        ``load_snapshot`` checks the classes, statics and objects of a
-        snapshot as it decodes them and sets ``_loaded``; then this runs only
-        the root checks.
+        ``load_snapshot`` runs the checks of the classes, the statics and, when
+        its fast pass finds a fault, the objects, and sets ``_loaded``; then
+        this runs only the root checks.
         """
         if not self._loaded:
             self._check_classes()
-            self._check_values()
+            self._check_statics()
+            self._check_objects()
         for name, target in self.roots.items():
-            if target not in self._object_map:
+            if not _is_id(target) or target not in self._object_map:
                 raise UnknownRootError(target)
             if not isinstance(name, str) or not name:
                 raise SnapshotSchemaError(f"bad root name {name!r}", "roots")
@@ -195,22 +197,25 @@ class HeapSnapshot:
         self._validated = True
         return self
 
-    def _check_values(self):
-        """The checks of ``validate`` of the object ids and of each static and field value."""
+    def _check_statics(self):
         for i, info in enumerate(self.classes):
             for name, value in info.statics.items():
                 self._check_value(value, None, ("classes", i, "statics", name))
 
+    def _check_objects(self):
+        """The object ids, then the class and each field value of every object."""
         seen = set()
         for i, obj in enumerate(self.objects):
-            if isinstance(obj.id, bool) or not isinstance(obj.id, int):
+            if not _is_id(obj.id):
                 raise SnapshotSchemaError(f"object id must be an integer, got {obj.id!r}", f"objects[{i}]")
             if obj.id in seen:
                 raise DuplicateObjectIdError(obj.id)
             seen.add(obj.id)
         for i, obj in enumerate(self.objects):
-            if obj.cls not in self._class_map:
+            if not isinstance(obj.cls, str) or obj.cls not in self._class_map:
                 raise SnapshotSchemaError(f"unknown class {obj.cls!r}", f"objects[{i}]")
+            if not isinstance(obj.fields, dict):
+                raise SnapshotSchemaError("fields must be an object", f"objects[{i}].fields")
             decls = self.field_decls(obj.cls)
             for name, value in obj.fields.items():
                 decl = decls.get(name)
@@ -269,19 +274,19 @@ class HeapSnapshot:
         if value is None:
             return
         if isinstance(value, Ref):
-            if value.id not in self._object_map:
+            if not _is_id(value.id) or value.id not in self._object_map:
                 raise DanglingReferenceError(value.id, _path(where))
             if decl is not None and decl.kind != "reference":
                 raise SnapshotSchemaError(f"{decl.kind} field holds a reference", _path(where))
             return
         if isinstance(value, RefArray):
             for element in value.ids:
-                if element is not None and element not in self._object_map:
+                if element is not None and (not _is_id(element) or element not in self._object_map):
                     raise DanglingReferenceError(element, _path(where))
             if decl is not None and decl.kind != "reference-array":
                 raise SnapshotSchemaError(f"{decl.kind} field holds a reference array", _path(where))
             return
-        if not isinstance(value, (bool, int, float, str)):  # the check below passes scalars without a path
+        if not isinstance(value, SCALAR_TYPES):  # the check below passes scalars without a path
             check_property_value(value, key=_path(where))
         if decl is not None and decl.kind not in ("primitive", "primitive-array"):
             raise SnapshotSchemaError(f"{decl.kind} field holds a primitive", _path(where))
@@ -293,6 +298,11 @@ def _is_name(name) -> bool:
     These names become node labels, relationship labels and property keys.
     """
     return isinstance(name, str) and name != ""
+
+
+def _is_id(value) -> bool:
+    """True for an object id: an integer, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _path(where: tuple) -> str:
@@ -326,7 +336,7 @@ class ExtractionConfig:
 
     def validate(self) -> "ExtractionConfig":
         for root in self.root_ids() or ():
-            if isinstance(root, bool) or not isinstance(root, int):
+            if not _is_id(root):
                 raise ExtractionConfigError(f"root ids must be integers, got {root!r}")
         overlap = set(self.whitelist) & set(self.blacklist)
         if overlap:

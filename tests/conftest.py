@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from heapquery import (
 from heapquery.cypher_ast import Query
 from heapquery.cypher_frontend import bind, slot_sites
 from heapquery.errors import QueryValidationError
+from heapquery.query_engine import ResultTable, cell_tag
 
 DATA = Path(__file__).parent / "data"
 
@@ -65,6 +67,11 @@ def run_query(graph: PropertyGraph, text: str):
     if diagnostics:
         raise QueryValidationError(diagnostics)
     return execute(query, graph)
+
+
+def as_bag(table: ResultTable) -> Counter:
+    """The rows of ``table`` as a bag of cell tags, the form ``oracles.enumerate_rows`` returns."""
+    return Counter(tuple(cell_tag(v) for v in row) for row in table.rows)
 
 
 def expanded_queries(fmt: str, *args) -> list[Query]:

@@ -16,7 +16,6 @@ from heapquery.api import (
     query_string,
     query_unbounded,
 )
-from heapquery.cypher_ast import query_text
 from heapquery.cypher_frontend import MAX_NESTING, parse
 from heapquery.errors import (
     CursorError,
@@ -32,6 +31,7 @@ from heapquery.subgraph import ClassInfo, ExtractionConfig, FieldDecl, HeapObjec
 from .conftest import CONTAINS_KEY_QUERY, DATA, REPOK_QUERY, TWO_HOP_QUERY, UID, build_tree_graph
 from .generators import build_large_snapshot
 from .oracles import reachable_from
+from .printer import query_text
 
 
 @pytest.fixture
@@ -312,6 +312,18 @@ class TestExtractionMemo:
         first = query_unbounded(ctx, "MATCH (n) RETURN count(n)")
         second = query_unbounded(ctx, "MATCH (n) RETURN count(n)")
         assert first._graph is not second._graph
+
+
+class TestContextDefaults:
+    @pytest.mark.parametrize("root", [UID["a"], [UID["a"]], "x"])
+    def test_a_root_in_the_defaults_is_refused(self, tree_snapshot, root):
+        """Each query passes its own root, which would silently replace this one."""
+        with pytest.raises(ExtractionConfigError):
+            QueryContext(tree_snapshot, ExtractionConfig(root=root))
+
+    def test_the_other_defaults_apply(self, tree_snapshot):
+        ctx = QueryContext(tree_snapshot, ExtractionConfig(blacklist=frozenset({"BinaryTree"})))
+        assert query_long(ctx, "MATCH (n:BinaryTree) RETURN count(n)") == 0
 
 
 class TestContainsKeyThroughFacade:

@@ -20,7 +20,7 @@ from heapquery.property_graph import PropertyGraph
 from heapquery.query_engine import NodeRef, execute
 from heapquery.subgraph import extract
 
-from .conftest import REPOK_QUERY, UID, build_tree_graph
+from .conftest import REPOK_QUERY, UID, as_bag, build_tree_graph
 from .generators import random_graph
 from .oracles import enumerate_rows
 from .test_planner import count_calls, parsed
@@ -75,9 +75,9 @@ class TestClosedWalks:
             match, names = _random_closed_query(rng)
             text = f"{match} RETURN {names}"
             table, _ = execute(parsed(text), graph)
-            assert table.as_bag() == enumerate_rows(graph, parsed(text)), text
+            assert as_bag(table) == enumerate_rows(graph, parsed(text)), text
             count = f"{match} RETURN count(*)"
-            assert execute(parsed(count), graph)[0].as_bag() == enumerate_rows(graph, parsed(count)), count
+            assert as_bag(execute(parsed(count), graph)[0]) == enumerate_rows(graph, parsed(count)), count
             full = f"{match} RETURN {names}{', r' if '[r:' in match else ''}"
             pruned, _ = execute(parsed(full), graph)
             monkeypatch.setattr(query_engine, "_components", _single_component(real))
@@ -95,7 +95,7 @@ class TestClosedWalks:
         text = "MATCH (a)-[:g]->(m)-[:f*]->(m) RETURN a, m"
         table, _ = execute(parsed(text), g)
         assert table.rows == [(NodeRef(a), NodeRef(b)), (NodeRef(a), NodeRef(c))]
-        assert table.as_bag() == enumerate_rows(g, parsed(text))
+        assert as_bag(table) == enumerate_rows(g, parsed(text))
         assert [call[0] for call in calls] == [b, c]  # c is not reached from b: searched from c
 
     def test_one_search_covers_the_starts_it_reaches(self, monkeypatch):

@@ -20,7 +20,6 @@ from heapquery.cypher_ast import (
     Variable,
     WhereClause,
     expression_text,
-    query_text,
 )
 from heapquery.cypher_frontend import (
     Diagnostic,
@@ -37,6 +36,7 @@ from heapquery.cypher_frontend import (
 from heapquery.errors import ExpansionError, QuerySyntaxError, UnsupportedFeatureError
 
 from . import oracles
+from .printer import query_text
 from .strategies import queries
 
 

@@ -14,7 +14,7 @@ from heapquery.property_graph import PropertyGraph
 from heapquery.query_engine import execute
 from heapquery.snapshot_io import CsvBundle, export_csv, import_csv
 
-from .conftest import build_tree_graph, expanded_queries
+from .conftest import as_bag, build_tree_graph, expanded_queries
 from .generators import random_graph
 from .oracles import enumerate_rows
 
@@ -83,7 +83,7 @@ class TestFastPathsAgainstOracle:
             starts = sum(enumerate_rows(graph, parsed(f"MATCH (n{start}) RETURN n")).values())
             bfs.clear()
             table, _ = execute(parsed(text), graph)
-            assert table.as_bag() == enumerate_rows(graph, parsed(text)), text
+            assert as_bag(table) == enumerate_rows(graph, parsed(text)), text
             assert len(bfs) == (starts if eligible else 0), text
             ran[eligible] += 1
         assert min(ran.values()) > 100
@@ -105,7 +105,7 @@ class TestFastPathsAgainstOracle:
             "MATCH (n {`$uid`: 13})-[*]->(m), (p {`$uid`: 11}) RETURN DISTINCT m",
         ]:
             table, _ = execute(parsed(text), tree_graph)
-            assert table.as_bag() == enumerate_rows(tree_graph, parsed(text)), text
+            assert as_bag(table) == enumerate_rows(tree_graph, parsed(text)), text
         assert bfs == []
 
 

@@ -14,7 +14,7 @@ from heapquery.property_graph import PropertyGraph
 from heapquery.query_engine import cell_tag, execute
 from heapquery.subgraph import ExtractionConfig, extract
 
-from .conftest import CONTAINS_KEY_QUERY, REPOK_QUERY, build_tree_graph, expanded_queries
+from .conftest import CONTAINS_KEY_QUERY, REPOK_QUERY, as_bag, build_tree_graph, expanded_queries
 from .generators import build_hashmap_snapshot, random_graph
 from .oracles import enumerate_rows, hashmap_contains
 
@@ -112,7 +112,7 @@ class TestAgainstOracle:
             reversals.clear()
             bfs.clear()
             table, _ = execute(parsed(agg), graph)
-            assert table.as_bag() == enumerate_rows(graph, parsed(agg)), agg
+            assert as_bag(table) == enumerate_rows(graph, parsed(agg)), agg
             planned_rows = row_bag(returns[-1][2])
             forward, _ = execute(parsed(rows), graph)
             forward_rows = row_bag(returns[-1][2])
@@ -122,7 +122,7 @@ class TestAgainstOracle:
                 assert planned_rows == forward_rows, agg
             reversed_bfs += bool(reversals and bfs)
             if not has_rel_var:
-                assert forward.as_bag() == enumerate_rows(graph, parsed(rows)), rows
+                assert as_bag(forward) == enumerate_rows(graph, parsed(rows)), rows
             if shape == "repeated":
                 assert reversals == [], agg
             shapes[shape] += 1
@@ -144,7 +144,7 @@ class TestAgainstOracle:
             text = f"MATCH (a:{rng.choice('AB')}){_segment(rng)}(b {_uid(rng)}) RETURN {count}"
             reversals.clear()
             table, _ = execute(parsed(text), graph)
-            assert table.as_bag() == enumerate_rows(graph, parsed(text)), text
+            assert as_bag(table) == enumerate_rows(graph, parsed(text)), text
             assert len(reversals) == 1, text
         assert len(bfs) > 20  # reachability searches from the $uid end
 
@@ -160,7 +160,7 @@ class TestAgainstOracle:
             "MATCH (m {`$uid`: 1}) MATCH (n {`$uid`: 1})-[:f*]->(m) RETURN count(n)",
         ]:
             table, _ = execute(parsed(text), g)
-            assert table.as_bag() == enumerate_rows(g, parsed(text)), text
+            assert as_bag(table) == enumerate_rows(g, parsed(text)), text
         table, _ = execute(parsed("MATCH (m {`$uid`: 1}) MATCH (n:A)-[:f*]->(m) RETURN count(n)"), g)
         assert table.rows == [(2,)]
 
@@ -173,7 +173,7 @@ class TestAgainstOracle:
         # b = a is kept: the segment's target a was bound at its start
         text = "MATCH (a:A)-[:f]->(b)-[:f*]->(a {`$uid`: 1}) RETURN count(b)"
         table, _ = execute(parsed(text), g)
-        assert table.as_bag() == enumerate_rows(g, parsed(text))
+        assert as_bag(table) == enumerate_rows(g, parsed(text))
         assert table.rows == [(3,)]
 
 
@@ -242,7 +242,7 @@ class TestWhereItRuns:
         reversals = count_calls(monkeypatch, "_reversed")
         table, _ = execute(parsed(text), g)
         if "OPTIONAL" not in text and "MATCH (d)" not in text:
-            assert table.as_bag() == enumerate_rows(g, parsed(text)), text
+            assert as_bag(table) == enumerate_rows(g, parsed(text)), text
         assert reversals == [], text
 
     def test_uid_end_order_is_kept_without_aggregation(self):
@@ -317,7 +317,7 @@ class TestEqualityIndex:
             _, graph = execute(parsed(write), graph)
             assert graph.audit() == [], write
             table, _ = execute(parsed(text), graph)
-            assert table.as_bag() == enumerate_rows(graph, parsed(text)), write
+            assert as_bag(table) == enumerate_rows(graph, parsed(text)), write
         assert table.rows == [(2,)]
         assert graph.copy().audit() == []
 

@@ -22,6 +22,7 @@ from .conftest import (
     TREE_CREATE_QUERY,
     TWO_HOP_QUERY,
     UID,
+    as_bag,
     expanded_queries,
 )
 from .generators import build_hashmap_snapshot, build_tree_case, random_graph, random_query
@@ -325,8 +326,8 @@ class TestExecuteBatch:
             singles = Counter()
             for uid in uids:
                 single, _ = execute(expanded("MATCH (n {$1})-[:left|right*1..]->(m) RETURN m", [uid]), tree_graph)
-                singles += single.as_bag()
-            assert batch_table.as_bag() == singles
+                singles += as_bag(single)
+            assert as_bag(batch_table) == singles
 
 
 class TestOracleEquivalence:
@@ -337,7 +338,7 @@ class TestOracleEquivalence:
             query = random_query(rng)
             assert validate(query) == []
             table, _ = execute(query, graph)
-            assert table.as_bag() == enumerate_rows(graph, query)
+            assert as_bag(table) == enumerate_rows(graph, query)
 
     def test_read_only_queries_never_mutate(self):
         rng = random.Random(4)

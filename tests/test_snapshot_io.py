@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from heapquery.errors import (
@@ -292,6 +292,74 @@ class TestLoaderMatchesReference:
             assert isinstance(got, HeapQueryError), repr(got)
         else:  # the mutation left the document valid
             assert got == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(snapshot_documents(), st.lists(st.sampled_from(MUTATIONS), min_size=2, max_size=3), st.data())
+    def test_first_of_several_faults_is_the_reference_one(self, doc, mutations, data):
+        sections = []
+        for mutation in sorted(mutations, key=lambda m: m in (_drop_key, _retype)):  # these break the others
+            try:
+                sections.append(mutation(doc, data))
+            except (KeyError, IndexError, TypeError, AttributeError):  # an earlier fault took what it edits
+                reject()
+        text = json.dumps(doc)
+        got = _outcome(load_snapshot, text)
+        expected = _outcome(reference_load_snapshot, text)
+        if any(sections) or _has_class_fault(doc):  # the loader names these first, on purpose
+            assert isinstance(got, HeapQueryError) or got == expected, repr(got)
+        elif isinstance(expected, HeapQueryError):
+            assert _named(got) == _named(expected)
+        elif isinstance(expected, Exception):  # a crash of the reference
+            assert isinstance(got, HeapQueryError), repr(got)
+        else:
+            assert got == expected
+
+    def test_classes_are_checked_before_the_objects(self):
+        """The one difference from the reference: the loader needs the declared kinds to build an object."""
+        text = '{"classes":[{"name":"A","superclass":"Z"}],"objects":[5],"roots":{}}'
+        assert str(_outcome(load_snapshot, text)) == "classes[0]: unknown superclass 'Z'"
+        assert str(_outcome(reference_load_snapshot, text)) == "objects[0]: object entries need id and class"
+
+    @pytest.mark.parametrize(
+        "objects, message",
+        [
+            (
+                '[{"id":1,"class":"A","fields":{"r":{"ref":9}}},{"id":2,"class":"B"}]',
+                "objects[0].fields.r: reference to unknown object id 9",
+            ),
+            (
+                '[{"id":1,"class":"A","fields":{"p":{"ref":1}}},{"id":2,"class":"A","fields":{"p":{"x":1}}}]',
+                "objects[1].fields.p: unrecognized value object with keys ['x']",
+            ),
+        ],
+    )
+    def test_two_faults(self, objects, message):
+        text = (
+            '{"classes":[{"name":"A","fields":[{"name":"r","kind":"reference","type":"A"},'
+            '{"name":"p","kind":"primitive","type":"int"}]}],"objects":' + objects + ',"roots":{}}'
+        )
+        got = _outcome(load_snapshot, text)
+        assert str(got) == message
+        assert _named(got) == _named(_outcome(reference_load_snapshot, text))
+
+
+def _named(error) -> tuple:
+    return type(error), str(error), getattr(error, "path", None)
+
+
+def _has_class_fault(doc: dict) -> bool:
+    """Whether the classes of ``doc`` fail to load on their own, their static values left out."""
+    if "classes" not in doc:
+        return False
+    classes = copy.deepcopy(doc["classes"])
+    for info in classes if type(classes) is list else ():
+        if type(info) is dict and type(info.get("statics")) is dict:
+            info["statics"] = dict.fromkeys(info["statics"])
+    try:
+        reference_load_snapshot(json.dumps({"classes": classes, "objects": [], "roots": {}}))
+    except Exception:  # the reference also crashes on a section of the wrong type
+        return True
+    return False
 
 
 def _one_object_doc(fields_decl: str, fields: str, statics: str = "") -> str:

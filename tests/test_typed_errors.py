@@ -1,21 +1,24 @@
-"""Drawn query templates and CSV files fail with heapquery's own errors only.
+"""Drawn query templates, CSV files and hand-built snapshots fail with heapquery's own errors only.
 
-Whatever a caller passes to ``query_unbounded`` or ``import_csv``, what
-escapes is a ``HeapQueryError``, never a Python error that only shows a
-fault in the engine: no ``RecursionError``, ``UnicodeDecodeError``,
-``KeyError``, ``TypeError`` or ``AttributeError``, raised or named as the
-cause of a pipeline error.
+Whatever a caller passes to ``query_unbounded``, ``import_csv``,
+``HeapSnapshot.validate`` or ``QueryContext``, what escapes is a
+``HeapQueryError``, never a Python error that only shows a fault in the
+engine: no ``RecursionError``, ``UnicodeDecodeError``, ``KeyError``,
+``TypeError`` or ``AttributeError``, raised or named as the cause of a
+pipeline error.
 """
 
 from __future__ import annotations
 
 import re
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heapquery import CsvBundle, QueryContext, export_csv, import_csv, load_snapshot, query_unbounded
 from heapquery.errors import HeapQueryError
+from heapquery.subgraph import ClassInfo, FieldDecl, HeapObject, HeapSnapshot, Ref, RefArray
 
 from .conftest import DATA, UID, build_tree_graph
 
@@ -138,3 +141,76 @@ class TestCsvFiles:
             import_csv(CsvBundle(nodes, relationships))
         except HeapQueryError as exc:
             assert not isinstance(exc.__cause__, ENGINE_FAULTS), exc
+
+
+# Parts of hand-built snapshots: each of the right type or of a wrong one.
+# Object ids and class names stay hashable, because ``HeapSnapshot`` keys its
+# maps by them as it is built.
+FIELDS = (
+    FieldDecl("r", "reference", "A"),
+    FieldDecl("rs", "reference-array", "A"),
+    FieldDecl("p", "primitive", "int"),
+    FieldDecl("xs", "primitive-array", "int"),
+)
+WRONG = [None, True, 1.5, "x", b"x", (1,), {1}, {}, {"ref": 1}, [1, "a"], [[1]], [None], object(), Ref([1]), Ref("x"),
+         Ref(True), Ref(None), RefArray([1, [2]]), RefArray(["x"]), RefArray([False]), RefArray([None, 9])]
+values = st.one_of(
+    st.integers(0, 3).map(Ref),
+    st.lists(st.one_of(st.none(), st.integers(0, 4)), max_size=2).map(RefArray),
+    st.integers(),
+    st.lists(st.integers(), max_size=2),
+    st.sampled_from(WRONG),
+)
+objects = st.builds(
+    HeapObject,
+    st.one_of(st.integers(0, 3), st.sampled_from([True, "1", 1.0, None, (1,)])),
+    st.sampled_from(["A", "B", "Z", "", None, 5, ["A"], ("A",)]),
+    st.one_of(
+        st.dictionaries(st.sampled_from(["r", "rs", "p", "xs", "q", 5]), values, max_size=3),
+        st.sampled_from([None, [("p", 1)], "p", 5, ()]),
+    ),
+)
+snapshot_parts = st.tuples(
+    st.dictionaries(st.sampled_from(["s", "t", "", 5]), values, max_size=2).map(
+        lambda statics: [ClassInfo("A", None, FIELDS, statics), ClassInfo("B", "A")]
+    ),
+    st.lists(objects, max_size=4),
+    st.dictionaries(
+        st.sampled_from(["r", "", 5]), st.one_of(st.integers(0, 3), st.sampled_from([True, "1", None, [1], (1,)])), max_size=2
+    ),
+)
+CLASS_A = [ClassInfo("A", None, FIELDS)]
+
+
+class TestHandBuiltSnapshots:
+    @settings(max_examples=400, deadline=None)
+    @given(snapshot_parts)
+    @example((CLASS_A, [HeapObject(1, ["A"], {})], {}))
+    @example((CLASS_A, [HeapObject(1, "A", None)], {}))
+    @example((CLASS_A, [HeapObject(1, "A", [("p", 1)])], {}))
+    @example((CLASS_A, [HeapObject(1, "A", {})], {"r": [1]}))
+    def test_only_heapquery_errors_escape(self, parts):
+        try:
+            HeapSnapshot(*parts).validate()
+        except HeapQueryError as exc:
+            with pytest.raises(HeapQueryError) as again:
+                QueryContext(HeapSnapshot(*parts))
+            assert str(again.value) == str(exc)
+            return
+        query_unbounded(QueryContext(HeapSnapshot(*parts)), "MATCH (n)-[r]->(m) RETURN count(r)")
+
+    @pytest.mark.parametrize(
+        "objects, roots, message",
+        [
+            ([HeapObject(1, ["A"], {})], {}, "objects[0]: unknown class ['A']"),
+            ([HeapObject(1, "A", None)], {}, "objects[0].fields: fields must be an object"),
+            ([HeapObject(1, "A", [("p", 1)])], {}, "objects[0].fields: fields must be an object"),
+            ([HeapObject(1, "A", {})], {"r": [1]}, "root object id [1] not present in snapshot"),
+            ([HeapObject(1, "A", {"r": Ref(True)})], {}, "objects[0].fields.r: reference to unknown object id True"),
+            ([HeapObject(1, "A", {"rs": RefArray([1, [2]])})], {}, "objects[0].fields.rs: reference to unknown object id [2]"),
+        ],
+    )
+    def test_typed_error(self, objects, roots, message):
+        with pytest.raises(HeapQueryError) as exc:
+            HeapSnapshot(CLASS_A, objects, roots).validate()
+        assert str(exc.value) == message
