@@ -45,8 +45,6 @@ from .subgraph import (
     HeapSnapshot,
     Ref,
     RefArray,
-    _is_id,
-    _is_name,
 )
 
 NODES_HEADER = ["nodeId:ID", "label:LABEL", "props:JSON"]
@@ -56,30 +54,58 @@ RELS_HEADER = [":START_ID", ":END_ID", ":TYPE", "props:JSON"]
 # --- snapshot JSON ---------------------------------------------------------------
 
 
-def _decode_value(value, path: str):
-    """A field or static value decoded by its JSON shape alone; ``path`` locates it in errors."""
-    if value is None or isinstance(value, SCALAR_TYPES):
-        return value
+class _BadValue(Exception):
+    """A value ``_decode_value`` refuses; ``_decode_values`` adds its location."""
+
+    def __init__(self, message: str, suffix: str = ""):
+        self.message = message
+        self.suffix = suffix  # the element index within the value, if any
+
+
+def _decode_values(raw: dict, section: str, index: int, part: str) -> dict:
+    """A copy of the name -> value map at ``{section}[{index}].{part}``, each
+    value decoded by its JSON shape alone; the location is formatted only when
+    a value is refused.
+
+    A copy: the document's own map would keep the freed document's memory in
+    use around it, and queries over the scattered objects ran slower.
+    """
+    values = dict(raw)
+    try:
+        for name, value in values.items():
+            if value is None or isinstance(value, SCALAR_TYPES):
+                continue
+            if type(value) is dict and len(value) == 1 and type(value.get("ref")) is int:  # a reference, the most common
+                values[name] = Ref(value["ref"])
+            else:
+                values[name] = _decode_value(value)
+    except _BadValue as exc:
+        raise SnapshotSchemaError(exc.message, f"{section}[{index}].{part}.{name}{exc.suffix}") from None
+    return values
+
+
+def _decode_value(value):
+    """A list or object field or static value: a primitive array, ``Ref`` or ``RefArray``."""
     if isinstance(value, list):
         for i, element in enumerate(value):
             if not (element is None or isinstance(element, SCALAR_TYPES)):
-                raise SnapshotSchemaError("primitive arrays may only hold JSON literals", f"{path}[{i}]")
+                raise _BadValue("primitive arrays may only hold JSON literals", f"[{i}]")
         return value
-    if isinstance(value, dict):
-        if set(value) == {"ref"}:
-            if not _is_id(value["ref"]):
-                raise SnapshotSchemaError("ref must be an integer object id", path)
-            return Ref(value["ref"])
-        if set(value) == {"refs"}:
-            ids = value["refs"]
-            if not isinstance(ids, list):
-                raise SnapshotSchemaError("refs must be a list", path)
-            for i, element in enumerate(ids):
-                if element is not None and not _is_id(element):
-                    raise SnapshotSchemaError("refs elements must be object ids or null", f"{path}[{i}]")
-            return RefArray(ids)
-        raise SnapshotSchemaError(f"unrecognized value object with keys {sorted(value)}", path)
-    raise SnapshotSchemaError(f"unsupported value {value!r}", path)
+    if not isinstance(value, dict):
+        raise _BadValue(f"unsupported value {value!r}")
+    if len(value) == 1 and "ref" in value:
+        if type(value["ref"]) is not int:  # a bool is not an id
+            raise _BadValue("ref must be an integer object id")
+        return Ref(value["ref"])
+    if len(value) == 1 and "refs" in value:
+        ids = value["refs"]
+        if not isinstance(ids, list):
+            raise _BadValue("refs must be a list")
+        for i, element in enumerate(ids):
+            if element is not None and type(element) is not int:
+                raise _BadValue("refs elements must be object ids or null", f"[{i}]")
+        return RefArray(ids)
+    raise _BadValue(f"unrecognized value object with keys {sorted(value)}")
 
 
 def _encode_value(value):
@@ -88,10 +114,6 @@ def _encode_value(value):
     if isinstance(value, RefArray):
         return {"refs": list(value.ids)}
     return value
-
-
-_SCALARS = frozenset(SCALAR_TYPES)
-_SLOT_TYPES = frozenset((int, type(None)))  # of the elements of a reference array
 
 
 def _member(entry: dict, key: str, kind: type, at: str = ""):
@@ -104,103 +126,43 @@ def _member(entry: dict, key: str, kind: type, at: str = ""):
 
 
 def _load_class(raw, i: int) -> ClassInfo:
+    """A class entry decoded by its JSON shape alone, for ``validate``."""
     path = f"classes[{i}]"
     if type(raw) is not dict or "name" not in raw:
         raise SnapshotSchemaError("class entries need a name", path)
-    if not _is_name(raw["name"]):
-        raise SnapshotSchemaError(f"class name must be a non-empty string, got {raw['name']!r}", path)
     fields = []
     for j, f in enumerate(_member(raw, "fields", list, path)):
         if type(f) is not dict or not {"name", "kind", "type"} <= f.keys():
             raise SnapshotSchemaError("field declarations need name/kind/type", f"{path}.fields[{j}]")
         fields.append(FieldDecl(f["name"], f["kind"], f["type"]))
-    statics = {
-        name: _decode_value(value, f"{path}.statics.{name}") for name, value in _member(raw, "statics", dict, path).items()
-    }
+    statics = _decode_values(_member(raw, "statics", dict, path), "classes", i, "statics")
     return ClassInfo(raw["name"], raw.get("superclass"), tuple(fields), statics)
 
 
-def _load_objects(entries: list, kinds: dict, refs: list) -> list | None:
-    """Each object entry built by the declared kinds of its fields, or None at the first that does not fit.
-
-    ``kinds`` maps a class name to its field names (inherited ones included)
-    and their kinds.  The ids the fields reference are appended to ``refs``,
-    to be checked once every object id is known.  This names no fault.
-    """
-    objects = []
-    for raw in entries:
-        if type(raw) is not dict:
-            return None
-        object_id = raw.get("id")
-        cls = raw.get("class")
-        declared = kinds.get(cls) if type(cls) is str else None
-        if type(object_id) is not int or declared is None:  # a bool is not an id
-            return None
-        fields = raw["fields"] if "fields" in raw else {}
-        if type(fields) is not dict:
-            return None
-        # A copy: the document's own map would keep the freed document's memory
-        # in use around it, and queries over the scattered objects ran slower.
-        fields = dict(fields)
-        for name, value in fields.items():
-            kind = declared.get(name)
-            if kind is None:
-                return None
-            if value is None:
-                continue
-            value_type = type(value)
-            if kind == "primitive" or kind == "primitive-array":  # either takes a scalar or a list
-                if value_type in _SCALARS:
-                    continue
-                if value_type is list:
-                    element_types = set(map(type, value))
-                    if len(element_types) <= 1 and element_types <= _SCALARS:
-                        continue
-            elif value_type is dict and len(value) == 1:
-                if kind == "reference":
-                    target = value.get("ref")
-                    if type(target) is int:
-                        fields[name] = Ref(target)
-                        refs.append(target)
-                        continue
-                else:
-                    ids = value.get("refs")
-                    if type(ids) is list and set(map(type, ids)) <= _SLOT_TYPES:
-                        fields[name] = RefArray(ids)
-                        refs += [e for e in ids if e is not None] if None in ids else ids
-                        continue
-            return None
-        objects.append(HeapObject(object_id, cls, fields))
-    return objects
-
-
-def _decode_objects(entries: list) -> list:
-    """Each object entry decoded by its JSON shape alone, for ``HeapSnapshot._check_objects``."""
+def _load_objects(entries: list) -> list:
+    """Each object entry decoded by its JSON shape alone, for ``validate``."""
     objects = []
     for i, raw in enumerate(entries):
-        at = f"objects[{i}]"
         if type(raw) is not dict or "id" not in raw or "class" not in raw:
-            raise SnapshotSchemaError("object entries need id and class", at)
-        if type(raw["id"]) is not int:
-            raise SnapshotSchemaError("object id must be an integer", at)
-        fields = {
-            name: _decode_value(value, f"{at}.fields.{name}") for name, value in _member(raw, "fields", dict, at).items()
-        }
-        objects.append(HeapObject(raw["id"], raw["class"], fields))
+            raise SnapshotSchemaError("object entries need id and class", f"objects[{i}]")
+        if type(raw["id"]) is not int:  # a bool is not an id
+            raise SnapshotSchemaError("object id must be an integer", f"objects[{i}]")
+        fields = raw["fields"] if "fields" in raw else {}
+        if type(fields) is not dict:
+            raise SnapshotSchemaError("fields must be an object", f"objects[{i}].fields")
+        objects.append(HeapObject(raw["id"], raw["class"], _decode_values(fields, "objects", i, "fields")))
     return objects
 
 
 @collector_paused()
 def load_snapshot(data: bytes | str) -> HeapSnapshot:
-    """Parse a snapshot document, checking it in the same pass, and return it validated.
+    """Parse a snapshot document and return it validated.
 
-    The classes are decoded and checked first: the objects are built by the
-    declared kinds of their fields, each once.  If one does not fit, or an id
-    repeats or a referenced id is unknown, the objects are decoded by JSON
-    shape alone and checked by ``validate``'s checks, which name the fault;
-    the statics always are.  A fault raises a ``HeapQueryError`` (a
-    ``SnapshotError`` for most) whose path names the offending element, such
-    as ``objects[3].fields.next``.
+    Each class and object entry is decoded by its JSON shape alone, then the
+    snapshot is checked by ``validate``, the checks a hand-built snapshot
+    gets.  A fault raises a ``HeapQueryError`` (a ``SnapshotError`` for
+    most) whose path names the offending element, such as
+    ``objects[3].fields.next``.
     """
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
@@ -213,25 +175,12 @@ def load_snapshot(data: bytes | str) -> HeapSnapshot:
             raise SnapshotSchemaError(f"missing top-level key {key!r}")
 
     classes = [_load_class(raw, i) for i, raw in enumerate(_member(doc, "classes", list))]
-    declared = HeapSnapshot(classes, [], {})  # the classes alone, to check them before any object
-    declared._check_classes()
-    kinds = {
-        info.name: {name: decl.kind for name, decl in declared.field_decls(info.name).items()} for info in classes
-    }
-    entries = _member(doc, "objects", list)
-    refs = []
-    objects = _load_objects(entries, kinds, refs)
-    snapshot = HeapSnapshot(classes, _decode_objects(entries) if objects is None else objects, _member(doc, "roots", dict))
-    for name, target in snapshot.roots.items():
+    objects = _load_objects(_member(doc, "objects", list))
+    roots = _member(doc, "roots", dict)
+    for name, target in roots.items():
         if type(target) is not int:
             raise SnapshotSchemaError("root targets must be object ids", f"roots.{name}")
-    snapshot._check_statics()
-    ids = snapshot._object_map
-    # The map is keyed by id, so it is as long as the objects only if no id repeats.
-    if objects is None or len(ids) != len(objects) or not all(map(ids.__contains__, refs)):
-        snapshot._check_objects()
-    snapshot._loaded = True
-    return snapshot.validate()
+    return HeapSnapshot(classes, objects, roots).validate()
 
 
 @collector_paused()
@@ -316,6 +265,7 @@ def graph_to_snapshot(graph: PropertyGraph) -> HeapSnapshot:
 
     class_decls: dict[str, dict[str, FieldDecl]] = {}
     class_statics: dict[str, dict] = {}
+    declared_class_names = set()
 
     def declare_field(cls: str, decl: FieldDecl):
         fields = class_decls.setdefault(cls, {})
@@ -331,10 +281,12 @@ def graph_to_snapshot(graph: PropertyGraph) -> HeapSnapshot:
         name = node.properties.get(CLASS_NAME_KEY)
         if not isinstance(name, str) or not name:
             raise NotSnapshotShapedError(f"Class node {node.id} has no name property")
-        if name in class_statics:
+        if name in declared_class_names:
             raise NotSnapshotShapedError(f"two Class nodes for {name!r}")
+        declared_class_names.add(name)
         class_decls.setdefault(name, {})
-        class_statics[name] = {key: value for key, value in node.properties.items() if key != CLASS_NAME_KEY}
+        statics = {key: value for key, value in node.properties.items() if key != CLASS_NAME_KEY}
+        class_statics[name] = statics
 
     objects = []
     array_owned: dict[int, int] = {}
@@ -397,7 +349,9 @@ def graph_to_snapshot(graph: PropertyGraph) -> HeapSnapshot:
             )
         )
     objects.sort(key=lambda o: o.id)
-    return HeapSnapshot(classes, objects, roots).validate()
+    snapshot = HeapSnapshot(classes, objects, roots)
+    snapshot.validate()
+    return snapshot
 
 
 def _fold_edges(graph, node_id, fields, array_nodes, array_owned, object_ids, skip=INSTANCEOF_LABEL) -> list:

@@ -109,10 +109,9 @@ class HeapSnapshot:
     roots: dict
 
     def __post_init__(self):
-        self._class_map = {c.name: c for c in self.classes}
+        self._class_map = {c.name: c for c in self.classes if _is_name(c.name)}  # validate refuses the others
         self._object_map = {o.id: o for o in self.objects}
         self._validated = False
-        self._loaded = False  # set by ``load_snapshot``, see ``validate``
         self._decls_cache: dict[str, MappingProxyType] = {}
         self._plans: dict[str, _ClassPlan] = {}
         self._roots_of: dict[int, list[str]] | None = None
@@ -180,14 +179,11 @@ class HeapSnapshot:
     def validate(self) -> "HeapSnapshot":
         """Check the snapshot and raise its first fault, a ``HeapQueryError``.
 
-        ``load_snapshot`` runs the checks of the classes, the statics and, when
-        its fast pass finds a fault, the objects, and sets ``_loaded``; then
-        this runs only the root checks.
+        ``load_snapshot`` calls this on the snapshot it decodes, so a loaded
+        and a hand-built snapshot are checked alike.
         """
-        if not self._loaded:
-            self._check_classes()
-            self._check_statics()
-            self._check_objects()
+        self._check_classes()
+        self._check_values()
         for name, target in self.roots.items():
             if not _is_id(target) or target not in self._object_map:
                 raise UnknownRootError(target)
@@ -197,33 +193,43 @@ class HeapSnapshot:
         self._validated = True
         return self
 
-    def _check_statics(self):
+    def _check_values(self):
+        """Each static value, the object ids, then the class and each field value of every object."""
         for i, info in enumerate(self.classes):
             for name, value in info.statics.items():
                 self._check_value(value, None, ("classes", i, "statics", name))
 
-    def _check_objects(self):
-        """The object ids, then the class and each field value of every object."""
-        seen = set()
+        objects = self._object_map
+        # The map is keyed by id, so it is as long as the objects only if no id repeats.
+        if not set(map(type, objects)) <= {int} or len(objects) != len(self.objects):
+            seen = set()
+            for i, obj in enumerate(self.objects):
+                if not _is_id(obj.id):
+                    raise SnapshotSchemaError(f"object id must be an integer, got {obj.id!r}", f"objects[{i}]")
+                if obj.id in seen:
+                    raise DuplicateObjectIdError(obj.id)
+                seen.add(obj.id)
+        kinds_of = {cls: {name: decl.kind for name, decl in self.field_decls(cls).items()} for cls in self._class_map}
         for i, obj in enumerate(self.objects):
-            if not _is_id(obj.id):
-                raise SnapshotSchemaError(f"object id must be an integer, got {obj.id!r}", f"objects[{i}]")
-            if obj.id in seen:
-                raise DuplicateObjectIdError(obj.id)
-            seen.add(obj.id)
-        for i, obj in enumerate(self.objects):
-            if not isinstance(obj.cls, str) or obj.cls not in self._class_map:
+            kinds = kinds_of.get(obj.cls) if isinstance(obj.cls, str) else None
+            if kinds is None:
                 raise SnapshotSchemaError(f"unknown class {obj.cls!r}", f"objects[{i}]")
             if not isinstance(obj.fields, dict):
                 raise SnapshotSchemaError("fields must be an object", f"objects[{i}].fields")
-            decls = self.field_decls(obj.cls)
             for name, value in obj.fields.items():
-                decl = decls.get(name)
-                if decl is None:
+                kind = kinds.get(name)
+                # The most common values pass here; ``_check_value`` checks the others.
+                if kind == "reference":
+                    if value is None or type(value) is Ref and type(value.id) is int and value.id in objects:
+                        continue
+                elif kind == "primitive":
+                    if isinstance(value, SCALAR_TYPES):
+                        continue
+                elif kind is None:
                     raise SnapshotSchemaError(
                         f"field {name!r} not declared by {obj.cls!r}", f"objects[{i}].fields.{name}"
                     )
-                self._check_value(value, decl, ("objects", i, "fields", name))
+                self._check_value(value, kind, ("objects", i, "fields", name))
 
     def _check_classes(self):
         """The checks of ``validate`` that read nothing but the classes: names,
@@ -264,8 +270,8 @@ class HeapSnapshot:
                         f"classes[{i}].statics.name",
                     )
 
-    def _check_value(self, value, decl: FieldDecl | None, where: tuple):
-        """Check one field or static value against its declaration.
+    def _check_value(self, value, kind: str | None, where: tuple):
+        """Check one field or static value against the kind of its field (None for a static).
 
         ``where`` is the value's (section, position in it, part, name); it is formatted
         into a path such as ``objects[7].fields.next`` only on the raise paths,
@@ -276,20 +282,20 @@ class HeapSnapshot:
         if isinstance(value, Ref):
             if not _is_id(value.id) or value.id not in self._object_map:
                 raise DanglingReferenceError(value.id, _path(where))
-            if decl is not None and decl.kind != "reference":
-                raise SnapshotSchemaError(f"{decl.kind} field holds a reference", _path(where))
+            if kind is not None and kind != "reference":
+                raise SnapshotSchemaError(f"{kind} field holds a reference", _path(where))
             return
         if isinstance(value, RefArray):
             for element in value.ids:
                 if element is not None and (not _is_id(element) or element not in self._object_map):
                     raise DanglingReferenceError(element, _path(where))
-            if decl is not None and decl.kind != "reference-array":
-                raise SnapshotSchemaError(f"{decl.kind} field holds a reference array", _path(where))
+            if kind is not None and kind != "reference-array":
+                raise SnapshotSchemaError(f"{kind} field holds a reference array", _path(where))
             return
         if not isinstance(value, SCALAR_TYPES):  # the check below passes scalars without a path
             check_property_value(value, key=_path(where))
-        if decl is not None and decl.kind not in ("primitive", "primitive-array"):
-            raise SnapshotSchemaError(f"{decl.kind} field holds a primitive", _path(where))
+        if kind is not None and kind not in ("primitive", "primitive-array"):
+            raise SnapshotSchemaError(f"{kind} field holds a primitive", _path(where))
 
 
 def _is_name(name) -> bool:

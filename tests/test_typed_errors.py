@@ -214,3 +214,9 @@ class TestHandBuiltSnapshots:
         with pytest.raises(HeapQueryError) as exc:
             HeapSnapshot(CLASS_A, objects, roots).validate()
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name", [["A"], 5, ""])
+    def test_class_name_of_the_wrong_type(self, name):
+        with pytest.raises(HeapQueryError) as exc:
+            HeapSnapshot([ClassInfo(name)], [HeapObject(1, "A")], {}).validate()
+        assert str(exc.value) == f"classes[0]: class name must be a non-empty string, got {name!r}"
