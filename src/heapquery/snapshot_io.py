@@ -139,7 +139,7 @@ def _load_class(raw, i: int) -> ClassInfo:
     return ClassInfo(raw["name"], raw.get("superclass"), tuple(fields), statics)
 
 
-def _load_objects(entries: list) -> list:
+def _decode_objects(entries: list) -> list:
     """Each object entry decoded by its JSON shape alone, for ``validate``."""
     objects = []
     for i, raw in enumerate(entries):
@@ -175,7 +175,7 @@ def load_snapshot(data: bytes | str) -> HeapSnapshot:
             raise SnapshotSchemaError(f"missing top-level key {key!r}")
 
     classes = [_load_class(raw, i) for i, raw in enumerate(_member(doc, "classes", list))]
-    objects = _load_objects(_member(doc, "objects", list))
+    objects = _decode_objects(_member(doc, "objects", list))
     roots = _member(doc, "roots", dict)
     for name, target in roots.items():
         if type(target) is not int:
