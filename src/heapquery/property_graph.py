@@ -24,6 +24,15 @@ For the query planner the graph also keeps an equality index.
 use and is kept by ``add_node`` and ``copy``.  ``structural_key`` computes a
 node's key once and keeps it.
 
+The graph also keeps what the query engine learns about its shape, for as
+long as its relationships do not change: per pair (direction, relationship
+types), each node's ``neighbors`` list and each node's strongly connected
+component (``traversal_memo``).  ``add_relationship`` and
+``remove_relationship`` drop it, so ``set_field_edge`` and every write of
+``subgraph.SnapshotGraph`` do too; ``add_node`` keeps it, since a new node
+changes no kept list or component, and ``copy`` starts without it.
+``audit()`` compares it with a recomputation.
+
 The ``$uid`` contract: set ``$uid`` through ``add_node``, or in place on
 ``Node.properties`` before the graph is first queried.  An in-place change
 after the index was built is not seen by it (``audit()`` reports it).  The
@@ -215,6 +224,9 @@ class PropertyGraph:
         # key -> ascending ids), and the structural keys computed so far.
         self._by_structure: dict[str, dict[tuple, list[int]]] = {}
         self._keys: dict[int, tuple] = {}
+        # (direction, relationship types) -> (node id -> its ``neighbors``
+        # list, node id -> its component's smallest id); see ``traversal_memo``.
+        self._memo: dict[tuple, tuple[dict, dict]] = {}
 
     # -- accessors ----------------------------------------------------------
 
@@ -300,6 +312,21 @@ class PropertyGraph:
                 index.setdefault(self.structural_key(other), []).append(other)
         return index.get(key, [])
 
+    def traversal_memo(self, direction: str, types: frozenset[str] | None) -> tuple[dict, dict]:
+        """The kept adjacency and component maps of ``direction`` and ``types``.
+
+        The adjacency maps a node id to the list ``neighbors(node_id,
+        direction, types)`` returned.  The components map a node id to the
+        smallest id in its strongly connected component, and hold every node
+        their keys reach (``strong_components`` adds to them).  Callers add
+        entries and never change one, nor a kept list.  Both are kept until
+        a relationship is added or removed.
+        """
+        memo = self._memo.get((direction, types))
+        if memo is None:
+            memo = self._memo.setdefault((direction, types), ({}, {}))
+        return memo
+
     # -- mutation -------------------------------------------------------------
 
     def add_node(self, label: str, properties: dict | None = None, *, node_id: int | None = None) -> int:
@@ -348,6 +375,7 @@ class PropertyGraph:
         self._in[end].append(rel_id)
         if self._rels_by_label is not None:
             self._rels_by_label.setdefault(label, []).append(rel_id)  # ids only grow
+        self._memo.clear()
         return rel_id
 
     def remove_relationship(self, rel_id: int) -> None:
@@ -358,6 +386,7 @@ class PropertyGraph:
         if self._rels_by_label is not None:
             same_label = self._rels_by_label[rel.label]
             del same_label[bisect_left(same_label, rel_id)]
+        self._memo.clear()
 
     def set_field_edge(self, fieldname: str, start: int, end: int) -> int:
         """Install the single outgoing ``fieldname`` edge of ``start``.
@@ -439,13 +468,32 @@ class PropertyGraph:
         return dup
 
     def audit(self) -> list[str]:
-        """Consistency check of the adjacency and lazy indexes; empty list means ok.
+        """Consistency check of the adjacency, lazy indexes and memo; empty list means ok.
 
         Built label, ``$uid``, relationship label and equality indexes, and
         the kept structural keys, are compared with a fresh rebuild, so an
         in-place property change made after the first lookup shows here.
+        Each kept ``neighbors`` list is compared with a fresh call, and each
+        kept component map with one ``strong_components`` recomputes from
+        its keys.
         """
         problems = []
+        for (direction, types), (adjacency, comps) in self._memo.items():
+            where = f"{direction} {sorted(types) if types else 'any'}"
+            for node_id, steps in adjacency.items():
+                fresh = self.neighbors(node_id, direction, types)
+                if [(rel.id, other.id) for rel, other in steps] != [(rel.id, other.id) for rel, other in fresh]:
+                    problems.append(f"kept {where} neighbors of node {node_id} are stale")
+            rebuilt: dict[int, int] = {}
+            for node_id in comps:
+                if node_id not in rebuilt:
+                    strong_components(node_id, lambda n, d=direction, t=types: self.neighbors(n, d, t), rebuilt)
+            for node_id in sorted(set(comps) | set(rebuilt)):
+                if comps.get(node_id) != rebuilt.get(node_id):
+                    problems.append(
+                        f"kept {where} component of node {node_id} is {comps.get(node_id)}, "
+                        f"a rebuild gives {rebuilt.get(node_id)}"
+                    )
         indexes = [
             ("label", self._by_label, self.nodes(), _label_key),
             ("$uid", self._by_uid, self.nodes(), _uid_key),
@@ -495,6 +543,53 @@ class PropertyGraph:
                 if rel is None or rel.end != node_id:
                     problems.append(f"stale incoming entry {rel_id} on node {node_id}")
         return problems
+
+
+def strong_components(start: int, steps, comps: dict[int, int]) -> None:
+    """Enter in ``comps`` the strongly connected components of the nodes ``start`` reaches.
+
+    Tarjan's algorithm over an explicit stack.  ``steps(node_id)`` gives a
+    node's ``(relationship, node)`` pairs.  Each reached node missing from
+    ``comps`` is entered with the smallest id in its component.  Nodes
+    already in ``comps`` are passed over: their components, entered by an
+    earlier call, are complete.
+
+    Graph readers may share ``comps`` (README "Concurrency").  So the
+    components are collected in a local map and entered with one ``update``:
+    a reader sees a component whole or not at all.  Nodes entered by another
+    reader meanwhile are left out of it, so an entry never changes; two
+    searches that find the same component enter the same smallest id.
+    """
+    found: dict[int, int] = {}
+    index = {start: 0}
+    low = {start: 0}
+    pending = [start]  # reached nodes whose component is not yet known
+    work = [(start, iter(steps(start)))]
+    while work:
+        node_id, edges = work[-1]
+        for _, other in edges:
+            nxt = other.id
+            if nxt in found or nxt in comps:
+                continue
+            if nxt not in index:
+                index[nxt] = low[nxt] = len(index)
+                pending.append(nxt)
+                work.append((nxt, iter(steps(nxt))))
+                break
+            low[node_id] = min(low[node_id], index[nxt])
+        else:
+            work.pop()
+            if low[node_id] == index[node_id]:
+                members = [pending.pop()]
+                while members[-1] != node_id:
+                    members.append(pending.pop())
+                smallest = min(members)
+                for member in members:
+                    found[member] = smallest
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node_id])
+    comps.update({node_id: root for node_id, root in found.items() if node_id not in comps})
 
 
 def _build_index(items, key_of) -> dict[int | str, list[int]]:

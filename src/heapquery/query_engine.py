@@ -15,6 +15,9 @@ Matching semantics:
 * A closed walk of no upper bound, out or in (``(m)-[:f*]->(m)``), only
   steps inside its start's strongly connected component, found by Tarjan's
   algorithm: a cost cut only, since no pruned branch could return.
+* Each node's ``neighbors`` list and strongly connected component are read
+  from the graph's ``traversal_memo``, and entered there when missing, so
+  they are kept across paths, rows and queries until a relationship write.
 * Reachability consumed only as a set is a breadth-first search instead of
   path enumeration.  That holds for a single non-optional MATCH of one
   variable-length segment (no relationship variable, lower bound 0 or 1)
@@ -52,6 +55,7 @@ the exception.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .cypher_ast import (
     And,
@@ -82,6 +86,7 @@ from .property_graph import (
     UID_KEY,
     PropertyGraph,
     ensure_user_label,
+    strong_components,
     value_tag,
     values_equal,
 )
@@ -225,8 +230,10 @@ def _match_path(
     last node, which gives the same rows in another order when
     ``_reversible`` holds; ``starts`` are then the last node's candidates.
     An unbounded out or in segment that must end where it starts steps only
-    to nodes in its start's strongly connected component (``_components``):
-    a walk that leaves it never returns, so the rows stay the same.
+    to nodes in its start's strongly connected component
+    (``strong_components``): a walk that leaves it never returns, so the
+    rows stay the same.  Steps and components are read from, and entered in,
+    the graph's ``traversal_memo``.
     """
     if reach_only and path.nodes[-1].var not in binding:
         return _match_reachable(graph, _reversed(path) if reverse else path, binding, starts)
@@ -243,17 +250,13 @@ def _match_path(
         node = path.nodes[seg + 1]
         checked = node.label is not None or bool(node.properties)
         lo, hi = rel.hops.bounds()
-        # A segment that must end where it starts gets a component map, filled as it goes.
+        types = frozenset(rel.types) if rel.types else None
+        adjacency, comps = graph.traversal_memo(rel.direction, types)
+        # Only a segment that must end where it starts reads components.
         returns = hi is None and rel.direction != "both" and node.var is not None and node.var == path.nodes[seg].var
-        plan.append((rel, rel.hops.variable_length, lo, hi, node, checked, closes[seg], {} if returns else None))
-    types = [frozenset(rel.types) if rel.types else None for rel in path.rels]
-    step_caches: list[dict[int, list]] = [{} for _ in path.rels]
-
-    def steps_of(seg: int, node_id: int) -> list:
-        steps = step_caches[seg].get(node_id)
-        if steps is None:
-            steps = step_caches[seg][node_id] = graph.neighbors(node_id, path.rels[seg].direction, types[seg])
-        return steps
+        plan.append(
+            (rel, rel.hops.variable_length, lo, hi, node, checked, closes[seg], types, adjacency, comps if returns else None)
+        )
 
     results: list[dict] = []
     used: set[int] = set()
@@ -276,8 +279,8 @@ def _match_path(
         if via is not None:
             used.add(via)
             stack.append(via)
-        rel_pattern, variable_length, lo, hi, target, checked, closes, comps = plan[seg]
-        steps = steps_of(seg, node_id)
+        rel_pattern, variable_length, lo, hi, target, checked, closes, types, adjacency, comps = plan[seg]
+        steps = _steps(graph, adjacency, rel_pattern.direction, types, node_id)
         ends = seg + 1 == last
         if not variable_length:
             found = []
@@ -304,9 +307,10 @@ def _match_path(
         if hi is None or depth < hi:
             scc = None
             if comps is not None:
-                if seg_start not in comps:
-                    _components(seg_start, lambda n, seg=seg: steps_of(seg, n), comps)
-                scc = comps[seg_start]
+                scc = comps.get(seg_start)
+                if scc is None:
+                    strong_components(seg_start, partial(_steps, graph, adjacency, rel_pattern.direction, types), comps)
+                    scc = comps[seg_start]
             for rel, other in reversed(steps):
                 if rel.id not in used and (scc is None or comps[other.id] == scc):
                     stack.append((seg, seg_start, other.id, depth + 1, binding, rel.id))
@@ -323,41 +327,16 @@ def _match_path(
     return results
 
 
-def _components(start: int, steps, comps: dict[int, int]) -> None:
-    """Find the strongly connected components of the nodes ``start`` reaches.
+def _steps(graph: PropertyGraph, adjacency: dict, direction: str, types, node_id: int) -> list:
+    """``graph.neighbors(node_id, direction, types)``, read from or entered in ``adjacency``.
 
-    Tarjan's algorithm over an explicit stack.  ``steps(node_id)`` gives a
-    node's ``(relationship, node)`` pairs.  Each reached node missing from
-    ``comps`` is entered there with the id of its component's root.  Nodes
-    already in ``comps`` are passed over: their components, found by an
-    earlier call, are complete.
+    ``adjacency`` is the graph's kept map for ``direction`` and ``types``
+    (``PropertyGraph.traversal_memo``).
     """
-    index = {start: 0}
-    low = {start: 0}
-    pending = [start]  # reached nodes whose component is not yet known
-    work = [(start, iter(steps(start)))]
-    while work:
-        node_id, edges = work[-1]
-        for _, other in edges:
-            nxt = other.id
-            if nxt in comps:
-                continue
-            if nxt not in index:
-                index[nxt] = low[nxt] = len(index)
-                pending.append(nxt)
-                work.append((nxt, iter(steps(nxt))))
-                break
-            low[node_id] = min(low[node_id], index[nxt])
-        else:
-            work.pop()
-            if low[node_id] == index[node_id]:
-                member = None
-                while member != node_id:
-                    member = pending.pop()
-                    comps[member] = node_id
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node_id])
+    steps = adjacency.get(node_id)
+    if steps is None:
+        steps = adjacency[node_id] = graph.neighbors(node_id, direction, types)
+    return steps
 
 
 def _reachable(graph: PropertyGraph, start: int, rel_pattern: RelPattern) -> list[int]:
@@ -370,7 +349,9 @@ def _reachable(graph: PropertyGraph, start: int, rel_pattern: RelPattern) -> lis
     counts only at zero hops, i.e. when ``lo`` is 0.
     """
     lo, hi = rel_pattern.hops.bounds()
+    direction = rel_pattern.direction
     types = frozenset(rel_pattern.types) if rel_pattern.types else None
+    adjacency = graph.traversal_memo(direction, types)[0]
     seen = {start}
     frontier = [start]
     depth = 0
@@ -378,7 +359,7 @@ def _reachable(graph: PropertyGraph, start: int, rel_pattern: RelPattern) -> lis
         depth += 1
         reached = []
         for node_id in frontier:
-            for _, other in graph.neighbors(node_id, rel_pattern.direction, types):
+            for _, other in _steps(graph, adjacency, direction, types, node_id):
                 if other.id not in seen:
                     seen.add(other.id)
                     reached.append(other.id)

@@ -403,8 +403,12 @@ class CsvBundle:
     relationships: bytes
 
 
+# ``json.dumps(props, sort_keys=True, separators=(",", ":"))``, without building an encoder per call.
+_PROPS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _props_json(props: dict) -> str:
-    return json.dumps(props, sort_keys=True, separators=(",", ":"))
+    return _PROPS_ENCODER.encode(props) if props else "{}"  # most maps are empty
 
 
 def export_csv(graph: PropertyGraph) -> CsvBundle:

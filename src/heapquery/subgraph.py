@@ -109,8 +109,9 @@ class HeapSnapshot:
     roots: dict
 
     def __post_init__(self):
-        self._class_map = {c.name: c for c in self.classes if _is_name(c.name)}  # validate refuses the others
-        self._object_map = {o.id: o for o in self.objects}
+        # validate refuses the classes and objects these maps leave out
+        self._class_map = {c.name: c for c in self.classes if _is_name(c.name)}
+        self._object_map = {o.id: o for o in self.objects if _is_id(o.id)}
         self._validated = False
         self._decls_cache: dict[str, MappingProxyType] = {}
         self._plans: dict[str, _ClassPlan] = {}
@@ -200,8 +201,8 @@ class HeapSnapshot:
                 self._check_value(value, None, ("classes", i, "statics", name))
 
         objects = self._object_map
-        # The map is keyed by id, so it is as long as the objects only if no id repeats.
-        if not set(map(type, objects)) <= {int} or len(objects) != len(self.objects):
+        # The map holds integer ids only, each once: it is shorter when an id is not one or repeats.
+        if len(objects) != len(self.objects):
             seen = set()
             for i, obj in enumerate(self.objects):
                 if not _is_id(obj.id):
@@ -247,7 +248,13 @@ class HeapSnapshot:
             superclass = info.superclass
             if superclass is not None and (not isinstance(superclass, str) or superclass not in self._class_map):
                 raise SnapshotSchemaError(f"unknown superclass {superclass!r}", path)
+            if not isinstance(info.fields, (list, tuple)):
+                raise SnapshotSchemaError("fields must be a list", f"{path}.fields")
+            if not isinstance(info.statics, dict):
+                raise SnapshotSchemaError("statics must be an object", f"{path}.statics")
             for j, f in enumerate(info.fields):
+                if not isinstance(f, FieldDecl):
+                    raise SnapshotSchemaError("field declarations need name/kind/type", f"{path}.fields[{j}]")
                 if not _is_name(f.name):
                     raise SnapshotSchemaError(f"field name must be a non-empty string, got {f.name!r}", f"{path}.fields[{j}]")
                 if f.kind not in FIELD_KINDS:
@@ -627,8 +634,8 @@ class SnapshotGraph(PropertyGraph):
     graph behaves exactly like a PropertyGraph, with the same ids and
     adjacency as if it had been filled before the writes.  Nodes and
     relationships built before the fill are kept, so their identity does not
-    change.  ``node_count``, ``relationship_count``, ``filled`` and
-    ``structural_key`` never fill.
+    change.  ``node_count``, ``relationship_count``, ``filled``,
+    ``structural_key`` and ``traversal_memo`` never fill.
 
     The snapshot was validated, so nothing built here is checked again.
     ``$uid`` lookups before the fill read the snapshot's object map: an

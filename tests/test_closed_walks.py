@@ -54,7 +54,7 @@ def _random_closed_query(rng: random.Random) -> tuple[str, str]:
 
 
 def _single_component(real):
-    """``_components`` with every node it reaches put in one component: no pruning."""
+    """``strong_components`` with every node it reaches put in one component: no pruning."""
 
     def single(start, steps, comps):
         real(start, steps, comps)
@@ -67,9 +67,9 @@ def _single_component(real):
 class TestClosedWalks:
     def test_random_closed_walks_match_enumeration_and_the_unpruned_rows(self, monkeypatch):
         rng = random.Random(4242)
-        real = query_engine._components
-        calls = count_calls(monkeypatch, "_components")
-        counted = query_engine._components
+        real = query_engine.strong_components
+        calls = count_calls(monkeypatch, "strong_components")
+        counted = query_engine.strong_components
         for _ in range(400):
             graph = random_graph(rng, max_edges=10)
             match, names = _random_closed_query(rng)
@@ -80,9 +80,9 @@ class TestClosedWalks:
             assert as_bag(execute(parsed(count), graph)[0]) == enumerate_rows(graph, parsed(count)), count
             full = f"{match} RETURN {names}{', r' if '[r:' in match else ''}"
             pruned, _ = execute(parsed(full), graph)
-            monkeypatch.setattr(query_engine, "_components", _single_component(real))
-            unpruned, _ = execute(parsed(full), graph)
-            monkeypatch.setattr(query_engine, "_components", counted)
+            monkeypatch.setattr(query_engine, "strong_components", _single_component(real))
+            unpruned, _ = execute(parsed(full), graph.copy())  # a copy keeps no component map
+            monkeypatch.setattr(query_engine, "strong_components", counted)
             assert pruned.rows == unpruned.rows, full
         assert len(calls) > 300
 
@@ -91,7 +91,7 @@ class TestClosedWalks:
         a, b, c, d = (g.add_node("A") for _ in range(4))
         for start, end, label in [(a, b, "g"), (a, c, "g"), (b, d, "f"), (d, b, "f"), (c, c, "f")]:
             g.add_relationship(label, start, end)
-        calls = count_calls(monkeypatch, "_components")
+        calls = count_calls(monkeypatch, "strong_components")
         text = "MATCH (a)-[:g]->(m)-[:f*]->(m) RETURN a, m"
         table, _ = execute(parsed(text), g)
         assert table.rows == [(NodeRef(a), NodeRef(b)), (NodeRef(a), NodeRef(c))]
@@ -104,7 +104,7 @@ class TestClosedWalks:
         for start, end in zip(nodes, nodes[1:]):
             g.add_relationship("f", start, end)
         g.add_relationship("f", nodes[5], nodes[3])
-        calls = count_calls(monkeypatch, "_components")
+        calls = count_calls(monkeypatch, "strong_components")
         table, _ = execute(parsed("MATCH (m:A)-[:f*]->(m) RETURN m"), g)
         assert table.rows == [(NodeRef(nodes[3]),), (NodeRef(nodes[4]),), (NodeRef(nodes[5]),)]
         assert len(calls) == 1
@@ -123,7 +123,7 @@ class TestClosedWalks:
         assert table.rows == [(2,)]
 
     def test_components_run_for_repok_only(self, monkeypatch, tree_graph):
-        calls = count_calls(monkeypatch, "_components")
+        calls = count_calls(monkeypatch, "strong_components")
         table, _ = execute(parsed(REPOK_QUERY.replace("{$1}", f"{{`$uid`: {UID['f']}}}")), tree_graph)
         assert table.rows == [(True,)]
         assert calls and len(calls[-1][2]) == 5  # one component map over the five tree nodes

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import copy
+import csv
+import io
 import json
 import random
 
@@ -601,6 +603,23 @@ class TestCsv:
         ]
         assert [n.id for n in back.nodes()] == [a, b]
         assert back.audit() == []
+
+    def test_props_column_is_the_canonical_json_dumps_form(self):
+        maps = [
+            {},
+            {"xs": [3, 1, 2], "bs": [True, False], "e": [], "ss": ["b", "a"]},
+            {"s": "\u00e9 \u96ea \U0001f600 \"q\" \\", "k\u00e9": "\n"},
+            {"f": 0.1, "g": -0.0, "h": 1e300, "i": float("inf"), "j": 2.0},
+        ]
+        g = PropertyGraph()
+        for props in maps:
+            node_id = g.add_node("A", props)
+            g.add_relationship("r", node_id, node_id, props)
+        bundle = export_csv(g)
+        expected = [json.dumps(props, sort_keys=True, separators=(",", ":")) for props in maps]
+        for data, column in ((bundle.nodes, 2), (bundle.relationships, 3)):
+            rows = list(csv.reader(io.StringIO(data.decode("utf-8"))))[1:]
+            assert [row[column] for row in rows] == expected
 
     def test_quoting_survives_awkward_strings(self):
         g = PropertyGraph()

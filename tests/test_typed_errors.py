@@ -144,8 +144,6 @@ class TestCsvFiles:
 
 
 # Parts of hand-built snapshots: each of the right type or of a wrong one.
-# Object ids and class names stay hashable, because ``HeapSnapshot`` keys its
-# maps by them as it is built.
 FIELDS = (
     FieldDecl("r", "reference", "A"),
     FieldDecl("rs", "reference-array", "A"),
@@ -163,7 +161,7 @@ values = st.one_of(
 )
 objects = st.builds(
     HeapObject,
-    st.one_of(st.integers(0, 3), st.sampled_from([True, "1", 1.0, None, (1,)])),
+    st.one_of(st.integers(0, 3), st.sampled_from([True, "1", 1.0, None, (1,), [1]])),
     st.sampled_from(["A", "B", "Z", "", None, 5, ["A"], ("A",)]),
     st.one_of(
         st.dictionaries(st.sampled_from(["r", "rs", "p", "xs", "q", 5]), values, max_size=3),
@@ -171,9 +169,13 @@ objects = st.builds(
     ),
 )
 snapshot_parts = st.tuples(
-    st.dictionaries(st.sampled_from(["s", "t", "", 5]), values, max_size=2).map(
-        lambda statics: [ClassInfo("A", None, FIELDS, statics), ClassInfo("B", "A")]
-    ),
+    st.tuples(
+        st.one_of(st.just(FIELDS), st.sampled_from([None, 5, "f", ("f",), [FIELDS[0], None]])),
+        st.one_of(
+            st.dictionaries(st.sampled_from(["s", "t", "", 5]), values, max_size=2),
+            st.sampled_from([None, [("s", 1)], 5]),
+        ),
+    ).map(lambda parts: [ClassInfo("A", None, *parts), ClassInfo("B", "A")]),
     st.lists(objects, max_size=4),
     st.dictionaries(
         st.sampled_from(["r", "", 5]), st.one_of(st.integers(0, 3), st.sampled_from([True, "1", None, [1], (1,)])), max_size=2
@@ -189,6 +191,10 @@ class TestHandBuiltSnapshots:
     @example((CLASS_A, [HeapObject(1, "A", None)], {}))
     @example((CLASS_A, [HeapObject(1, "A", [("p", 1)])], {}))
     @example((CLASS_A, [HeapObject(1, "A", {})], {"r": [1]}))
+    @example(([ClassInfo("A", None, (), None)], [], {}))
+    @example(([ClassInfo("A", None, ("f",))], [], {}))
+    @example(([ClassInfo("A", None, 5)], [], {}))
+    @example(([], [HeapObject([1], "A")], {}))
     def test_only_heapquery_errors_escape(self, parts):
         try:
             HeapSnapshot(*parts).validate()
@@ -213,6 +219,20 @@ class TestHandBuiltSnapshots:
     def test_typed_error(self, objects, roots, message):
         with pytest.raises(HeapQueryError) as exc:
             HeapSnapshot(CLASS_A, objects, roots).validate()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "classes, objects, message",
+        [
+            ([ClassInfo("A", None, (), None)], [], "classes[0].statics: statics must be an object"),
+            ([ClassInfo("A", None, ("f",))], [], "classes[0].fields[0]: field declarations need name/kind/type"),
+            ([ClassInfo("A", None, 5)], [], "classes[0].fields: fields must be a list"),
+            ([], [HeapObject([1], "A")], "objects[0]: object id must be an integer, got [1]"),
+        ],
+    )
+    def test_part_of_the_wrong_shape(self, classes, objects, message):
+        with pytest.raises(HeapQueryError) as exc:
+            HeapSnapshot(classes, objects, {}).validate()
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("name", [["A"], 5, ""])
