@@ -322,10 +322,7 @@ class PropertyGraph:
         entries and never change one, nor a kept list.  Both are kept until
         a relationship is added or removed.
         """
-        memo = self._memo.get((direction, types))
-        if memo is None:
-            memo = self._memo.setdefault((direction, types), ({}, {}))
-        return memo
+        return self._memo.setdefault((direction, types), ({}, {}))
 
     # -- mutation -------------------------------------------------------------
 
