@@ -15,12 +15,13 @@ unbounded queries see every object in the snapshot, including unreachable
 ones unless force-collect is enabled.
 
 Extraction returns a SnapshotGraph, which queries the snapshot in place.
-So the ``extract`` stage of ``timings=`` (and of the CLI's ``--time``) is
-the selection of objects and the numbering of the graph, which the
-snapshot keeps: for a root set used before it is only a lookup.  Building
-the nodes and relationships that a query touches is timed in ``execute``.
-A query that scans every node builds the whole graph there; a ``CREATE``,
-or a ``MERGE`` that starts at a ``$uid`` or a class label, does not.
+A context keeps one per root set for its reads (see ``QueryContext``), so
+the ``extract`` stage of ``timings=`` (and of the CLI's ``--time``) is a
+lookup for a root set read before, and otherwise the selection and
+numbering of the objects, which the snapshot keeps.  What a query builds
+is timed in ``execute``: one that scans every node, or matches a path
+backwards, builds the whole graph, once per kept graph.  A write query's
+own graph is made in ``extract`` (in ``execute`` on its template's first call).
 
 Not thread safe: callers serialize access to a context.  Every pipeline
 failure is re-raised as PipelineError naming the failing stage.
@@ -146,23 +147,20 @@ class QueryContext:
 
     The snapshot is validated here unless ``load_snapshot`` or an earlier
     ``validate()`` already did; queries do not validate it again, so it must
-    not be changed afterwards.
+    not be changed afterwards, and neither may the defaults.
 
-    Without caching, every query gets a new graph, and only the numbering
-    of the graph is shared: ``extract`` keeps it on the snapshot per
-    ``ExtractionConfig.key()`` (bounded in size, see ``extract``), so a
-    query from a root set used before does not visit the reachable objects
-    again, and each query builds only the nodes and edges it touches.
+    Reads from one root set (equal ``ExtractionConfig.key()``: the same ids
+    in any order) share one kept graph and build into it what they touch,
+    so a later read builds nothing built before; a path matched backwards
+    fills it once, at O(reachable) cost.  A write query (one with a CREATE
+    or MERGE clause) runs on a new graph of the same numbering, so its
+    writes, and those of a failing one, are not seen later.  A kept graph
+    goes with its numbering, which the snapshot drops least recently read
+    first (bounded, see ``extract``), or with the context.
 
-    ``cache_extractions`` instead keeps the graph itself per key, filled
-    when stored (the numbering is then dropped), so later queries build
-    nothing; it costs memory for every node and edge of every cached graph,
-    without a bound.  It is off by default.  A write query (one with a
-    CREATE or MERGE clause) on a caching context runs on a copy of the cached
-    graph, so its writes, and those of a failing one, are not seen later.
+    ``cache_extractions`` fills each graph when the context first keeps it.
 
-    Parsed templates are kept per context, whether it caches extractions or
-    not (see the module docstring).
+    Parsed templates are kept per context (see the module docstring).
     """
 
     snapshot: HeapSnapshot
@@ -173,7 +171,8 @@ class QueryContext:
         if self.defaults.root is not None:  # each query passes its own, which would replace it
             raise ExtractionConfigError(f"a context's defaults take no root, got {self.defaults.root!r}")
         self.snapshot._ensure_valid()
-        self._cache: dict = {}
+        self._keys: dict = {}  # root argument of plain ints -> ExtractionConfig.key()
+        self._graphs: dict = {}  # ExtractionConfig.key() -> the graph reads share
         self._templates: OrderedDict = OrderedDict()  # format string -> (its markers, {@k values: _Parsed})
 
     def _cached(self, fmt: str, args) -> tuple:
@@ -195,15 +194,29 @@ class QueryContext:
             del kept[next(iter(kept))]
         kept[names] = parsed
 
-    def _extract(self, config: ExtractionConfig) -> PropertyGraph:
-        if not self.cache_extractions:
-            return extract(self.snapshot, config)
-        key = config.key()
-        graph = self._cache.get(key)
-        if graph is None:
-            graph = self._cache[key] = extract(self.snapshot, config).fill()
-            self.snapshot._numberings.pop(key, None)  # the filled graph never reads it again
+    def _extract(self, root) -> PropertyGraph:
+        """The graph that reads from ``root`` share, kept on first use (and filled then when caching)."""
+        arg = tuple(root) if isinstance(root, (list, tuple)) else (root,)
+        plain = root is None or all(i.__class__ is int for i in arg)  # True and 1.0 are dict keys equal to 1
+        key = self._keys.get(arg) if plain else None
+        if key is None:
+            key = replace(self.defaults, root=root).key()
+            if plain:
+                self._keys[arg] = key
+        graph = self._graphs.get(key)
+        kept = self.snapshot._numberings
+        if graph is not None and key in kept:
+            kept[key] = kept.pop(key)  # a read uses the numbering: the least recently read are dropped first
+            return graph
+        graph = self._new_graph(root)  # which may drop other numberings, and their graphs go too
+        self._keys = {arg: k for arg, k in self._keys.items() if k in kept}
+        self._graphs = {k: g for k, g in self._graphs.items() if k in kept}
+        graph = self._graphs[key] = graph.fill() if self.cache_extractions else graph
         return graph
+
+    def _new_graph(self, root) -> PropertyGraph:
+        """A graph from ``root`` that no other query reads: a write query's, or one to keep."""
+        return extract(self.snapshot, replace(self.defaults, root=root))
 
 
 class _Stage:
@@ -231,8 +244,8 @@ def _run_pipeline(ctx: QueryContext, root, fmt: str, args, timings: dict | None 
     """Expand, extract, parse, validate (and lint), execute; a kept template is not parsed or validated again.
 
     A ``session`` graph takes the place of the extraction.  It is shared
-    with later queries, as a cached graph is, so a write runs on a copy of
-    it, which the result holds.
+    with later queries, as a context's kept graph is, so a write runs on a
+    copy of it, which the result holds.
     """
     with _Stage(timings, "expand"):
         parsed, arguments = ctx._cached(fmt, args)
@@ -240,11 +253,11 @@ def _run_pipeline(ctx: QueryContext, root, fmt: str, args, timings: dict | None 
             tokens, markers, checked = expand_positional(fmt, args)
             if arguments is None:  # else checked twice, and a one-shot []k iterator is empty the second time
                 arguments = checked
+    graph, shared = session, True
     if session is None:
         with _Stage(timings, "extract"):
-            graph = ctx._extract(replace(ctx.defaults, root=root))
-    else:
-        graph = session
+            shared = parsed is None or not parsed.query.writes
+            graph = ctx._extract(root) if shared else ctx._new_graph(root)
     with _Stage(timings, "parse"):
         if parsed is None:
             query = parse(tokens, fmt)
@@ -257,8 +270,8 @@ def _run_pipeline(ctx: QueryContext, root, fmt: str, args, timings: dict | None 
             ctx._keep(fmt, markers, arguments.names, parsed)
     with _Stage(timings, "execute"):
         query = parsed.query
-        if (session is not None or ctx.cache_extractions) and query.writes:
-            graph = graph.copy()  # later queries read the shared graph
+        if shared and query.writes:  # later queries read the shared graph
+            graph = graph.copy() if session is not None else ctx._new_graph(root)
         queries = bind(query, parsed.sites, arguments)
         if arguments.batch is None:
             table, graph = execute(queries[0], graph)

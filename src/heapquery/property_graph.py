@@ -238,11 +238,6 @@ class PropertyGraph:
     def relationship_count(self) -> int:
         return len(self._rels)
 
-    @property
-    def filled(self) -> bool:
-        """True when every node and relationship exists (see ``SnapshotGraph``)."""
-        return True
-
     def node(self, node_id: int) -> Node:
         try:
             return self._nodes[node_id]

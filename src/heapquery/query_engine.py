@@ -34,8 +34,7 @@ Matching semantics:
   bound, gives ``x`` its candidates from the graph's equality index; and a
   path whose last node is anchored (bound, ``$uid``, or such candidates) is
   matched backwards (``_match_planned``).  The rows are the same bag; only
-  their order changes, which the count hides.
-  A graph ``extract`` returns is matched forwards until it is filled.
+  their order changes, which the count hides.  Matching backwards fills a ``SnapshotGraph``.
 * OPTIONAL MATCH yields one row with the clause's new variables absent when
   nothing matches.
 * Comparisons and boolean operators use three-valued logic; WHERE keeps a
@@ -476,12 +475,8 @@ def _planned(query: Query) -> tuple[tuple, dict | None]:
 
 
 def _match_planned(graph: PropertyGraph, path: PathPattern, binding: dict, reach_only: bool, probe: dict) -> list[dict]:
-    """``_match_path``, from the last node of ``path`` when that end is anchored.
-
-    The path is matched backwards only on a filled graph, when ``_reversible``
-    holds and its last node is anchored (see ``_anchor``).
-    """
-    if path.rels and graph.filled and _reversible(path, binding):
+    """``_match_path``, from the last node of ``path`` when ``_reversible`` holds and that end is anchored."""
+    if path.rels and _reversible(path, binding):
         ends = _anchor(graph, path.nodes[-1], binding, probe)
         if ends is not None:
             return _match_path(graph, path, binding, reach_only, ends, reverse=True)

@@ -634,8 +634,8 @@ class SnapshotGraph(PropertyGraph):
     graph behaves exactly like a PropertyGraph, with the same ids and
     adjacency as if it had been filled before the writes.  Nodes and
     relationships built before the fill are kept, so their identity does not
-    change.  ``node_count``, ``relationship_count``, ``filled``,
-    ``structural_key`` and ``traversal_memo`` never fill.
+    change.  ``node_count``, ``relationship_count``, ``structural_key`` and
+    ``traversal_memo`` never fill.
 
     The snapshot was validated, so nothing built here is checked again.
     ``$uid`` lookups before the fill read the snapshot's object map: an
@@ -799,10 +799,6 @@ class SnapshotGraph(PropertyGraph):
     @property
     def relationship_count(self) -> int:
         return len(self._rels) if self._filled else self._next_rel_id
-
-    @property
-    def filled(self) -> bool:
-        return self._filled
 
     def node(self, node_id: int) -> Node:
         try:

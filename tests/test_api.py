@@ -278,13 +278,13 @@ class TestExtractionMemo:
         second = query_unbounded(ctx, "MATCH (n) RETURN count(n)")
         assert first._graph is second._graph
 
-    def test_root_order_shares_one_entry(self, tree_snapshot):
-        ctx = QueryContext(tree_snapshot, cache_extractions=True)
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_root_order_shares_one_entry(self, tree_snapshot, cache):
+        ctx = QueryContext(tree_snapshot, cache_extractions=cache)
         first = query_bounded(ctx, [UID["a"], UID["d"]], "MATCH (n) RETURN count(n)")
         second = query_bounded(ctx, [UID["d"], UID["a"], UID["d"]], "MATCH (n) RETURN count(n)")
         assert first._graph is second._graph
-        assert len(ctx._cache) == 1
-        assert tree_snapshot._numberings == {}  # dropped once the cached graph was filled
+        assert list(ctx._graphs) == list(tree_snapshot._numberings)  # the numbering is kept with the graph
 
     def test_cached_graph_is_filled(self, tree_snapshot):
         ctx = QueryContext(tree_snapshot, cache_extractions=True)
@@ -292,26 +292,74 @@ class TestExtractionMemo:
         assert graph._filled
         assert graph.audit() == []
 
-    def test_writes_do_not_leak_into_cache(self):
-        ctx = QueryContext(graph_to_snapshot(build_tree_graph()), cache_extractions=True)
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_writes_do_not_leak_into_cache(self, cache):
+        ctx = QueryContext(graph_to_snapshot(build_tree_graph()), cache_extractions=cache)
         count = "MATCH (n) RETURN count(n)"
         assert query_long(ctx, count) == 8
-        created = query_unbounded(ctx, "CREATE (x:Foo) RETURN x")
-        assert created.table.row_count == 1
-        assert query_long(ctx, count) == 8
-        with pytest.raises(PipelineError) as exc:
-            query_unbounded(ctx, "MATCH (n) CREATE (m:New) RETURN NOT 1")
-        assert exc.value.stage == "execute"
-        assert query_long(ctx, count) == 8
-        merged = query_unbounded(ctx, "MERGE (x:Foo) RETURN count(x)")
-        assert merged.table.rows == [(1,)]
-        assert query_long(ctx, count) == 8
+        shared = query_unbounded(ctx, count)._graph
+        sizes = (shared.node_count, shared.relationship_count)
+        for _ in range(2):  # the first call of a template is parsed after the extraction, the second before
+            created = query_unbounded(ctx, "CREATE (x:Foo) RETURN x")
+            assert created.table.row_count == 1 and created._graph is not shared
+            assert query_long(ctx, count) == 8
+            with pytest.raises(PipelineError) as exc:
+                query_unbounded(ctx, "MATCH (n) CREATE (m:New) RETURN NOT 1")
+            assert exc.value.stage == "execute"
+            assert query_long(ctx, count) == 8
+            merged = query_unbounded(ctx, "MERGE (x:Foo) RETURN count(x)")
+            assert merged.table.rows == [(1,)]
+            assert query_long(ctx, count) == 8
+        assert query_unbounded(ctx, count)._graph is shared
+        assert (shared.node_count, shared.relationship_count) == sizes
+        assert shared.audit() == []
 
-    def test_no_cache_by_default(self, tree_snapshot):
+    def test_reads_share_one_graph_per_root_set(self, tree_snapshot):
         ctx = QueryContext(tree_snapshot)
-        first = query_unbounded(ctx, "MATCH (n) RETURN count(n)")
-        second = query_unbounded(ctx, "MATCH (n) RETURN count(n)")
-        assert first._graph is not second._graph
+        first = query_unbounded(ctx, "MATCH (n:`BinaryTree$Node`) RETURN count(n)")
+        second = query_unbounded(ctx, "MATCH (n {$1}) RETURN n", UID["c"])
+        assert first._graph is second._graph and not first._graph._filled
+        bounded = query_bounded(ctx, UID["c"], "MATCH (n {$1}) RETURN n", UID["c"])
+        assert bounded._graph is not first._graph
+        assert query_bounded(ctx, [UID["c"]], "MATCH (n) RETURN count(n)")._graph is bounded._graph
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_kept_graphs_go_with_their_numberings(self, tree_snapshot, cache):
+        ctx = QueryContext(tree_snapshot, cache_extractions=cache)
+        roots = [obj.id for obj in tree_snapshot.objects]
+        for root in roots + [[UID["a"], UID["b"]], None] + roots:
+            query_bounded(ctx, root, "MATCH (n) RETURN count(n)")
+        assert sum(len(reachable_from(tree_snapshot, [r])) for r in roots) > len(tree_snapshot.objects)
+        assert 0 < len(ctx._graphs) < len(roots)
+        assert set(ctx._graphs) <= set(tree_snapshot._numberings)
+        assert set(ctx._keys.values()) <= set(tree_snapshot._numberings)
+
+    def test_a_read_keeps_its_numbering_recently_used(self, tree_snapshot, monkeypatch):
+        ctx = QueryContext(tree_snapshot)
+        count = "MATCH (n) RETURN count(n)"
+        query_bounded(ctx, UID["a"], count)
+        extracted = []
+
+        def counted(snapshot, config):
+            extracted.append(config.root)
+            return extract(snapshot, config)
+
+        monkeypatch.setattr(api, "extract", counted)
+        for root in [UID[name] for name in "bcde"] * 3:
+            query_bounded(ctx, root, count)
+            query_bounded(ctx, UID["a"], count)
+        assert UID["a"] not in extracted and len(extracted) > 4  # the others were dropped and numbered again
+
+    @pytest.mark.parametrize("bad", [True, 1.0, [1, True], [True, 1], [[1]], (1.0,)])
+    def test_a_bad_root_fails_after_an_equal_good_one(self, bad):
+        ctx = QueryContext(build_large_snapshot()[0])
+        good = [1] * len(bad) if isinstance(bad, (list, tuple)) else 1
+        for _ in range(2):
+            assert query_long(ctx, "MATCH (n) RETURN count(n)", root=good) > 0
+            with pytest.raises(PipelineError) as exc:
+                query_bounded(ctx, bad, "MATCH (n) RETURN count(n)")
+            assert exc.value.stage == "extract"
+            assert isinstance(exc.value.__cause__, ExtractionConfigError)
 
 
 class TestContextDefaults:

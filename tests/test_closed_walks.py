@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from heapquery import QueryContext, query_bounded, query_engine
+from heapquery import query_engine
 from heapquery.cypher_ast import PropertyAccess, Variable
 from heapquery.errors import ExecutionError, TypeMismatchError
 from heapquery.property_graph import PropertyGraph
@@ -182,7 +182,7 @@ class TestLabelLookups:
         graph = extract(tree_snapshot)
         table, _ = execute(parsed("MATCH (n:`BinaryTree$Node`) RETURN count(n)"), graph)
         assert table.rows == [(5,)]
-        assert graph._nodes == {} and not graph.filled
+        assert graph._nodes == {} and not graph._filled
 
     def test_node_ids_are_an_ascending_copy(self, tree_snapshot):
         for graph in (build_tree_graph(), extract(tree_snapshot), extract(tree_snapshot).fill()):
@@ -202,11 +202,3 @@ class TestLabelLookups:
                     assert steps < 1000, "iteration did not end"
                     graph.add_node("L", {"$uid": 77})
                 assert len(list(lookup())) == 2 * before
-
-    def test_caching_context_drops_the_numbering_of_a_cached_graph(self, tree_snapshot):
-        ctx = QueryContext(tree_snapshot, cache_extractions=True)
-        assert query_bounded(ctx, UID["f"], "MATCH (n) RETURN count(n)").table.rows == [(9,)]
-        assert tree_snapshot._numberings == {}
-        plain = QueryContext(tree_snapshot)
-        assert query_bounded(plain, UID["f"], "MATCH (n) RETURN count(n)").table.rows == [(9,)]
-        assert len(tree_snapshot._numberings) == 1

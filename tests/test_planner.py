@@ -12,11 +12,11 @@ import pytest
 from heapquery import QueryContext, property_graph, query_bounded, query_engine
 from heapquery.property_graph import PropertyGraph
 from heapquery.query_engine import cell_tag, execute
-from heapquery.subgraph import ExtractionConfig, extract
+from heapquery.subgraph import ExtractionConfig, SnapshotGraph, extract
 
 from .conftest import CONTAINS_KEY_QUERY, REPOK_QUERY, as_bag, build_tree_graph, expanded_queries
 from .generators import build_hashmap_snapshot, random_graph
-from .oracles import enumerate_rows, hashmap_contains
+from .oracles import enumerate_rows, hashmap_contains, reference_extract
 
 ARROWS = {"out": ("-", "->"), "in": ("<-", "-"), "both": ("-", "-")}
 HOPS = ["", "*0..", "*1..3", "*"]
@@ -205,22 +205,44 @@ class TestWhereItRuns:
         assert len(reversals) == 61
         assert graph.audit() == []
 
-    def test_unfilled_extracted_graph_stays_forward_and_unfilled(self, hashmap, monkeypatch):
-        snapshot, map_id, probe_id, present = hashmap
-        graph = extract(snapshot, ExtractionConfig(root=[map_id, probe_id]))
+    def test_reversal_on_an_unfilled_extraction_matches_the_oracle(self, monkeypatch):
+        """Matching backwards fills a graph ``extract`` returns, and gives the enumeration's bag."""
+        rng = random.Random(4243)
         reversals = count_calls(monkeypatch, "_reversed")
-        query = parsed(CONTAINS_KEY_QUERY, map_id, probe_id)
-        table, _ = execute(query, graph)
-        assert table.rows == [(present,)]
-        assert not graph.filled
-        uid_end = "MATCH (e:`java.util.HashMap$Node`)-[:key]->(k {$1}) RETURN count(e)"
-        table, _ = execute(parsed(uid_end, map_id + 1), graph)
-        assert table.rows == [(1,)]
-        assert reversals == []
-        assert not graph.filled
-        graph.fill()
-        execute(parsed(uid_end, map_id + 1), graph)
-        assert len(reversals) == 1
+        probe = (
+            "MATCH (h {$1})-[:table]->(t)-[:element]->(e)-[:next*0..]->(x)-[:key]->(k) "
+            "MATCH (p {$2}) WHERE equals(k, p) RETURN "
+        )
+        key_end = "MATCH (e:`java.util.HashMap$Node`)-[:next*0..]->(x)-[:key]->(k {$1}) RETURN "
+        for _ in range(25):
+            snapshot, map_id, probe_id, _ = build_hashmap_snapshot(rng, rng.randint(1, 50))
+            config = ExtractionConfig(root=[map_id, probe_id])
+            reference = reference_extract(snapshot, config)
+            keys = [obj.id for obj in snapshot.objects if obj.cls == "app.Key"]
+            cases = [
+                (probe + rng.choice(["count(k)", "count(DISTINCT e)", "count(*)"]), map_id, probe_id),
+                (key_end + rng.choice(["count(e)", "count(DISTINCT x)"]), rng.choice(keys)),
+            ]
+            for fmt, *args in cases:
+                graph = extract(snapshot, config)
+                query = parsed(fmt, *args)
+                reversals.clear()
+                table, _ = execute(query, graph)
+                assert len(reversals) == 1 and graph._filled, fmt
+                assert as_bag(table) == enumerate_rows(reference, query), (fmt, args)
+
+    def test_a_repeated_contains_key_on_a_default_context_builds_nothing(self, monkeypatch):
+        snapshot, map_id, probe_id, present = build_hashmap_snapshot(random.Random(1), 2000)
+        assert hashmap_contains(snapshot, map_id, probe_id) == present
+        ctx = QueryContext(snapshot)
+        args = ([map_id, probe_id], CONTAINS_KEY_QUERY, map_id, probe_id)
+        assert query_bounded(ctx, *args).table.rows == [(present,)]
+        built = []
+        for name in ("fill", "_build_slot", "_build_object", "_build_tail", "_build_out"):
+            original = getattr(SnapshotGraph, name)
+            monkeypatch.setattr(SnapshotGraph, name, lambda *a, _o=original, _n=name: built.append(_n) or _o(*a))
+        assert query_bounded(ctx, *args).table.rows == [(present,)]
+        assert built == []
 
     @pytest.mark.parametrize(
         "text",
@@ -325,7 +347,7 @@ class TestEqualityIndex:
         snapshot, map_id, probe_id, _ = build_hashmap_snapshot(random.Random(3), 40)
         graph = extract(snapshot, ExtractionConfig(root=[map_id, probe_id]))
         twins = graph.equal_nodes(next(graph.nodes_with_uid(probe_id)).id)  # built lazily
-        assert not graph.filled
+        assert not graph._filled
         _, graph = execute(parsed("CREATE (k:`app.Key` {val: -1}) RETURN k"), graph)
         assert graph.audit() == []
         assert graph.equal_nodes(twins[0]) == twins

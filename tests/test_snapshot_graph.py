@@ -384,7 +384,7 @@ def test_heap_analytics_shapes_match_reference():
     rng = random.Random(1031)
     for _ in range(12):
         snapshot, map_id, probe_id, _ = build_hashmap_snapshot(rng, rng.randint(1, 40))
-        _assert_same_rows(snapshot, ExtractionConfig(root=[map_id, probe_id]), CONTAINS_KEY_QUERY, map_id, probe_id, lazy=True)
+        _assert_same_rows(snapshot, ExtractionConfig(root=[map_id, probe_id]), CONTAINS_KEY_QUERY, map_id, probe_id)
     for kind in ("valid", "cyclic", "size-mismatch", "forest") * 6:
         snapshot, tree_id = build_tree_case(rng, kind)
         _assert_same_rows(snapshot, ExtractionConfig(root=tree_id), REPOK_QUERY, tree_id, lazy=True)

@@ -98,7 +98,7 @@ class TestWrites:
         assert run_query(graph, probe)[0].rows == [(0,)]
         leaf, root = (next(graph.nodes_with_uid(UID[name])).id for name in "ac")
         graph.add_relationship("left", leaf, root)
-        assert not graph.filled
+        assert not graph._filled
         assert run_query(graph, probe)[0].rows == run_query(graph.copy(), probe)[0].rows == [(3,)]
 
     def test_add_node_keeps_the_memo(self, monkeypatch):
