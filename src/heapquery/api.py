@@ -2,8 +2,8 @@
 
 A QueryContext owns a snapshot plus default extraction settings.  Each call
 runs the one query pipeline, which the CLI's ``query`` and ``repl`` share:
-expand positional arguments, extract the (sub)graph, parse, validate (and
-lint into ``ResultSet.warnings``), execute, and wrap rows in a ResultSet.
+expand positional arguments, parse, validate (and lint into
+``ResultSet.warnings``), extract the graph, execute, and wrap rows in a ResultSet.
 A context parses, validates and lints a format string once per tuple of
 ``@k`` values, and keeps the result (``TEMPLATE_CACHE_SIZE``): a later call
 of the same template only checks its arguments and binds its ``$k`` ids,
@@ -15,13 +15,12 @@ unbounded queries see every object in the snapshot, including unreachable
 ones unless force-collect is enabled.
 
 Extraction returns a SnapshotGraph, which queries the snapshot in place.
-A context keeps one per root set for its reads (see ``QueryContext``), so
+The snapshot keeps one per root set for reads (see ``QueryContext``), so
 the ``extract`` stage of ``timings=`` (and of the CLI's ``--time``) is a
-lookup for a root set read before, and otherwise the selection and
-numbering of the objects, which the snapshot keeps.  What a query builds
-is timed in ``execute``: one that scans every node, or matches a path
-backwards, builds the whole graph, once per kept graph.  A write query's
-own graph is made in ``extract`` (in ``execute`` on its template's first call).
+lookup for a root set used before, and otherwise the selection and
+numbering of the objects.  A write query's own graph is made there too.
+What a query builds is timed in ``execute``: one that scans every node, or
+matches a path backwards, builds the whole graph, once per kept graph.
 
 Not thread safe: callers serialize access to a context.  Every pipeline
 failure is re-raised as PipelineError naming the failing stage.
@@ -53,7 +52,7 @@ from .errors import (
 )
 from .property_graph import UID_KEY, PropertyGraph, collector_paused
 from .query_engine import ABSENT, NodeRef, RelRef, ResultTable, execute, execute_batch
-from .subgraph import ExtractionConfig, HeapObject, HeapSnapshot, extract
+from .subgraph import ExtractionConfig, HeapObject, HeapSnapshot, extract, kept_keys, shared_graph
 
 
 class ResultSet:
@@ -150,17 +149,17 @@ class QueryContext:
     not be changed afterwards, and neither may the defaults.
 
     Reads from one root set (equal ``ExtractionConfig.key()``: the same ids
-    in any order) share one kept graph and build into it what they touch,
-    so a later read builds nothing built before; a path matched backwards
-    fills it once, at O(reachable) cost.  A write query (one with a CREATE
-    or MERGE clause) runs on a new graph of the same numbering, so its
-    writes, and those of a failing one, are not seen later.  A kept graph
-    goes with its numbering, which the snapshot drops least recently read
-    first (bounded, see ``extract``), or with the context.
+    in any order) share one graph, which the snapshot keeps with its
+    numbering (``shared_graph``) for every context, and build into it what
+    they touch; a path matched backwards fills it once, at O(reachable)
+    cost.  A write query (one with a CREATE or MERGE clause) runs on a new
+    ``extract``, so its writes, and those of a failing one, are not seen
+    later.  A kept graph goes when the snapshot drops its numbering (see
+    ``extract``), not with the context.  ``cache_extractions`` fills the
+    shared graph of each read.
 
-    ``cache_extractions`` fills each graph when the context first keeps it.
-
-    Parsed templates are kept per context (see the module docstring).
+    Parsed templates, and the key of each root argument while the snapshot
+    keeps it, are kept per context (see the module docstring).
     """
 
     snapshot: HeapSnapshot
@@ -171,8 +170,7 @@ class QueryContext:
         if self.defaults.root is not None:  # each query passes its own, which would replace it
             raise ExtractionConfigError(f"a context's defaults take no root, got {self.defaults.root!r}")
         self.snapshot._ensure_valid()
-        self._keys: dict = {}  # root argument of plain ints -> ExtractionConfig.key()
-        self._graphs: dict = {}  # ExtractionConfig.key() -> the graph reads share
+        self._roots: dict = {}  # root argument of plain ints -> (its ExtractionConfig, key())
         self._templates: OrderedDict = OrderedDict()  # format string -> (its markers, {@k values: _Parsed})
 
     def _cached(self, fmt: str, args) -> tuple:
@@ -194,29 +192,18 @@ class QueryContext:
             del kept[next(iter(kept))]
         kept[names] = parsed
 
-    def _extract(self, root) -> PropertyGraph:
-        """The graph that reads from ``root`` share, kept on first use (and filled then when caching)."""
+    def _graph(self, root, writes: bool) -> PropertyGraph:
+        """A new extraction from ``root`` for a write, else the graph that reads from ``root`` share."""
         arg = tuple(root) if isinstance(root, (list, tuple)) else (root,)
         plain = root is None or all(i.__class__ is int for i in arg)  # True and 1.0 are dict keys equal to 1
-        key = self._keys.get(arg) if plain else None
-        if key is None:
-            key = replace(self.defaults, root=root).key()
-            if plain:
-                self._keys[arg] = key
-        graph = self._graphs.get(key)
-        kept = self.snapshot._numberings
-        if graph is not None and key in kept:
-            kept[key] = kept.pop(key)  # a read uses the numbering: the least recently read are dropped first
-            return graph
-        graph = self._new_graph(root)  # which may drop other numberings, and their graphs go too
-        self._keys = {arg: k for arg, k in self._keys.items() if k in kept}
-        self._graphs = {k: g for k, g in self._graphs.items() if k in kept}
-        graph = self._graphs[key] = graph.fill() if self.cache_extractions else graph
-        return graph
-
-    def _new_graph(self, root) -> PropertyGraph:
-        """A graph from ``root`` that no other query reads: a write query's, or one to keep."""
-        return extract(self.snapshot, replace(self.defaults, root=root))
+        found = self._roots.get(arg) if plain else None
+        if found is None:
+            config = replace(self.defaults, root=None if root is None else arg)  # later changes to a list stay out
+            found = config, config.key()
+            if plain:  # and the arguments of root sets the snapshot dropped go
+                self._roots = {a: f for a, f in self._roots.items() if f[1] in kept_keys(self.snapshot)}
+                self._roots[arg] = found
+        return extract(self.snapshot, found[0]) if writes else shared_graph(self.snapshot, *found, self.cache_extractions)
 
 
 class _Stage:
@@ -241,11 +228,11 @@ class _Stage:
 
 @collector_paused()
 def _run_pipeline(ctx: QueryContext, root, fmt: str, args, timings: dict | None = None, session=None) -> ResultSet:
-    """Expand, extract, parse, validate (and lint), execute; a kept template is not parsed or validated again.
+    """Expand, parse, validate (and lint), extract, execute; a kept template is not parsed or validated again.
 
     A ``session`` graph takes the place of the extraction.  It is shared
-    with later queries, as a context's kept graph is, so a write runs on a
-    copy of it, which the result holds.
+    with later queries, as a kept graph is, so a write runs on a copy of
+    it, which the result holds.
     """
     with _Stage(timings, "expand"):
         parsed, arguments = ctx._cached(fmt, args)
@@ -253,11 +240,6 @@ def _run_pipeline(ctx: QueryContext, root, fmt: str, args, timings: dict | None 
             tokens, markers, checked = expand_positional(fmt, args)
             if arguments is None:  # else checked twice, and a one-shot []k iterator is empty the second time
                 arguments = checked
-    graph, shared = session, True
-    if session is None:
-        with _Stage(timings, "extract"):
-            shared = parsed is None or not parsed.query.writes
-            graph = ctx._extract(root) if shared else ctx._new_graph(root)
     with _Stage(timings, "parse"):
         if parsed is None:
             query = parse(tokens, fmt)
@@ -268,11 +250,11 @@ def _run_pipeline(ctx: QueryContext, root, fmt: str, args, timings: dict | None 
                 raise QueryValidationError(diagnostics)
             parsed = _Parsed(query, slot_sites(query), lint(query))
             ctx._keep(fmt, markers, arguments.names, parsed)
+    with _Stage(timings, "extract"):
+        writes = parsed.query.writes
+        graph = ctx._graph(root, writes) if session is None else session.copy() if writes else session
     with _Stage(timings, "execute"):
-        query = parsed.query
-        if shared and query.writes:  # later queries read the shared graph
-            graph = graph.copy() if session is not None else ctx._new_graph(root)
-        queries = bind(query, parsed.sites, arguments)
+        queries = bind(parsed.query, parsed.sites, arguments)
         if arguments.batch is None:
             table, graph = execute(queries[0], graph)
         else:

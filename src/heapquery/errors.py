@@ -208,7 +208,7 @@ class UnknownColumnError(ResultError):
 class PipelineError(HeapQueryError):
     """Wraps an error from one stage of the query pipeline.
 
-    ``stage`` is one of: expand, extract, parse, validate, execute, result.
+    ``stage`` is one of, in pipeline order: expand, parse, validate, extract, execute, result.
     """
 
     def __init__(self, stage: str, cause: Exception):

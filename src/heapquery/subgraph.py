@@ -9,8 +9,8 @@ unreachable objects first.  It returns a SnapshotGraph, a PropertyGraph that
 queries the snapshot in place: ``extract`` computes the selected objects and
 the id of every node and relationship, which costs O(reachable objects) for a
 bounded extraction, and a node or relationship is built only when a caller
-first touches it.  The snapshot keeps that numbering per extraction key, so
-repeated extractions from the same roots share it.
+first touches it.  The snapshot keeps that numbering per extraction key, and
+the graph reads share (``shared_graph``), so the same roots share them.
 """
 
 from __future__ import annotations
@@ -99,9 +99,8 @@ class HeapSnapshot:
     A snapshot is validated once: by ``load_snapshot``, by an explicit
     ``validate()``, or at its first ``QueryContext`` or ``extract``.  It must
     not be changed after it is built, because the object and class maps, the
-    validation result, the per-class caches and the numberings ``extract``
-    keeps (at most ``len(objects)`` included objects in all, see
-    ``extract``) are computed only once.
+    validation result, the per-class caches and the numberings and shared
+    graphs kept per root set (see ``extract``) are computed only once.
     """
 
     classes: list
@@ -116,7 +115,7 @@ class HeapSnapshot:
         self._decls_cache: dict[str, MappingProxyType] = {}
         self._plans: dict[str, _ClassPlan] = {}
         self._roots_of: dict[int, list[str]] | None = None
-        self._numberings: dict[tuple, _Numbering] = {}  # ExtractionConfig.key() -> numbering, least recent first
+        self._kept: dict[tuple, list] = {}  # ExtractionConfig.key() -> ``_numbered`` entry, least recently used first
 
     def class_info(self, name: str) -> ClassInfo:
         return self._class_map[name]
@@ -348,6 +347,8 @@ class ExtractionConfig:
         return [self.root]
 
     def validate(self) -> "ExtractionConfig":
+        if isinstance(self.whitelist, (str, bytes)) or isinstance(self.blacklist, (str, bytes)):  # ``in`` tests substrings
+            raise ExtractionConfigError("whitelist and blacklist take a collection of class names, not a string")
         for root in self.root_ids() or ():
             if not _is_id(root):
                 raise ExtractionConfigError(f"root ids must be integers, got {root!r}")
@@ -463,22 +464,40 @@ def extract(snapshot: HeapSnapshot, config: ExtractionConfig | None = None) -> "
     ``config.key()``, so a later call with the same key (the same root set,
     in any order) reuses it instead of visiting the objects again.  Every
     call returns a new graph, so writes on one graph are not seen by
-    another.  The kept numberings of a snapshot hold at most
-    ``len(snapshot.objects)`` included objects in all; the least recently
-    used are dropped first.
+    another.  The kept numberings hold at most ``len(snapshot.objects)``
+    included objects, plus the one used last, which stays; the others are
+    dropped least recently used first.
     """
     config = config or ExtractionConfig()
-    key = config.key()
+    key, kept = config.key(), snapshot._kept
+    kept[key] = entry = kept.pop(key, None) or _numbered(snapshot, config)  # the most recently used come last
+    return SnapshotGraph(entry[0])
+
+
+def shared_graph(snapshot: HeapSnapshot, config: ExtractionConfig, key: tuple, fill: bool = False) -> "SnapshotGraph":
+    """The graph that reads of ``config`` share, made on first use and kept with its numbering under
+    ``key`` (``config.key()``); ``fill`` fills it.  The query pipeline calls this with the collector paused."""
+    kept = snapshot._kept
+    kept[key] = entry = kept.pop(key, None) or _numbered(snapshot, config)
+    if entry[1] is None:
+        entry[1] = SnapshotGraph(entry[0])
+    return entry[1].fill() if fill and not entry[1]._filled else entry[1]
+
+
+def kept_keys(snapshot: HeapSnapshot):
+    """The keys ``snapshot`` keeps an entry for, as a live view."""
+    return snapshot._kept.keys()
+
+
+def _numbered(snapshot: HeapSnapshot, config: ExtractionConfig) -> list:
+    """A new entry ``[numbering, shared graph or None]`` for ``config``, after dropping the least recently used."""
     snapshot._ensure_valid()
-    kept = snapshot._numberings
-    numbering = kept.pop(key, None)
-    if numbering is None:
-        numbering = _number(snapshot, _select(snapshot, config))
-        held = sum(len(n.included) for n in kept.values()) + len(numbering.included)
-        while held > len(snapshot.objects):  # never drops the new one: it fits alone
-            held -= len(kept.pop(next(iter(kept))).included)
-    kept[key] = numbering  # the most recently used come last
-    return SnapshotGraph(snapshot, numbering)
+    entry = [_number(snapshot, _select(snapshot, config)), None]
+    kept = snapshot._kept
+    held = sum(len(numbering.included) for numbering, _ in kept.values()) + len(entry[0].included)
+    while held > len(snapshot.objects) and len(kept) > 1:  # the last, used before this one, stays
+        held -= len(kept.pop(next(iter(kept)))[0].included)
+    return entry
 
 
 def _select(snapshot: HeapSnapshot, config: ExtractionConfig) -> list[HeapObject]:
@@ -510,7 +529,8 @@ class _Numbering(NamedTuple):
     from ``first_array + array_starts[i]`` up to the next object's.
     ``tail_nodes`` are the labels of the static array and binder nodes, and
     ``tail_rels`` the ``(label, start, end, properties)`` of their edges;
-    each graph builds its own copy of those property maps.
+    each graph builds its own copy of those property maps.  ``refs`` and
+    ``statics`` map each class to its ``_ClassPlan.refs`` and statics.
     """
 
     included: list
@@ -525,6 +545,8 @@ class _Numbering(NamedTuple):
     first_tail_rel: int
     tail_nodes: list
     tail_rels: list
+    refs: dict
+    statics: dict
 
 
 def _number(snapshot: HeapSnapshot, included: list[HeapObject]) -> _Numbering:
@@ -546,13 +568,14 @@ def _number(snapshot: HeapSnapshot, included: list[HeapObject]) -> _Numbering:
             slots.append(obj.cls)
             by_class[obj.cls] = []
         by_class[obj.cls].append(node_id)
+    refs = {cls: snapshot._plan(cls).refs for cls in class_nodes}
+    statics = {cls: snapshot.class_info(cls).statics for cls in class_nodes}
     rel_starts = [0]
     array_starts = [0]
     rels = arrays = 0
-    plans = snapshot._plans  # ``_build_object`` reads the plans this loop ensures
     for obj in included:
         fields = obj.fields
-        for name, array_label in (plans.get(obj.cls) or snapshot._plan(obj.cls)).refs:
+        for name, array_label in refs[obj.cls]:
             value = fields.get(name)
             if value is None:
                 continue
@@ -570,9 +593,7 @@ def _number(snapshot: HeapSnapshot, included: list[HeapObject]) -> _Numbering:
     edges: list[tuple] = []
     for cls in sorted(class_nodes):
         class_node = class_nodes[cls]
-        statics = snapshot.class_info(cls).statics
-        for name in sorted(statics):
-            value = statics[name]
+        for name, value in sorted(statics[cls].items()):
             if isinstance(value, Ref):
                 if value.id in node_of:
                     edges.append((name, class_node, node_of[value.id], {}))
@@ -592,7 +613,7 @@ def _number(snapshot: HeapSnapshot, included: list[HeapObject]) -> _Numbering:
         edges.append((name, binder, node_of[target], {}))
     return _Numbering(
         included, node_of, slots, class_nodes, by_class, rel_starts, array_starts,
-        len(slots), first_tail_node, len(included) + rels, labels, edges,
+        len(slots), first_tail_node, len(included) + rels, labels, edges, refs, statics,
     )
 
 
@@ -618,8 +639,8 @@ class SnapshotGraph(PropertyGraph):
     edges and reference-array nodes with their ``element`` edges, in field
     declaration order; then per class (by name), its static reference edges
     and arrays (by static name); then the ``Local`` binders by root name.
-    The numbering is shared with the other graphs ``extract`` returns for
-    the same key; the nodes and relationships are this graph's own.
+    The numbering, all the graph reads of the snapshot, is shared with the
+    other graphs of the key; the nodes and relationships are this graph's own.
 
     Built on demand, without filling the graph: ``node``, ``relationship``,
     ``neighbors(..., "out")`` (a node's outgoing edges, and for a reference
@@ -638,13 +659,12 @@ class SnapshotGraph(PropertyGraph):
     ``traversal_memo`` never fill.
 
     The snapshot was validated, so nothing built here is checked again.
-    ``$uid`` lookups before the fill read the snapshot's object map: an
-    in-place change of a node's ``$uid`` is not seen by them.
+    ``$uid`` lookups before the fill read the numbering: an in-place change
+    of a node's ``$uid`` is not seen by them.
     """
 
-    def __init__(self, snapshot: HeapSnapshot, numbering: _Numbering):
+    def __init__(self, numbering: _Numbering):
         super().__init__()
-        self._snapshot = snapshot
         self._numbering = numbering
         self._filled = False
         self._tail_built = False
@@ -669,10 +689,8 @@ class SnapshotGraph(PropertyGraph):
                     props[name] = list(value) if value.__class__ is list else value  # the snapshot's stays unchanged
             node = Node(node_id, obj.cls, props)
         else:
-            statics = self._snapshot.class_info(slot).statics
             props = {CLASS_NAME_KEY: slot}
-            for name in sorted(statics):
-                value = statics[name]
+            for name, value in sorted(self._numbering.statics[slot].items()):
                 if value is not None and not isinstance(value, (Ref, RefArray)):
                     props[name] = list(value) if value.__class__ is list else value
             node = Node(node_id, CLASS_LABEL, props)
@@ -697,7 +715,7 @@ class SnapshotGraph(PropertyGraph):
         own = out[start] = [i]
         rel_id = len(numbering.included) + numbering.rel_starts[i]
         array_id = numbering.first_array + numbering.array_starts[i]
-        for name, array_label in self._snapshot._plans[obj.cls].refs:
+        for name, array_label in numbering.refs[obj.cls]:
             value = obj.fields.get(name)
             if value is None:
                 continue
@@ -785,9 +803,8 @@ class SnapshotGraph(PropertyGraph):
         for rel in self._rels.values():
             incoming[rel.end].append(rel.id)
         self._filled = True
-        # A filled graph reads neither the numbering nor the snapshot, and
-        # builds its label and ``$uid`` indexes from every node when first used.
-        self._snapshot = self._numbering = self._by_label = self._by_uid = None
+        # A filled graph builds its label and ``$uid`` indexes from every node when first used.
+        self._by_label = self._by_uid = None
         return self
 
     # -- PropertyGraph surface --------------------------------------------------

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
 
-from heapquery import api
+from heapquery import api, subgraph
 
 from heapquery.api import (
     QueryContext,
@@ -26,10 +27,20 @@ from heapquery.errors import (
     UnknownColumnError,
 )
 from heapquery.snapshot_io import graph_to_snapshot, load_snapshot
-from heapquery.subgraph import ClassInfo, ExtractionConfig, FieldDecl, HeapObject, HeapSnapshot, Ref, extract
+from heapquery.subgraph import (
+    ClassInfo,
+    ExtractionConfig,
+    FieldDecl,
+    HeapObject,
+    HeapSnapshot,
+    Ref,
+    SnapshotGraph,
+    extract,
+    kept_keys,
+)
 
 from .conftest import CONTAINS_KEY_QUERY, DATA, REPOK_QUERY, TWO_HOP_QUERY, UID, build_tree_graph
-from .generators import build_large_snapshot
+from .generators import build_hashmap_snapshot, build_large_snapshot
 from .oracles import reachable_from
 from .printer import query_text
 
@@ -37,6 +48,26 @@ from .printer import query_text
 @pytest.fixture
 def ctx(tree_snapshot) -> QueryContext:
     return QueryContext(tree_snapshot)
+
+
+def kept_graph(snapshot: HeapSnapshot, root=None):
+    """The graph that ``snapshot`` keeps for the reads from ``root``; None if it keeps none."""
+    entry = snapshot._kept.get(ExtractionConfig(root=root).key())
+    return None if entry is None else entry[1]
+
+
+@pytest.fixture
+def numbered(monkeypatch) -> list:
+    """The ids of the objects of each numbering that ``extract`` or a read computes."""
+    calls = []
+    number = subgraph._number
+
+    def counting(snapshot, included):
+        calls.append(sorted(obj.id for obj in included))
+        return number(snapshot, included)
+
+    monkeypatch.setattr(subgraph, "_number", counting)
+    return calls
 
 
 class TestQueryBounded:
@@ -58,6 +89,13 @@ class TestQueryBounded:
         with pytest.raises(PipelineError) as exc:
             query_bounded(ctx, 404, "MATCH (n) RETURN n")
         assert exc.value.stage == "extract"
+
+    @pytest.mark.parametrize("root", [404, True, [UID["a"], 1.5]])
+    def test_a_query_is_parsed_before_its_graph_is_extracted(self, ctx, root):
+        for _ in range(2):
+            with pytest.raises(PipelineError) as exc:
+                query_bounded(ctx, root, "MATCH (n RETURN n")
+            assert exc.value.stage == "parse"
 
     def test_multiple_roots_via_list(self, ctx):
         rs = query_bounded(ctx, [UID["a"], UID["d"]], "MATCH (n:`BinaryTree$Node`) RETURN count(n)")
@@ -284,7 +322,8 @@ class TestExtractionMemo:
         first = query_bounded(ctx, [UID["a"], UID["d"]], "MATCH (n) RETURN count(n)")
         second = query_bounded(ctx, [UID["d"], UID["a"], UID["d"]], "MATCH (n) RETURN count(n)")
         assert first._graph is second._graph
-        assert list(ctx._graphs) == list(tree_snapshot._numberings)  # the numbering is kept with the graph
+        assert list(kept_keys(tree_snapshot)) == [ExtractionConfig(root=[UID["a"], UID["d"]]).key()]
+        assert kept_graph(tree_snapshot, [UID["d"], UID["a"]]) is first._graph
 
     def test_cached_graph_is_filled(self, tree_snapshot):
         ctx = QueryContext(tree_snapshot, cache_extractions=True)
@@ -299,7 +338,7 @@ class TestExtractionMemo:
         assert query_long(ctx, count) == 8
         shared = query_unbounded(ctx, count)._graph
         sizes = (shared.node_count, shared.relationship_count)
-        for _ in range(2):  # the first call of a template is parsed after the extraction, the second before
+        for _ in range(2):  # the first call of a template is parsed, the second is not
             created = query_unbounded(ctx, "CREATE (x:Foo) RETURN x")
             assert created.table.row_count == 1 and created._graph is not shared
             assert query_long(ctx, count) == 8
@@ -328,27 +367,57 @@ class TestExtractionMemo:
         ctx = QueryContext(tree_snapshot, cache_extractions=cache)
         roots = [obj.id for obj in tree_snapshot.objects]
         for root in roots + [[UID["a"], UID["b"]], None] + roots:
-            query_bounded(ctx, root, "MATCH (n) RETURN count(n)")
+            rs = query_bounded(ctx, root, "MATCH (n) RETURN count(n)")
+            assert kept_graph(tree_snapshot, root) is rs._graph
         assert sum(len(reachable_from(tree_snapshot, [r])) for r in roots) > len(tree_snapshot.objects)
-        assert 0 < len(ctx._graphs) < len(roots)
-        assert set(ctx._graphs) <= set(tree_snapshot._numberings)
-        assert set(ctx._keys.values()) <= set(tree_snapshot._numberings)
+        assert 0 < len(kept_keys(tree_snapshot)) < len(roots)
+        # A root argument the context has not seen, of a kept root set, drops
+        # the arguments of the root sets the snapshot dropped, and numbers nothing.
+        query_bounded(ctx, [roots[-1], roots[-1]], "MATCH (n) RETURN count(n)")
+        assert {key for _, key in ctx._roots.values()} <= set(kept_keys(tree_snapshot))
+        assert len(ctx._roots) < len(roots)
 
-    def test_a_read_keeps_its_numbering_recently_used(self, tree_snapshot, monkeypatch):
+    def test_a_read_keeps_its_numbering_recently_used(self, tree_snapshot, numbered):
+        # a reaches 1 object and c 5, which fill the budget of 6; the read of
+        # a after c makes c the least recently used, so d drops c, not a
         ctx = QueryContext(tree_snapshot)
-        count = "MATCH (n) RETURN count(n)"
-        query_bounded(ctx, UID["a"], count)
-        extracted = []
+        for name in "acada":
+            query_bounded(ctx, UID[name], "MATCH (n) RETURN count(n)")
+        assert [len(ids) for ids in numbered] == [1, 5, 1]
+        assert kept_graph(tree_snapshot, UID["c"]) is None
 
-        def counted(snapshot, config):
-            extracted.append(config.root)
-            return extract(snapshot, config)
+    def test_two_root_sets_used_in_turn_keep_each_other(self, numbered):
+        """An unbounded read fills the budget; a bounded read used in turn with it does not drop it."""
+        snapshot, root, *_ = build_large_snapshot()
+        ctx = QueryContext(snapshot)
+        for _ in range(5):
+            assert query_long(ctx, "MATCH (n:`app.Item`) RETURN count(n)") == 1000
+            assert query_long(ctx, "MATCH (n {$1}) RETURN count(n)", root, root=root) == 1
+        assert [len(ids) for ids in numbered] == [len(snapshot.objects), 1000]
 
-        monkeypatch.setattr(api, "extract", counted)
-        for root in [UID[name] for name in "bcde"] * 3:
-            query_bounded(ctx, root, count)
-            query_bounded(ctx, UID["a"], count)
-        assert UID["a"] not in extracted and len(extracted) > 4  # the others were dropped and numbered again
+        numbered.clear()
+        snapshot, map_id, probe_id, _ = build_hashmap_snapshot(random.Random(5), 200)
+        ctx = QueryContext(snapshot)
+        for _ in range(5):
+            query_boolean(ctx, CONTAINS_KEY_QUERY, map_id, probe_id, root=[map_id, probe_id])
+            query_bounded(ctx, probe_id, "MATCH (n {$1}) RETURN count(n)", probe_id)
+        assert len(numbered) == 2 and len(numbered[0]) == len(snapshot.objects)
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_the_first_call_of_a_write_keeps_and_fills_no_graph(self, monkeypatch, cache):
+        snapshot = build_large_snapshot()[0]
+        ctx = QueryContext(snapshot, cache_extractions=cache)
+        fills = []
+        fill = SnapshotGraph.fill
+        monkeypatch.setattr(SnapshotGraph, "fill", lambda graph: fills.append(graph) or fill(graph))
+        for _ in range(2):
+            created = query_unbounded(ctx, "CREATE (x:Foo) RETURN x")
+            assert created.table.row_count == 1 and not created._graph._filled
+        assert list(kept_keys(snapshot)) == [ExtractionConfig().key()]  # the numbering, and no graph
+        assert kept_graph(snapshot) is None and fills == []
+        read = query_unbounded(ctx, "MATCH (n:Foo) RETURN count(n)")
+        assert read.table.rows == [(0,)] and read._graph is kept_graph(snapshot)
+        assert fills == ([read._graph] if cache else [])
 
     @pytest.mark.parametrize("bad", [True, 1.0, [1, True], [True, 1], [[1]], (1.0,)])
     def test_a_bad_root_fails_after_an_equal_good_one(self, bad):
@@ -376,9 +445,6 @@ class TestContextDefaults:
 
 class TestContainsKeyThroughFacade:
     def test_present_and_absent(self):
-        import random
-
-        from .generators import build_hashmap_snapshot
         from .oracles import hashmap_contains
 
         rng = random.Random(3)

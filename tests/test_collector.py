@@ -176,3 +176,16 @@ class TestNoCyclicGarbage:
         gc.disable()
         _calls(ctx)
         assert gc.collect() == 0
+
+    def test_a_dropped_snapshot_with_kept_graphs_leaves_no_cyclic_garbage(self):
+        # The graphs reads share are kept on the snapshot, and read nothing of it.
+        gc.collect()
+        gc.disable()
+        snapshot = load_snapshot((DATA / "tree_snapshot.json").read_bytes())
+        contexts = [QueryContext(snapshot), QueryContext(snapshot, cache_extractions=True)]
+        for ctx in contexts:
+            for root in (UID["f"], UID["c"], None):
+                query_bounded(ctx, root, TWO_HOP_QUERY, UID["c"])
+                query_bounded(ctx, root, "MATCH (n)<-[:left]-(m) RETURN count(m)")
+        del snapshot, contexts, ctx
+        assert gc.collect() == 0

@@ -30,6 +30,7 @@ from heapquery.subgraph import (
     collect,
     extract,
     follow_references,
+    kept_keys,
 )
 
 from .conftest import CONTAINS_KEY_QUERY, REACHABLE_QUERY, REPOK_QUERY, TWO_HOP_QUERY, UID, expanded_queries
@@ -229,7 +230,7 @@ def test_repeated_extractions_share_the_numbering_and_not_the_graph():
             _assert_same_graph(again, expected)
             for rel in again.relationships():
                 assert rel.properties is not written.relationship(rel.id).properties
-        assert len(snapshot._numberings) == 1
+        assert len(kept_keys(snapshot)) == 1
 
 
 def test_list_properties_are_not_shared():
@@ -261,23 +262,31 @@ def test_unknown_root_leaves_no_numbering():
         for _ in range(2):
             with pytest.raises(UnknownRootError):
                 extract(snapshot, ExtractionConfig(root=root))
-        assert snapshot._numberings == {}
+        assert list(kept_keys(snapshot)) == []
     extract(snapshot, ExtractionConfig(root=[1, 1]))
-    assert list(snapshot._numberings) == [ExtractionConfig(root=1).key()]
+    assert list(kept_keys(snapshot)) == [ExtractionConfig(root=1).key()]
 
 
 def test_kept_numberings_hold_at_most_the_snapshot_objects():
+    """At most the snapshot's objects, plus the numbering used last before a new one, which stays."""
     snapshot = _chain_snapshot(50)  # root i reaches the 51 - i objects from i on
-    held = lambda: sum(len(n.included) for n in snapshot._numberings.values())  # noqa: E731
-    for root in (41, 31, 41, 21, 46):
+    reached = lambda key: 51 - min(key[0])  # noqa: E731
+    used_last = None
+    for step, root in enumerate((41, 31, 41, 21, 46, 1, 46, 1, 11)):
         graph = extract(snapshot, ExtractionConfig(root=root))
-        assert held() <= len(snapshot.objects)
-        assert next(reversed(snapshot._numberings)) == ExtractionConfig(root=root).key()
+        held = sum(map(reached, kept_keys(snapshot)))
+        assert held <= len(snapshot.objects) + (0 if used_last is None else reached(used_last))
+        assert list(kept_keys(snapshot))[-1] == ExtractionConfig(root=root).key()
+        if used_last is not None:
+            assert used_last in kept_keys(snapshot)  # the one used before a new one is never dropped
         assert [n.properties["$uid"] for n in graph.nodes_with_label("c.Cell")] == list(range(root, 51))
-    # 10 + 20 + 30 objects do not fit: 31 was used least recently, and is dropped
-    assert [key[0] for key in snapshot._numberings] == [{41}, {21}, {46}]
-    extract(snapshot, ExtractionConfig(root=1))
-    assert [key[0] for key in snapshot._numberings] == [{1}]
+        used_last = ExtractionConfig(root=root).key()
+        if step == 4:
+            # 10 + 20 + 30 objects did not fit: 31 was used least recently, and was dropped
+            assert [key[0] for key in kept_keys(snapshot)] == [{41}, {21}, {46}]
+    # 1 reaches all 50: the others go, but 46, used just before it, stays; then
+    # 46 and 1 take turns without numbering again, and 11 drops 46, used before 1
+    assert [key[0] for key in kept_keys(snapshot)] == [{1}, {11}]
 
 
 def test_repeated_root_does_not_follow_references_again(monkeypatch):
@@ -380,6 +389,22 @@ def test_probe_shapes_match_reference_without_fill():
         _assert_same_rows(snapshot, config, "MATCH (a)<-[:element]-(x) RETURN a, x")
 
 
+def _dag_and_list_snapshot() -> HeapSnapshot:
+    """A diamond DAG of depth 8 from object 0, and a 60-cell list from object 5000."""
+    dag_class = ClassInfo("g.V", None, (FieldDecl("a", "reference", "g.V"), FieldDecl("b", "reference", "g.V")))
+    list_class = ClassInfo("g.L", None, (FieldDecl("next", "reference", "g.L"),))
+    depth = 8
+    objects = []
+    for level in range(depth):  # node i of a level points at i and i + 1 of the next
+        for i in range(level + 1):
+            fields = {}
+            if level + 1 < depth:
+                fields = {"a": Ref(100 * (level + 1) + i), "b": Ref(100 * (level + 1) + i + 1)}
+            objects.append(HeapObject(100 * level + i, "g.V", fields))
+    objects += [HeapObject(5000 + i, "g.L", {"next": Ref(5000 + i + 1)} if i < 59 else {}) for i in range(60)]
+    return HeapSnapshot([dag_class, list_class], objects, {})
+
+
 def test_heap_analytics_shapes_match_reference():
     rng = random.Random(1031)
     for _ in range(12):
@@ -390,21 +415,35 @@ def test_heap_analytics_shapes_match_reference():
         _assert_same_rows(snapshot, ExtractionConfig(root=tree_id), REPOK_QUERY, tree_id, lazy=True)
         _assert_same_rows(snapshot, ExtractionConfig(), REPOK_QUERY, tree_id, lazy=True)
 
-    dag_class = ClassInfo("g.V", None, (FieldDecl("a", "reference", "g.V"), FieldDecl("b", "reference", "g.V")))
-    list_class = ClassInfo("g.L", None, (FieldDecl("next", "reference", "g.L"),))
-    depth = 8
-    objects = []
-    for level in range(depth):  # a diamond DAG: node i of a level points at i and i + 1 of the next
-        for i in range(level + 1):
-            fields = {}
-            if level + 1 < depth:
-                fields = {"a": Ref(100 * (level + 1) + i), "b": Ref(100 * (level + 1) + i + 1)}
-            objects.append(HeapObject(100 * level + i, "g.V", fields))
-    objects += [HeapObject(5000 + i, "g.L", {"next": Ref(5000 + i + 1)} if i < 59 else {}) for i in range(60)]
-    snapshot = HeapSnapshot([dag_class, list_class], objects, {})
+    snapshot = _dag_and_list_snapshot()
     _assert_same_rows(snapshot, ExtractionConfig(root=0), DAG_QUERY, 0, lazy=True)
     _assert_same_rows(snapshot, ExtractionConfig(root=5000), LIST_QUERY, 5000, lazy=True)
     _assert_same_rows(snapshot, ExtractionConfig(root=[0, 5010]), LIST_QUERY, 5010, lazy=True)
+
+
+def test_contexts_over_one_snapshot_share_its_kept_graphs():
+    """A caching and a default context, read in random turns, return what a fresh extraction returns."""
+    rng = random.Random(1032)
+    cases = []
+    for _ in range(4):
+        snapshot, map_id, probe_id, _ = build_hashmap_snapshot(rng, rng.randint(1, 40))
+        cases.append((snapshot, [([map_id, probe_id], CONTAINS_KEY_QUERY, (map_id, probe_id))]))
+    for kind in ("valid", "cyclic", "size-mismatch", "forest") * 2:
+        snapshot, tree_id = build_tree_case(rng, kind)
+        cases.append((snapshot, [(tree_id, REPOK_QUERY, (tree_id,)), (None, REPOK_QUERY, (tree_id,))]))
+    probes = [(0, DAG_QUERY, (0,)), (5000, LIST_QUERY, (5000,)), ([0, 5010], LIST_QUERY, (5010,)), (None, LIST_QUERY, (5050,))]
+    cases.append((_dag_and_list_snapshot(), probes))
+    for snapshot, probes in cases:
+        contexts = [QueryContext(snapshot, cache_extractions=True), QueryContext(snapshot)]
+        graphs = []
+        for root, fmt, args in rng.choices(probes, k=3 * len(probes)):
+            first, second = (query_bounded(ctx, root, fmt, *args) for ctx in rng.sample(contexts, 2))
+            expected = _rows(extract(snapshot, ExtractionConfig(root=root)), fmt, *args)
+            assert first.table.rows == second.table.rows == expected, fmt
+            assert first._graph is second._graph and first._graph._filled  # the caching context filled it
+            assert snapshot._kept[ExtractionConfig(root=root).key()][1] is first._graph
+            graphs.append(first._graph)
+        assert all(graph.audit() == [] for graph in graphs)
 
 
 def test_criterion_7_and_tree_fixture_shapes_match_reference(tree_snapshot):

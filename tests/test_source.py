@@ -50,3 +50,31 @@ def test_every_import_is_used(path):
     used = used_names(tree)
     unused = [f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used]
     assert unused == [], f"{path.name} imports names it never uses"
+
+
+def snapshot_private_reads(tree: ast.AST) -> list[str]:
+    """Each ``<...>snapshot._name`` the code reads, other than ``_ensure_valid``, with its line.
+
+    A snapshot is any name or attribute whose name ends in ``snapshot``.
+    """
+    reads = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or not node.attr.startswith("_") or node.attr == "_ensure_valid":
+            continue
+        owner = node.value
+        name = owner.id if isinstance(owner, ast.Name) else owner.attr if isinstance(owner, ast.Attribute) else ""
+        if name.endswith("snapshot"):
+            reads.append(f"{name}.{node.attr} (line {node.lineno})")
+    return reads
+
+
+def test_the_snapshot_private_read_check_finds_reads():
+    code = "ctx.snapshot._kept\nsnapshot._plans\nself.snapshot._ensure_valid()\nsnap._x\ngraph._nodes"
+    assert snapshot_private_reads(ast.parse(code)) == ["snapshot._kept (line 1)", "snapshot._plans (line 2)"]
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "subgraph.py"], ids=lambda path: path.name)
+def test_only_subgraph_reads_the_private_state_of_a_snapshot(path):
+    """The numberings and graphs a snapshot keeps per root set are used, kept and dropped in ``subgraph`` alone."""
+    reads = snapshot_private_reads(ast.parse(path.read_text(encoding="utf-8")))
+    assert reads == [], f"{path.name} reads private snapshot state"

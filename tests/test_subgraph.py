@@ -21,6 +21,7 @@ from heapquery.subgraph import (
     collect,
     extract,
     follow_references,
+    kept_keys,
 )
 
 from .conftest import UID, build_tree_graph
@@ -109,6 +110,19 @@ class TestExtract:
         with pytest.raises(ExtractionConfigError):
             extract(tree_snapshot, config)
 
+    @pytest.mark.parametrize("field", ["whitelist", "blacklist"])
+    @pytest.mark.parametrize("classes", ["app.Items", b"app.Items", ""])
+    def test_a_string_class_list_is_refused(self, field, classes):
+        """``in`` on a string is a substring test: blacklist "app.Items" would exclude every app.Item."""
+        snapshot, *_ = build_large_snapshot()
+        config = ExtractionConfig(**{field: classes})
+        for call in (config.validate, config.key, lambda: extract(snapshot, config)):
+            with pytest.raises(ExtractionConfigError, match="collection of class names"):
+                call()
+        assert list(kept_keys(snapshot)) == []
+        listed = extract(snapshot, ExtractionConfig(**{field: frozenset({classes})}))
+        assert len(listed.node_ids_with_label("app.Item")) == (0 if field == "whitelist" else 1000)
+
     def test_unknown_root_rejected(self, tree_snapshot):
         with pytest.raises(UnknownRootError):
             extract(tree_snapshot, ExtractionConfig(root=404))
@@ -118,7 +132,7 @@ class TestExtract:
         snapshot, *_ = build_large_snapshot()  # holds an object with id 1
         with pytest.raises(ExtractionConfigError, match="root ids must be integers"):
             extract(snapshot, ExtractionConfig(root=root))
-        assert snapshot._numberings == {}
+        assert list(kept_keys(snapshot)) == []
 
     def test_force_collect_drops_garbage(self, tree_snapshot):
         extra = [HeapObject(200, "BinaryTree$Node", {"value": 9})]
