@@ -15,6 +15,8 @@ Matching semantics:
 * A closed walk of no upper bound, out or in (``(m)-[:f*]->(m)``), only
   steps inside its start's strongly connected component, found by Tarjan's
   algorithm: a cost cut only, since no pruned branch could return.
+* When such a walk opens a path and needs a hop (``*1..``), each start with
+  no step into its own component is dropped before it is bound: none closes.
 * Each node's ``neighbors`` list and strongly connected component are read
   from the graph's ``traversal_memo``, and entered there when missing, so
   they are kept across paths, rows and queries until a relationship write.
@@ -106,7 +108,7 @@ class _Absent:
 ABSENT = _Absent()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRef:
     id: int
 
@@ -114,6 +116,9 @@ class NodeRef:
 @dataclass(frozen=True)
 class RelRef:
     id: int
+
+
+_new_node_ref, _set_node_id = object.__new__, NodeRef.id.__set__  # NodeRef without the frozen __init__
 
 
 def cell_tag(value) -> tuple:
@@ -197,14 +202,17 @@ def _bind(graph: PropertyGraph, binding: dict, pattern: NodePattern, node_id: in
     pinned = var is not None and var in binding
     if pinned:
         bound = binding[var]
-        if not isinstance(bound, NodeRef) or bound.id != node_id:
+        if bound.__class__ is not NodeRef or bound.id != node_id:
             return None
-    if checked and not _node_matches(graph, node_id, pattern):
+    if checked and (
+        not _node_matches(graph, node_id, pattern) if pattern.properties else graph.node(node_id).label != pattern.label
+    ):
         return None
     if var is None or pinned:
         return binding
-    new = dict(binding)
-    new[var] = NodeRef(node_id)
+    new = binding.copy()
+    new[var] = ref = _new_node_ref(NodeRef)
+    _set_node_id(ref, node_id)
     return new
 
 
@@ -229,10 +237,10 @@ def _match_path(
     last node, which gives the same rows in another order when
     ``_reversible`` holds; ``starts`` are then the last node's candidates.
     An unbounded out or in segment that must end where it starts steps only
-    to nodes in its start's strongly connected component
-    (``strong_components``): a walk that leaves it never returns, so the
-    rows stay the same.  Steps and components are read from, and entered in,
-    the graph's ``traversal_memo``.
+    inside its start's strongly connected component (``strong_components``),
+    and as the first segment, with a hop needed, drops starts with no step
+    into theirs: neither could return, so the rows stay the same.  Steps and
+    components are read from, and entered in, the graph's ``traversal_memo``.
     """
     if reach_only and path.nodes[-1].var not in binding:
         return _match_reachable(graph, _reversed(path) if reverse else path, binding, starts)
@@ -251,11 +259,10 @@ def _match_path(
         lo, hi = rel.hops.bounds()
         types = frozenset(rel.types) if rel.types else None
         adjacency, comps = graph.traversal_memo(rel.direction, types)
+        steps = partial(_steps, graph, adjacency, rel.direction, types)
         # Only a segment that must end where it starts reads components.
         returns = hi is None and rel.direction != "both" and node.var is not None and node.var == path.nodes[seg].var
-        plan.append(
-            (rel, rel.hops.variable_length, lo, hi, node, checked, closes[seg], types, adjacency, comps if returns else None)
-        )
+        plan.append((rel, rel.hops.variable_length, lo, hi, node, checked, closes[seg], steps, comps if returns else None))
 
     results: list[dict] = []
     used: set[int] = set()
@@ -263,6 +270,17 @@ def _match_path(
     stack: list = []
     if starts is None:
         starts = _start_candidates(graph, first, binding)
+    if plan and plan[0][8] is not None and plan[0][2] >= 1:
+        # A start with no step into its own component has no closed walk.
+        steps, comps = plan[0][7:]
+        kept = []
+        for node_id in starts:
+            scc = _component(node_id, steps, comps)
+            for _, other in steps(node_id):
+                if comps[other.id] == scc:
+                    kept.append(node_id)
+                    break
+        starts = kept
     for node_id in reversed(starts):
         start_binding = _bind(graph, binding, first, node_id)
         if start_binding is not None:
@@ -278,8 +296,8 @@ def _match_path(
         if via is not None:
             used.add(via)
             stack.append(via)
-        rel_pattern, variable_length, lo, hi, target, checked, closes, types, adjacency, comps = plan[seg]
-        steps = _steps(graph, adjacency, rel_pattern.direction, types, node_id)
+        rel_pattern, variable_length, lo, hi, target, checked, closes, next_steps, comps = plan[seg]
+        steps = next_steps(node_id)
         ends = seg + 1 == last
         if not variable_length:
             found = []
@@ -304,12 +322,7 @@ def _match_path(
                 stack.extend(reversed(found))
             continue
         if hi is None or depth < hi:
-            scc = None
-            if comps is not None:
-                scc = comps.get(seg_start)
-                if scc is None:
-                    strong_components(seg_start, partial(_steps, graph, adjacency, rel_pattern.direction, types), comps)
-                    scc = comps[seg_start]
+            scc = None if comps is None else _component(seg_start, next_steps, comps)
             for rel, other in reversed(steps):
                 if rel.id not in used and (scc is None or comps[other.id] == scc):
                     stack.append((seg, seg_start, other.id, depth + 1, binding, rel.id))
@@ -336,6 +349,13 @@ def _steps(graph: PropertyGraph, adjacency: dict, direction: str, types, node_id
     if steps is None:
         steps = adjacency[node_id] = graph.neighbors(node_id, direction, types)
     return steps
+
+
+def _component(node_id: int, steps, comps: dict) -> int:
+    """``comps[node_id]``, entered first by ``strong_components`` when missing."""
+    if node_id not in comps:
+        strong_components(node_id, steps, comps)
+    return comps[node_id]
 
 
 def _reachable(graph: PropertyGraph, start: int, rel_pattern: RelPattern) -> list[int]:
@@ -639,8 +659,8 @@ def _match_clause(
     joins = set(absent)
     if probe:
         joins.update(probe[name] for name in absent if name in probe)
-    if rows and all(joins.isdisjoint(row) for row in rows):
-        # no variable joins the incoming rows: match once, cross-join
+    if rows and joins.isdisjoint(rows[0]):
+        # no variable joins the incoming rows (they all bind the same names): match once, cross-join
         base = _extensions(graph, clause.patterns, {}, reach_only, probe)
         if not base and clause.optional:
             base = [absent]

@@ -2,9 +2,11 @@
 
 A variable-length segment that must end where it starts, ``(m)-[:f*]->(m)``
 with no upper bound and direction out or in, only steps to neighbours in the
-start's strongly connected component.  That prunes branches that could never
-return, so the rows stay the same bag in the same order: checked against the
-brute-force oracle and against the matcher with every node in one component.
+start's strongly connected component, and, when it opens a path with a lower
+bound of at least one, drops each start with no step into its own component.
+That prunes branches and starts that could never return, so the rows stay the
+same bag in the same order: checked against the brute-force oracle and
+against the matcher with every node in one component.
 """
 
 from __future__ import annotations
@@ -145,6 +147,93 @@ class TestClosedWalks:
         assert calls == []
         execute(parsed("MATCH (m:N)-[:next*]->(m) RETURN count(m)"), chain)
         assert len(calls) == 1
+
+
+def _closable_graph(rng: random.Random) -> PropertyGraph:
+    """Self-loops, 2-cycles and acyclic branches: nodes on a cycle next to nodes on none."""
+    g = PropertyGraph()
+    ids = [g.add_node(rng.choice("AB"), {"$uid": 100 + i}) for i in range(rng.randint(2, 7))]
+    for i, start in enumerate(ids):
+        for end in ids[i + 1 :]:
+            if rng.random() < 0.3:  # forward only: acyclic on its own
+                g.add_relationship(rng.choice("fg"), start, end)
+        if rng.random() < 0.2:
+            g.add_relationship(rng.choice("fg"), start, start)
+        if rng.random() < 0.2 and i + 1 < len(ids):
+            other = rng.choice(ids[i + 1 :])
+            g.add_relationship(rng.choice("fg"), start, other)
+            g.add_relationship(rng.choice("fg"), other, start)
+    return g
+
+
+# Closed-walk probes: components are read for out and in with no upper
+# bound; ``*0..`` keeps every start, and the undirected probe reads none.
+PROBES = ["-[{}*1..]->", "-[{}*2..]->", "-[{}*0..]->", "<-[{}*1..]-", "<-[{}*2..]-", "-[{}*1..]-"]
+STARTS = {
+    "label": ("MATCH (a:B) {match} (m:A){seg}(m)", "a, m"),
+    "uid": ("MATCH (a:B) {match} (m {{`$uid`: {uid}}}){seg}(m)", "a, m"),
+    "bound": ("MATCH (m:A) {match} (m){seg}(m), (c:B)", "m, c"),  # c is absent when m has no walk
+}
+
+
+class TestStartPruning:
+    @pytest.mark.parametrize("optional", [False, True])
+    @pytest.mark.parametrize("start", sorted(STARTS))
+    def test_pruned_starts_keep_the_rows_and_their_order(self, monkeypatch, start, optional):
+        rng = random.Random(f"{start}-{optional}")
+        real = query_engine.strong_components
+        binds = count_calls(monkeypatch, "_bind")
+        pruned_binds = unpruned_binds = 0
+        for _ in range(120):
+            graph = _closable_graph(rng)
+            probe = rng.choice(PROBES).format(rng.choice(["", ":f", ":f|g"]))
+            fmt, names = STARTS[start]
+            match = fmt.format(match="OPTIONAL MATCH" if optional else "MATCH", seg=probe, uid=rng.randint(100, 106))
+            for ret in (names, "count(*)"):
+                text = f"{match} RETURN {ret}"
+                binds.clear()
+                pruned, _ = execute(parsed(text), graph)
+                pruned_binds += len(binds)
+                assert as_bag(pruned) == enumerate_rows(graph, parsed(text)), text
+                binds.clear()
+                monkeypatch.setattr(query_engine, "strong_components", _single_component(real))
+                unpruned, _ = execute(parsed(text), graph.copy())  # a copy keeps no component map
+                monkeypatch.setattr(query_engine, "strong_components", real)
+                unpruned_binds += len(binds)
+                assert pruned.rows == unpruned.rows, text
+        assert pruned_binds < unpruned_binds
+
+    def test_undirected_and_zero_hop_probes_drop_no_start(self, monkeypatch):
+        g = PropertyGraph()
+        a, b = g.add_node("A"), g.add_node("A")
+        g.add_relationship("f", a, b)
+        calls = count_calls(monkeypatch, "strong_components")
+        binds = count_calls(monkeypatch, "_bind")
+        table, _ = execute(parsed("MATCH (m:A)-[:f*1..]-(m) RETURN m"), g)
+        assert table.rows == [] and calls == []
+        assert {call[3] for call in binds if call[2].var == "m"} == {a, b}
+        table, _ = execute(parsed("MATCH (m:A)-[:f*0..]->(m) RETURN m"), g)
+        assert table.rows == [(NodeRef(a),), (NodeRef(b),)]
+        binds.clear()
+        table, _ = execute(parsed("MATCH (m:A)-[:f*1..]->(m) RETURN m"), g)
+        assert table.rows == [] and binds == []
+
+    def test_repok_binds_no_start_on_a_valid_tree(self, monkeypatch):
+        text = REPOK_QUERY.replace("{$1}", f"{{`$uid`: {UID['f']}}}")
+        binds = count_calls(monkeypatch, "_bind")
+        table, _ = execute(parsed(text), build_tree_graph())
+        assert table.rows == [(True,)]
+        assert [call for call in binds if call[2].var == "m"] == []
+
+    def test_repok_binds_only_the_cycle_on_a_cyclic_tree(self, monkeypatch):
+        g = build_tree_graph()
+        a, b, c = (next(g.nodes_with_uid(UID[name])).id for name in "abc")
+        g.add_relationship("left", a, c)  # c -> b -> a -> c
+        text = REPOK_QUERY.replace("{$1}", f"{{`$uid`: {UID['f']}}}")
+        binds = count_calls(monkeypatch, "_bind")
+        table, _ = execute(parsed(text), g)
+        assert table.rows == [(False,)]
+        assert {call[3] for call in binds if call[2].var == "m"} == {a, b, c}
 
 
 class TestAggregateLeaves:

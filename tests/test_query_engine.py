@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 
+import heapquery
+from heapquery import query_engine
 from heapquery.cypher_frontend import validate
-from heapquery.errors import ExecutionError, TypeMismatchError
+from heapquery.errors import ExecutionError, QueryValidationError, TypeMismatchError
 from heapquery.property_graph import PropertyGraph
 from heapquery.query_engine import (
     ABSENT,
     NodeRef,
+    RelRef,
     execute,
     execute_batch,
 )
@@ -367,3 +373,83 @@ class TestOracleEquivalence:
                 graph = extract(snapshot, ExtractionConfig(root=tree_id))
                 table, _ = execute(expanded(REPOK_QUERY, [tree_id]), graph)
                 assert table.rows == [(worklist_repok(snapshot, tree_id),)], (kind, snapshot)
+
+
+def _clause_sequence(rng: random.Random) -> str:
+    """Random MATCH, OPTIONAL MATCH, WHERE, CREATE and MERGE clauses, then a count."""
+    names = ["a"]
+    clauses = ["MATCH (a:A)"]
+    for i in range(rng.randint(1, 5)):
+        old, new = rng.choice(names), f"v{i}"
+        kinds = ["match", "optional", "create", "merge", "cross"]
+        if clauses[-1].startswith(("MATCH", "OPTIONAL")):
+            kinds.append("where")
+        kind = rng.choice(kinds)
+        if kind in ("match", "optional"):
+            word = "MATCH" if kind == "match" else "OPTIONAL MATCH"
+            rel = rng.choice(["[:f]", f"[r{i}:g]", "[:f*1..2]", "[*0..]"])
+            clauses.append(f"{word} ({old})-{rel}->({new}{rng.choice(['', ':B'])})")
+        elif kind == "cross":
+            clauses.append(f"{rng.choice(['MATCH', 'OPTIONAL MATCH'])} ({new}:B)-[:g*1..]->({new})")
+        elif kind == "where":
+            clauses.append(f"WHERE {old}.v = 1 OR {old}.v = 2")
+        elif kind == "create":
+            clauses.append(f"CREATE ({old})-[:h]->({new}:C)")
+        elif rng.random() < 0.5:
+            clauses.append(f"MERGE ({old})-[:f]->({rng.choice(names)})")
+        else:
+            clauses.append(f"MERGE ({new}:B {{v: 1}})-[:f]->({new}x:C)")
+        if kind != "where":
+            names.append(new)
+    return " ".join(clauses) + " RETURN count(*)"
+
+
+class TestRowVariables:
+    def test_rows_entering_a_clause_bind_the_same_names(self, monkeypatch):
+        """``_match_clause`` reads only the first incoming row to decide on a cross join."""
+        seen = []
+        for name in ("_match_clause", "_where_clause", "_create_clause", "_merge_clause", "_return_clause"):
+            original = getattr(query_engine, name)
+
+            def recorded(graph, clause, rows, *rest, original=original):
+                seen.append({frozenset(row) for row in rows})
+                return original(graph, clause, rows, *rest)
+
+            monkeypatch.setattr(query_engine, name, recorded)
+        rng = random.Random(31)
+        ran = 0
+        for _ in range(300):
+            text = _clause_sequence(rng)
+            try:
+                execute(expanded(text, []), random_graph(rng))
+            except (QueryValidationError, ExecutionError):
+                continue  # e.g. a write through a variable OPTIONAL MATCH left absent
+            ran += 1
+        assert ran > 200
+        assert all(len(names) <= 1 for names in seen)
+        assert sum(len(names) == 1 for names in seen) > 500
+
+
+class TestNodeRef:
+    def test_is_exported_and_frozen(self):
+        assert heapquery.NodeRef is NodeRef
+        ref = NodeRef(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ref.id = 2
+        assert ref.id == 1
+
+    def test_a_bound_node_equals_and_hashes_by_id(self, tree_graph):
+        ((bound,),) = execute(expanded("MATCH (n {$1}) RETURN n", [UID["a"]]), tree_graph)[0].rows
+        assert bound == NodeRef(bound.id) and hash(bound) == hash(NodeRef(bound.id))
+        assert bound != NodeRef(bound.id + 1)
+        assert {bound, NodeRef(bound.id)} == {bound}
+        assert NodeRef(1) != RelRef(1)
+        assert repr(bound) == f"NodeRef(id={bound.id})"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bound.id = 0
+        assert repr(NodeRef(1)) == "NodeRef(id=1)"
+
+    def test_copies_and_pickles(self):
+        ref = NodeRef(1)
+        for clone in (copy.copy(ref), copy.deepcopy(ref), pickle.loads(pickle.dumps(ref))):
+            assert clone == ref and hash(clone) == hash(ref) and clone.id == 1
