@@ -52,7 +52,7 @@ from .errors import (
 )
 from .property_graph import UID_KEY, PropertyGraph, collector_paused
 from .query_engine import ABSENT, NodeRef, RelRef, ResultTable, execute, execute_batch
-from .subgraph import ExtractionConfig, HeapObject, HeapSnapshot, extract, kept_keys, shared_graph
+from .subgraph import ExtractionConfig, HeapObject, HeapSnapshot, extract, shared_graph, with_root
 
 
 class ResultSet:
@@ -158,8 +158,9 @@ class QueryContext:
     ``extract``), not with the context.  ``cache_extractions`` fills the
     shared graph of each read.
 
-    Parsed templates, and the key of each root argument while the snapshot
-    keeps it, are kept per context (see the module docstring).
+    Parsed templates are kept per context (see the module docstring), and
+    so is the key of the defaults, computed at the first query's
+    ``extract`` stage; a query's key is that key with its root argument.
     """
 
     snapshot: HeapSnapshot
@@ -170,7 +171,7 @@ class QueryContext:
         if self.defaults.root is not None:  # each query passes its own, which would replace it
             raise ExtractionConfigError(f"a context's defaults take no root, got {self.defaults.root!r}")
         self.snapshot._ensure_valid()
-        self._roots: dict = {}  # root argument of plain ints -> (its ExtractionConfig, key())
+        self._key = None  # self.defaults.key(), once a query computed it
         self._templates: OrderedDict = OrderedDict()  # format string -> (its markers, {@k values: _Parsed})
 
     def _cached(self, fmt: str, args) -> tuple:
@@ -194,16 +195,11 @@ class QueryContext:
 
     def _graph(self, root, writes: bool) -> PropertyGraph:
         """A new extraction from ``root`` for a write, else the graph that reads from ``root`` share."""
-        arg = tuple(root) if isinstance(root, (list, tuple)) else (root,)
-        plain = root is None or all(i.__class__ is int for i in arg)  # True and 1.0 are dict keys equal to 1
-        found = self._roots.get(arg) if plain else None
-        if found is None:
-            config = replace(self.defaults, root=None if root is None else arg)  # later changes to a list stay out
-            found = config, config.key()
-            if plain:  # and the arguments of root sets the snapshot dropped go
-                self._roots = {a: f for a, f in self._roots.items() if f[1] in kept_keys(self.snapshot)}
-                self._roots[arg] = found
-        return extract(self.snapshot, found[0]) if writes else shared_graph(self.snapshot, *found, self.cache_extractions)
+        if writes:
+            return extract(self.snapshot, replace(self.defaults, root=root))
+        if self._key is None:
+            self._key = self.defaults.key()
+        return shared_graph(self.snapshot, with_root(self._key, root), self.cache_extractions)
 
 
 class _Stage:

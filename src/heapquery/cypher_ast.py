@@ -8,7 +8,9 @@ while ``a AND (b AND c)`` keeps its inner node and its parentheses.
 
 ``expression_text`` names a RETURN column that has no alias.  It produces
 text the parser accepts, and parsing it yields the identical expression; the
-tests print whole queries the same way to check that round trip.
+tests print whole queries the same way to check that round trip.  So the
+words the parser refuses as bare names are defined here, and
+``quote_ident`` puts each of them in backticks.
 """
 
 from __future__ import annotations
@@ -219,16 +221,23 @@ class Query:
 
 _PLAIN_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-_WORDS = frozenset(
-    w.upper()
-    for w in (
-        "create merge match optional where return distinct as and or not true false null count equals"
-    ).split()
+# openCypher keywords the parser recognizes but does not support.
+UNSUPPORTED_KEYWORDS = frozenset(
+    """
+    WITH UNWIND SET DELETE DETACH REMOVE ORDER SKIP LIMIT UNION CALL FOREACH
+    CASE EXISTS LOAD USING START YIELD XOR IN IS CONTAINS STARTS ENDS
+    """.split()
 )
+
+# The other words the parser refuses as a bare name, in any case.
+RESERVED_WORDS = frozenset("CREATE MERGE MATCH OPTIONAL WHERE RETURN AND OR NOT TRUE FALSE NULL DISTINCT AS".split())
+
+_QUOTED = RESERVED_WORDS | UNSUPPORTED_KEYWORDS | {"COUNT", "EQUALS"}
 
 
 def quote_ident(name: str) -> str:
-    if _PLAIN_IDENT.match(name) and name.upper() not in _WORDS:
+    """``name`` as the parser reads it back: bare when it can be, else in backticks."""
+    if _PLAIN_IDENT.match(name) and name.upper() not in _QUOTED:
         return name
     return "`" + name.replace("`", "``") + "`"
 

@@ -42,8 +42,10 @@ from .cypher_ast import (
     PropertyAccess,
     Query,
     RelPattern,
+    RESERVED_WORDS,
     ReturnClause,
     ReturnItem,
+    UNSUPPORTED_KEYWORDS,
     Variable,
     WhereClause,
     find_counts,
@@ -52,16 +54,6 @@ from .cypher_ast import (
 )
 from .errors import MAX_NESTING, ExpansionError, QuerySyntaxError, UnsupportedFeatureError, text_position
 from .property_graph import RESERVED_LABELS, UID_KEY
-
-# openCypher keywords we recognize but do not support.
-UNSUPPORTED_KEYWORDS = frozenset(
-    """
-    WITH UNWIND SET DELETE DETACH REMOVE ORDER SKIP LIMIT UNION CALL FOREACH
-    CASE EXISTS LOAD USING START YIELD XOR IN IS CONTAINS STARTS ENDS
-    """.split()
-)
-
-_CLAUSE_KEYWORDS = frozenset({"CREATE", "MERGE", "MATCH", "OPTIONAL", "WHERE", "RETURN"})
 
 # A quote that the string alternative cannot close (the text ends first, or
 # an escape is followed by a line break) is one ``bad`` token up to its
@@ -191,7 +183,7 @@ class _Parser:
             kw = tok.text.upper()
             if kw in UNSUPPORTED_KEYWORDS:
                 raise UnsupportedFeatureError(kw)
-            if kw in _CLAUSE_KEYWORDS or kw in ("AND", "OR", "NOT", "TRUE", "FALSE", "NULL", "DISTINCT", "AS"):
+            if kw in RESERVED_WORDS:
                 self.error(f"expected {what}, got keyword {tok.text!r}", tok)
             return tok.text
         self.error(f"expected {what}, got {tok.text or 'end of query'!r}", tok)

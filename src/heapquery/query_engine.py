@@ -46,6 +46,10 @@ Matching semantics:
   is ignored); on primitives it is type-sensitive value equality.
 * CREATE instantiates its pattern once per row; MERGE binds every match of
   its whole pattern, or atomically creates the whole pattern when absent.
+* An aggregating RETURN item is one ``eval_expression`` call on the last row
+  plus each of its counts' values (``_aggregate_row``).  Its counts, and its
+  reads outside them, which must be constant across rows, come first, in
+  preorder.  With no rows, a RETURN whose items read a row gives none.
 
 Row order is deterministic: candidates are enumerated by ascending node and
 relationship id in clause order (reachability by breadth-first search:
@@ -628,6 +632,8 @@ def eval_expression(binding: dict, expr, graph: PropertyGraph):
         _require_bool(value, "NOT")
         return not value
     if isinstance(expr, Count):
+        if expr in binding:  # an aggregating RETURN item's row (``_aggregate_row``)
+            return binding[expr]
         raise ExecutionError("count(...) outside RETURN")
     raise ExecutionError(f"cannot evaluate {expr!r}")
 
@@ -742,62 +748,60 @@ def _merge_clause(graph: PropertyGraph, clause: MergeClause, rows: list[dict]) -
 # --- RETURN projection -----------------------------------------------------------
 
 
-def _references_rows(expr) -> bool:
-    """True when the expression reads row variables outside of count(...)."""
-    return any(isinstance(node, (Variable, PropertyAccess)) for node in walk(expr, Count))
+def _count(count: Count, rows: list[dict], graph: PropertyGraph) -> int:
+    """The value of ``count`` over ``rows``."""
+    if count.expr is None:
+        return len(rows)
+    try:  # a variable is read from each row, unless a row lacks it
+        values = [row[count.expr.name] for row in rows] if isinstance(count.expr, Variable) else None
+    except KeyError:
+        values = None
+    if values is None:
+        values = [eval_expression(row, count.expr, graph) for row in rows]
+    values = [value for value in values if value is not ABSENT]
+    return len({cell_tag(v) for v in values}) if count.distinct else len(values)
 
 
-def _aggregated(expr, rows: list[dict], graph: PropertyGraph):
-    """``expr`` with each leaf that reads rows replaced by a Literal of its value over ``rows``.
+def _check_constant(leaf, rows: list[dict], graph: PropertyGraph) -> None:
+    """Raise unless the variable or property read ``leaf`` has one value across ``rows``."""
+    # The leaf's value depends only on the variable's value: one row per
+    # distinct bound object (by identity, first occurrence first) will do.
+    name = leaf.name if isinstance(leaf, Variable) else leaf.var
+    firsts: dict[int, dict] = {}
+    try:
+        for row in rows:
+            firsts.setdefault(id(row[name]), row)
+        sample = firsts.values()
+    except KeyError:
+        sample = rows
+    if len({cell_tag(eval_expression(row, leaf, graph)) for row in sample}) > 1:
+        raise ExecutionError(
+            f"{expression_text(leaf)} is not constant across rows; grouped aggregation is not supported"
+        )
 
-    An aggregating RETURN item is evaluated as ``eval_expression({}, _aggregated(...))``:
-    the ``count`` leaves, and the variables and properties outside them (which
-    must be constant across rows), are evaluated first, left to right; the
-    operators above them then run once.
+
+def _aggregate_row(expr, rows: list[dict], graph: PropertyGraph) -> dict:
+    """The last of ``rows`` (``{}`` with none) plus the value of each count in ``expr``, keyed by the count.
+
+    The leaves of ``expr`` are handled first, in preorder: a count is
+    computed, and a variable or property read outside a count checked.
     """
-    if isinstance(expr, Count):
-        if expr.expr is None:
-            return Literal(len(rows))
-        try:  # a variable is read from each row, unless a row lacks it
-            values = [row[expr.expr.name] for row in rows] if isinstance(expr.expr, Variable) else None
-        except KeyError:
-            values = None
-        if values is None:
-            values = [eval_expression(row, expr.expr, graph) for row in rows]
-        values = [value for value in values if value is not ABSENT]
-        return Literal(len({cell_tag(v) for v in values}) if expr.distinct else len(values))
-    if isinstance(expr, (Variable, PropertyAccess)):
-        # The leaf's value depends only on the variable's value: one row per
-        # distinct bound object (by identity, first occurrence first) will do.
-        name = expr.name if isinstance(expr, Variable) else expr.var
-        firsts: dict[int, dict] = {}
-        try:
-            for row in rows:
-                firsts.setdefault(id(row[name]), row)
-            sample = firsts.values()
-        except KeyError:
-            sample = rows
-        if len({cell_tag(eval_expression(row, expr, graph)) for row in sample}) > 1:
-            raise ExecutionError(
-                f"{expression_text(expr)} is not constant across rows; grouped aggregation is not supported"
-            )
-        return Literal(eval_expression(rows[-1], expr, graph) if rows else ABSENT)
-    if isinstance(expr, Not):
-        return Not(_aggregated(expr.operand, rows, graph))
-    if isinstance(expr, (And, Or)):
-        return type(expr)(tuple(_aggregated(operand, rows, graph) for operand in expr.operands))
-    if isinstance(expr, (Comparison, EqualsCall)):
-        return replace(expr, left=_aggregated(expr.left, rows, graph), right=_aggregated(expr.right, rows, graph))
-    return expr
+    row = {**rows[-1]} if rows else {}
+    for leaf in walk(expr, Count):
+        if isinstance(leaf, Count):
+            row[leaf] = _count(leaf, rows, graph)
+        elif isinstance(leaf, (Variable, PropertyAccess)):
+            _check_constant(leaf, rows, graph)
+    return row
 
 
 def _return_clause(graph: PropertyGraph, clause: ReturnClause, rows: list[dict]) -> ResultTable:
     columns = [item.alias or expression_text(item.expr) for item in clause.items]
-    aggregated = any(find_counts(item.expr) for item in clause.items)
-    if aggregated:
-        if not rows and any(_references_rows(item.expr) for item in clause.items):
+    if any(find_counts(item.expr) for item in clause.items):
+        reads = (Variable, PropertyAccess)  # outside a count: they need a row
+        if not rows and any(isinstance(leaf, reads) for item in clause.items for leaf in walk(item.expr, Count)):
             return ResultTable(columns, [])
-        row = tuple(eval_expression({}, _aggregated(item.expr, rows, graph), graph) for item in clause.items)
+        row = tuple(eval_expression(_aggregate_row(item.expr, rows, graph), item.expr, graph) for item in clause.items)
         table_rows = [row]
     else:
         table_rows = [

@@ -339,19 +339,10 @@ class ExtractionConfig:
     root: int | list | tuple | None = None
     force_collect: bool = False
 
-    def root_ids(self) -> list[int] | None:
-        if self.root is None:
-            return None
-        if isinstance(self.root, (list, tuple)):
-            return list(self.root)
-        return [self.root]
-
     def validate(self) -> "ExtractionConfig":
         if isinstance(self.whitelist, (str, bytes)) or isinstance(self.blacklist, (str, bytes)):  # ``in`` tests substrings
             raise ExtractionConfigError("whitelist and blacklist take a collection of class names, not a string")
-        for root in self.root_ids() or ():
-            if not _is_id(root):
-                raise ExtractionConfigError(f"root ids must be integers, got {root!r}")
+        with_root((), self.root)  # checks the root ids
         overlap = set(self.whitelist) & set(self.blacklist)
         if overlap:
             raise ExtractionConfigError(f"classes in both whitelist and blacklist: {sorted(overlap)}")
@@ -364,13 +355,21 @@ class ExtractionConfig:
         repetition of root ids do not matter.  Raises ExtractionConfigError
         for an invalid config.
         """
-        roots = self.validate().root_ids()
-        return (
-            None if roots is None else frozenset(roots),
-            frozenset(self.whitelist),
-            frozenset(self.blacklist),
-            bool(self.force_collect),
-        )
+        self.validate()
+        settings = (None, frozenset(self.whitelist), frozenset(self.blacklist), bool(self.force_collect))
+        return with_root(settings, self.root)
+
+
+def with_root(key: tuple, root) -> tuple:
+    """``key``, an ``ExtractionConfig.key()``, with the ids of ``root`` (as ``ExtractionConfig.root`` takes them);
+    raises ExtractionConfigError for a root id that is not an integer."""
+    if root is None:
+        return (None, *key[1:])
+    roots = root if isinstance(root, (list, tuple)) else (root,)
+    for object_id in roots:
+        if not _is_id(object_id):
+            raise ExtractionConfigError(f"root ids must be integers, got {object_id!r}")
+    return (frozenset(roots), *key[1:])
 
 
 class _ClassPlan(NamedTuple):
@@ -468,53 +467,50 @@ def extract(snapshot: HeapSnapshot, config: ExtractionConfig | None = None) -> "
     included objects, plus the one used last, which stays; the others are
     dropped least recently used first.
     """
-    config = config or ExtractionConfig()
-    key, kept = config.key(), snapshot._kept
-    kept[key] = entry = kept.pop(key, None) or _numbered(snapshot, config)  # the most recently used come last
-    return SnapshotGraph(entry[0])
+    return SnapshotGraph(_entry(snapshot, (config or ExtractionConfig()).key())[0])
 
 
-def shared_graph(snapshot: HeapSnapshot, config: ExtractionConfig, key: tuple, fill: bool = False) -> "SnapshotGraph":
-    """The graph that reads of ``config`` share, made on first use and kept with its numbering under
-    ``key`` (``config.key()``); ``fill`` fills it.  The query pipeline calls this with the collector paused."""
-    kept = snapshot._kept
-    kept[key] = entry = kept.pop(key, None) or _numbered(snapshot, config)
+def shared_graph(snapshot: HeapSnapshot, key: tuple, fill: bool = False) -> "SnapshotGraph":
+    """The graph that reads of ``key`` (an ``ExtractionConfig.key()``) share, made on first use and kept
+    with its numbering; ``fill`` fills it.  The query pipeline calls this with the collector paused."""
+    entry = _entry(snapshot, key)
     if entry[1] is None:
         entry[1] = SnapshotGraph(entry[0])
     return entry[1].fill() if fill and not entry[1]._filled else entry[1]
 
 
-def kept_keys(snapshot: HeapSnapshot):
-    """The keys ``snapshot`` keeps an entry for, as a live view."""
-    return snapshot._kept.keys()
+def _entry(snapshot: HeapSnapshot, key: tuple) -> list:
+    """The kept entry ``[numbering, shared graph or None]`` of ``key``, now the most recently used.
 
-
-def _numbered(snapshot: HeapSnapshot, config: ExtractionConfig) -> list:
-    """A new entry ``[numbering, shared graph or None]`` for ``config``, after dropping the least recently used."""
-    snapshot._ensure_valid()
-    entry = [_number(snapshot, _select(snapshot, config)), None]
+    A missing one is numbered, and the least recently used are dropped first.
+    """
     kept = snapshot._kept
-    held = sum(len(numbering.included) for numbering, _ in kept.values()) + len(entry[0].included)
-    while held > len(snapshot.objects) and len(kept) > 1:  # the last, used before this one, stays
-        held -= len(kept.pop(next(iter(kept)))[0].included)
+    entry = kept.pop(key, None)
+    if entry is None:
+        snapshot._ensure_valid()
+        entry = [_number(snapshot, _select(snapshot, key)), None]
+        held = sum(len(numbering.included) for numbering, _ in kept.values()) + len(entry[0].included)
+        while held > len(snapshot.objects) and len(kept) > 1:  # the last, used before this one, stays
+            held -= len(kept.pop(next(iter(kept)))[0].included)
+    kept[key] = entry  # the most recently used come last
     return entry
 
 
-def _select(snapshot: HeapSnapshot, config: ExtractionConfig) -> list[HeapObject]:
-    """The objects ``config`` includes, ascending by id."""
-    if config.force_collect:
+def _select(snapshot: HeapSnapshot, key: tuple) -> list[HeapObject]:
+    """The objects the extraction of ``key`` (an ``ExtractionConfig.key()``) includes, ascending by id."""
+    roots, whitelist, blacklist, force_collect = key
+    if force_collect:
         snapshot = collect(snapshot)
-    root_ids = config.root_ids()
-    if root_ids is not None:
-        candidates = follow_references(snapshot, root_ids)
-    elif config.whitelist:
+    if roots is not None:
+        candidates = follow_references(snapshot, roots)
+    elif whitelist:
         candidates = set()
     else:
         candidates = {obj.id for obj in snapshot.objects}
-    if config.whitelist:
-        seeds = [o.id for o in snapshot.objects if o.cls in config.whitelist]
+    if whitelist:
+        seeds = [o.id for o in snapshot.objects if o.cls in whitelist]
         candidates |= follow_references(snapshot, seeds)
-    return [obj for obj in map(snapshot.object, sorted(candidates)) if obj.cls not in config.blacklist]
+    return [obj for obj in map(snapshot.object, sorted(candidates)) if obj.cls not in blacklist]
 
 
 class _Numbering(NamedTuple):

@@ -7,8 +7,10 @@ relationships, the tree invariant by the classic worklist algorithm, map
 membership by an imperative bucket walk, field assignment by replaying
 a (node, field) -> target table, graph equality by backtracking isomorphism
 search, positional arguments by textual substitution (one query text per
-``[]`` element, each parsed on its own), and snapshot loading by decoding
-every value first and validating the built snapshot afterwards.
+``[]`` element, each parsed on its own), snapshot loading by decoding
+every value first and validating the built snapshot afterwards, and
+aggregating RETURN items by evaluating every leaf over all bindings and
+then the operators on the values, with their own type checks.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from heapquery.cypher_ast import (
     And,
@@ -34,7 +36,7 @@ from heapquery.cypher_ast import (
     Variable,
     WhereClause,
 )
-from heapquery.errors import ExpansionError, SnapshotSchemaError
+from heapquery.errors import ExecutionError, ExpansionError, SnapshotSchemaError, TypeMismatchError
 from heapquery.property_graph import (
     CLASS_LABEL,
     ELEMENT_LABEL,
@@ -124,9 +126,8 @@ def reference_extract(snapshot: HeapSnapshot, config: ExtractionConfig | None = 
         objects = [o for o in objects if o.id in live]
     by_id = {o.id: o for o in objects}
 
-    root_ids = config.root_ids()
-    if root_ids is not None:
-        candidates = reachable_from(snapshot, root_ids)
+    if config.root is not None:
+        candidates = reachable_from(snapshot, config.root if isinstance(config.root, (list, tuple)) else [config.root])
     elif config.whitelist:
         candidates = set()
     else:
@@ -375,6 +376,72 @@ def value_tag_like(value):
     return value_tag(value)
 
 
+def _cell(value) -> tuple:
+    return ("absent",) if value is None else value_tag_like(value)
+
+
+def _aggregate_leaves(expr) -> list:
+    """The counts of ``expr``, and its variable and property reads outside them, in preorder."""
+    if isinstance(expr, (Count, Variable, PropertyAccess)):
+        return [expr]
+    if isinstance(expr, (Comparison, EqualsCall)):
+        return _aggregate_leaves(expr.left) + _aggregate_leaves(expr.right)
+    if isinstance(expr, (And, Or)):
+        return [leaf for operand in expr.operands for leaf in _aggregate_leaves(operand)]
+    if isinstance(expr, Not):
+        return _aggregate_leaves(expr.operand)
+    return []
+
+
+def _aggregate_item(graph: PropertyGraph, bindings: list[dict], expr):
+    """The value of an aggregating RETURN item over ``bindings`` (None for absent).
+
+    Every count and every read outside a count is evaluated first, in
+    preorder.  A read must give one value over all bindings, else
+    ExecutionError.  The operators then run once on those values, with
+    three-valued logic; ordering anything but two numbers or two strings,
+    or a boolean operator on a non-boolean, raises TypeMismatchError.
+    """
+    values = {}
+    for leaf in _aggregate_leaves(expr):
+        if isinstance(leaf, Count) and leaf.expr is None:
+            values[id(leaf)] = len(bindings)
+        elif isinstance(leaf, Count):
+            cells = [_cell(v) for v in (_eval_simple(graph, b, leaf.expr) for b in bindings) if v is not None]
+            values[id(leaf)] = len(set(cells)) if leaf.distinct else len(cells)
+        else:
+            seen = {_cell(v): v for v in (_eval_simple(graph, b, leaf) for b in bindings)}
+            if len(seen) > 1:
+                raise ExecutionError(f"{leaf} is not constant over {len(bindings)} bindings")
+            values[id(leaf)] = next(iter(seen.values()), None)
+    return _operators(graph, expr, values)
+
+
+def _operators(graph: PropertyGraph, expr, values: dict):
+    """``expr`` with the leaf ``values`` (by leaf id), each operator checked for the types it takes."""
+    if id(expr) in values:
+        return values[id(expr)]
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, Not):
+        operands = [_operators(graph, expr.operand, values)]
+        expr = Not(Literal(operands[0]))
+    elif isinstance(expr, (And, Or)):
+        operands = [_operators(graph, operand, values) for operand in expr.operands]
+        expr = type(expr)(tuple(map(Literal, operands)))
+    else:
+        operands = [_operators(graph, expr.left, values), _operators(graph, expr.right, values)]
+        expr = replace(expr, left=Literal(operands[0]), right=Literal(operands[1]))
+    present = [v for v in operands if v is not None]
+    if isinstance(expr, (Not, And, Or)) and not all(isinstance(v, bool) for v in present):
+        raise TypeMismatchError(f"boolean operator on {present!r}")
+    if isinstance(expr, Comparison) and expr.op not in ("=", "<>") and len(present) == 2:
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in present)
+        if not numbers and not all(isinstance(v, str) for v in present):
+            raise TypeMismatchError(f"cannot order {present!r}")
+    return _eval_simple(graph, {}, expr)
+
+
 def enumerate_rows(graph: PropertyGraph, query: Query) -> Counter:
     """Expected row bag for a read-only MATCH/WHERE/RETURN query.
 
@@ -400,13 +467,12 @@ def enumerate_rows(graph: PropertyGraph, query: Query) -> Counter:
         elif isinstance(clause, WhereClause):
             bindings = [b for b in bindings if _eval_simple(graph, b, clause.expr) is True]
         elif isinstance(clause, ReturnClause):
-            if len(clause.items) == 1 and isinstance(clause.items[0].expr, Count) and clause.items[0].expr.expr is None:
-                return Counter({(("i", len(bindings)),): 1})
-            if len(clause.items) == 1 and isinstance(clause.items[0].expr, Count):
-                count = clause.items[0].expr
-                values = [_eval_simple(graph, b, count.expr) for b in bindings]
-                cells = [value_tag_like(v) for v in values if v is not None]
-                return Counter({(("i", len(set(cells)) if count.distinct else len(cells)),): 1})
+            leaves = [leaf for item in clause.items for leaf in _aggregate_leaves(item.expr)]
+            if any(isinstance(leaf, Count) for leaf in leaves):
+                if not bindings and leaves != [leaf for leaf in leaves if isinstance(leaf, Count)]:
+                    return Counter()  # an item reads a row, and there is none
+                row = tuple(_cell(_aggregate_item(graph, bindings, item.expr)) for item in clause.items)
+                return Counter({row: 1})
             rows = []
             for b in bindings:
                 cells = []

@@ -257,13 +257,13 @@ class TestAggregateLeaves:
         g.add_node("T", {"size": 1})
         calls = count_calls(monkeypatch, "eval_expression")
         with pytest.raises(error) as exc:
-            query_engine._aggregated(PropertyAccess("t", "size"), rows, g)
+            query_engine._check_constant(PropertyAccess("t", "size"), rows, g)
         assert str(exc.value) == message
         assert calls[-1][0] is rows[raising]
 
     def test_count_of_a_variable_missing_from_a_row(self):
         with pytest.raises(ExecutionError, match="unbound variable 'n'"):
-            query_engine._aggregated(query_engine.Count(Variable("n")), [{"n": NodeRef(0)}, {}], PropertyGraph())
+            query_engine._count(query_engine.Count(Variable("n")), [{"n": NodeRef(0)}, {}], PropertyGraph())
 
 
 class TestLabelLookups:

@@ -6,9 +6,33 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heapquery
 from heapquery import query_engine
+from heapquery.cypher_ast import (
+    And,
+    Comparison,
+    Count,
+    EqualsCall,
+    Hops,
+    HOPS_ONE,
+    Literal,
+    MatchClause,
+    NodePattern,
+    Not,
+    Or,
+    PathPattern,
+    PropertyAccess,
+    Query,
+    RelPattern,
+    ReturnClause,
+    ReturnItem,
+    Variable,
+    WhereClause,
+    find_counts,
+)
 from heapquery.cypher_frontend import validate
 from heapquery.errors import ExecutionError, QueryValidationError, TypeMismatchError
 from heapquery.property_graph import PropertyGraph
@@ -33,6 +57,7 @@ from .conftest import (
 )
 from .generators import build_hashmap_snapshot, build_tree_case, random_graph, random_query
 from .oracles import enumerate_rows, hashmap_contains, structurally_equal, worklist_repok
+from .strategies import graphs, node_labels, prop_keys, rel_labels
 
 
 def node_by_value(graph, value):
@@ -189,12 +214,65 @@ class TestAggregatingReturn:
             ("MATCH (n:A) RETURN count(n) AND true", TypeMismatchError, "AND needs a boolean, got 3"),
             ("MATCH (n:A) RETURN false OR count(n)", TypeMismatchError, "OR needs a boolean, got 3"),
             ("MATCH (n:A) RETURN count(n) < 'x'", TypeMismatchError, "cannot order 3 < 'x'"),
+            # Items run left to right, each with its leaves first: the first item's error wins.
+            ("MATCH (n:A), (t:A) RETURN count(n) < 'a', count(n) = t.p", TypeMismatchError, "cannot order 9 < 'a'"),
+            ("MATCH (n:A), (t:A) RETURN count(n) = t.p, count(n) < 'a'", ExecutionError, "t.p is not constant across rows; grouped aggregation is not supported"),
         ],
     )
     def test_errors(self, text, error, message):
         with pytest.raises(error) as exc:
             execute(expanded(text, []), self.graph())
         assert str(exc.value) == message
+
+
+_reads = st.one_of(st.sampled_from("tn").map(Variable), st.builds(PropertyAccess, st.sampled_from("tn"), prop_keys))
+_aggregate_leaves = st.one_of(
+    st.just(Count(None)),
+    st.builds(Count, _reads, st.booleans()),
+    _reads,
+    st.sampled_from([0, 1, 2, 0.5, "x", True]).map(Literal),
+)
+_aggregate_items = st.recursive(
+    _aggregate_leaves,
+    lambda inner: st.one_of(
+        st.builds(Comparison, st.sampled_from(["=", "<>", "<", ">="]), inner, inner),
+        st.builds(EqualsCall, inner, inner),
+        st.builds(Not, inner),
+        st.lists(inner, min_size=2, max_size=3).map(lambda operands: And(tuple(operands))),
+        st.lists(inner, min_size=2, max_size=3).map(lambda operands: Or(tuple(operands))),
+    ),
+    max_leaves=4,
+).filter(find_counts)
+
+
+@st.composite
+def aggregating_queries(draw):
+    """``MATCH (t) [OPTIONAL] MATCH (t)-[]-(n) [WHERE] RETURN`` items that each hold a count."""
+    t = NodePattern("t", draw(st.sampled_from([None, "A"])), draw(st.sampled_from([(), (), (("p", Literal(1)),)])))
+    n = NodePattern("n", draw(st.sampled_from([None, None, "A", "B"])))
+    hops = draw(st.sampled_from([HOPS_ONE, Hops("range", 0, 1)]))
+    rel = RelPattern(None, draw(st.sampled_from([(), ("f",)])), draw(st.sampled_from(["out", "in", "both"])), hops)
+    clauses = [MatchClause((PathPattern((t,)),)), MatchClause((PathPattern((NodePattern("t"), n), (rel,)),), draw(st.booleans()))]
+    if draw(st.integers(0, 3)) == 0:
+        clauses.insert(2, WhereClause(Comparison(draw(st.sampled_from(["=", "<>"])), PropertyAccess("n", "p"), Literal(1))))
+    items = draw(st.lists(_aggregate_items, min_size=1, max_size=2))
+    return Query((*clauses, ReturnClause(tuple(ReturnItem(item) for item in items))))
+
+
+class TestAggregatingOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(max_nodes=6, max_edges=8), aggregating_queries())
+    def test_tables_and_error_classes_match_bruteforce(self, graph, query):
+        assert validate(query) == []
+        try:
+            expected = enumerate_rows(graph, query)
+        except ExecutionError as error:
+            with pytest.raises(ExecutionError) as raised:
+                execute(query, graph)
+            assert type(raised.value) is type(error)
+            return
+        table, _ = execute(query, graph)
+        assert as_bag(table) == expected
 
 
 class TestExecute:

@@ -30,7 +30,6 @@ from heapquery.subgraph import (
     collect,
     extract,
     follow_references,
-    kept_keys,
 )
 
 from .conftest import CONTAINS_KEY_QUERY, REACHABLE_QUERY, REPOK_QUERY, TWO_HOP_QUERY, UID, expanded_queries
@@ -222,15 +221,14 @@ def test_repeated_extractions_share_the_numbering_and_not_the_graph():
 
         # The second and third graph with the key see none of those writes,
         # and share no property map with the written graphs.
-        roots = config.root_ids()
-        reordered = replace(config, root=None if roots is None else roots[::-1])
+        reordered = replace(config, root=config.root[::-1] if isinstance(config.root, list) else config.root)
         for again in (extract(snapshot, config), extract(snapshot, reordered)):
             for label in labels:
                 assert [n.id for n in again.nodes_with_label(label)] == [n.id for n in expected.nodes_with_label(label)]
             _assert_same_graph(again, expected)
             for rel in again.relationships():
                 assert rel.properties is not written.relationship(rel.id).properties
-        assert len(kept_keys(snapshot)) == 1
+        assert len(snapshot._kept.keys()) == 1
 
 
 def test_list_properties_are_not_shared():
@@ -262,9 +260,9 @@ def test_unknown_root_leaves_no_numbering():
         for _ in range(2):
             with pytest.raises(UnknownRootError):
                 extract(snapshot, ExtractionConfig(root=root))
-        assert list(kept_keys(snapshot)) == []
+        assert list(snapshot._kept.keys()) == []
     extract(snapshot, ExtractionConfig(root=[1, 1]))
-    assert list(kept_keys(snapshot)) == [ExtractionConfig(root=1).key()]
+    assert list(snapshot._kept.keys()) == [ExtractionConfig(root=1).key()]
 
 
 def test_kept_numberings_hold_at_most_the_snapshot_objects():
@@ -274,19 +272,19 @@ def test_kept_numberings_hold_at_most_the_snapshot_objects():
     used_last = None
     for step, root in enumerate((41, 31, 41, 21, 46, 1, 46, 1, 11)):
         graph = extract(snapshot, ExtractionConfig(root=root))
-        held = sum(map(reached, kept_keys(snapshot)))
+        held = sum(map(reached, snapshot._kept.keys()))
         assert held <= len(snapshot.objects) + (0 if used_last is None else reached(used_last))
-        assert list(kept_keys(snapshot))[-1] == ExtractionConfig(root=root).key()
+        assert list(snapshot._kept.keys())[-1] == ExtractionConfig(root=root).key()
         if used_last is not None:
-            assert used_last in kept_keys(snapshot)  # the one used before a new one is never dropped
+            assert used_last in snapshot._kept.keys()  # the one used before a new one is never dropped
         assert [n.properties["$uid"] for n in graph.nodes_with_label("c.Cell")] == list(range(root, 51))
         used_last = ExtractionConfig(root=root).key()
         if step == 4:
             # 10 + 20 + 30 objects did not fit: 31 was used least recently, and was dropped
-            assert [key[0] for key in kept_keys(snapshot)] == [{41}, {21}, {46}]
+            assert [key[0] for key in snapshot._kept.keys()] == [{41}, {21}, {46}]
     # 1 reaches all 50: the others go, but 46, used just before it, stays; then
     # 46 and 1 take turns without numbering again, and 11 drops 46, used before 1
-    assert [key[0] for key in kept_keys(snapshot)] == [{1}, {11}]
+    assert [key[0] for key in snapshot._kept.keys()] == [{1}, {11}]
 
 
 def test_repeated_root_does_not_follow_references_again(monkeypatch):

@@ -21,7 +21,6 @@ from heapquery.subgraph import (
     collect,
     extract,
     follow_references,
-    kept_keys,
 )
 
 from .conftest import UID, build_tree_graph
@@ -119,7 +118,7 @@ class TestExtract:
         for call in (config.validate, config.key, lambda: extract(snapshot, config)):
             with pytest.raises(ExtractionConfigError, match="collection of class names"):
                 call()
-        assert list(kept_keys(snapshot)) == []
+        assert list(snapshot._kept.keys()) == []
         listed = extract(snapshot, ExtractionConfig(**{field: frozenset({classes})}))
         assert len(listed.node_ids_with_label("app.Item")) == (0 if field == "whitelist" else 1000)
 
@@ -132,7 +131,7 @@ class TestExtract:
         snapshot, *_ = build_large_snapshot()  # holds an object with id 1
         with pytest.raises(ExtractionConfigError, match="root ids must be integers"):
             extract(snapshot, ExtractionConfig(root=root))
-        assert list(kept_keys(snapshot)) == []
+        assert list(snapshot._kept.keys()) == []
 
     def test_force_collect_drops_garbage(self, tree_snapshot):
         extra = [HeapObject(200, "BinaryTree$Node", {"value": 9})]
