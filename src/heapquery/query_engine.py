@@ -47,9 +47,10 @@ Matching semantics:
 * CREATE instantiates its pattern once per row; MERGE binds every match of
   its whole pattern, or atomically creates the whole pattern when absent.
 * An aggregating RETURN item is one ``eval_expression`` call on the last row
-  plus each of its counts' values (``_aggregate_row``).  Its counts, and its
-  reads outside them, which must be constant across rows, come first, in
-  preorder.  With no rows, a RETURN whose items read a row gives none.
+  plus its counts' values, each keyed by the id of its ``Count`` node (an
+  int, never a variable name; ``_aggregate_row``).  Its counts, and its reads
+  outside them, which must be constant across rows, come first, in preorder.
+  With no rows, a RETURN whose items read a row gives none.
 
 Row order is deterministic: candidates are enumerated by ascending node and
 relationship id in clause order (reachability by breadth-first search:
@@ -632,8 +633,8 @@ def eval_expression(binding: dict, expr, graph: PropertyGraph):
         _require_bool(value, "NOT")
         return not value
     if isinstance(expr, Count):
-        if expr in binding:  # an aggregating RETURN item's row (``_aggregate_row``)
-            return binding[expr]
+        if id(expr) in binding:  # an aggregating RETURN item's row (``_aggregate_row``)
+            return binding[id(expr)]
         raise ExecutionError("count(...) outside RETURN")
     raise ExecutionError(f"cannot evaluate {expr!r}")
 
@@ -781,7 +782,7 @@ def _check_constant(leaf, rows: list[dict], graph: PropertyGraph) -> None:
 
 
 def _aggregate_row(expr, rows: list[dict], graph: PropertyGraph) -> dict:
-    """The last of ``rows`` (``{}`` with none) plus the value of each count in ``expr``, keyed by the count.
+    """The last of ``rows`` (``{}`` with none) plus the value of each count in ``expr``, keyed by its id.
 
     The leaves of ``expr`` are handled first, in preorder: a count is
     computed, and a variable or property read outside a count checked.
@@ -789,7 +790,7 @@ def _aggregate_row(expr, rows: list[dict], graph: PropertyGraph) -> dict:
     row = {**rows[-1]} if rows else {}
     for leaf in walk(expr, Count):
         if isinstance(leaf, Count):
-            row[leaf] = _count(leaf, rows, graph)
+            row[id(leaf)] = _count(leaf, rows, graph)
         elif isinstance(leaf, (Variable, PropertyAccess)):
             _check_constant(leaf, rows, graph)
     return row
