@@ -57,7 +57,7 @@ from .conftest import (
 )
 from .generators import build_hashmap_snapshot, build_tree_case, random_graph, random_query
 from .oracles import enumerate_rows, hashmap_contains, structurally_equal, worklist_repok
-from .strategies import graphs, node_labels, prop_keys, rel_labels
+from .strategies import graphs, prop_keys
 
 
 def node_by_value(graph, value):
@@ -254,7 +254,7 @@ def aggregating_queries(draw):
     rel = RelPattern(None, draw(st.sampled_from([(), ("f",)])), draw(st.sampled_from(["out", "in", "both"])), hops)
     clauses = [MatchClause((PathPattern((t,)),)), MatchClause((PathPattern((NodePattern("t"), n), (rel,)),), draw(st.booleans()))]
     if draw(st.integers(0, 3)) == 0:
-        clauses.insert(2, WhereClause(Comparison(draw(st.sampled_from(["=", "<>"])), PropertyAccess("n", "p"), Literal(1))))
+        clauses.append(WhereClause(Comparison(draw(st.sampled_from(["=", "<>"])), PropertyAccess("n", "p"), Literal(1))))
     items = draw(st.lists(_aggregate_items, min_size=1, max_size=2))
     return Query((*clauses, ReturnClause(tuple(ReturnItem(item) for item in items))))
 
