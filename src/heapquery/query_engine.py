@@ -26,7 +26,16 @@ Matching semantics:
   into a fresh target variable, followed only by ``RETURN DISTINCT ...`` or
   a RETURN whose every count is ``count(DISTINCT ...)``.  Its rows are the
   distinct rows of the enumeration, ordered by start id, then target id.
-  Everything else, ``count(n)`` included, enumerates paths.
+* A query of one non-optional MATCH of one path and a RETURN whose only
+  reads of the rows are ``count(m)``, ``count(DISTINCT m)`` or ``count(*)``,
+  ``m`` being the path's last node, builds no row (``_counted``): the MATCH
+  gives each target's multiplicity instead (``_multiplicities``).  A lone
+  node's candidates count once each.  One unbounded out or in segment (no
+  relationship variable, lower bound 0 or 1, a target that is not the start
+  and has no integer ``$uid``) counts its walks by a dynamic program in
+  topological order, when no step of the region it reaches stays inside a
+  strongly connected component: there every walk is a trail.  A region with
+  a cycle enumerates paths, and so does everything else.
 * A start node pattern with an integer ``$uid`` or a label is looked up in
   the graph's ``$uid`` or label index, so it costs O(matches), not O(nodes);
   a label alone builds no node.
@@ -62,6 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 from .cypher_ast import (
     And,
@@ -83,7 +93,6 @@ from .cypher_ast import (
     Variable,
     WhereClause,
     expression_text,
-    find_counts,
     pattern_variables,
     walk,
 )
@@ -409,7 +418,70 @@ def _match_reachable(graph: PropertyGraph, path: PathPattern, binding: dict, sta
     return rows
 
 
-def _reach_only(clause, later: tuple) -> bool:
+def _multiplicities(graph: PropertyGraph, path: PathPattern) -> dict[int, int] | None:
+    """Target id -> the number of rows ``path`` matches with that target, for a path ``_counted`` accepts.
+
+    A lone node's candidates count once each.  A segment counts its walks
+    from every start at once; None when the region they reach has a cycle.
+    """
+    starts = _start_candidates(graph, path.nodes[0], {})
+    if not path.rels:
+        return dict.fromkeys(starts, 1)
+    rel, target = path.rels[0], path.nodes[-1]
+    walks = _walk_counts(graph, starts, rel)
+    if walks is None:
+        return None
+    if rel.hops.bounds()[0]:  # no empty walk
+        for start in starts:
+            walks[start] -= 1
+    checked = target.label is not None or bool(target.properties)
+    return {node_id: n for node_id, n in walks.items() if n and (not checked or _node_matches(graph, node_id, target))}
+
+
+def _walk_counts(graph: PropertyGraph, starts: list[int], rel: RelPattern) -> dict[int, int] | None:
+    """Node id -> the number of walks along ``rel``'s steps from ``starts`` to it, a start's empty walk included.
+
+    None when a step of the region the starts reach stays inside one
+    strongly connected component.  Without one, the region has no cycle and
+    no self-loop, so every walk is a trail, and a dynamic program in
+    topological order (Kahn's) counts them: O(nodes + relationships reached)
+    for all starts together.  Steps and components come from the graph's
+    ``traversal_memo``, as in ``_match_path``.
+    """
+    types = frozenset(rel.types) if rel.types else None
+    adjacency, comps = graph.traversal_memo(rel.direction, types)
+    steps = partial(_steps, graph, adjacency, rel.direction, types)
+    for start in starts:
+        _component(start, steps, comps)
+    waiting = dict.fromkeys(starts, 0)  # reached node -> its incoming steps not yet counted
+    reached = list(starts)
+    for node_id in reached:  # grows as it goes: breadth first
+        scc = comps[node_id]
+        out = adjacency.get(node_id)  # ``steps`` without its call, when kept
+        for _, other in steps(node_id) if out is None else out:
+            nxt = other.id
+            if comps[nxt] == scc:
+                return None
+            if nxt in waiting:
+                waiting[nxt] += 1
+            else:
+                waiting[nxt] = 1
+                reached.append(nxt)
+    walks = dict.fromkeys(starts, 1)
+    ready = [node_id for node_id in starts if not waiting[node_id]]
+    while ready:
+        node_id = ready.pop()
+        n = walks[node_id]
+        for _, other in adjacency[node_id]:
+            nxt = other.id
+            walks[nxt] = walks.get(nxt, 0) + n
+            waiting[nxt] -= 1
+            if not waiting[nxt]:
+                ready.append(nxt)
+    return walks
+
+
+def _reach_only(clause, later: tuple, items: _Items | None) -> bool:
     """True when the MATCH clause may use set-semantics reachability.
 
     That is when matching by reachability gives the same result as the path
@@ -434,10 +506,37 @@ def _reach_only(clause, later: tuple) -> bool:
         return False
     if len(later) != 1 or not isinstance(later[0], ReturnClause):
         return False
-    counts = [count for item in later[0].items for count in find_counts(item.expr)]
-    if counts:
-        return all(count.distinct for count in counts)
+    if items.counts:
+        return all(count.distinct for count in items.counts)
     return later[0].distinct
+
+
+def _counted(clauses: tuple, items: _Items | None) -> bool:
+    """True when ``_multiplicities`` of the first clause's path may answer the query.
+
+    The shape is the module docstring's.  A target with an integer ``$uid``
+    is left to the planner, which matches the path from it; a segment whose
+    counts are all DISTINCT, to ``_reach_only``'s search.
+    """
+    if items is None or items.reads or not items.counts or len(clauses) != 2:
+        return False
+    clause = clauses[0]
+    if not isinstance(clause, MatchClause) or clause.optional or len(clause.patterns) != 1:
+        return False
+    path = clause.patterns[0]
+    target = path.nodes[-1]
+    for count in items.counts:
+        if count.expr is not None and not (isinstance(count.expr, Variable) and count.expr.name == target.var):
+            return False
+    if not path.rels:
+        return True
+    if len(path.rels) != 1 or all(count.distinct for count in items.counts):
+        return False
+    rel = path.rels[0]
+    lo, hi = rel.hops.bounds()
+    if hi is not None or lo > 1 or rel.var is not None or rel.direction == "both":
+        return False
+    return (target.var is None or target.var != path.nodes[0].var) and _uid_literal(target) is None
 
 
 def _extensions(
@@ -464,7 +563,7 @@ def _extensions(
 _FLIPPED = {"out": "in", "in": "out", "both": "both"}
 
 
-def _planned(query: Query) -> tuple[tuple, dict | None]:
+def _planned(query: Query, items: _Items | None) -> tuple[tuple, dict | None]:
     """The clauses to run, and the equality probe when the planner applies.
 
     The planner applies to a query of non-optional MATCH clauses, then at
@@ -477,7 +576,7 @@ def _planned(query: Query) -> tuple[tuple, dict | None]:
     """
     *body, last = query.clauses or (None,)
     where = body.pop() if body and isinstance(body[-1], WhereClause) else None
-    if not (isinstance(last, ReturnClause) and any(find_counts(item.expr) for item in last.items)):
+    if items is None or not items.counts:
         return query.clauses, None
     if not body or not all(isinstance(clause, MatchClause) and not clause.optional for clause in body):
         return query.clauses, None
@@ -781,28 +880,54 @@ def _check_constant(leaf, rows: list[dict], graph: PropertyGraph) -> None:
         )
 
 
-def _aggregate_row(expr, rows: list[dict], graph: PropertyGraph) -> dict:
-    """The last of ``rows`` (``{}`` with none) plus the value of each count in ``expr``, keyed by its id.
+class _Items(NamedTuple):
+    """What a RETURN's items read, found in one walk of each item (``_summary``)."""
 
-    The leaves of ``expr`` are handled first, in preorder: a count is
-    computed, and a variable or property read outside a count checked.
+    leaves: tuple  # per item: its counts, and its variable and property reads outside them, in preorder
+    counts: tuple  # the counts of every item, in order
+    reads: bool  # whether an item reads a row outside a count
+
+
+def _summary(clause: ReturnClause) -> _Items:
+    leaves = tuple(
+        tuple(leaf for leaf in walk(item.expr, Count) if isinstance(leaf, (Count, Variable, PropertyAccess)))
+        for item in clause.items
+    )
+    counts = tuple(leaf for item in leaves for leaf in item if leaf.__class__ is Count)
+    return _Items(leaves, counts, len(counts) < sum(map(len, leaves)))
+
+
+def _aggregate_row(leaves: tuple, rows: list[dict], graph: PropertyGraph, multiplicities: dict | None) -> dict:
+    """The last of ``rows`` (``{}`` with none) plus the value of each count in ``leaves``, keyed by its id.
+
+    ``leaves`` are an item's ``_Items.leaves``, handled in preorder: a count
+    is computed, and a variable or property read outside a count checked.
+    With ``multiplicities`` (see ``_multiplicities``) a count reads them, not
+    the rows: their sum for ``count(target)`` and ``count(*)``, their number
+    for ``count(DISTINCT target)``.
     """
     row = {**rows[-1]} if rows else {}
-    for leaf in walk(expr, Count):
-        if isinstance(leaf, Count):
-            row[id(leaf)] = _count(leaf, rows, graph)
-        elif isinstance(leaf, (Variable, PropertyAccess)):
+    for leaf in leaves:
+        if leaf.__class__ is not Count:
             _check_constant(leaf, rows, graph)
+        elif multiplicities is None:
+            row[id(leaf)] = _count(leaf, rows, graph)
+        else:
+            row[id(leaf)] = len(multiplicities) if leaf.distinct else sum(multiplicities.values())
     return row
 
 
-def _return_clause(graph: PropertyGraph, clause: ReturnClause, rows: list[dict]) -> ResultTable:
+def _return_clause(
+    graph: PropertyGraph, clause: ReturnClause, rows: list[dict], items: _Items, multiplicities: dict | None = None
+) -> ResultTable:
     columns = [item.alias or expression_text(item.expr) for item in clause.items]
-    if any(find_counts(item.expr) for item in clause.items):
-        reads = (Variable, PropertyAccess)  # outside a count: they need a row
-        if not rows and any(isinstance(leaf, reads) for item in clause.items for leaf in walk(item.expr, Count)):
+    if items.counts:
+        if not rows and items.reads:  # an item needs a row
             return ResultTable(columns, [])
-        row = tuple(eval_expression(_aggregate_row(item.expr, rows, graph), item.expr, graph) for item in clause.items)
+        row = tuple(
+            eval_expression(_aggregate_row(leaves, rows, graph, multiplicities), item.expr, graph)
+            for item, leaves in zip(clause.items, items.leaves)
+        )
         table_rows = [row]
     else:
         table_rows = [
@@ -831,19 +956,25 @@ def execute(query: Query, graph: PropertyGraph) -> tuple[ResultTable, PropertyGr
     the graph first.
     """
     rows: list[dict] = [{}]
+    multiplicities = None  # a counted MATCH's (``_counted``), which then builds no row
     table: ResultTable | None = None
-    clauses, probe = _planned(query)
+    last = query.clauses[-1] if query.clauses else None
+    items = _summary(last) if isinstance(last, ReturnClause) else None
+    clauses, probe = _planned(query, items)
     for i, clause in enumerate(clauses):
         if isinstance(clause, CreateClause):
             rows = _create_clause(graph, clause, rows)
         elif isinstance(clause, MergeClause):
             rows = _merge_clause(graph, clause, rows)
         elif isinstance(clause, MatchClause):
-            rows = _match_clause(graph, clause, rows, _reach_only(clause, clauses[i + 1 :]), probe)
+            if _counted(clauses, items):
+                multiplicities = _multiplicities(graph, clause.patterns[0])
+            if multiplicities is None:  # a cycle falls back to enumeration
+                rows = _match_clause(graph, clause, rows, _reach_only(clause, clauses[i + 1 :], items), probe)
         elif isinstance(clause, WhereClause):
             rows = _where_clause(graph, clause, rows)
         elif isinstance(clause, ReturnClause):
-            table = _return_clause(graph, clause, rows)
+            table = _return_clause(graph, clause, rows, items if clause is last else _summary(clause), multiplicities)
         else:
             raise ExecutionError(f"cannot execute clause {clause!r}")
     if table is None:

@@ -26,19 +26,23 @@ from heapquery.subgraph import ClassInfo, FieldDecl, HeapObject, HeapSnapshot, R
 # --- random graphs + queries for the matching oracle -------------------------------
 
 
-def random_graph(rng: random.Random, max_nodes: int = 8, max_edges: int = 12) -> PropertyGraph:
+_STRING_VALUES = [1, 2, 3, "a", "b"]
+
+
+def random_graph(rng: random.Random, max_nodes: int = 8, max_edges: int = 12, strings: bool = False) -> PropertyGraph:
     """Random labeled multigraph within the stated size bounds.
 
     Pair multiplicity is capped (2 parallel edges, 1 self-loop) because the
     bag of relationship-distinct walks grows factorially on edge clumps,
-    which no enumerator could check in time.
+    which no enumerator could check in time.  With ``strings`` a node's
+    ``v`` may be a string.
     """
     g = PropertyGraph()
     ids = []
     for _ in range(rng.randint(2, max_nodes)):
         props = {}
         if rng.random() < 0.7:
-            props["v"] = rng.randint(1, 3)
+            props["v"] = rng.choice(_STRING_VALUES) if strings else rng.randint(1, 3)
         ids.append(g.add_node(rng.choice("AB"), props))
     pair_count: dict[tuple[int, int], int] = {}
     for _ in range(rng.randint(0, max_edges)):
@@ -61,7 +65,13 @@ _HOP_CHOICES = [
 ]
 
 
-def random_query(rng: random.Random) -> Query:
+def random_query(rng: random.Random, strings: bool = False) -> Query:
+    """A random MATCH of one or two segments, maybe a WHERE on ``v``, and a RETURN of its node variables.
+
+    With ``strings`` the WHERE is always there and orders ``v`` against a
+    literal that may be a string, or against another ``v`` (see
+    ``random_graph``), so some rows raise TypeMismatchError.
+    """
     n_segments = rng.choice([1, 1, 2])
     var_names = ["n", "m", "o"]
 
@@ -86,11 +96,11 @@ def random_query(rng: random.Random) -> Query:
     clauses: list = [MatchClause((PathPattern(tuple(nodes), rels),))]
 
     named_vars = [p.var for p in nodes if p.var]
-    if rng.random() < 0.3 and named_vars:
+    if (strings or rng.random() < 0.3) and named_vars:
         left = PropertyAccess(rng.choice(named_vars), "v")
-        op = rng.choice(["=", "<>", "<", "<=", ">", ">="])
+        op = rng.choice(["<", "<=", ">", ">="] if strings else ["=", "<>", "<", "<=", ">", ">="])
         if rng.random() < 0.5:
-            right = Literal(rng.randint(1, 3))
+            right = Literal(rng.choice(_STRING_VALUES) if strings else rng.randint(1, 3))
         else:
             right = PropertyAccess(rng.choice(named_vars), "v")
         clauses.append(WhereClause(Comparison(op, left, right)))

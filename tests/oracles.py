@@ -311,7 +311,11 @@ def _match_path_bruteforce(graph: PropertyGraph, path, binding: dict) -> list[di
 
 
 def _eval_simple(graph: PropertyGraph, binding: dict, expr):
-    """Tiny independent expression evaluator (three-valued)."""
+    """Tiny independent expression evaluator (three-valued).
+
+    Ordering anything but two numbers or two strings raises
+    TypeMismatchError, as in the engine.
+    """
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, Variable):
@@ -335,6 +339,9 @@ def _eval_simple(graph: PropertyGraph, binding: dict, expr):
             return value_tag_like(left) == value_tag_like(right)
         if expr.op == "<>":
             return value_tag_like(left) != value_tag_like(right)
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (left, right))
+        if not numbers and not (isinstance(left, str) and isinstance(right, str)):
+            raise TypeMismatchError(f"cannot order {left!r} {expr.op} {right!r}")
         table = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b, ">": lambda a, b: a > b, ">=": lambda a, b: a >= b}
         return table[expr.op](left, right)
     if isinstance(expr, EqualsCall):
@@ -435,11 +442,7 @@ def _operators(graph: PropertyGraph, expr, values: dict):
     present = [v for v in operands if v is not None]
     if isinstance(expr, (Not, And, Or)) and not all(isinstance(v, bool) for v in present):
         raise TypeMismatchError(f"boolean operator on {present!r}")
-    if isinstance(expr, Comparison) and expr.op not in ("=", "<>") and len(present) == 2:
-        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in present)
-        if not numbers and not all(isinstance(v, str) for v in present):
-            raise TypeMismatchError(f"cannot order {present!r}")
-    return _eval_simple(graph, {}, expr)
+    return _eval_simple(graph, {}, expr)  # which checks what an ordering compares
 
 
 def enumerate_rows(graph: PropertyGraph, query: Query) -> Counter:

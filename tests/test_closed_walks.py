@@ -124,7 +124,7 @@ class TestClosedWalks:
         table, _ = execute(parsed("MATCH (m:A {`$uid`: 7})<-[:next*0..]-(m) RETURN count(m)"), g)
         assert table.rows == [(2,)]
 
-    def test_components_run_for_repok_only(self, monkeypatch, tree_graph):
+    def test_components_run_for_closed_walks_and_counted_segments(self, monkeypatch, tree_graph):
         calls = count_calls(monkeypatch, "strong_components")
         table, _ = execute(parsed(REPOK_QUERY.replace("{$1}", f"{{`$uid`: {UID['f']}}}")), tree_graph)
         assert table.rows == [(True,)]
@@ -138,15 +138,23 @@ class TestClosedWalks:
         calls.clear()
         for text in [
             "MATCH (n {`$uid`: 0})-[:a|b*]->(m) RETURN DISTINCT m",  # the DAG query
-            "MATCH (n {`$uid`: 0})-[:next*]->(m) RETURN count(m)",  # the list query
+            "MATCH (n {`$uid`: 0})-[:a|b*]->(m) RETURN count(DISTINCT m)",  # DISTINCT only: the search
+            "MATCH (n {`$uid`: 0})-[:next*1..3]->(m) RETURN count(m)",  # bounded
+            "MATCH (n {`$uid`: 0})-[:next*2]->(m) RETURN count(m)",  # fixed length
             "MATCH (m:N)-[:next*1..3]->(m) RETURN count(m)",
             "MATCH (m:N)-[:next*]-(m) RETURN count(m)",
-            "MATCH (m:N)-[:next*]->(n) RETURN count(m)",
+            "MATCH (m:N)-[:next*]->(n) RETURN count(m)",  # counts the start, not the target
         ]:
             execute(parsed(text), chain)
         assert calls == []
-        execute(parsed("MATCH (m:N)-[:next*]->(m) RETURN count(m)"), chain)
+        execute(parsed("MATCH (m:N)-[:next*]->(m) RETURN count(m)"), chain)  # a closed walk
         assert len(calls) == 1
+        for types in [":a", ":next"]:  # a counted segment; the cycle falls back to enumeration
+            calls.clear()
+            text = f"MATCH (n {{`$uid`: 0}})-[{types}*]->(m) RETURN count(m)"
+            table, _ = execute(parsed(text), chain.copy())  # a copy keeps no component map
+            assert table.rows == [(19,)] and as_bag(table) == enumerate_rows(chain, parsed(text))
+            assert len(calls) == 1
 
 
 def _closable_graph(rng: random.Random) -> PropertyGraph:

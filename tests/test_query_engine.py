@@ -424,6 +424,25 @@ class TestOracleEquivalence:
             table, _ = execute(query, graph)
             assert as_bag(table) == enumerate_rows(graph, query)
 
+    def test_random_mixed_type_orderings_match_bruteforce(self):
+        rng = random.Random(2026)
+        outcomes = set()
+        for _ in range(150):
+            graph = random_graph(rng, strings=True)
+            query = random_query(rng, strings=True)
+            assert validate(query) == []
+            try:
+                expected = enumerate_rows(graph, query)
+            except TypeMismatchError:
+                with pytest.raises(TypeMismatchError):
+                    execute(query, graph)
+                outcomes.add("raised")
+                continue
+            table, _ = execute(query, graph)
+            assert as_bag(table) == expected
+            outcomes.add("rows")
+        assert outcomes == {"raised", "rows"}
+
     def test_read_only_queries_never_mutate(self):
         rng = random.Random(4)
         for _ in range(40):
