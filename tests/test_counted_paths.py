@@ -78,20 +78,19 @@ def random_segment(rng: random.Random) -> str:
     return f"{left}[{rng.choice(['', ':f', ':f|g'])}{rng.choice(['*', '*0..', '*1..'])}]{right}"
 
 
-def diamond(depth: int) -> tuple[PropertyGraph, int, int]:
+def diamond(depth: int) -> PropertyGraph:
     """Levels that each split over ``a`` and ``b`` and join again; ``$uid`` 0 on the top node.
 
-    Returns the graph and the ids of its top and bottom nodes.  From the top,
-    ``-[:a|b*]->`` has 4 * (2 ** depth - 1) paths.
+    From the top, ``-[:a|b*]->`` has 4 * (2 ** depth - 1) paths.
     """
     g = PropertyGraph()
-    top = bottom = g.add_node("D", {"$uid": 0})
+    bottom = g.add_node("D", {"$uid": 0})
     for _ in range(depth):
         left, right, join = g.add_node("D"), g.add_node("D"), g.add_node("D")
         for start, end, label in [(bottom, left, "a"), (bottom, right, "b"), (left, join, "a"), (right, join, "b")]:
             g.add_relationship(label, start, end)
         bottom = join
-    return g, top, bottom
+    return g
 
 
 class TestAgainstOracle:
@@ -208,7 +207,7 @@ class TestReturnItems:
         ],
     )
     def test_each_item_is_walked_once_per_execute(self, monkeypatch, text, items):
-        g, _, _ = diamond(2)
+        g = diamond(2)
         query = parsed(text)
         walks = []
         original = cypher_ast.walk
@@ -265,14 +264,14 @@ class TestShapes:
         ],
     )
     def test_other_shapes_enumerate(self, monkeypatch, text):
-        g, _, _ = diamond(3)
+        g = diamond(3)
         walks = count_calls(monkeypatch, "_walk_counts")
         table, _ = execute(parsed(text), g)
         assert as_bag(table) == enumerate_rows(g, parsed(text))
         assert walks == []
 
     def test_depth_30_diamond(self, monkeypatch):
-        g, top, bottom = diamond(30)
+        g = diamond(30)
         binds = count_calls(monkeypatch, "_bind")
         started = time.perf_counter()
         table, _ = execute(parsed("MATCH (n {`$uid`: 0})-[:a|b*]->(m) RETURN count(m)"), g)

@@ -283,18 +283,17 @@ class TestWhereItRuns:
         assert reversals == []
 
     def test_planned_clauses(self):
+        def planned(query):
+            return query_engine._planned(query, query_engine._summary(query.clauses[-1]))
+
         query = parsed(CONTAINS_KEY_QUERY, 1, 2)
-        clauses, probe = query_engine._planned(query, query_engine._summary(query.clauses[-1]))
+        clauses, probe = planned(query)
         assert clauses == (query.clauses[1], query.clauses[0], *query.clauses[2:])
         assert probe == {"k": "p", "p": "k"}
         named_before = parsed("MATCH (a)-[:f]->(p) MATCH (p {`$uid`: 2}) RETURN count(*)")
-        assert query_engine._planned(named_before, query_engine._summary(named_before.clauses[-1])) == (
-            named_before.clauses,
-            {},
-        )
+        assert planned(named_before) == (named_before.clauses, {})
         not_aggregating = parsed("MATCH (a)-[:f]->(b) MATCH (p {`$uid`: 2}) WHERE equals(b, p) RETURN b")
-        items = query_engine._summary(not_aggregating.clauses[-1])
-        assert query_engine._planned(not_aggregating, items) == (not_aggregating.clauses, None)
+        assert planned(not_aggregating) == (not_aggregating.clauses, None)
 
 
 class TestEqualityIndex:
