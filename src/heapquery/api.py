@@ -51,7 +51,7 @@ from .errors import (
     UnknownColumnError,
 )
 from .property_graph import UID_KEY, PropertyGraph, collector_paused
-from .query_engine import ABSENT, NodeRef, RelRef, ResultTable, execute, execute_batch
+from .query_engine import ABSENT, NodeRef, RelRef, ResultTable, _columns, execute, execute_batch
 from .subgraph import ExtractionConfig, HeapObject, HeapSnapshot, extract, shared_graph, with_root
 
 
@@ -253,8 +253,10 @@ def _run_pipeline(ctx: QueryContext, root, fmt: str, args, timings: dict | None 
         queries = bind(parsed.query, parsed.sites, arguments)
         if arguments.batch is None:
             table, graph = execute(queries[0], graph)
-        else:
+        elif queries:
             table, graph = execute_batch(queries, graph)
+        else:  # an empty batch: no rows, under the template's columns
+            table = ResultTable(_columns(parsed.query.clauses[-1]), [])
     return ResultSet(table, graph, parsed.warnings)
 
 

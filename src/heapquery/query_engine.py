@@ -20,22 +20,26 @@ Matching semantics:
 * Each node's ``neighbors`` list and strongly connected component are read
   from the graph's ``traversal_memo``, and entered there when missing, so
   they are kept across paths, rows and queries until a relationship write.
-* Reachability consumed only as a set is a breadth-first search instead of
-  path enumeration.  That holds for a single non-optional MATCH of one
-  variable-length segment (no relationship variable, lower bound 0 or 1)
-  into a fresh target variable, followed only by ``RETURN DISTINCT ...`` or
-  a RETURN whose every count is ``count(DISTINCT ...)``.  Its rows are the
-  distinct rows of the enumeration, ordered by start id, then target id.
-* A query of one non-optional MATCH of one path and a RETURN whose only
-  reads of the rows are ``count(m)``, ``count(DISTINCT m)`` or ``count(*)``,
-  ``m`` being the path's last node, builds no row (``_counted``): the MATCH
-  gives each target's multiplicity instead (``_multiplicities``).  A lone
-  node's candidates count once each.  One unbounded out or in segment (no
-  relationship variable, lower bound 0 or 1, a target that is not the start
-  and has no integer ``$uid``) counts its walks by a dynamic program in
-  topological order, when no step of the region it reaches stays inside a
-  strongly connected component: there every walk is a trail.  A region with
-  a cycle enumerates paths, and so does everything else.
+* ``_shortcut`` answers "reach", "count" or None once for each MATCH clause.
+* "reach": reachability consumed only as a set is a breadth-first search
+  instead of path enumeration.  That holds for a single non-optional MATCH
+  of one variable-length segment (no relationship variable, lower bound 0
+  or 1) into a fresh target variable, followed only by ``RETURN DISTINCT
+  ...`` or a RETURN whose every count is ``count(DISTINCT ...)``.  Its rows
+  are the distinct rows of the enumeration, ordered by start id, then
+  target id.
+* "count": a query of one non-optional MATCH of one path and a RETURN whose
+  only reads of the rows are ``count(m)``, ``count(DISTINCT m)``,
+  ``count(n)`` or ``count(*)``, ``m`` being the path's last node and ``n``
+  its start, builds no row: the MATCH gives each target's multiplicity
+  instead (``_multiplicities``), whose sum ``count(n)`` is, as every row
+  binds the start.  A lone node's candidates count once each.  One
+  unbounded out or in segment (no relationship variable, lower bound 0 or
+  1, a target that is not the start and has no integer ``$uid``) counts its
+  walks by a dynamic program in topological order, when no step of the
+  region it reaches stays inside a strongly connected component: there
+  every walk is a trail.  A region with a cycle enumerates paths, and so
+  does everything else.
 * A start node pattern with an integer ``$uid`` or a label is looked up in
   the graph's ``$uid`` or label index, so it costs O(matches), not O(nodes);
   a label alone builds no node.
@@ -44,8 +48,9 @@ Matching semantics:
   by ``$uid`` run first; a WHERE that is exactly ``equals(x, y)``, with ``y``
   bound, gives ``x`` its candidates from the graph's equality index; and a
   path whose last node is anchored (bound, ``$uid``, or such candidates) is
-  matched backwards (``_match_planned``).  The rows are the same bag; only
-  their order changes, which the count hides.  Matching backwards fills a ``SnapshotGraph``.
+  matched backwards, else from its first node's anchor (``_extensions``).
+  The rows are the same bag; only their order changes, which the count
+  hides.  Matching backwards fills a ``SnapshotGraph``.
 * OPTIONAL MATCH yields one row with the clause's new variables absent when
   nothing matches.
 * Comparisons and boolean operators use three-valued logic; WHERE keeps a
@@ -231,12 +236,7 @@ def _bind(graph: PropertyGraph, binding: dict, pattern: NodePattern, node_id: in
 
 
 def _match_path(
-    graph: PropertyGraph,
-    path: PathPattern,
-    binding: dict,
-    reach_only: bool = False,
-    starts: list[int] | None = None,
-    reverse: bool = False,
+    graph: PropertyGraph, path: PathPattern, binding: dict, starts: list[int] | None = None, reverse: bool = False
 ) -> list[dict]:
     """All extensions of ``binding`` along ``path``, depth first by ascending id.
 
@@ -244,20 +244,17 @@ def _match_path(
     Python's recursion depth.  The stack holds search states and, below the
     states entered through a relationship, that relationship's id (an int):
     popping the id releases it for reuse, as returning from a recursive call
-    would.  ``reach_only`` (see ``_reach_only``) switches a fresh target to
-    set-semantics reachability.  ``starts`` are the ids the match starts
-    from, ascending and already checked against the start node's pattern
-    (default: ``_start_candidates``).  ``reverse`` matches the path from its
-    last node, which gives the same rows in another order when
-    ``_reversible`` holds; ``starts`` are then the last node's candidates.
+    would.  ``starts`` are the ids the match starts from, ascending and
+    already checked against the start node's pattern (default:
+    ``_start_candidates``).  ``reverse`` matches the path from its last
+    node, which gives the same rows in another order when ``_reversible``
+    holds; ``starts`` are then the last node's candidates.
     An unbounded out or in segment that must end where it starts steps only
     inside its start's strongly connected component (``strong_components``),
     and as the first segment, with a hop needed, drops starts with no step
     into theirs: neither could return, so the rows stay the same.  Steps and
     components are read from, and entered in, the graph's ``traversal_memo``.
     """
-    if reach_only and path.nodes[-1].var not in binding:
-        return _match_reachable(graph, _reversed(path) if reverse else path, binding, starts)
     # Whether a closed walk counts in each segment; None: when the target is bound.
     closes = [None] * len(path.rels)
     if reverse:
@@ -271,9 +268,7 @@ def _match_path(
         node = path.nodes[seg + 1]
         checked = node.label is not None or bool(node.properties)
         lo, hi = rel.hops.bounds()
-        types = frozenset(rel.types) if rel.types else None
-        adjacency, comps = graph.traversal_memo(rel.direction, types)
-        steps = partial(_steps, graph, adjacency, rel.direction, types)
+        _, comps, steps = _traversal(graph, rel)
         # Only a segment that must end where it starts reads components.
         returns = hi is None and rel.direction != "both" and node.var is not None and node.var == path.nodes[seg].var
         plan.append((rel, rel.hops.variable_length, lo, hi, node, checked, closes[seg], steps, comps if returns else None))
@@ -353,6 +348,13 @@ def _match_path(
     return results
 
 
+def _traversal(graph: PropertyGraph, rel: RelPattern) -> tuple:
+    """``rel``'s kept adjacency and component map (``PropertyGraph.traversal_memo``), and ``_steps`` on them."""
+    types = frozenset(rel.types) if rel.types else None
+    adjacency, comps = graph.traversal_memo(rel.direction, types)
+    return adjacency, comps, partial(_steps, graph, adjacency, rel.direction, types)
+
+
 def _steps(graph: PropertyGraph, adjacency: dict, direction: str, types, node_id: int) -> list:
     """``graph.neighbors(node_id, direction, types)``, read from or entered in ``adjacency``.
 
@@ -382,9 +384,7 @@ def _reachable(graph: PropertyGraph, start: int, rel_pattern: RelPattern) -> lis
     counts only at zero hops, i.e. when ``lo`` is 0.
     """
     lo, hi = rel_pattern.hops.bounds()
-    direction = rel_pattern.direction
-    types = frozenset(rel_pattern.types) if rel_pattern.types else None
-    adjacency = graph.traversal_memo(direction, types)[0]
+    steps = _traversal(graph, rel_pattern)[2]
     seen = {start}
     frontier = [start]
     depth = 0
@@ -392,7 +392,7 @@ def _reachable(graph: PropertyGraph, start: int, rel_pattern: RelPattern) -> lis
         depth += 1
         reached = []
         for node_id in frontier:
-            for _, other in _steps(graph, adjacency, direction, types, node_id):
+            for _, other in steps(node_id):
                 if other.id not in seen:
                     seen.add(other.id)
                     reached.append(other.id)
@@ -419,7 +419,7 @@ def _match_reachable(graph: PropertyGraph, path: PathPattern, binding: dict, sta
 
 
 def _multiplicities(graph: PropertyGraph, path: PathPattern) -> dict[int, int] | None:
-    """Target id -> the number of rows ``path`` matches with that target, for a path ``_counted`` accepts.
+    """Target id -> the number of rows ``path`` matches with that target, for a "count" ``_shortcut``.
 
     A lone node's candidates count once each.  A segment counts its walks
     from every start at once; None when the region they reach has a cycle.
@@ -448,9 +448,7 @@ def _walk_counts(graph: PropertyGraph, starts: list[int], rel: RelPattern) -> di
     for all starts together.  Steps and components come from the graph's
     ``traversal_memo``, as in ``_match_path``.
     """
-    types = frozenset(rel.types) if rel.types else None
-    adjacency, comps = graph.traversal_memo(rel.direction, types)
-    steps = partial(_steps, graph, adjacency, rel.direction, types)
+    adjacency, comps, steps = _traversal(graph, rel)
     for start in starts:
         _component(start, steps, comps)
     waiting = dict.fromkeys(starts, 0)  # reached node -> its incoming steps not yet counted
@@ -481,78 +479,65 @@ def _walk_counts(graph: PropertyGraph, starts: list[int], rel: RelPattern) -> di
     return walks
 
 
-def _reach_only(clause, later: tuple, items: _Items | None) -> bool:
-    """True when the MATCH clause may use set-semantics reachability.
+def _shortcut(clauses: tuple, i: int, items: _Items | None) -> str | None:
+    """How the MATCH ``clauses[i]`` may skip building a row per path: "count", "reach" or None.
 
-    That is when matching by reachability gives the same result as the path
-    bag: the clause is one non-optional MATCH of a single variable-length
-    segment with no relationship variable, at most one lower hop and a named
-    target that is not the start; and the only clause after it is a RETURN
-    that is DISTINCT without aggregation, or whose every count is
-    ``count(DISTINCT ...)``.  Rows then differ from enumeration only in
-    multiplicity and order (ascending start, then target id).  The target
-    must also be unbound when matching (checked in ``_match_path``).
+    The shapes are the module docstring's.  Both need a non-optional MATCH
+    of one path, followed only by the RETURN, and "count" the first clause.
+    A "reach" target must also be unbound when matched (``_extensions``);
+    a "count" target with an integer ``$uid`` is left to the planner, which
+    matches the path from it.
     """
-    if not isinstance(clause, MatchClause) or clause.optional or len(clause.patterns) != 1:
-        return False
+    clause = clauses[i]
+    if items is None or i + 2 != len(clauses) or clause.optional or len(clause.patterns) != 1:
+        return None
     path = clause.patterns[0]
-    if len(path.rels) != 1:
-        return False
-    rel = path.rels[0]
-    first, target = path.nodes
-    if not rel.hops.variable_length or rel.var is not None or rel.hops.bounds()[0] > 1:
-        return False
-    if target.var is None or target.var == first.var:
-        return False
-    if len(later) != 1 or not isinstance(later[0], ReturnClause):
-        return False
-    if items.counts:
-        return all(count.distinct for count in items.counts)
-    return later[0].distinct
-
-
-def _counted(clauses: tuple, items: _Items | None) -> bool:
-    """True when ``_multiplicities`` of the first clause's path may answer the query.
-
-    The shape is the module docstring's.  A target with an integer ``$uid``
-    is left to the planner, which matches the path from it; a segment whose
-    counts are all DISTINCT, to ``_reach_only``'s search.
-    """
-    if items is None or items.reads or not items.counts or len(clauses) != 2:
-        return False
-    clause = clauses[0]
-    if not isinstance(clause, MatchClause) or clause.optional or len(clause.patterns) != 1:
-        return False
-    path = clause.patterns[0]
-    target = path.nodes[-1]
-    for count in items.counts:
-        if count.expr is not None and not (isinstance(count.expr, Variable) and count.expr.name == target.var):
-            return False
+    start, target = path.nodes[0].var, path.nodes[-1].var
+    counted = i == 0 and bool(items.counts) and not items.reads
+    for count in items.counts if counted else ():
+        names = (target,) if count.distinct else (target, start)
+        counted &= count.expr is None or isinstance(count.expr, Variable) and count.expr.name in names
     if not path.rels:
-        return True
-    if len(path.rels) != 1 or all(count.distinct for count in items.counts):
-        return False
+        return "count" if counted else None
     rel = path.rels[0]
     lo, hi = rel.hops.bounds()
-    if hi is not None or lo > 1 or rel.var is not None or rel.direction == "both":
-        return False
-    return (target.var is None or target.var != path.nodes[0].var) and _uid_literal(target) is None
+    if len(path.rels) != 1 or not rel.hops.variable_length or rel.var is not None or lo > 1:
+        return None
+    if target is not None and target == start:
+        return None
+    distinct = all(count.distinct for count in items.counts) if items.counts else clauses[-1].distinct
+    if counted and not distinct and hi is None and rel.direction != "both" and _uid_literal(path.nodes[-1]) is None:
+        return "count"
+    return "reach" if target is not None and distinct else None
 
 
 def _extensions(
-    graph: PropertyGraph, patterns, seed: dict, reach_only: bool = False, probe: dict | None = None
+    graph: PropertyGraph, patterns, seed: dict, reach: bool = False, probe: dict | None = None
 ) -> list[dict]:
     """All extensions of ``seed`` satisfying every pattern, left to right.
 
-    With a ``probe`` (see ``_planned``) each path is matched from its
-    selective end, and the rows come in no defined order.
+    With a ``probe`` (see ``_planned``) a path is matched backwards from its
+    last node when ``_reversible`` holds and that node is anchored
+    (``_anchor``), else forward from its first node's anchor, if any; the
+    rows then come in no defined order.  With ``reach`` (a "reach"
+    ``_shortcut``) a path into an unbound target is ``_match_reachable``'s.
     """
     acc = [seed]
     for path in patterns:
-        if probe is None:
-            acc = [match for binding in acc for match in _match_path(graph, path, binding, reach_only)]
-        else:
-            acc = [match for binding in acc for match in _match_planned(graph, path, binding, reach_only, probe)]
+        out = []
+        for binding in acc:
+            starts, reverse = None, False
+            if probe is not None:
+                if path.rels and _reversible(path, binding):
+                    starts = _anchor(graph, path.nodes[-1], binding, probe)
+                    reverse = starts is not None
+                if not reverse:
+                    starts = _anchor(graph, path.nodes[0], binding, probe)
+            if reach and path.nodes[-1].var not in binding:
+                out += _match_reachable(graph, _reversed(path) if reverse else path, binding, starts)
+            else:
+                out += _match_path(graph, path, binding, starts, reverse)
+        acc = out
         if not acc:
             break
     return acc
@@ -596,15 +581,6 @@ def _planned(query: Query, items: _Items | None) -> tuple[tuple, dict | None]:
             probe = {side.name: other.name for side, other in zip(sides, reversed(sides))}
         rest.append(where)
     return (*pinned, *rest, last), probe
-
-
-def _match_planned(graph: PropertyGraph, path: PathPattern, binding: dict, reach_only: bool, probe: dict) -> list[dict]:
-    """``_match_path``, from the last node of ``path`` when ``_reversible`` holds and that end is anchored."""
-    if path.rels and _reversible(path, binding):
-        ends = _anchor(graph, path.nodes[-1], binding, probe)
-        if ends is not None:
-            return _match_path(graph, path, binding, reach_only, ends, reverse=True)
-    return _match_path(graph, path, binding, reach_only, _anchor(graph, path.nodes[0], binding, probe))
 
 
 def _anchor(graph: PropertyGraph, pattern: NodePattern, binding: dict, probe: dict) -> list[int] | None:
@@ -759,7 +735,7 @@ def _kleene(word: str, dominant: bool, left, right):
 
 
 def _match_clause(
-    graph: PropertyGraph, clause: MatchClause, rows: list[dict], reach_only: bool, probe: dict | None = None
+    graph: PropertyGraph, clause: MatchClause, rows: list[dict], reach: bool, probe: dict | None = None
 ) -> list[dict]:
     absent = dict.fromkeys(pattern_variables(clause.patterns), ABSENT)
     joins = set(absent)
@@ -767,13 +743,13 @@ def _match_clause(
         joins.update(probe[name] for name in absent if name in probe)
     if rows and joins.isdisjoint(rows[0]):
         # no variable joins the incoming rows (they all bind the same names): match once, cross-join
-        base = _extensions(graph, clause.patterns, {}, reach_only, probe)
+        base = _extensions(graph, clause.patterns, {}, reach, probe)
         if not base and clause.optional:
             base = [absent]
         return [{**row, **extension} for row in rows for extension in base]
     out: list[dict] = []
     for row in rows:
-        matched = _extensions(graph, clause.patterns, row, reach_only, probe)
+        matched = _extensions(graph, clause.patterns, row, reach, probe)
         if matched:
             out.extend(matched)
         elif clause.optional:
@@ -917,10 +893,14 @@ def _aggregate_row(leaves: tuple, rows: list[dict], graph: PropertyGraph, multip
     return row
 
 
+def _columns(clause: ReturnClause) -> list[str]:
+    return [item.alias or expression_text(item.expr) for item in clause.items]
+
+
 def _return_clause(
     graph: PropertyGraph, clause: ReturnClause, rows: list[dict], items: _Items, multiplicities: dict | None = None
 ) -> ResultTable:
-    columns = [item.alias or expression_text(item.expr) for item in clause.items]
+    columns = _columns(clause)
     if items.counts:
         if not rows and items.reads:  # an item needs a row
             return ResultTable(columns, [])
@@ -956,7 +936,7 @@ def execute(query: Query, graph: PropertyGraph) -> tuple[ResultTable, PropertyGr
     the graph first.
     """
     rows: list[dict] = [{}]
-    multiplicities = None  # a counted MATCH's (``_counted``), which then builds no row
+    multiplicities = None  # a "count" shortcut's (``_shortcut``), whose MATCH then builds no row
     table: ResultTable | None = None
     last = query.clauses[-1] if query.clauses else None
     items = _summary(last) if isinstance(last, ReturnClause) else None
@@ -967,10 +947,11 @@ def execute(query: Query, graph: PropertyGraph) -> tuple[ResultTable, PropertyGr
         elif isinstance(clause, MergeClause):
             rows = _merge_clause(graph, clause, rows)
         elif isinstance(clause, MatchClause):
-            if _counted(clauses, items):
+            shortcut = _shortcut(clauses, i, items)
+            if shortcut == "count":
                 multiplicities = _multiplicities(graph, clause.patterns[0])
             if multiplicities is None:  # a cycle falls back to enumeration
-                rows = _match_clause(graph, clause, rows, _reach_only(clause, clauses[i + 1 :], items), probe)
+                rows = _match_clause(graph, clause, rows, shortcut == "reach", probe)
         elif isinstance(clause, WhereClause):
             rows = _where_clause(graph, clause, rows)
         elif isinstance(clause, ReturnClause):

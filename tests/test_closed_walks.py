@@ -143,15 +143,16 @@ class TestClosedWalks:
             "MATCH (n {`$uid`: 0})-[:next*2]->(m) RETURN count(m)",  # fixed length
             "MATCH (m:N)-[:next*1..3]->(m) RETURN count(m)",
             "MATCH (m:N)-[:next*]-(m) RETURN count(m)",
-            "MATCH (m:N)-[:next*]->(n) RETURN count(m)",  # counts the start, not the target
+            "MATCH (m:N)-[:next*]->(n) RETURN count(DISTINCT m)",  # distinct starts: the search
         ]:
             execute(parsed(text), chain)
         assert calls == []
         execute(parsed("MATCH (m:N)-[:next*]->(m) RETURN count(m)"), chain)  # a closed walk
         assert len(calls) == 1
-        for types in [":a", ":next"]:  # a counted segment; the cycle falls back to enumeration
+        # a counted segment, by its target or its start; the cycle falls back to enumeration
+        for types, counted in [(":a", "m"), (":next", "m"), (":a", "n"), (":next", "n")]:
             calls.clear()
-            text = f"MATCH (n {{`$uid`: 0}})-[{types}*]->(m) RETURN count(m)"
+            text = f"MATCH (n {{`$uid`: 0}})-[{types}*]->(m) RETURN count({counted})"
             table, _ = execute(parsed(text), chain.copy())  # a copy keeps no component map
             assert table.rows == [(19,)] and as_bag(table) == enumerate_rows(chain, parsed(text))
             assert len(calls) == 1

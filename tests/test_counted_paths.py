@@ -152,6 +152,56 @@ class TestAgainstOracle:
         assert execute(parsed(text), g)[0].rows == [(13, 4)]
 
 
+class TestStartCounts:
+    """``count(n)`` of the start is the number of rows: the sum of the multiplicities."""
+
+    def test_random_dags_count_the_start_without_rows(self, monkeypatch):
+        rng = random.Random(2301)
+        binds = count_calls(monkeypatch, "_bind")
+        walks = count_calls(monkeypatch, "_walk_counts")
+        returns = ["count(n)", "count(n), count(DISTINCT m)", "count(n) = count(*) AND count(n) >= count(m)"]
+        for _ in range(200):
+            graph = random_dag(rng)
+            start = rng.choice([":A", ":B", " {v: 2}", ""])
+            text = f"MATCH (n{start}){random_segment(rng)}(m{rng.choice(['', ':A'])}) RETURN {rng.choice(returns)}"
+            binds.clear()
+            walks.clear()
+            assert outcome(engine, graph, text) == outcome(enumerate_rows, graph, text), text
+            assert binds == [] and len(walks) == 1, text
+
+    def test_distinct_start_counts_keep_their_paths(self, monkeypatch):
+        """``count(DISTINCT n)`` alone keeps the search; beside a count of the target, enumeration."""
+        rng = random.Random(2302)
+        binds = count_calls(monkeypatch, "_bind")
+        bfs = count_calls(monkeypatch, "_reachable")
+        walks = count_calls(monkeypatch, "_walk_counts")
+        searched = enumerated = 0
+        for _ in range(100):
+            graph = random_dag(rng)
+            segment = random_segment(rng)
+            for ret in ["count(DISTINCT n)", "count(DISTINCT n), count(m)"]:
+                text = f"MATCH (n:{rng.choice('AB')}){segment}(m) RETURN {ret}"
+                bfs.clear()
+                binds.clear()
+                assert outcome(engine, graph, text) == outcome(enumerate_rows, graph, text), text
+                searched += bool(bfs)
+                enumerated += bool(binds) and not bfs
+        assert walks == [] and searched > 50 and enumerated > 50
+
+    def test_diamond_start_count_equals_the_row_count(self, monkeypatch):
+        binds = count_calls(monkeypatch, "_bind")
+        g = diamond(12)
+        counts = [
+            execute(parsed(f"MATCH (n {{`$uid`: 0}})-[:a|b*]->(m) RETURN {count}"), g)[0].rows
+            for count in ["count(n)", "count(*)"]
+        ]
+        assert counts == [[(4 * (2**12 - 1),)]] * 2
+        assert binds == []
+        text = "MATCH (n {`$uid`: 0})-[:a|b*]->(m) RETURN count(n)"
+        small = diamond(3)
+        assert engine(small, parsed(text)) == enumerate_rows(small, parsed(text))
+
+
 class TestLoneNodes:
     QUERIES = [
         "MATCH (n:A) RETURN count(n)",
@@ -255,9 +305,10 @@ class TestShapes:
             "MATCH (n:D)-[:a*1..3]->(m) RETURN count(m)",  # bounded
             "MATCH (n:D)-[:a*2..]->(m) RETURN count(m)",  # two lower hops
             "MATCH (n:D)-[:a*]-(m) RETURN count(m)",  # both directions
-            "MATCH (n:D)-[:a*]->(m) RETURN count(n)",  # counts the start
+            "MATCH (n:D)-[:a*]->(m) RETURN count(DISTINCT n), count(m)",  # counts distinct starts
             "MATCH (n:D)-[:a*]->(m {`$uid`: 0}) RETURN count(m)",  # the planner starts from the target
             "MATCH (n:D)-[:a*]->(m) RETURN count(m) = n.v",  # reads a row outside a count
+            "MATCH (n:D)-[:a*]->() RETURN count(n.v)",  # counts a property
             "MATCH (n:D)-[:a]->(m)-[:b*]->(o) RETURN count(o)",  # two segments
             "OPTIONAL MATCH (n:D)-[:a*]->(m) RETURN count(m)",
             "MATCH (n:D)-[:a*]->(m) WHERE m.v = 1 RETURN count(m)",

@@ -14,6 +14,8 @@ from heapquery.property_graph import PropertyGraph
 from heapquery.query_engine import cell_tag, execute
 from heapquery.subgraph import ExtractionConfig, SnapshotGraph, extract
 
+from bench.generate import BP_HOP, BP_LABEL, BP_PATHS, BP_UID, DAG_QUERY, INGEST_QUERY, LIST_QUERY
+
 from .conftest import CONTAINS_KEY_QUERY, REPOK_QUERY, as_bag, build_tree_graph, expanded_queries
 from .generators import build_hashmap_snapshot, random_graph
 from .oracles import enumerate_rows, hashmap_contains, reference_extract
@@ -36,6 +38,19 @@ def count_calls(monkeypatch, name: str) -> list:
         return original(*args, **kwargs)
 
     monkeypatch.setattr(query_engine, name, counted)
+    return calls
+
+
+def record_shortcuts(monkeypatch) -> list:
+    """(the MATCH clause, its ``_shortcut`` decision) for each call ``execute`` makes, in order."""
+    calls = []
+    original = query_engine._shortcut
+
+    def recorded(clauses, i, items):
+        calls.append((clauses[i], original(clauses, i, items)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(query_engine, "_shortcut", recorded)
     return calls
 
 
@@ -294,6 +309,43 @@ class TestWhereItRuns:
         assert planned(named_before) == (named_before.clauses, {})
         not_aggregating = parsed("MATCH (a)-[:f]->(b) MATCH (p {`$uid`: 2}) WHERE equals(b, p) RETURN b")
         assert planned(not_aggregating) == (not_aggregating.clauses, None)
+
+
+class TestBenchmarkShapes:
+    """The planner's choices on the query shapes the benchmark runs."""
+
+    @pytest.mark.parametrize(
+        "fmt, args, decisions",
+        [
+            (LIST_QUERY, [1], ["count"]),
+            (BP_LABEL, ["X"], ["count"]),
+            (DAG_QUERY, [1], ["reach"]),
+            (REPOK_QUERY, [1], [None, None]),
+            (BP_PATHS, [1], [None]),
+            (BP_HOP, [1], [None]),
+            (BP_UID, [1], [None]),
+            (INGEST_QUERY, ["Cell"], [None]),
+        ],
+    )
+    def test_one_shortcut_decision_per_match(self, monkeypatch, tree_graph, fmt, args, decisions):
+        calls = record_shortcuts(monkeypatch)
+        execute(parsed(fmt, *args), tree_graph)
+        assert [decision for _, decision in calls] == decisions
+
+    def test_contains_key_runs_the_probe_first_and_matches_backwards_from_the_key(self, monkeypatch):
+        snapshot, map_id, _, _ = build_hashmap_snapshot(random.Random(5), 30)
+        graph = extract(snapshot).fill()
+        key = next(obj.id for obj in snapshot.objects if obj.cls == "app.Key")
+        query = parsed(CONTAINS_KEY_QUERY, map_id, key)
+        calls = record_shortcuts(monkeypatch)
+        reversals = count_calls(monkeypatch, "_reversed")
+        probed, equal_nodes = [], graph.equal_nodes
+        monkeypatch.setattr(graph, "equal_nodes", lambda node_id: probed.append(node_id) or equal_nodes(node_id))
+        table, _ = execute(query, graph)
+        assert table.rows == [(hashmap_contains(snapshot, map_id, key),)]
+        assert calls == [(query.clauses[1], None), (query.clauses[0], None)]  # (p {$2}) first
+        assert [args[0] for args in reversals] == [query.clauses[0].patterns[0]]
+        assert probed == [next(graph.nodes_with_uid(key)).id]  # k's candidates: the nodes equal to p
 
 
 class TestEqualityIndex:

@@ -19,6 +19,7 @@ import pytest
 
 from heapquery import api, query_long, query_unbounded
 from heapquery.api import QueryContext
+from heapquery.cypher_ast import expression_text
 from heapquery.cypher_frontend import parse, validate
 from heapquery.errors import ExpansionError, PipelineError, QuerySyntaxError, QueryValidationError
 from heapquery.query_engine import execute, execute_batch
@@ -57,7 +58,8 @@ def textual_outcome(snapshot, fmt: str, args: list) -> tuple:
     """``token_outcome`` through the textual expander, with one parse and one validation per query text.
 
     An empty ``[]`` collection gives no query text.  The template is then
-    checked with a stand-in id, because the pipeline checks it too.
+    checked with a stand-in id, because the pipeline checks it too, and
+    its RETURN names the columns of the empty table.
     """
     stage = "expand"
     try:
@@ -73,7 +75,7 @@ def textual_outcome(snapshot, fmt: str, args: list) -> tuple:
             if diagnostics:
                 raise QueryValidationError(diagnostics)
         if expansion.is_batch and not expansion.queries():
-            return [], []
+            return [item.alias or expression_text(item.expr) for item in queries[0].clauses[-1].items], []
         stage = "execute"
         graph = extract(snapshot)
         table, _ = execute_batch(queries, graph) if expansion.is_batch else execute(queries[0], graph)
