@@ -4,12 +4,13 @@ Matching semantics:
 
 * Patterns in one clause are matched left to right, threading bindings; a
   relationship may not be reused within a single path match.
-* Variable-length segments enumerate relationship-distinct paths depth
-  first.  They express reachability: when the segment's target variable is
-  not already bound, paths of one or more hops that lead back to the
-  segment's start node are discarded.  Closed walks are matched only when
-  the target is pinned to the start (e.g. ``(m)-[:f*1..]->(m)``), and
-  zero-length paths (``*0..``) always stay on the start node.
+* Every segment enumerates relationship-distinct paths depth first, a
+  single hop being the segment ``1..1``, which may return to its start.
+  Variable-length segments express reachability: a path of one or more
+  hops back to the segment's start counts only when the target's variable
+  is bound on entry or by an earlier node of the path (e.g.
+  ``(m)-[:f*1..]->(m)``); an anonymous target never is.  Zero-length
+  paths (``*0..``) always stay on the start node.
 * Paths have no length limit: the matcher is one loop over an explicit
   stack, not a recursion per hop.
 * A closed walk of no upper bound, out or in (``(m)-[:f*]->(m)``), only
@@ -240,27 +241,33 @@ def _match_path(
 ) -> list[dict]:
     """All extensions of ``binding`` along ``path``, depth first by ascending id.
 
-    One loop over an explicit stack, so the number of hops is not limited by
-    Python's recursion depth.  The stack holds search states and, below the
-    states entered through a relationship, that relationship's id (an int):
-    popping the id releases it for reuse, as returning from a recursive call
-    would.  ``starts`` are the ids the match starts from, ascending and
-    already checked against the start node's pattern (default:
-    ``_start_candidates``).  ``reverse`` matches the path from its last
-    node, which gives the same rows in another order when ``_reversible``
-    holds; ``starts`` are then the last node's candidates.
+    One loop over an explicit stack steps every segment, a single hop being
+    the segment ``1..1``, so the number of hops is not limited by Python's
+    recursion depth.  The stack holds search states and, below the states
+    entered through a relationship, that relationship's id (an int): popping
+    the id releases it for reuse, as returning from a recursive call would.
+    ``closes``, fixed before the loop, says where a closed walk counts: in a
+    single hop, and where the target's variable is bound on entry or by an
+    earlier node (so never an anonymous target).  ``starts`` are the ids the
+    match starts from, ascending and already checked against the start
+    node's pattern (default: ``_start_candidates``).  ``reverse`` matches
+    the path, and the flags, from its last node: the same rows in another
+    order when ``_reversible`` holds; ``starts`` are then its candidates.
     An unbounded out or in segment that must end where it starts steps only
     inside its start's strongly connected component (``strong_components``),
     and as the first segment, with a hop needed, drops starts with no step
     into theirs: neither could return, so the rows stay the same.  Steps and
     components are read from, and entered in, the graph's ``traversal_memo``.
     """
-    # Whether a closed walk counts in each segment; None: when the target is bound.
-    closes = [None] * len(path.rels)
+    closes = []  # whether a closed walk counts in each segment, read forward
+    for seg, rel in enumerate(path.rels):
+        name = path.nodes[seg + 1].var
+        closes.append(
+            not rel.hops.variable_length
+            or name is not None and (name in binding or any(node.var == name for node in path.nodes[: seg + 1]))
+        )
     if reverse:
-        # The forward rule, carried over: where the forward target was bound on entry.
-        closes = [node.var in binding for node in reversed(path.nodes[1:])]
-        path = _reversed(path)
+        path, closes = _reversed(path), closes[::-1]
     first = path.nodes[0]
     last = len(path.rels)
     plan = []
@@ -271,7 +278,7 @@ def _match_path(
         _, comps, steps = _traversal(graph, rel)
         # Only a segment that must end where it starts reads components.
         returns = hi is None and rel.direction != "both" and node.var is not None and node.var == path.nodes[seg].var
-        plan.append((rel, rel.hops.variable_length, lo, hi, node, checked, closes[seg], steps, comps if returns else None))
+        plan.append((rel.var, lo, hi, node, checked, closes[seg], steps, comps if returns else None))
 
     results: list[dict] = []
     used: set[int] = set()
@@ -279,9 +286,9 @@ def _match_path(
     stack: list = []
     if starts is None:
         starts = _start_candidates(graph, first, binding)
-    if plan and plan[0][8] is not None and plan[0][2] >= 1:
+    if plan and plan[0][7] is not None and plan[0][1] >= 1:
         # A start with no step into its own component has no closed walk.
-        steps, comps = plan[0][7:]
+        steps, comps = plan[0][6:]
         kept = []
         for node_id in starts:
             scc = _component(node_id, steps, comps)
@@ -305,46 +312,27 @@ def _match_path(
         if via is not None:
             used.add(via)
             stack.append(via)
-        rel_pattern, variable_length, lo, hi, target, checked, closes, next_steps, comps = plan[seg]
-        steps = next_steps(node_id)
-        ends = seg + 1 == last
-        if not variable_length:
-            found = []
-            for rel, other in steps:
-                if rel.id in used:
-                    continue
-                nxt = _bind(graph, binding, target, other.id, checked)
-                if nxt is None:
-                    continue
-                if rel_pattern.var is not None:
-                    if rel_pattern.var in nxt:
-                        bound = nxt[rel_pattern.var]
-                        if not isinstance(bound, RelRef) or bound.id != rel.id:
-                            continue
-                    else:
-                        nxt = dict(nxt)
-                        nxt[rel_pattern.var] = RelRef(rel.id)
-                found.append((seg + 1, other.id, other.id, 0, nxt, rel.id))
-            if ends:
-                results.extend(state[4] for state in found)
-            else:
-                stack.extend(reversed(found))
-            continue
+        rel_var, lo, hi, target, checked, closes, next_steps, comps = plan[seg]
         if hi is None or depth < hi:
             scc = None if comps is None else _component(seg_start, next_steps, comps)
-            for rel, other in reversed(steps):
+            for rel, other in reversed(next_steps(node_id)):
                 if rel.id not in used and (scc is None or comps[other.id] == scc):
                     stack.append((seg, seg_start, other.id, depth + 1, binding, rel.id))
-        # A path may end here; it is explored before any longer one.  A
-        # closed walk counts only when the target is pinned to a bound node.
-        if depth >= lo and (
-            depth == 0 or node_id != seg_start or (target.var in binding if closes is None else closes)
-        ):
-            nxt = _bind(graph, binding, target, node_id, checked)
-            if nxt is not None and ends:
-                results.append(nxt)
-            elif nxt is not None:
-                stack.append((seg + 1, node_id, node_id, 0, nxt, None))
+        # A path may end here, before any longer one, unless it is a closed walk that does not count.
+        if depth < lo or (depth and not closes and node_id == seg_start):
+            continue
+        nxt = _bind(graph, binding, target, node_id, checked)
+        if nxt is None:
+            continue
+        if rel_var is not None:  # a single hop's: the relationship entered by
+            ref = RelRef(via)
+            if nxt.get(rel_var, ref) != ref:
+                continue
+            nxt = {**nxt, rel_var: ref}
+        if seg + 1 == last:
+            results.append(nxt)
+        else:
+            stack.append((seg + 1, node_id, node_id, 0, nxt, None))
     return results
 
 
@@ -599,12 +587,12 @@ def _anchor(graph: PropertyGraph, pattern: NodePattern, binding: dict, probe: di
 
 
 def _reversible(path: PathPattern, binding: dict) -> bool:
-    """True when matching ``path`` from its last node gives the same rows.
+    """True when the planner may match ``path`` from its last node.
 
     Every variable occurs once in the path, and none but the last node's is
-    bound on entry.  The closed-walk rule then depends only on which nodes
-    were bound on entry, which ``_match_path`` carries over to the reversed
-    pattern; a repeated variable would make it depend on the direction.
+    bound on entry.  The rows are the forward match's in another order:
+    ``_match_path`` fixes each segment's closed-walk flag on the forward
+    pattern and reverses the flags with the path.
     """
     names = [node.var for node in path.nodes] + [rel.var for rel in path.rels]
     names = [name for name in names if name is not None]
@@ -619,14 +607,6 @@ def _reversed(path: PathPattern) -> PathPattern:
 
 
 # --- expressions -----------------------------------------------------------------
-
-
-def _compare_eq(left, right) -> bool:
-    if isinstance(left, NodeRef) or isinstance(right, NodeRef):
-        return isinstance(left, NodeRef) and isinstance(right, NodeRef) and left.id == right.id
-    if isinstance(left, RelRef) or isinstance(right, RelRef):
-        return isinstance(left, RelRef) and isinstance(right, RelRef) and left.id == right.id
-    return values_equal(left, right)
 
 
 def _is_number(value) -> bool:
@@ -684,9 +664,9 @@ def eval_expression(binding: dict, expr, graph: PropertyGraph):
         if left is ABSENT or right is ABSENT:
             return ABSENT
         if expr.op == "=":
-            return _compare_eq(left, right)
+            return cell_tag(left) == cell_tag(right)
         if expr.op == "<>":
-            return not _compare_eq(left, right)
+            return cell_tag(left) != cell_tag(right)
         return _compare_order(expr.op, left, right)
     if isinstance(expr, EqualsCall):
         left = eval_expression(binding, expr.left, graph)

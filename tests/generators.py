@@ -6,6 +6,7 @@ import random
 
 from heapquery.cypher_ast import (
     Comparison,
+    Count,
     Hops,
     HOPS_ONE,
     Literal,
@@ -107,6 +108,65 @@ def random_query(rng: random.Random, strings: bool = False) -> Query:
 
     items = tuple(ReturnItem(Variable(v), None) for v in named_vars)
     clauses.append(ReturnClause(items, distinct=rng.random() < 0.2))
+    return Query(tuple(clauses))
+
+
+_PATH_HOPS = [
+    HOPS_ONE,
+    HOPS_ONE,
+    HOPS_ONE,
+    Hops("range", 0, None),
+    Hops("range", 2, None),
+    Hops("exact", 2, 2),
+    Hops("unbounded"),
+    Hops("range", 1, 2),
+]
+
+
+def random_path_query(rng: random.Random) -> Query:
+    """One or two MATCH clauses over the path shapes ``random_query`` never draws, and a RETURN.
+
+    A path end may be anonymous.  A node variable (``n``, ``m`` or ``o``)
+    may repeat in a path or be bound by an earlier MATCH.  A single hop may
+    name a relationship variable (``r`` or ``s``), which may already be
+    bound.  Hops include ``*0..``, ``*2..`` and ``*2``, and any MATCH may be
+    OPTIONAL.  A WHERE may compare two variables, a variable and a literal,
+    or ``v`` and a literal, with ``=``, ``<>`` or ``<`` (which raises
+    TypeMismatchError on a node).  The RETURN gives the named variables,
+    maybe DISTINCT, or counts rows or one of them.
+    """
+    clauses: list = []
+    named: list[str] = []
+    for _ in range(rng.choice([1, 2])):
+        nodes, rels = [], []
+        for i in range(rng.choice([0, 1, 1, 2, 2]) + 1):
+            if i:
+                hops = rng.choice(_PATH_HOPS)
+                var = rng.choice(["r", "r", "s"]) if hops is HOPS_ONE and rng.random() < 0.7 else None
+                direction = rng.choice(["out", "in", "both"])
+                rels.append(RelPattern(var, rng.choice([(), ("f",), ("f", "g")]), direction, hops))
+            label = rng.choice("AB") if rng.random() < 0.3 else None
+            props = (("v", Literal(rng.randint(1, 3))),) if rng.random() < 0.2 else ()
+            nodes.append(NodePattern(rng.choice(["n", "m", "o", None, None]), label, props))
+        clauses.append(MatchClause((PathPattern(tuple(nodes), tuple(rels)),), optional=rng.random() < 0.3))
+        for name in (*(p.var for p in nodes), *(r.var for r in rels)):
+            if name and name not in named:
+                named.append(name)
+
+    if named and rng.random() < 0.5:
+        left = Variable(rng.choice(named))
+        right = Variable(rng.choice(named)) if rng.random() < 0.5 else Literal(rng.randint(1, 3))
+        if rng.random() < 0.5:
+            left, right = PropertyAccess(left.name, "v"), Literal(rng.randint(1, 3))
+        clauses.append(WhereClause(Comparison(rng.choice(["=", "<>", "<"]), left, right)))
+
+    if named and rng.random() < 0.6:
+        items = tuple(ReturnItem(Variable(v), None) for v in named)
+        clauses.append(ReturnClause(items, distinct=rng.random() < 0.2))
+    else:
+        counted = Variable(rng.choice(named)) if named and rng.random() < 0.6 else None
+        distinct = counted is not None and rng.random() < 0.3
+        clauses.append(ReturnClause((ReturnItem(Count(counted, distinct), None),)))
     return Query(tuple(clauses))
 
 

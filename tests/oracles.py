@@ -269,8 +269,8 @@ def _match_path_bruteforce(graph: PropertyGraph, path, binding: dict) -> list[di
 
     def node_options(pattern, binding):
         if pattern.var is not None and pattern.var in binding:
-            node_id = binding[pattern.var]
-            return [node_id] if _node_ok(graph, node_id, pattern) else []
+            node_id = binding[pattern.var]  # None when absent
+            return [node_id] if node_id is not None and _node_ok(graph, node_id, pattern) else []
         return [n.id for n in graph.nodes() if _node_ok(graph, n.id, pattern)]
 
     def assign(binding, pattern, node_id):
@@ -300,6 +300,11 @@ def _match_path_bruteforce(graph: PropertyGraph, path, binding: dict) -> list[di
             nxt = assign(binding, target, endpoint)
             if nxt is None:
                 continue
+            if rel_pattern.var is not None:  # a single hop: bound to the one relationship it adds
+                (rel_id,) = used_now - used
+                if nxt.get(rel_pattern.var, ("rel", rel_id)) != ("rel", rel_id):
+                    continue
+                nxt = {**nxt, rel_pattern.var: ("rel", rel_id)}
             walk(seg + 1, endpoint, nxt, used_now)
 
     first = path.nodes[0]
@@ -319,14 +324,15 @@ def _eval_simple(graph: PropertyGraph, binding: dict, expr):
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, Variable):
-        if expr.name not in binding:
+        value = binding.get(expr.name)
+        if value is None:
             return None
-        return ("node", binding[expr.name])
+        return value if isinstance(value, tuple) else ("node", value)
     if isinstance(expr, PropertyAccess):
-        node_id = binding.get(expr.var)
-        if node_id is None:
+        value = binding.get(expr.var)
+        if value is None:
             return None
-        props = graph.node(node_id).properties
+        props = graph.relationship(value[1]).properties if isinstance(value, tuple) else graph.node(value).properties
         if expr.key not in props:
             return None
         return props[expr.key]
@@ -449,7 +455,9 @@ def enumerate_rows(graph: PropertyGraph, query: Query) -> Counter:
     """Expected row bag for a read-only MATCH/WHERE/RETURN query.
 
     Returns a Counter of row tuples; node cells appear as ("node", id),
-    primitives as their value tags.
+    relationship cells as ("rel", id), primitives as their value tags.  An
+    OPTIONAL MATCH that finds nothing binds its new variables to None
+    (absent), which no later pattern matches.
     """
     bindings: list[dict] = [{}]
     for clause in query.clauses:
@@ -464,8 +472,9 @@ def enumerate_rows(graph: PropertyGraph, query: Query) -> Counter:
                     matched = step
                 if matched:
                     new.extend(matched)
-                elif clause.optional:
-                    new.append(binding)
+                elif clause.optional:  # the clause's new variables absent
+                    names = [p.var for path in clause.patterns for p in (*path.nodes, *path.rels) if p.var]
+                    new.append({**dict.fromkeys(names), **binding})
             bindings = new
         elif isinstance(clause, WhereClause):
             bindings = [b for b in bindings if _eval_simple(graph, b, clause.expr) is True]

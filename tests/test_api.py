@@ -19,6 +19,7 @@ from heapquery.api import (
 )
 from heapquery.cypher_frontend import MAX_NESTING, parse
 from heapquery.errors import (
+    CastError,
     CursorError,
     DanglingReferenceError,
     ExtractionConfigError,
@@ -26,6 +27,7 @@ from heapquery.errors import (
     QuerySyntaxError,
     UnknownColumnError,
 )
+from heapquery.query_engine import RelRef
 from heapquery.snapshot_io import graph_to_snapshot, load_snapshot
 from heapquery.subgraph import (
     ClassInfo,
@@ -176,6 +178,11 @@ class TestTypedVariants:
         assert uid == UID["f"]
         assert obj is tree_snapshot.object(UID["f"])
 
+    def test_query_object_of_a_node_that_is_no_snapshot_object(self, ctx):
+        with pytest.raises(PipelineError) as exc:
+            query_object(ctx, "MATCH (c:Class {name: 'BinaryTree'}) RETURN c")
+        assert exc.value.stage == "result" and isinstance(exc.value.cause, CastError)
+
 
 class TestResultSet:
     def test_empty_result(self, ctx):
@@ -208,6 +215,29 @@ class TestResultSet:
         rs.next()
         with pytest.raises(UnknownColumnError):
             rs.get("zzz")
+        for index in (1, -1):
+            with pytest.raises(UnknownColumnError):
+                rs.get(index)
+
+    def test_get_of_absent_cells_relationships_and_nodes_without_uid(self, ctx):
+        rs = query_unbounded(ctx, "OPTIONAL MATCH (n:`Missing`) RETURN n")
+        assert rs.next() and rs.get("n") is None
+        rs = query_unbounded(ctx, "MATCH (t:`BinaryTree`)-[r:root]->(n) RETURN r")
+        rs.next()
+        (rel,) = rs.table.rows[0]
+        assert isinstance(rel, RelRef) and rs.get("r") == rel.id
+        rs = query_unbounded(ctx, "MATCH (c:Class {name: 'BinaryTree'}) RETURN c")
+        rs.next()
+        with pytest.raises(CastError):
+            rs.get("c")
+
+    def test_get_node(self, ctx):
+        rs = query_unbounded(ctx, "MATCH (c:Class {name: 'BinaryTree'}), (t:`BinaryTree`) RETURN c, t, t.size")
+        rs.next()
+        assert rs.get_node("c").label == "Class" and rs.get_node("c").properties == {"name": "BinaryTree"}
+        assert rs.get_node(1).properties["$uid"] == rs.get("t") == UID["f"]
+        with pytest.raises(CastError):
+            rs.get_node("t.size")
 
 
 class TestBatch:

@@ -174,6 +174,18 @@ class TestEvalExpression:
         table, _ = execute(expanded("MATCH (n:A) RETURN n.p = 1.0, n.p = 1", []), g)
         assert table.rows == [(False, True)]
 
+    def test_equality_of_nodes_and_relationships_is_identity(self):
+        g = PropertyGraph()
+        a, b = g.add_node("A", {"p": 1}), g.add_node("A", {"p": 1})
+        first, second = g.add_relationship("f", a, b), g.add_relationship("f", b, a)
+        table, _ = execute(expanded("MATCH (n:A), (m:A) RETURN n, m, n = m, n <> m", []), g)
+        assert table.rows == [(NodeRef(x), NodeRef(y), x == y, x != y) for x in (a, b) for y in (a, b)]
+        table, _ = execute(expanded("MATCH ()-[r]->(), ()-[s]->() RETURN r, s, r = s, r <> s", []), g)
+        assert table.rows == [(RelRef(x), RelRef(y), x == y, x != y) for x in (first, second) for y in (first, second)]
+        # a node never equals a relationship of the same id, nor a primitive
+        query = expanded("MATCH (n:A)-[r]->() RETURN n = r, n <> r, n = 1, n <> 1, r = 'a', r <> 'a'", [])
+        assert a == first and execute(query, g)[0].rows[0] == (False, True, False, True, False, True)
+
     def test_three_valued_logic(self):
         g = PropertyGraph()
         g.add_node("A", {"p": 1})
@@ -283,6 +295,12 @@ class TestExecute:
         assert len(table.rows) == 1
         (result,) = table.rows[0]
         assert graph.node(result.id).label == "BinaryTree"
+
+    def test_create_returns_its_relationship(self):
+        table, g = execute(expanded("CREATE (a:A)-[r:T]->(b:B) RETURN a, r, b", []), PropertyGraph())
+        ((a, r, b),) = table.rows
+        assert isinstance(r, RelRef) and g.relationship(r.id).label == "T"
+        assert (g.relationship(r.id).start, g.relationship(r.id).end) == (a.id, b.id)
 
     def test_merge_existing_pattern_binds_without_writing(self, tree_graph):
         before = tree_graph.copy()

@@ -500,6 +500,78 @@ class TestSaveSnapshot:
         assert save_snapshot(snapshot) == save_snapshot(snapshot)
 
 
+def _instances(g: PropertyGraph, n: int) -> list[int]:
+    return [g.add_node("A") for _ in range(n)]
+
+
+def _array(g: PropertyGraph, *elements) -> int:
+    """An ``A[]`` node owned by a new ``A`` node, with one ``element`` edge per (index, target)."""
+    owner, array = g.add_node("A"), g.add_node("A[]")
+    g.add_relationship("arr", owner, array)
+    for index, target in elements:
+        g.add_relationship("element", array, target, {} if index is None else {"index": index})
+    return array
+
+
+def _two_instanceof(g):
+    a, cls = g.add_node("A"), g.add_node("Class", {"name": "A"})
+    g.add_relationship("instanceof", a, cls)
+    g.add_relationship("instanceof", a, cls)
+
+
+def _shared_array(g):
+    array = _array(g)
+    g.add_relationship("arr", g.add_node("A"), array)
+
+
+def _duplicate_root(g):
+    for a in _instances(g, 2):
+        g.add_relationship("r", g.add_node("Local"), a)
+
+
+# One graph per refusal of ``graph_to_snapshot`` and ``_fold_edges``/``_collect_array``: (build, message).
+MALFORMED = {
+    "field of two kinds": (
+        lambda g: g.add_relationship("x", g.add_node("A"), g.add_node("A", {"x": 1})),
+        "field 'x' of 'A' is both",
+    ),
+    "class without a name": (lambda g: g.add_node("Class"), "has no name property"),
+    "class with an empty name": (lambda g: g.add_node("Class", {"name": ""}), "has no name property"),
+    "two classes of one name": (
+        lambda g: [g.add_node("Class", {"name": "A"}) for _ in range(2)],
+        "two Class nodes for 'A'",
+    ),
+    "two instanceof edges": (_two_instanceof, "has 2 instanceof edges"),
+    "instanceof another class": (
+        lambda g: g.add_relationship("instanceof", g.add_node("A"), g.add_node("Class", {"name": "B"})),
+        "instanceof edge does not match its label",
+    ),
+    "array without an owner": (lambda g: g.add_node("A[]"), "has no owner"),
+    "binding to a class": (
+        lambda g: g.add_relationship("r", g.add_node("Local"), g.add_node("Class", {"name": "A"})),
+        "binding 'r' points at non-instance node",
+    ),
+    "two roots of one name": (_duplicate_root, "duplicate root name 'r'"),
+    "shared array": (_shared_array, "is shared"),
+    "field edge to a class": (
+        lambda g: g.add_relationship("f", g.add_node("A"), g.add_node("Class", {"name": "B"})),
+        "field edge 'f' points at non-instance node",
+    ),
+    "array edge that is no element": (
+        lambda g: g.add_relationship("next", _array(g), g.add_node("A")),
+        "has a non-element edge 'next'",
+    ),
+    "element without an index": (lambda g: _array(g, (None, g.add_node("A"))), "has a bad index"),
+    "element with a negative index": (lambda g: _array(g, (-1, g.add_node("A"))), "has a bad index"),
+    "element with a boolean index": (lambda g: _array(g, (True, g.add_node("A"))), "has a bad index"),
+    "repeated element index": (lambda g: _array(g, *[(0, a) for a in _instances(g, 2)]), "repeats index 0"),
+    "element that is no instance": (
+        lambda g: _array(g, (0, g.add_node("Class", {"name": "B"}))),
+        "array element points at non-instance node",
+    ),
+}
+
+
 class TestGraphToSnapshot:
     def test_point_graph_round_trips_through_extraction(self, point_program, point_graph):
         graph = run_to_point(point_program)
@@ -555,6 +627,44 @@ class TestGraphToSnapshot:
         binder = g.add_node("Local")
         with pytest.raises(NotSnapshotShapedError):
             graph_to_snapshot(g)
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED), ids=str)
+    def test_malformed_graphs_are_refused(self, shape):
+        build, message = MALFORMED[shape]
+        g = PropertyGraph()
+        build(g)
+        with pytest.raises(NotSnapshotShapedError, match=message):
+            graph_to_snapshot(g)
+
+    def test_primitive_field_types_are_inferred_and_saved(self):
+        program = """
+            class Cell {
+              boolean live;
+              double weight;
+              String name;
+              int n;
+              Cell(boolean live, double weight, String name, int n) {
+                this.live = live;
+                this.weight = weight;
+                this.name = name;
+                this.n = n;
+              }
+            }
+            Cell c = new Cell(true, 2.5, "a \\"b\\"", 3);
+            return c;
+        """
+        snapshot = load_snapshot(save_snapshot(graph_to_snapshot(run_to_point(program))))
+        types = {name: (decl.kind, decl.type) for name, decl in snapshot.field_decls("Cell").items()}
+        assert types == {
+            "live": ("primitive", "boolean"),
+            "weight": ("primitive", "double"),
+            "name": ("primitive", "String"),
+            "n": ("primitive", "int"),
+        }
+        (cell,) = [obj for obj in snapshot.objects if obj.cls == "Cell"]
+        assert cell.fields == {"live": True, "weight": 2.5, "name": 'a "b"', "n": 3}
+        assert [type(cell.fields[name]) for name in ("live", "weight", "n")] == [bool, float, int]
+
 
 
 class TestCsv:
