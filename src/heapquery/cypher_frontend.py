@@ -52,7 +52,8 @@ from .cypher_ast import (
     pattern_variables,
     walk,
 )
-from .errors import MAX_NESTING, ExpansionError, QuerySyntaxError, UnsupportedFeatureError, text_position
+from .errors import MAX_NESTING, ExpansionError, QuerySyntaxError, Token, TokenCursor, UnsupportedFeatureError
+from .errors import tokenize as _tokenize
 from .property_graph import RESERVED_LABELS, UID_KEY
 
 # A quote that the string alternative cannot close (the text ends first, or
@@ -76,24 +77,9 @@ _TOKEN_RE = re.compile(
 )
 
 
-class Token(NamedTuple):
-    kind: str  # float/int/string/backtick/ident/marker/op/bad/eof, and slot (see expand_positional)
-    text: str
-    offset: int  # of the token's first character (of its marker, once expanded) in the query text
-
-    def keyword(self) -> str | None:
-        """Uppercase form when the token can act as a keyword."""
-        if self.kind == "ident":
-            return self.text.upper()
-        return None
-
-
 def tokenize(text: str) -> list[Token]:
-    """The tokens of ``text`` without whitespace and comments, then ``eof``; the parser rejects ``bad`` ones."""
-    matches = _TOKEN_RE.finditer(text)
-    tokens = [Token(m.lastgroup, m[m.lastgroup], m.start()) for m in matches if m.lastgroup not in ("ws", "comment")]
-    tokens.append(Token("eof", "", len(text)))
-    return tokens
+    """The tokens of ``text``: float/int/string/backtick/ident/marker/op/bad, then eof (``expand_positional`` adds slot)."""
+    return _tokenize(_TOKEN_RE, text)
 
 
 def _unescape_string(text: str) -> str:
@@ -116,33 +102,9 @@ def _unescape_backtick(text: str) -> str:
     return text[1:-1].replace("``", "`")
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token], text: str):
-        self.text = text
-        self.tokens = tokens
-        self.i = 0
-        self.depth = 0  # expression nesting levels open
-        for tok in tokens:
-            if tok.kind in ("bad", "marker"):  # a marker here was never expanded
-                self.error(f"unexpected character {tok.text[0]!r}", tok)
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def error(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise QuerySyntaxError(message, *text_position(self.text, tok.offset))
-
-    def int_value(self, tok: Token) -> int:
-        try:
-            return int(tok.text)
-        except ValueError:  # more digits than ``sys.get_int_max_str_digits()`` allows
-            self.error(f"integer literal of {len(tok.text)} digits is too long", tok)
+class _Parser(TokenCursor):
+    syntax_error = QuerySyntaxError
+    refused = ("bad", "marker")  # a marker here was never expanded
 
     def nest(self, tok: Token, parse):
         """``parse()`` one nesting level below ``tok``; past ``MAX_NESTING`` levels, a syntax error."""
@@ -159,8 +121,8 @@ class _Parser:
             self.error(f"expected {op!r}, got {tok.text or 'end of query'!r}", tok)
         return tok
 
-    def at_op(self, op: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
+    def at_op(self, op: str) -> bool:
+        tok = self.peek()
         return tok.kind == "op" and tok.text == op
 
     def at_keyword(self, word: str) -> bool:
@@ -188,6 +150,14 @@ class _Parser:
             return tok.text
         self.error(f"expected {what}, got {tok.text or 'end of query'!r}", tok)
 
+    def comma_list(self, parse_item) -> tuple:
+        """``item (, item)*``, each item read by ``parse_item()``."""
+        items = [parse_item()]
+        while self.at_op(","):
+            self.advance()
+            items.append(parse_item())
+        return tuple(items)
+
     # --- query ------------------------------------------------------------------
 
     def parse_query(self) -> Query:
@@ -201,7 +171,7 @@ class _Parser:
                 raise UnsupportedFeatureError(kw)
             if kw == "CREATE":
                 self.advance()
-                clauses.append(CreateClause(tuple(self.parse_pattern_list())))
+                clauses.append(CreateClause(self.comma_list(self.parse_path)))
             elif kw == "MERGE":
                 self.advance()
                 clauses.append(MergeClause(self.parse_path()))
@@ -209,29 +179,22 @@ class _Parser:
                 self.advance()
                 if not self.take_keyword("MATCH"):
                     self.error("expected MATCH after OPTIONAL")
-                clauses.append(MatchClause(tuple(self.parse_pattern_list()), optional=True))
+                clauses.append(MatchClause(self.comma_list(self.parse_path), optional=True))
             elif kw == "MATCH":
                 self.advance()
-                clauses.append(MatchClause(tuple(self.parse_pattern_list())))
+                clauses.append(MatchClause(self.comma_list(self.parse_path)))
             elif kw == "WHERE":
                 self.advance()
                 clauses.append(WhereClause(self.parse_expression()))
             elif kw == "RETURN":
                 self.advance()
-                clauses.append(self.parse_return())
+                distinct = self.take_keyword("DISTINCT")
+                clauses.append(ReturnClause(self.comma_list(self.parse_return_item), distinct))
             else:
                 self.error(f"expected a clause keyword, got {tok.text!r}", tok)
         if not clauses:
             self.error("empty query")
         return Query(tuple(clauses))
-
-    def parse_return(self) -> ReturnClause:
-        distinct = self.take_keyword("DISTINCT")
-        items = [self.parse_return_item()]
-        while self.at_op(","):
-            self.advance()
-            items.append(self.parse_return_item())
-        return ReturnClause(tuple(items), distinct)
 
     def parse_return_item(self) -> ReturnItem:
         expr = self.parse_expression()
@@ -241,13 +204,6 @@ class _Parser:
         return ReturnItem(expr, alias)
 
     # --- patterns ------------------------------------------------------------------
-
-    def parse_pattern_list(self) -> list[PathPattern]:
-        paths = [self.parse_path()]
-        while self.at_op(","):
-            self.advance()
-            paths.append(self.parse_path())
-        return paths
 
     def parse_path(self) -> PathPattern:
         nodes = [self.parse_node_pattern()]
@@ -274,17 +230,16 @@ class _Parser:
 
     def parse_property_map(self) -> tuple:
         self.expect_op("{")
-        entries = []
-        while not self.at_op("}"):
-            key = self.name("property key")
-            self.expect_op(":")
-            entries.append((key, self.parse_literal()))
-            if self.at_op(","):
-                self.advance()
-            elif not self.at_op("}"):
-                self.error("expected ',' or '}' in property map")
-        self.expect_op("}")
-        return tuple(entries)
+        entries = () if self.at_op("}") else self.comma_list(self.parse_property)
+        if not self.at_op("}"):
+            self.error("expected ',' or '}' in property map")
+        self.advance()
+        return entries
+
+    def parse_property(self) -> tuple:
+        key = self.name("property key")
+        self.expect_op(":")
+        return key, self.parse_literal()
 
     def parse_rel_pattern(self) -> RelPattern:
         if self.at_op("<-"):
@@ -386,18 +341,9 @@ class _Parser:
         kw = tok.keyword()
         if kw == "NULL":
             raise UnsupportedFeatureError("NULL literals")
-        if kw == "TRUE":
-            self.advance()
-            return Literal(True)
-        if kw == "FALSE":
-            self.advance()
-            return Literal(False)
-        if tok.kind in ("int", "float") or (tok.kind == "op" and tok.text == "-"):
-            return self.parse_literal_expr()
-        if tok.kind == "string":
-            self.advance()
-            return Literal(_unescape_string(tok.text))
-        if tok.kind == "ident" and self.at_op("(", ahead=1):
+        if kw in ("TRUE", "FALSE") or tok.kind in ("int", "float", "string") or (tok.kind == "op" and tok.text == "-"):
+            return self.parse_literal()
+        if tok.kind == "ident" and self.tokens[self.i + 1].text == "(":  # an ident is never the last token
             name = tok.text.upper()
             if name in ("COUNT", "EQUALS"):
                 return self.nest(self.advance(), self.parse_count if name == "COUNT" else self.parse_equals)
@@ -430,50 +376,34 @@ class _Parser:
         self.expect_op(")")
         return EqualsCall(left, right)
 
-    def parse_literal_expr(self) -> Literal:
-        negative = False
-        if self.at_op("-"):
-            self.advance()
-            negative = True
+    def parse_literal(self) -> Literal | Slot:
         tok = self.advance()
-        if tok.kind == "int":
-            value: object = -self.int_value(tok) if negative else self.int_value(tok)
-        elif tok.kind == "float":
-            value = -float(tok.text) if negative else float(tok.text)
-        else:
-            self.error(f"expected a number, got {tok.text!r}", tok)
-        return Literal(value)
-
-    def parse_literal(self) -> Literal:
-        tok = self.peek()
         kw = tok.keyword()
-        if kw == "TRUE":
-            self.advance()
-            return Literal(True)
-        if kw == "FALSE":
-            self.advance()
-            return Literal(False)
+        if kw in ("TRUE", "FALSE"):
+            return Literal(kw == "TRUE")
         if kw == "NULL":
             raise UnsupportedFeatureError("NULL property values")
         if tok.kind == "string":
-            self.advance()
             return Literal(_unescape_string(tok.text))
         if tok.kind == "slot":
-            self.advance()
             return Slot(tok.text)
-        return self.parse_literal_expr()
+        negative = tok.kind == "op" and tok.text == "-"
+        if negative:
+            tok = self.advance()
+        if tok.kind == "int":
+            value: object = self.int_value(tok)
+        elif tok.kind == "float":
+            value = float(tok.text)
+        else:
+            self.error(f"expected a number, got {tok.text!r}", tok)
+        return Literal(-value if negative else value)
 
 
 def parse(source: str | list[Token], text: str = "") -> Query:
     """Parse query text, or the tokens of ``text``, into a Query AST (no validation)."""
     if isinstance(source, str):
         source, text = tokenize(source), source
-    parser = _Parser(source, text)
-    query = parser.parse_query()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        parser.error(f"unexpected trailing input {tok.text!r}", tok)
-    return query
+    return _Parser(source, text).parse_query()
 
 
 # --- validation -----------------------------------------------------------------

@@ -1,6 +1,11 @@
-"""Exception hierarchy shared by all heapquery modules."""
+"""Exception hierarchy shared by all heapquery modules, and the token cursor of
+both parsers (the object language's and the query language's), which raises
+their syntax errors."""
 
 from __future__ import annotations
+
+import re
+from typing import NamedTuple
 
 
 class HeapQueryError(Exception):
@@ -52,6 +57,67 @@ def text_position(text: str, offset: int) -> tuple[int, int]:
     """1-based (line, column) of ``offset`` in ``text``, for the syntax errors below."""
     line_start = text.rfind("\n", 0, offset) + 1
     return text.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
+class Token(NamedTuple):
+    kind: str  # a group name of the tokenizer's pattern, or eof (and the query language's slot)
+    text: str
+    offset: int  # of the token's first character (of its marker, once expanded) in the text
+
+    def keyword(self) -> str | None:
+        """Uppercase form when the token can act as a keyword."""
+        if self.kind == "ident":
+            return self.text.upper()
+        return None
+
+
+def tokenize(pattern: re.Pattern, text: str) -> list[Token]:
+    """The tokens ``pattern`` matches in ``text`` without whitespace and comments, then ``eof``.
+
+    The group that matched names each token's kind; the cursor rejects ``bad`` ones.
+    """
+    matches = pattern.finditer(text)
+    tokens = [Token(m.lastgroup, m[m.lastgroup], m.start()) for m in matches if m.lastgroup not in ("ws", "comment")]
+    tokens.append(Token("eof", "", len(text)))
+    return tokens
+
+
+class TokenCursor:
+    """A parser's position in the tokens of ``text``; its syntax errors are ``syntax_error``s at a token.
+
+    A token of a kind in ``refused`` is a syntax error before any is read.
+    """
+
+    syntax_error: type[HeapQueryError]
+    refused: tuple = ("bad",)
+
+    def __init__(self, tokens: list[Token], text: str):
+        self.text = text
+        self.tokens = tokens
+        self.i = 0
+        self.depth = 0  # nesting levels open
+        refused = self.refused
+        for tok in tokens:
+            if tok.kind in refused:
+                self.error(f"unexpected character {tok.text[0]!r}", tok)
+
+    def peek(self) -> Token:
+        return self.tokens[self.i]
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def error(self, message: str, tok: Token | None = None):
+        tok = tok or self.peek()
+        raise self.syntax_error(message, *text_position(self.text, tok.offset))
+
+    def int_value(self, tok: Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than ``sys.get_int_max_str_digits()`` allows
+            self.error(f"integer literal of {len(tok.text)} digits is too long", tok)
 
 
 class ProgramError(HeapQueryError):

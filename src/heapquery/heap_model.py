@@ -22,7 +22,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .errors import (
     MAX_NESTING,
@@ -31,9 +30,11 @@ from .errors import (
     NoSuchMethodError,
     ProgramSyntaxError,
     ReservedLabelError,
+    Token,
+    TokenCursor,
     UnboundVariableError,
     UnknownTypeError,
-    text_position,
+    tokenize,
 )
 from .property_graph import (
     CLASS_LABEL,
@@ -195,9 +196,10 @@ def mbody(ct: ClassTable, method: str, cls: str) -> tuple[tuple, Body]:
 
 # --- parsing -----------------------------------------------------------------
 
-# A match takes the whitespace after its token, so ``ws`` matches only at the
-# start (a match per gap would make half as many again).  ``bad`` takes any other
-# character, so the matches cover the text; an open comment or string starts one.
+# Token kinds: point/float/int/string/ident/punct/bad.  A match takes the
+# whitespace after its token, so ``ws`` matches only at the start (a match per
+# gap would make half as many again).  ``bad`` takes any other character, so the
+# matches cover the text; an open comment or string starts one.
 _TOKEN_RE = re.compile(
     r"""
     (?:
@@ -218,59 +220,44 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = frozenset({"class", "extends", "new", "return", "null", "true", "false", "super", "this"})
 
 
-class _Token(NamedTuple):
-    kind: str  # point/float/int/string/ident/punct/bad/eof
-    text: str
-    offset: int  # of the token's first character in the program text
+class _Parser(TokenCursor):
+    syntax_error = ProgramSyntaxError
 
-
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of ``text`` without whitespace and comments, then ``eof``; the parser rejects ``bad`` ones."""
-    matches = _TOKEN_RE.finditer(text)
-    tokens = [_Token(m.lastgroup, m[m.lastgroup], m.start()) for m in matches if m.lastgroup not in ("ws", "comment")]
-    tokens.append(_Token("eof", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.depth = 0  # levels of ``new`` open
-        for tok in self.tokens:
-            if tok.kind == "bad":
-                self.error(f"unexpected character {tok.text!r}", tok)
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def error(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise ProgramSyntaxError(message, *text_position(self.text, tok.offset))
-
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
+    def expect(self, text: str) -> Token:
+        tok = self.advance()
         if tok.text != text:
             self.error(f"expected {text!r}, got {tok.text!r}", tok)
         return tok
 
     def ident(self, what: str = "identifier") -> str:
-        tok = self.next()
+        tok = self.advance()
         if tok.kind != "ident" or tok.text in _KEYWORDS:
             self.error(f"expected {what}, got {tok.text!r}", tok)
         return tok.text
 
+    def variable(self, what: str) -> str:
+        """A variable or ``this``; any other token is the syntax error ``what``."""
+        tok = self.advance()
+        if tok.kind != "ident" or (tok.text in _KEYWORDS and tok.text != "this"):
+            self.error(f"{what}, got {tok.text!r}", tok)
+        return tok.text
+
     def type_name(self) -> str:
-        tok = self.next()
+        tok = self.advance()
         if tok.kind != "ident" or (tok.text in _KEYWORDS and tok.text not in PRIMITIVE_TYPES):
             self.error(f"expected type name, got {tok.text!r}", tok)
         return tok.text
+
+    def parenthesized(self, parse_item, *args) -> tuple:
+        """``( item, ... )``, each item read by ``parse_item(*args)``; no comma after the last."""
+        self.expect("(")
+        items = []
+        while self.peek().text != ")":
+            if items:
+                self.expect(",")
+            items.append(parse_item(*args))
+        self.advance()
+        return tuple(items)
 
     # top level ---------------------------------------------------------------
 
@@ -292,7 +279,7 @@ class _Parser:
             if tok.kind == "eof":
                 break
             if tok.kind == "point":
-                self.next()
+                self.advance()
                 if point is not None:
                     self.error("duplicate POINT marker", tok)
                 point = len(commands)
@@ -302,7 +289,7 @@ class _Parser:
                 break
             commands.append(self.parse_command(declared))
         if self.peek().kind == "point" and point is None:
-            self.next()
+            self.advance()
             point = len(commands)
         tok = self.peek()
         if tok.kind != "eof":
@@ -319,7 +306,7 @@ class _Parser:
             raise ReservedLabelError(name)
         superclass = None
         if self.peek().text == "extends":
-            self.next()
+            self.advance()
             superclass = self.ident("superclass name")
         self.expect("{")
 
@@ -335,7 +322,7 @@ class _Parser:
                 continue
             second = self.ident("member name")
             if self.peek().text == ";":
-                self.next()
+                self.advance()
                 fields.append((second, first))
             elif self.peek().text == "(":
                 method = self.parse_method(second, first)
@@ -357,26 +344,20 @@ class _Parser:
         return ClassDecl(name, superclass, tuple(fields), params, super_k, assignments, methods)
 
     def parse_constructor(self, name):
-        params = self.parse_params()
+        params = self.parenthesized(self.parse_param, set())
         self.expect("{")
-        param_names = [p for p, _ in params]
+        param_names = tuple(p for p, _ in params)
         super_k = 0
         if self.peek().text == "super":
-            self.next()
-            self.expect("(")
-            super_args = []
-            while self.peek().text != ")":
-                super_args.append(self.ident("parameter name"))
-                if self.peek().text == ",":
-                    self.next()
-            self.expect(")")
+            self.advance()
+            super_args = self.parenthesized(self.ident, "parameter name")
             self.expect(";")
             super_k = len(super_args)
             if super_args != param_names[:super_k]:
                 self.error(f"super(...) must forward the first {super_k} parameters in order")
         assignments = []
         while self.peek().text == "this":
-            self.next()
+            self.advance()
             self.expect(".")
             fieldname = self.ident("field name")
             self.expect("=")
@@ -386,10 +367,10 @@ class _Parser:
                 self.error(f"constructor of {name!r} assigns from unknown parameter {param!r}")
             assignments.append((fieldname, param))
         self.expect("}")
-        return tuple(params), super_k, tuple(assignments)
+        return params, super_k, tuple(assignments)
 
     def parse_method(self, name: str, return_type: str) -> MethodDecl:
-        params = self.parse_params()
+        params = self.parenthesized(self.parse_param, set())
         self.expect("{")
         declared = {p for p, _ in params} | {"this"}
         commands = []
@@ -397,23 +378,16 @@ class _Parser:
             commands.append(self.parse_command(declared))
         ret = self.parse_return()
         self.expect("}")
-        return MethodDecl(name, tuple(params), return_type, Body(tuple(commands), ret))
+        return MethodDecl(name, params, return_type, Body(tuple(commands), ret))
 
-    def parse_params(self) -> tuple:
-        self.expect("(")
-        params = []
-        seen = set()
-        while self.peek().text != ")":
-            ptype = self.type_name()
-            pname = self.ident("parameter name")
-            if pname in seen:
-                self.error(f"duplicate parameter {pname!r}")
-            seen.add(pname)
-            params.append((pname, ptype))
-            if self.peek().text == ",":
-                self.next()
-        self.expect(")")
-        return tuple(params)
+    def parse_param(self, seen: set) -> tuple:
+        """One ``(name, type)`` of a parameter list; ``seen`` holds the names before it."""
+        ptype = self.type_name()
+        pname = self.ident("parameter name")
+        if pname in seen:
+            self.error(f"duplicate parameter {pname!r}")
+        seen.add(pname)
+        return pname, ptype
 
     # commands ------------------------------------------------------------------
 
@@ -421,19 +395,14 @@ class _Parser:
         """The variable a ``return`` names, or None for a bare ``return;``."""
         self.expect("return")
         if self.peek().text == ";":
-            self.next()
+            self.advance()
             return None
-        tok = self.next()
-        var = "this" if tok.text == "this" else None
-        if var is None:
-            if tok.kind != "ident" or tok.text in _KEYWORDS:
-                self.error(f"expected variable after return, got {tok.text!r}", tok)
-            var = tok.text
+        var = self.variable("expected variable after return")
         self.expect(";")
         return var
 
     def parse_command(self, declared: set[str]) -> Command:
-        tok = self.next()
+        tok = self.advance()
         if tok.kind != "ident":
             self.error(f"expected a command, got {tok.text!r}", tok)
         nxt = self.peek()
@@ -455,42 +424,25 @@ class _Parser:
         self.expect(".")
         member = self.ident("member name")
         if self.peek().text == "=":
-            self.next()
-            value = self.next()
-            if value.kind != "ident" or (value.text in _KEYWORDS and value.text != "this"):
-                self.error(f"field assignment expects a variable, got {value.text!r}", value)
+            self.advance()
+            value = self.variable("field assignment expects a variable")
             self.expect(";")
-            return FieldAssign(name, member, value.text)
-        self.expect("(")
-        args = []
-        while self.peek().text != ")":
-            arg = self.next()
-            if arg.kind != "ident" or (arg.text in _KEYWORDS and arg.text != "this"):
-                self.error(f"method arguments must be variables, got {arg.text!r}", arg)
-            args.append(arg.text)
-            if self.peek().text == ",":
-                self.next()
-        self.expect(")")
+            return FieldAssign(name, member, value)
+        args = self.parenthesized(self.variable, "method arguments must be variables")
         self.expect(";")
-        return MethodInvoke(name, member, tuple(args))
+        return MethodInvoke(name, member, args)
 
-    def parse_args(self, new: _Token) -> tuple:
+    def parse_args(self, new: Token) -> tuple:
         """The arguments after ``new C``; past ``MAX_NESTING`` levels of ``new``, a syntax error."""
         if self.depth == MAX_NESTING:
             self.error(f"new nested deeper than the limit of {MAX_NESTING} levels", new)
         self.depth += 1
-        self.expect("(")
-        args: list[Arg] = []
-        while self.peek().text != ")":
-            args.append(self.parse_arg())
-            if self.peek().text == ",":
-                self.next()
-        self.expect(")")
+        args = self.parenthesized(self.parse_arg)
         self.depth -= 1
-        return tuple(args)
+        return args
 
     def parse_arg(self) -> Arg:
-        tok = self.next()
+        tok = self.advance()
         if tok.text == "null":
             return NullArg()
         if tok.text == "true":
@@ -498,10 +450,7 @@ class _Parser:
         if tok.text == "false":
             return LitArg(False)
         if tok.kind == "int":
-            try:
-                return LitArg(int(tok.text))
-            except ValueError:  # more digits than ``sys.get_int_max_str_digits()`` allows
-                self.error(f"integer literal of {len(tok.text)} digits is too long", tok)
+            return LitArg(self.int_value(tok))
         if tok.kind == "float":
             return LitArg(float(tok.text))
         if tok.kind == "string":
@@ -548,7 +497,7 @@ def _check_new_types(ct: ClassTable, cls: str, args: tuple):
 
 
 def parse_program(text: str) -> Program:
-    return _Parser(text).parse_program()
+    return _Parser(tokenize(_TOKEN_RE, text), text).parse_program()
 
 
 # --- evaluation ----------------------------------------------------------------

@@ -634,9 +634,7 @@ def _structural_equals(graph: PropertyGraph, left, right):
         return ABSENT
     if isinstance(left, NodeRef) and isinstance(right, NodeRef):
         return left.id == right.id or graph.structural_key(left.id) == graph.structural_key(right.id)
-    if isinstance(left, (NodeRef, RelRef)) or isinstance(right, (NodeRef, RelRef)):
-        return False
-    return values_equal(left, right)
+    return cell_tag(left) == cell_tag(right)
 
 
 def eval_expression(binding: dict, expr, graph: PropertyGraph):

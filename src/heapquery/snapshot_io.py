@@ -85,7 +85,7 @@ def _decode_values(raw: dict, section: str, index: int, part: str) -> dict:
 
 
 def _decode_value(value):
-    """A list or object field or static value: a primitive array, ``Ref`` or ``RefArray``."""
+    """A list or object field or static value, other than a reference: a primitive array or ``RefArray``."""
     if isinstance(value, list):
         for i, element in enumerate(value):
             if not (element is None or isinstance(element, SCALAR_TYPES)):
@@ -93,10 +93,8 @@ def _decode_value(value):
         return value
     if not isinstance(value, dict):
         raise _BadValue(f"unsupported value {value!r}")
-    if len(value) == 1 and "ref" in value:
-        if type(value["ref"]) is not int:  # a bool is not an id
-            raise _BadValue("ref must be an integer object id")
-        return Ref(value["ref"])
+    if len(value) == 1 and "ref" in value:  # ``_decode_values`` took an integer one; a bool is not an id
+        raise _BadValue("ref must be an integer object id")
     if len(value) == 1 and "refs" in value:
         ids = value["refs"]
         if not isinstance(ids, list):
@@ -184,8 +182,8 @@ def load_snapshot(data: bytes | str) -> HeapSnapshot:
 
 
 @collector_paused()
-def save_snapshot(snapshot: HeapSnapshot, *, indent: int | None = None) -> bytes:
-    """Serialize a snapshot; canonical (sorted keys, compact) when unindented."""
+def save_snapshot(snapshot: HeapSnapshot) -> bytes:
+    """Serialize a snapshot canonically: sorted keys, compact."""
     doc = {
         "classes": [
             {
@@ -210,9 +208,7 @@ def save_snapshot(snapshot: HeapSnapshot, *, indent: int | None = None) -> bytes
         ],
         "roots": dict(sorted(snapshot.roots.items())),
     }
-    if indent is None:
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return json.dumps(doc, indent=indent, sort_keys=True).encode("utf-8")
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 # --- graph -> snapshot ----------------------------------------------------------

@@ -6,8 +6,10 @@ import re
 
 import pytest
 
-from heapquery.cli import main
+from heapquery.cli import _coerce_arg, _render_cell, main
 from heapquery.cypher_frontend import _Parser
+from heapquery.property_graph import PropertyGraph
+from heapquery.query_engine import ABSENT, NodeRef, RelRef
 from heapquery.snapshot_io import load_snapshot
 from heapquery.subgraph import extract
 
@@ -148,6 +150,32 @@ class TestQuery:
         first = capsys.readouterr().out
         main(argv)
         assert capsys.readouterr().out == first
+
+
+class TestArguments:
+    @pytest.mark.parametrize("text, value", [("7", 7), ("1,2,3", [1, 2, 3]), ("a,b", "a,b"), ("Cell", "Cell")])
+    def test_marker_arguments_are_coerced(self, text, value):
+        assert _coerce_arg(text) == value
+
+    def test_cells_render(self):
+        graph = PropertyGraph()
+        node = graph.add_node("A")
+        rel = graph.add_relationship("T", node, node)
+        cells = [ABSENT, RelRef(rel), True, False, NodeRef(node), 1.5]
+        assert [_render_cell(graph, cell) for cell in cells] == ["null", "-[:T]-", "true", "false", "#-:A", "1.5"]
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["query", "heap.json", "-q", "RETURN 1", "--bogus"], "error: unrecognized flags ['--bogus']\n"),
+            (["run", "prog.mj", "extra"], "error: unexpected arguments ['extra']\n"),
+            (["export", "heap.json", "-o", "csv", "extra"], "error: unexpected arguments ['extra']\n"),
+            (["repl", "heap.json", "extra", "more"], "error: unexpected arguments ['extra', 'more']\n"),
+        ],
+    )
+    def test_stray_arguments_exit_1(self, argv, err, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == err
 
 
 class TestExport:

@@ -241,6 +241,67 @@ class TestParse:
             parse(text)
         assert (exc.value.line, exc.value.column) == position
 
+    @pytest.mark.parametrize(
+        "text, line, column, message",
+        [
+            ("MATCH (n:``) RETURN n", 1, 10, "empty label"),
+            ("RETURN n AS MATCH", 1, 13, "expected alias, got keyword 'MATCH'"),
+            ("OPTIONAL (n) RETURN n", 1, 10, "expected MATCH after OPTIONAL"),
+            ("MATCH (n {a: 1 b: 2}) RETURN n", 1, 16, "expected ',' or '}' in property map"),
+            ("MATCH (a)<-[:x]- >(b) RETURN a", 1, 18, "relationship pattern cannot point both ways"),
+        ],
+    )
+    def test_syntax_error_message(self, text, line, column, message):
+        with pytest.raises(QuerySyntaxError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert str(exc.value) == f"{line}:{column}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, column, message",
+        [
+            ("MATCH (n {value: 1,}) RETURN n", 20, "expected property key, got '}'"),
+            ("MATCH (a), RETURN a", 12, "expected '(', got 'RETURN'"),
+            ("RETURN 1,", 10, "expected an expression, got 'end of query'"),
+        ],
+    )
+    def test_no_comma_after_the_last_item(self, text, column, message):
+        with pytest.raises(QuerySyntaxError) as exc:
+            parse(text)
+        assert str(exc.value) == f"1:{column}: {message}"
+
+    def test_comma_separated_map_and_lists_parse(self):
+        query = parse("MATCH (a {v: 1, w: 'x'}), (b {}) RETURN a, b")
+        assert [p.nodes[0].properties for p in query.clauses[0].patterns] == [
+            (("v", Literal(1)), ("w", Literal("x"))),
+            (),
+        ]
+        assert len(query.clauses[1].items) == 2
+
+    @pytest.mark.parametrize(
+        "text, feature",
+        [
+            ("RETURN n AS WITH", "WITH"),
+            ("RETURN NULL", "NULL literals"),
+            ("MATCH (n {v: NULL}) RETURN n", "NULL property values"),
+        ],
+    )
+    def test_unsupported_feature_message(self, text, feature):
+        with pytest.raises(UnsupportedFeatureError) as exc:
+            parse(text)
+        assert exc.value.feature == feature
+        assert str(exc.value) == f"openCypher feature not supported by this engine: {feature}"
+
+    @pytest.mark.parametrize(
+        "text, rel",
+        [
+            ("MATCH (a)-[:x|:y]->(b) RETURN a", RelPattern(None, ("x", "y"), "out")),
+            ("MATCH (a)-[:x]- >(b) RETURN a", RelPattern(None, ("x",), "out")),
+        ],
+    )
+    def test_repeated_type_colon_and_split_arrow(self, text, rel):
+        assert parse(text).clauses[0].patterns[0].rels == (rel,)
+
     def test_backtick_names_preserved(self):
         query = parse("MATCH (n:`BinaryTree$Node`) RETURN n.`odd name`")
         match = query.clauses[0]
@@ -364,6 +425,21 @@ class TestValidate:
     def test_variable_kind_conflict(self):
         diagnostics = validate(parse("MATCH (n)-[x:f]->(m), (x)-[:g]->(y) RETURN n"))
         assert any("both" in d.message for d in diagnostics)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("MATCH (a:A) CREATE (a:A)-[:f]->(b:B) RETURN a", "CREATE may not restate label/properties of bound variable 'a'"),
+            ("MATCH (a)-[r:f]->(b) CREATE (a)-[r:g]->(b) RETURN a", "CREATE cannot reuse bound relationship variable 'r'"),
+            ("MATCH (a:A) CREATE (a)-[:T|U]->(b:B) RETURN b", "CREATE relationships need exactly one type"),
+            ("MATCH (a:A) CREATE (a)-[:T]-(b:B) RETURN b", "CREATE relationships must be directed"),
+            ("MATCH (a:A) CREATE (a)-[:T*2]->(b:B) RETURN b", "CREATE relationships cannot be variable-length"),
+            ("MATCH (a) RETURN a MATCH (b)", "RETURN must be the last clause"),
+            ("MATCH (a) RETURN count(count(a))", "nested count(...) is not allowed"),
+        ],
+    )
+    def test_diagnostic(self, text, message):
+        assert [d.message for d in validate(parse(text))] == [message]
 
     def test_variable_length_cannot_bind(self):
         diagnostics = validate(parse("MATCH (a)-[r:f*2]->(b) RETURN a"))

@@ -14,8 +14,10 @@ from heapquery.errors import (
 from heapquery.heap_model import (
     Body,
     FieldAssign,
+    LitArg,
     MethodInvoke,
     New,
+    NewArg,
     NullArg,
     VarArg,
     eval_expr,
@@ -79,6 +81,22 @@ class TestParse:
             ("class A { A() {} }\nA x = new A();\n/*\n  POINT */ A y = new A(;", 4, 24, "bad constructor argument ';'"),
             # Input that ends inside a class body: the error is at the end.
             ("class A {\n  A() {}\n  ", 3, 3, "expected type name, got ''"),
+            ("class A { A() {} }\nclass A { A() {} }", 2, 19, "class 'A' declared twice"),
+            ("class A { A() {} A() {} }", 1, 19, "class 'A' has two constructors"),
+            ("class A { A() {} A m() { return this; } A m() { return; } }", 1, 59, "method 'm' declared twice in 'A'"),
+            ("class A { A f; } return;", 1, 18, "class 'A' needs a constructor"),
+            (
+                "class B { B(B p) {} } class A extends B { A(A p, A q) { super(q); } }",
+                1,
+                67,
+                "super(...) must forward the first 1 parameters in order",
+            ),
+            ("class A { A f; A(A p) { this.f = q; } }", 1, 37, "constructor of 'A' assigns from unknown parameter 'q'"),
+            ("class A { A(A p, A p) {} }", 1, 21, "duplicate parameter 'p'"),
+            ("class A { A() {} }\nA x = new A();\nnull.f = x;", 3, 1, "unexpected keyword 'null'"),
+            ("class A { A f; A(A f) { this.f = f; } }\nA x = new A(null);\nx.f = 1;", 3, 7, "field assignment expects a variable, got '1'"),
+            ("class A { A() {} A m(A p) { return p; } }\nA x = new A();\nx.m(1);", 3, 5, "method arguments must be variables, got '1'"),
+            ("class A { A() {} }\nA x = new A();\nreturn x; A y = new A();", 3, 11, "unexpected trailing input 'A'"),
         ],
     )
     def test_syntax_error_line_and_column(self, text, line, column, message):
@@ -86,6 +104,44 @@ class TestParse:
             parse_program(text)
         assert (exc.value.line, exc.value.column) == (line, column)
         assert str(exc.value) == f"{line}:{column}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, line, column, message",
+        [
+            ("class A { int a; int b; A(int a, int b) { this.a = a; this.b = b; } }\nA x = new A(1 2);", 2, 15, "expected ',', got '2'"),
+            ("class A { A() {} A m(A p, A q) { return p; } }\nA x = new A();\nx.m(x x);", 3, 7, "expected ',', got 'x'"),
+            ("class B { B(B p, B q) {} }\nclass A extends B { A(B p, B q) { super(p q); } }", 2, 43, "expected ',', got 'q'"),
+            ("class A { A() {} A m(A p A q) { return p; } }", 1, 26, "expected ',', got 'A'"),
+            ("class A { A p; A(A p) { this.p = p; } }\nA x = new A(null,);", 2, 18, "bad constructor argument ')'"),
+            ("class A { A() {} A m(A p) { return p; } }\nA x = new A();\nx.m(x,);", 3, 7, "method arguments must be variables, got ')'"),
+            ("class A { A(A p,) {} }", 1, 17, "expected type name, got ')'"),
+        ],
+    )
+    def test_list_items_are_separated_by_commas(self, text, line, column, message):
+        with pytest.raises(ProgramSyntaxError) as exc:
+            parse_program(text)
+        assert str(exc.value) == f"{line}:{column}: {message}"
+
+    def test_comma_separated_lists_parse(self):
+        text = (
+            "class B { B(B p, B q) {} }\n"
+            "class A extends B { A(B p, B q) { super(p, q); } A m(A p, A q) { return p; } }\n"
+            "A x = new A(null, new B(null, null));\nx.m(x, x);"
+        )
+        program = parse_program(text)
+        assert program.main.commands == (
+            New("x", "A", (NullArg(), NewArg("B", (NullArg(), NullArg())))),
+            MethodInvoke("x", "m", ("x", "x")),
+        )
+        assert program.class_table["A"].super_arg_count == 2
+
+    def test_point_after_the_final_return(self):
+        program = parse_program("class A { A() {} } A x = new A(); return x; /* POINT */")
+        assert (program.main.ret, program.point) == ("x", 1)
+
+    def test_false_constructor_argument(self):
+        program = parse_program("class A { boolean b; A(boolean b) { this.b = b; } } A x = new A(false); return x;")
+        assert program.main.commands == (New("x", "A", (LitArg(False),)),)
 
     @staticmethod
     def nested_new(depth: int) -> str:

@@ -150,6 +150,18 @@ class TestEvalExpression:
         table, _ = execute(query, twin)
         assert table.rows == [(True,)]
 
+    def test_equals_on_relationships_is_identity(self):
+        g = PropertyGraph()
+        a = g.add_node("A")
+        first, second = g.add_relationship("f", a, a), g.add_relationship("f", a, a)
+        query = expanded("MATCH (n)-[r]->(), ()-[s]->() RETURN r, s, equals(r, s), equals(n, r), equals(n, 1)", [])
+        table, _ = execute(query, g)
+        assert table.rows == [
+            (RelRef(x), RelRef(y), x == y, False, False) for x in (first, second) for y in (first, second)
+        ]
+        assert as_bag(table) == enumerate_rows(g, query)
+        assert execute(expanded("RETURN equals(1, 1.0), equals(1, 1)", []), g)[0].rows == [(False, True)]
+
     def test_property_comparison(self, tree_graph):
         query = expanded("MATCH (a {$1}), (c {$2}) RETURN a.value < c.value", [UID["a"], UID["c"]])
         table, _ = execute(query, tree_graph)
