@@ -4,12 +4,13 @@ A QueryContext owns a snapshot plus default extraction settings.  Each call
 runs the one query pipeline, which the CLI's ``query`` and ``repl`` share:
 expand positional arguments, parse, validate (and lint into
 ``ResultSet.warnings``), extract the graph, execute, and wrap rows in a ResultSet.
-A context parses, validates and lints a format string once per tuple of
-``@k`` values, and keeps the result (``TEMPLATE_CACHE_SIZE``): a later call
-of the same template only checks its arguments and binds its ``$k`` ids,
-or each id of its ``[]k`` collection, into the parsed query.  A template
-that fails to parse or validate is not kept, so it fails the same way
-each time.  Bounded queries
+A context parses, validates, lints and plans (``query_engine.prepare``) a
+format string once per tuple of ``@k`` values, and keeps the parsed query
+with its plan (``TEMPLATE_CACHE_SIZE``): a later call of the same template
+only checks its arguments, binds its ``$k`` ids, or each id of its ``[]k``
+collection, into the parsed query, and runs the bound queries against the
+kept plan.  A template that fails to parse or validate is not kept, so it
+fails the same way each time.  Bounded queries
 restrict extraction to objects reachable from the supplied root(s);
 unbounded queries see every object in the snapshot, including unreachable
 ones unless force-collect is enabled.
@@ -51,7 +52,7 @@ from .errors import (
     UnknownColumnError,
 )
 from .property_graph import UID_KEY, PropertyGraph, collector_paused
-from .query_engine import ABSENT, NodeRef, RelRef, ResultTable, _columns, execute, execute_batch
+from .query_engine import ABSENT, NodeRef, Plan, RelRef, ResultTable, execute, execute_batch, prepare
 from .subgraph import ExtractionConfig, HeapObject, HeapSnapshot, extract, shared_graph, with_root
 
 
@@ -133,11 +134,12 @@ TEMPLATE_CACHE_SIZE = 64
 
 
 class _Parsed(NamedTuple):
-    """A validated query of a template, with its ``slot_sites`` and lint warnings."""
+    """A validated query of a template, with its ``slot_sites``, lint warnings and ``prepare``'s plan."""
 
     query: Query
     sites: tuple
     warnings: list
+    plan: Plan
 
 
 @dataclass
@@ -158,9 +160,10 @@ class QueryContext:
     ``extract``), not with the context.  ``cache_extractions`` fills the
     shared graph of each read.
 
-    Parsed templates are kept per context (see the module docstring), and
-    so is the key of the defaults, computed at the first query's
-    ``extract`` stage; a query's key is that key with its root argument.
+    Parsed templates are kept per context, each with its plan (see the
+    module docstring): a repeated call only binds its ids and runs.  So is
+    the key of the defaults, computed at the first query's ``extract``
+    stage; a query's key is that key with its root argument.
     """
 
     snapshot: HeapSnapshot
@@ -224,7 +227,7 @@ class _Stage:
 
 @collector_paused()
 def _run_pipeline(ctx: QueryContext, root, fmt: str, args, timings: dict | None = None, session=None) -> ResultSet:
-    """Expand, parse, validate (and lint), extract, execute; a kept template is not parsed or validated again.
+    """Expand, parse, validate (lint and plan), extract, execute; a kept template is not parsed or planned again.
 
     A ``session`` graph takes the place of the extraction.  It is shared
     with later queries, as a kept graph is, so a write runs on a copy of
@@ -244,7 +247,7 @@ def _run_pipeline(ctx: QueryContext, root, fmt: str, args, timings: dict | None 
             diagnostics = validate(query)
             if diagnostics:
                 raise QueryValidationError(diagnostics)
-            parsed = _Parsed(query, slot_sites(query), lint(query))
+            parsed = _Parsed(query, slot_sites(query), lint(query), prepare(query))
             ctx._keep(fmt, markers, arguments.names, parsed)
     with _Stage(timings, "extract"):
         writes = parsed.query.writes
@@ -252,11 +255,11 @@ def _run_pipeline(ctx: QueryContext, root, fmt: str, args, timings: dict | None 
     with _Stage(timings, "execute"):
         queries = bind(parsed.query, parsed.sites, arguments)
         if arguments.batch is None:
-            table, graph = execute(queries[0], graph)
+            table, graph = execute(queries[0], graph, parsed.plan)
         elif queries:
-            table, graph = execute_batch(queries, graph)
+            table, graph = execute_batch(queries, graph, parsed.plan)
         else:  # an empty batch: no rows, under the template's columns
-            table = ResultTable(_columns(parsed.query.clauses[-1]), [])
+            table = ResultTable(list(parsed.plan.columns), [])
     return ResultSet(table, graph, parsed.warnings)
 
 

@@ -43,7 +43,7 @@ their snapshot until they are filled (see ``subgraph.SnapshotGraph``).
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import gc
 import heapq
 from bisect import bisect_left, insort
@@ -83,8 +83,7 @@ ARRAY_SUFFIX = "[]"
 SCALAR_TYPES = (bool, int, float, str)
 
 
-@contextlib.contextmanager
-def collector_paused():
+class collector_paused:
     """Keep CPython's cyclic garbage collector from running inside the block.
 
     Used as ``@collector_paused()`` on calls that keep objects alive in
@@ -95,15 +94,28 @@ def collector_paused():
     re-enabled on exit only if it was enabled on entry, so nested calls
     restore it once, at the outermost one, and a caller that disabled it
     keeps it disabled.  The switch is process-wide (see README
-    "Concurrency").
+    "Concurrency").  A plain class, not a generator-based context manager:
+    the query pipeline enters it on every call.  A decorated function enters
+    a new one on each call, so it may be re-entered.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
+
+    __slots__ = ("was_enabled",)
+
+    def __enter__(self):
+        self.was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, kind, exc, traceback):
+        if self.was_enabled:
             gc.enable()
+
+    def __call__(self, fn):
+        @functools.wraps(fn)
+        def paused(*args, **kwargs):
+            with collector_paused():
+                return fn(*args, **kwargs)
+
+        return paused
 
 
 def check_label(label: str) -> str:
@@ -183,14 +195,14 @@ def structural_key(node: "Node") -> tuple:
     return node.label, canon_properties(node.properties, ignore_uid=True)
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     id: int
     label: str
     properties: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Relationship:
     id: int
     label: str

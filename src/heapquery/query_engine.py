@@ -21,7 +21,13 @@ Matching semantics:
 * Each node's ``neighbors`` list and strongly connected component are read
   from the graph's ``traversal_memo``, and entered there when missing, so
   they are kept across paths, rows and queries until a relationship write.
-* ``_shortcut`` answers "reach", "count" or None once for each MATCH clause.
+* ``prepare`` makes every decision that depends on neither the graph nor the
+  ids a template binds, once per query (``Plan``): the clause order and the
+  probe (``_planned``), each MATCH's shortcut (``_shortcut``), the RETURN's
+  summary and columns, and each path's matcher fields (``_Path``).  The
+  variables bound on entry to a clause are known then, since every row
+  entering it binds the same names.  ``execute`` runs a query against a plan.
+* ``_shortcut`` answers "reach", "count" or None for each MATCH clause.
 * "reach": reachability consumed only as a set is a breadth-first search
   instead of path enumeration.  That holds for a single non-optional MATCH
   of one variable-length segment (no relationship variable, lower bound 0
@@ -75,7 +81,7 @@ the exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -94,7 +100,6 @@ from .cypher_ast import (
     PathPattern,
     PropertyAccess,
     Query,
-    RelPattern,
     ReturnClause,
     Variable,
     WhereClause,
@@ -102,6 +107,7 @@ from .cypher_ast import (
     pattern_variables,
     walk,
 )
+from .cypher_frontend import Slot
 from .errors import ExecutionError, TypeMismatchError
 from .property_graph import (
     UID_KEY,
@@ -183,6 +189,13 @@ def _uid_literal(pattern: NodePattern) -> int | None:
     return None
 
 
+def _pinned(pattern: NodePattern) -> bool:
+    """Whether the pattern has an integer ``$uid`` literal, a ``Slot`` counting as one (``bind`` puts an id there)."""
+    return any(key == UID_KEY and isinstance(value, Slot) for key, value in pattern.properties) or (
+        _uid_literal(pattern) is not None
+    )
+
+
 def _start_candidates(graph: PropertyGraph, pattern: NodePattern, binding: dict) -> list[int]:
     """Ids of the nodes a path may start from, ascending.
 
@@ -236,8 +249,63 @@ def _bind(graph: PropertyGraph, binding: dict, pattern: NodePattern, node_id: in
     return new
 
 
+class _Segment(NamedTuple):
+    """A segment's matcher fields, in the order its path is matched (``_Path``)."""
+
+    rel_var: str | None  # a single hop's relationship variable
+    lo: int
+    hi: int | None
+    target: int  # the index in ``path.nodes`` of the node the segment ends at
+    checked: bool  # whether that node has a label or properties to check
+    closes: bool  # whether a closed walk counts (see ``_match_path``)
+    returns: bool  # an unbounded out or in segment that must end where it starts
+    direction: str  # as matched: flipped when the path is matched backwards
+    types: frozenset | None  # None for any type
+
+
+class _Path(NamedTuple):
+    """How ``_match_path`` matches a path: the node it starts from and its segments in that order."""
+
+    first: int  # the index in ``path.nodes`` of the start: 0, or the last node's when matched backwards
+    segments: tuple
+
+
+def _path_plan(path: PathPattern, bound) -> _Path:
+    """``path`` matched forward, with the variables ``bound`` on entry.
+
+    A closed walk counts in a single hop, and where the target's variable is
+    bound on entry or by an earlier node (so never an anonymous target).
+    """
+    segments = []
+    for seg, rel in enumerate(path.rels):
+        node = path.nodes[seg + 1]
+        name = node.var
+        lo, hi = rel.hops.bounds()
+        closes = not rel.hops.variable_length or (
+            name is not None and (name in bound or any(earlier.var == name for earlier in path.nodes[: seg + 1]))
+        )
+        returns = hi is None and rel.direction != "both" and name is not None and name == path.nodes[seg].var
+        types = frozenset(rel.types) if rel.types else None
+        segments.append(_Segment(rel.var, lo, hi, seg + 1, _checked(node), closes, returns, rel.direction, types))
+    return _Path(0, tuple(segments))
+
+
+def _backward(forward: _Path, path: PathPattern) -> _Path:
+    """``forward`` read from the last node of ``path``: segments reversed, directions flipped, flags kept."""
+    segments = []
+    for seg in reversed(forward.segments):
+        start = seg.target - 1  # where the forward segment starts, and so where this one ends
+        segments.append(seg._replace(target=start, checked=_checked(path.nodes[start]), direction=_FLIPPED[seg.direction]))
+    return _Path(len(path.rels), tuple(segments))
+
+
+def _checked(node: NodePattern) -> bool:
+    """Whether a node reached by a step must be checked against ``node``: it has a label or properties."""
+    return node.label is not None or bool(node.properties)
+
+
 def _match_path(
-    graph: PropertyGraph, path: PathPattern, binding: dict, starts: list[int] | None = None, reverse: bool = False
+    graph: PropertyGraph, path: PathPattern, binding: dict, matcher: _Path, starts: list[int] | None = None
 ) -> list[dict]:
     """All extensions of ``binding`` along ``path``, depth first by ascending id.
 
@@ -246,39 +314,26 @@ def _match_path(
     recursion depth.  The stack holds search states and, below the states
     entered through a relationship, that relationship's id (an int): popping
     the id releases it for reuse, as returning from a recursive call would.
-    ``closes``, fixed before the loop, says where a closed walk counts: in a
-    single hop, and where the target's variable is bound on entry or by an
-    earlier node (so never an anonymous target).  ``starts`` are the ids the
-    match starts from, ascending and already checked against the start
-    node's pattern (default: ``_start_candidates``).  ``reverse`` matches
-    the path, and the flags, from its last node: the same rows in another
-    order when ``_reversible`` holds; ``starts`` are then its candidates.
-    An unbounded out or in segment that must end where it starts steps only
-    inside its start's strongly connected component (``strong_components``),
-    and as the first segment, with a hop needed, drops starts with no step
-    into theirs: neither could return, so the rows stay the same.  Steps and
-    components are read from, and entered in, the graph's ``traversal_memo``.
+    ``matcher`` is the path's ``_path_plan``, or its ``_backward`` one, which
+    gives the same rows in another order when ``_reversible`` holds.
+    ``starts`` are the ids the match starts from, ascending and already
+    checked against the start node's pattern (default:
+    ``_start_candidates``).  An unbounded out or in segment that must end
+    where it starts steps only inside its start's strongly connected
+    component (``strong_components``), and as the first segment, with a hop
+    needed, drops starts with no step into theirs: neither could return, so
+    the rows stay the same.  Steps and components are read from, and
+    entered in, the graph's ``traversal_memo``.
     """
-    closes = []  # whether a closed walk counts in each segment, read forward
-    for seg, rel in enumerate(path.rels):
-        name = path.nodes[seg + 1].var
-        closes.append(
-            not rel.hops.variable_length
-            or name is not None and (name in binding or any(node.var == name for node in path.nodes[: seg + 1]))
-        )
-    if reverse:
-        path, closes = _reversed(path), closes[::-1]
-    first = path.nodes[0]
-    last = len(path.rels)
-    plan = []
-    for seg, rel in enumerate(path.rels):
-        node = path.nodes[seg + 1]
-        checked = node.label is not None or bool(node.properties)
-        lo, hi = rel.hops.bounds()
-        _, comps, steps = _traversal(graph, rel)
+    nodes = path.nodes
+    first = nodes[matcher.first]
+    last = len(matcher.segments)
+    segs = []
+    for seg in matcher.segments:
+        _, comps, steps = _traversal(graph, seg)
         # Only a segment that must end where it starts reads components.
-        returns = hi is None and rel.direction != "both" and node.var is not None and node.var == path.nodes[seg].var
-        plan.append((rel.var, lo, hi, node, checked, closes[seg], steps, comps if returns else None))
+        comps = comps if seg.returns else None
+        segs.append((seg.rel_var, seg.lo, seg.hi, nodes[seg.target], seg.checked, seg.closes, steps, comps))
 
     results: list[dict] = []
     used: set[int] = set()
@@ -286,9 +341,9 @@ def _match_path(
     stack: list = []
     if starts is None:
         starts = _start_candidates(graph, first, binding)
-    if plan and plan[0][7] is not None and plan[0][1] >= 1:
+    if segs and segs[0][7] is not None and segs[0][1] >= 1:
         # A start with no step into its own component has no closed walk.
-        steps, comps = plan[0][6:]
+        steps, comps = segs[0][6:]
         kept = []
         for node_id in starts:
             scc = _component(node_id, steps, comps)
@@ -301,7 +356,7 @@ def _match_path(
         start_binding = _bind(graph, binding, first, node_id)
         if start_binding is not None:
             stack.append((0, node_id, node_id, 0, start_binding, None))
-    if not path.rels:
+    if not segs:
         return [state[4] for state in reversed(stack)]
     while stack:
         item = stack.pop()
@@ -312,7 +367,7 @@ def _match_path(
         if via is not None:
             used.add(via)
             stack.append(via)
-        rel_var, lo, hi, target, checked, closes, next_steps, comps = plan[seg]
+        rel_var, lo, hi, target, checked, closes, next_steps, comps = segs[seg]
         if hi is None or depth < hi:
             scc = None if comps is None else _component(seg_start, next_steps, comps)
             for rel, other in reversed(next_steps(node_id)):
@@ -336,11 +391,10 @@ def _match_path(
     return results
 
 
-def _traversal(graph: PropertyGraph, rel: RelPattern) -> tuple:
-    """``rel``'s kept adjacency and component map (``PropertyGraph.traversal_memo``), and ``_steps`` on them."""
-    types = frozenset(rel.types) if rel.types else None
-    adjacency, comps = graph.traversal_memo(rel.direction, types)
-    return adjacency, comps, partial(_steps, graph, adjacency, rel.direction, types)
+def _traversal(graph: PropertyGraph, seg: _Segment) -> tuple:
+    """``seg``'s kept adjacency and component map (``PropertyGraph.traversal_memo``), and ``_steps`` on them."""
+    adjacency, comps = graph.traversal_memo(seg.direction, seg.types)
+    return adjacency, comps, partial(_steps, graph, adjacency, seg.direction, seg.types)
 
 
 def _steps(graph: PropertyGraph, adjacency: dict, direction: str, types, node_id: int) -> list:
@@ -362,7 +416,7 @@ def _component(node_id: int, steps, comps: dict) -> int:
     return comps[node_id]
 
 
-def _reachable(graph: PropertyGraph, start: int, rel_pattern: RelPattern) -> list[int]:
+def _reachable(graph: PropertyGraph, start: int, seg: _Segment) -> list[int]:
     """Ids of the nodes a variable-length segment with ``lo <= 1`` reaches, ascending.
 
     Breadth-first search with a visited set, bounded by ``hi`` hops.  A node
@@ -371,8 +425,8 @@ def _reachable(graph: PropertyGraph, start: int, rel_pattern: RelPattern) -> lis
     because a shortest path never repeats a relationship; ``start`` itself
     counts only at zero hops, i.e. when ``lo`` is 0.
     """
-    lo, hi = rel_pattern.hops.bounds()
-    steps = _traversal(graph, rel_pattern)[2]
+    lo, hi = seg.lo, seg.hi
+    steps = _traversal(graph, seg)[2]
     seen = {start}
     frontier = [start]
     depth = 0
@@ -390,23 +444,25 @@ def _reachable(graph: PropertyGraph, start: int, rel_pattern: RelPattern) -> lis
     return sorted(seen)
 
 
-def _match_reachable(graph: PropertyGraph, path: PathPattern, binding: dict, starts: list[int] | None) -> list[dict]:
+def _match_reachable(
+    graph: PropertyGraph, path: PathPattern, binding: dict, matcher: _Path, starts: list[int] | None
+) -> list[dict]:
     """One row per (start, reachable target) pair: the path bag with duplicates removed."""
-    first, target = path.nodes
-    checked = target.label is not None or bool(target.properties)
+    (seg,) = matcher.segments
+    first, target = path.nodes[matcher.first], path.nodes[seg.target]
     rows = []
     for start in _start_candidates(graph, first, binding) if starts is None else starts:
         start_binding = _bind(graph, binding, first, start)
         if start_binding is None:
             continue
-        for node_id in _reachable(graph, start, path.rels[0]):
-            row = _bind(graph, start_binding, target, node_id, checked)
+        for node_id in _reachable(graph, start, seg):
+            row = _bind(graph, start_binding, target, node_id, seg.checked)
             if row is not None:
                 rows.append(row)
     return rows
 
 
-def _multiplicities(graph: PropertyGraph, path: PathPattern) -> dict[int, int] | None:
+def _multiplicities(graph: PropertyGraph, path: PathPattern, matcher: _Path) -> dict[int, int] | None:
     """Target id -> the number of rows ``path`` matches with that target, for a "count" ``_shortcut``.
 
     A lone node's candidates count once each.  A segment counts its walks
@@ -415,19 +471,20 @@ def _multiplicities(graph: PropertyGraph, path: PathPattern) -> dict[int, int] |
     starts = _start_candidates(graph, path.nodes[0], {})
     if not path.rels:
         return dict.fromkeys(starts, 1)
-    rel, target = path.rels[0], path.nodes[-1]
-    walks = _walk_counts(graph, starts, rel)
+    (seg,) = matcher.segments
+    target = path.nodes[-1]
+    walks = _walk_counts(graph, starts, seg)
     if walks is None:
         return None
-    if rel.hops.bounds()[0]:  # no empty walk
+    if seg.lo:  # no empty walk
         for start in starts:
             walks[start] -= 1
-    checked = target.label is not None or bool(target.properties)
+    checked = seg.checked
     return {node_id: n for node_id, n in walks.items() if n and (not checked or _node_matches(graph, node_id, target))}
 
 
-def _walk_counts(graph: PropertyGraph, starts: list[int], rel: RelPattern) -> dict[int, int] | None:
-    """Node id -> the number of walks along ``rel``'s steps from ``starts`` to it, a start's empty walk included.
+def _walk_counts(graph: PropertyGraph, starts: list[int], seg: _Segment) -> dict[int, int] | None:
+    """Node id -> the number of walks along ``seg``'s steps from ``starts`` to it, a start's empty walk included.
 
     None when a step of the region the starts reach stays inside one
     strongly connected component.  Without one, the region has no cycle and
@@ -436,7 +493,7 @@ def _walk_counts(graph: PropertyGraph, starts: list[int], rel: RelPattern) -> di
     for all starts together.  Steps and components come from the graph's
     ``traversal_memo``, as in ``_match_path``.
     """
-    adjacency, comps, steps = _traversal(graph, rel)
+    adjacency, comps, steps = _traversal(graph, seg)
     for start in starts:
         _component(start, steps, comps)
     waiting = dict.fromkeys(starts, 0)  # reached node -> its incoming steps not yet counted
@@ -467,17 +524,17 @@ def _walk_counts(graph: PropertyGraph, starts: list[int], rel: RelPattern) -> di
     return walks
 
 
-def _shortcut(clauses: tuple, i: int, items: _Items | None) -> str | None:
+def _shortcut(clauses: tuple, i: int, items: _Items) -> str | None:
     """How the MATCH ``clauses[i]`` may skip building a row per path: "count", "reach" or None.
 
     The shapes are the module docstring's.  Both need a non-optional MATCH
     of one path, followed only by the RETURN, and "count" the first clause.
-    A "reach" target must also be unbound when matched (``_extensions``);
+    A "reach" target must also be unbound when matched (``_match_plan``);
     a "count" target with an integer ``$uid`` is left to the planner, which
     matches the path from it.
     """
     clause = clauses[i]
-    if items is None or i + 2 != len(clauses) or clause.optional or len(clause.patterns) != 1:
+    if i + 2 != len(clauses) or clause.optional or len(clause.patterns) != 1:
         return None
     path = clause.patterns[0]
     start, target = path.nodes[0].var, path.nodes[-1].var
@@ -494,37 +551,36 @@ def _shortcut(clauses: tuple, i: int, items: _Items | None) -> str | None:
     if target is not None and target == start:
         return None
     distinct = all(count.distinct for count in items.counts) if items.counts else clauses[-1].distinct
-    if counted and not distinct and hi is None and rel.direction != "both" and _uid_literal(path.nodes[-1]) is None:
+    if counted and not distinct and hi is None and rel.direction != "both" and not _pinned(path.nodes[-1]):
         return "count"
     return "reach" if target is not None and distinct else None
 
 
-def _extensions(
-    graph: PropertyGraph, patterns, seed: dict, reach: bool = False, probe: dict | None = None
-) -> list[dict]:
+def _extensions(graph: PropertyGraph, patterns, seed: dict, match: _Match, probe: dict | None) -> list[dict]:
     """All extensions of ``seed`` satisfying every pattern, left to right.
 
-    With a ``probe`` (see ``_planned``) a path is matched backwards from its
-    last node when ``_reversible`` holds and that node is anchored
-    (``_anchor``), else forward from its first node's anchor, if any; the
-    rows then come in no defined order.  With ``reach`` (a "reach"
-    ``_shortcut``) a path into an unbound target is ``_match_reachable``'s.
+    With a ``probe`` (see ``_planned``) a path with a ``_backward`` matcher
+    is matched from its last node when that node is anchored (``_anchor``),
+    else forward from its first node's anchor, if any; the rows then come in
+    no defined order.  A "reach" ``match`` is ``_match_reachable``'s.
     """
+    reach = match.shortcut == "reach"
     acc = [seed]
-    for path in patterns:
+    for path, (forward, backward) in zip(patterns, match.paths):
         out = []
         for binding in acc:
-            starts, reverse = None, False
+            matcher, starts = forward, None
             if probe is not None:
-                if path.rels and _reversible(path, binding):
+                if backward is not None:
                     starts = _anchor(graph, path.nodes[-1], binding, probe)
-                    reverse = starts is not None
-                if not reverse:
+                    if starts is not None:
+                        matcher = backward
+                if matcher is forward:
                     starts = _anchor(graph, path.nodes[0], binding, probe)
-            if reach and path.nodes[-1].var not in binding:
-                out += _match_reachable(graph, _reversed(path) if reverse else path, binding, starts)
+            if reach:
+                out += _match_reachable(graph, path, binding, matcher, starts)
             else:
-                out += _match_path(graph, path, binding, starts, reverse)
+                out += _match_path(graph, path, binding, matcher, starts)
         acc = out
         if not acc:
             break
@@ -536,8 +592,79 @@ def _extensions(
 _FLIPPED = {"out": "in", "in": "out", "both": "both"}
 
 
-def _planned(query: Query, items: _Items | None) -> tuple[tuple, dict | None]:
-    """The clauses to run, and the equality probe when the planner applies.
+class _Match(NamedTuple):
+    """A MATCH clause's part of a ``Plan``."""
+
+    shortcut: str | None  # ``_shortcut``'s, but "reach" only into a target not bound on entry
+    absent: dict  # each variable of the clause -> ABSENT: an OPTIONAL MATCH's row when nothing matches
+    cross: bool  # whether no variable of the clause, nor its probe partner, is bound on entry
+    paths: tuple  # per pattern: its ``_path_plan``, and its ``_backward`` one when the planner may use it
+
+
+class Plan(NamedTuple):
+    """What ``execute`` runs a query with: the decisions that depend on neither the graph nor the bound ids."""
+
+    steps: tuple  # (clause index, its _Match, a MERGE's _Path, or None) per clause before the RETURN, in run order
+    probe: dict | None  # see ``_planned``
+    items: _Items  # the RETURN's ``_summary``
+    columns: tuple  # the RETURN's column names
+
+
+def prepare(query: Query) -> Plan:
+    """The ``Plan`` of a validated query, or of the template its ids are bound into.
+
+    No decision reads an id, only whether a node pattern has an integer
+    ``$uid``: a ``Slot`` counts as one, since ``bind`` puts an integer there.
+    So a template's plan is that of each query bound from it.  Every row
+    entering a clause binds the same names, so the variables bound on entry
+    are known here: those of the clauses run before, and of the clause's
+    earlier patterns.
+    """
+    last = query.clauses[-1] if query.clauses else None
+    if not isinstance(last, ReturnClause):
+        raise ExecutionError("query has no RETURN clause")
+    items = _summary(last)
+    order, probe = _planned(query, items)
+    clauses = tuple(query.clauses[i] for i in order)
+    bound: set[str] = set()
+    steps = []
+    for k, clause in enumerate(clauses[:-1]):
+        if isinstance(clause, MatchClause):
+            step = _match_plan(clauses, k, items, bound, probe)
+        elif isinstance(clause, MergeClause):
+            step = _path_plan(clause.pattern, bound)
+            bound.update(pattern_variables((clause.pattern,)))
+        elif isinstance(clause, CreateClause):
+            step = None
+            bound.update(pattern_variables(clause.patterns))
+        elif isinstance(clause, WhereClause):
+            step = None
+        else:
+            raise ExecutionError(f"cannot execute clause {clause!r}")
+        steps.append((order[k], step))
+    return Plan(tuple(steps), probe, items, tuple(item.alias or expression_text(item.expr) for item in last.items))
+
+
+def _match_plan(clauses: tuple, k: int, items: _Items, bound: set, probe: dict | None) -> _Match:
+    """The ``_Match`` of ``clauses[k]``, entered with ``bound``; adds the clause's variables to ``bound``."""
+    clause = clauses[k]
+    names = pattern_variables(clause.patterns)
+    joins = {*names, *(probe[name] for name in names if name in probe)} if probe else set(names)
+    shortcut = _shortcut(clauses, k, items)
+    if shortcut == "reach" and clause.patterns[0].nodes[-1].var in bound:
+        shortcut = None
+    cross = joins.isdisjoint(bound)
+    paths = []
+    for path in clause.patterns:
+        forward = _path_plan(path, bound)
+        reversible = probe is not None and path.rels and _reversible(path, bound)
+        paths.append((forward, _backward(forward, path) if reversible else None))
+        bound.update(pattern_variables((path,)))
+    return _Match(shortcut, dict.fromkeys(names, ABSENT), cross, tuple(paths))
+
+
+def _planned(query: Query, items: _Items) -> tuple[tuple, dict | None]:
+    """The indexes of the clauses in the order they run, and the equality probe when the planner applies.
 
     The planner applies to a query of non-optional MATCH clauses, then at
     most one WHERE, then a RETURN that aggregates, so that row order cannot
@@ -547,24 +674,28 @@ def _planned(query: Query, items: _Items | None) -> tuple[tuple, dict | None]:
     ``{x: y, y: x}`` (empty otherwise).  The WHERE still runs.  Without the
     planner the probe is None.
     """
-    *body, last = query.clauses or (None,)
-    where = body.pop() if body and isinstance(body[-1], WhereClause) else None
-    if items is None or not items.counts:
-        return query.clauses, None
-    if not body or not all(isinstance(clause, MatchClause) and not clause.optional for clause in body):
-        return query.clauses, None
+    clauses = query.clauses
+    order = tuple(range(len(clauses)))
+    *body, last = order
+    where = body.pop() if body and isinstance(clauses[body[-1]], WhereClause) else None
+    if not items.counts or not body:
+        return order, None
+    if not all(isinstance(clauses[i], MatchClause) and not clauses[i].optional for i in body):
+        return order, None
     pinned, rest, named = [], [], set()
-    for clause in body:
-        node = clause.patterns[0].nodes[0]
-        single = len(clause.patterns) == 1 and not clause.patterns[0].rels
-        if single and _uid_literal(node) is not None and node.var not in named:
-            pinned.append(clause)
+    for i in body:
+        patterns = clauses[i].patterns
+        node = patterns[0].nodes[0]
+        single = len(patterns) == 1 and not patterns[0].rels
+        if single and _pinned(node) and node.var not in named:
+            pinned.append(i)
         else:
-            rest.append(clause)
-        named.update(pattern_variables(clause.patterns))
+            rest.append(i)
+        named.update(pattern_variables(patterns))
     probe = {}
     if where is not None:
-        sides = (where.expr.left, where.expr.right) if isinstance(where.expr, EqualsCall) else ()
+        expr = clauses[where].expr
+        sides = (expr.left, expr.right) if isinstance(expr, EqualsCall) else ()
         if all(isinstance(side, Variable) for side in sides):
             probe = {side.name: other.name for side, other in zip(sides, reversed(sides))}
         rest.append(where)
@@ -586,24 +717,18 @@ def _anchor(graph: PropertyGraph, pattern: NodePattern, binding: dict, probe: di
     return None
 
 
-def _reversible(path: PathPattern, binding: dict) -> bool:
+def _reversible(path: PathPattern, bound) -> bool:
     """True when the planner may match ``path`` from its last node.
 
     Every variable occurs once in the path, and none but the last node's is
-    bound on entry.  The rows are the forward match's in another order:
-    ``_match_path`` fixes each segment's closed-walk flag on the forward
-    pattern and reverses the flags with the path.
+    ``bound`` on entry.  The rows are the forward match's in another order:
+    ``_backward`` keeps each segment's closed-walk flag of the forward
+    pattern.
     """
     names = [node.var for node in path.nodes] + [rel.var for rel in path.rels]
     names = [name for name in names if name is not None]
     anchor = path.nodes[-1].var
-    return len(names) == len(set(names)) and all(name == anchor or name not in binding for name in names)
-
-
-def _reversed(path: PathPattern) -> PathPattern:
-    """``path`` read from its last node: nodes and relationships reversed, directions flipped."""
-    rels = tuple(replace(rel, direction=_FLIPPED[rel.direction]) for rel in reversed(path.rels))
-    return PathPattern(tuple(reversed(path.nodes)), rels)
+    return len(names) == len(set(names)) and all(name == anchor or name not in bound for name in names)
 
 
 # --- expressions -----------------------------------------------------------------
@@ -713,25 +838,20 @@ def _kleene(word: str, dominant: bool, left, right):
 
 
 def _match_clause(
-    graph: PropertyGraph, clause: MatchClause, rows: list[dict], reach: bool, probe: dict | None = None
+    graph: PropertyGraph, clause: MatchClause, rows: list[dict], match: _Match, probe: dict | None
 ) -> list[dict]:
-    absent = dict.fromkeys(pattern_variables(clause.patterns), ABSENT)
-    joins = set(absent)
-    if probe:
-        joins.update(probe[name] for name in absent if name in probe)
-    if rows and joins.isdisjoint(rows[0]):
-        # no variable joins the incoming rows (they all bind the same names): match once, cross-join
-        base = _extensions(graph, clause.patterns, {}, reach, probe)
+    if rows and match.cross:  # no variable joins the incoming rows: match once, cross-join
+        base = _extensions(graph, clause.patterns, {}, match, probe)
         if not base and clause.optional:
-            base = [absent]
+            base = [match.absent]
         return [{**row, **extension} for row in rows for extension in base]
     out: list[dict] = []
     for row in rows:
-        matched = _extensions(graph, clause.patterns, row, reach, probe)
+        matched = _extensions(graph, clause.patterns, row, match, probe)
         if matched:
             out.extend(matched)
         elif clause.optional:
-            out.append({**absent, **row})
+            out.append({**match.absent, **row})
     return out
 
 
@@ -788,10 +908,10 @@ def _create_clause(graph: PropertyGraph, clause: CreateClause, rows: list[dict])
     return out
 
 
-def _merge_clause(graph: PropertyGraph, clause: MergeClause, rows: list[dict]) -> list[dict]:
+def _merge_clause(graph: PropertyGraph, clause: MergeClause, rows: list[dict], matcher: _Path) -> list[dict]:
     out = []
     for row in rows:
-        matches = _match_path(graph, clause.pattern, row)
+        matches = _match_path(graph, clause.pattern, row, matcher)
         if matches:
             out.extend(matches)
         else:
@@ -871,14 +991,10 @@ def _aggregate_row(leaves: tuple, rows: list[dict], graph: PropertyGraph, multip
     return row
 
 
-def _columns(clause: ReturnClause) -> list[str]:
-    return [item.alias or expression_text(item.expr) for item in clause.items]
-
-
 def _return_clause(
-    graph: PropertyGraph, clause: ReturnClause, rows: list[dict], items: _Items, multiplicities: dict | None = None
+    graph: PropertyGraph, clause: ReturnClause, rows: list[dict], plan: Plan, multiplicities: dict | None
 ) -> ResultTable:
-    columns = _columns(clause)
+    items, columns = plan.items, list(plan.columns)
     if items.counts:
         if not rows and items.reads:  # an item needs a row
             return ResultTable(columns, [])
@@ -906,47 +1022,41 @@ def _return_clause(
 # --- entry points ------------------------------------------------------------------
 
 
-def execute(query: Query, graph: PropertyGraph) -> tuple[ResultTable, PropertyGraph]:
+def execute(query: Query, graph: PropertyGraph, plan: Plan | None = None) -> tuple[ResultTable, PropertyGraph]:
     """Run a validated query; returns the result table and the graph.
 
-    Writes are applied in clause order with no rollback: a failing clause
-    leaves earlier writes in place.  Callers needing atomicity should copy
-    the graph first.
+    ``plan`` is ``prepare(query)``, or that of the template ``query`` was
+    bound from (made here when not given).  Writes are applied in clause
+    order with no rollback: a failing clause leaves earlier writes in
+    place.  Callers needing atomicity should copy the graph first.
     """
+    if plan is None:
+        plan = prepare(query)
     rows: list[dict] = [{}]
     multiplicities = None  # a "count" shortcut's (``_shortcut``), whose MATCH then builds no row
-    table: ResultTable | None = None
-    last = query.clauses[-1] if query.clauses else None
-    items = _summary(last) if isinstance(last, ReturnClause) else None
-    clauses, probe = _planned(query, items)
-    for i, clause in enumerate(clauses):
-        if isinstance(clause, CreateClause):
-            rows = _create_clause(graph, clause, rows)
-        elif isinstance(clause, MergeClause):
-            rows = _merge_clause(graph, clause, rows)
-        elif isinstance(clause, MatchClause):
-            shortcut = _shortcut(clauses, i, items)
-            if shortcut == "count":
-                multiplicities = _multiplicities(graph, clause.patterns[0])
+    clauses = query.clauses
+    for i, step in plan.steps:
+        clause = clauses[i]
+        if isinstance(clause, MatchClause):
+            if step.shortcut == "count":
+                multiplicities = _multiplicities(graph, clause.patterns[0], step.paths[0][0])
             if multiplicities is None:  # a cycle falls back to enumeration
-                rows = _match_clause(graph, clause, rows, shortcut == "reach", probe)
+                rows = _match_clause(graph, clause, rows, step, plan.probe)
         elif isinstance(clause, WhereClause):
             rows = _where_clause(graph, clause, rows)
-        elif isinstance(clause, ReturnClause):
-            table = _return_clause(graph, clause, rows, items if clause is last else _summary(clause), multiplicities)
+        elif isinstance(clause, CreateClause):
+            rows = _create_clause(graph, clause, rows)
         else:
-            raise ExecutionError(f"cannot execute clause {clause!r}")
-    if table is None:
-        raise ExecutionError("query has no RETURN clause")
-    return table, graph
+            rows = _merge_clause(graph, clause, rows, step)
+    return _return_clause(graph, clauses[-1], rows, plan, multiplicities), graph
 
 
-def execute_batch(queries, graph: PropertyGraph) -> tuple[ResultTable, PropertyGraph]:
-    """Run the queries of a batch in order, bag-unioning their rows."""
+def execute_batch(queries, graph: PropertyGraph, plan: Plan | None = None) -> tuple[ResultTable, PropertyGraph]:
+    """Run the queries of a batch in order, bag-unioning their rows; ``plan`` is that of every one (see ``execute``)."""
     columns: list | None = None
     rows: list = []
     for query in queries:
-        table, graph = execute(query, graph)
+        table, graph = execute(query, graph, plan)
         if columns is None:
             columns = table.columns
         elif columns != table.columns:

@@ -53,14 +53,14 @@ from .property_graph import (
 FIELD_KINDS = ("reference", "primitive", "primitive-array", "reference-array")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ref:
     """A reference-field value pointing at another object."""
 
     id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RefArray:
     """A reference-array value: an ordered tuple of object ids (None = null slot)."""
 
@@ -85,7 +85,7 @@ class ClassInfo:
     statics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeapObject:
     id: int
     cls: str

@@ -11,14 +11,34 @@ from heapquery.errors import (
     ReservedLabelError,
 )
 from heapquery.property_graph import (
+    Node,
     PropertyGraph,
+    Relationship,
     ensure_user_label,
     values_equal,
 )
+from heapquery.subgraph import HeapObject, Ref, RefArray
 
 from .conftest import build_point_graph, build_tree_graph
 from .oracles import SizeLimitExceededError, structurally_equal
 from .strategies import graphs, rebuild_permuted
+
+
+class TestSlottedValues:
+    """The values a graph or snapshot holds one of per object keep no ``__dict__``."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [Node(0, "A"), Relationship(0, "f", 0, 0), HeapObject(1, "A"), Ref(1), RefArray([1, None])],
+        ids=lambda value: type(value).__name__,
+    )
+    def test_refuses_a_new_attribute(self, value):
+        assert not hasattr(value, "__dict__")
+        # Python 3.11's frozen slotted dataclasses refuse with TypeError: their
+        # ``__setattr__`` calls ``super()`` on the class as it was before slots.
+        with pytest.raises((AttributeError, TypeError)):
+            value.extra = 1
+        assert not hasattr(value, "extra")
 
 
 class TestNodes:
