@@ -138,8 +138,13 @@ def _load_class(raw, i: int) -> ClassInfo:
 
 
 def _decode_objects(entries: list) -> list:
-    """Each object entry decoded by its JSON shape alone, for ``validate``."""
+    """Each object entry decoded by its JSON shape alone, for ``validate``.
+
+    The objects of a class share one class-name string, where the document
+    has one per object: on a 100,000-object snapshot that is about 6 MB less.
+    """
     objects = []
+    names: dict[str, str] = {}
     for i, raw in enumerate(entries):
         if type(raw) is not dict or "id" not in raw or "class" not in raw:
             raise SnapshotSchemaError("object entries need id and class", f"objects[{i}]")
@@ -148,7 +153,10 @@ def _decode_objects(entries: list) -> list:
         fields = raw["fields"] if "fields" in raw else {}
         if type(fields) is not dict:
             raise SnapshotSchemaError("fields must be an object", f"objects[{i}].fields")
-        objects.append(HeapObject(raw["id"], raw["class"], _decode_values(fields, "objects", i, "fields")))
+        cls = raw["class"]
+        if type(cls) is str:  # any other type fails ``validate``
+            cls = names.setdefault(cls, cls)
+        objects.append(HeapObject(raw["id"], cls, _decode_values(fields, "objects", i, "fields")))
     return objects
 
 

@@ -58,6 +58,11 @@ class TestLoadSnapshot:
             assert ref == 99
         assert len(calls) == 1
 
+    def test_objects_of_a_class_share_its_name(self):
+        doc = '{"classes":[{"name":"A","fields":[]}],"objects":[{"id":1,"class":"A"},{"id":2,"class":"A"}],"roots":{}}'
+        first, second = load_snapshot(doc).objects
+        assert first.cls == "A" and first.cls is second.cls
+
     def test_empty_document(self):
         snapshot = load_snapshot(b'{"classes":[],"objects":[],"roots":{}}')
         assert snapshot.objects == []
