@@ -22,6 +22,7 @@ Exit codes: 0 success, 1 input/IO errors, 2 query-pipeline errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -68,7 +69,9 @@ def _render_cell(graph: PropertyGraph, value) -> str:
     return str(value)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a parse changes no state in it."""
     parser = argparse.ArgumentParser(prog="heapquery", description="Query object heaps as property graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -74,10 +74,19 @@ class Token(NamedTuple):
 def tokenize(pattern: re.Pattern, text: str) -> list[Token]:
     """The tokens ``pattern`` matches in ``text`` without whitespace and comments, then ``eof``.
 
-    The group that matched names each token's kind; the cursor rejects ``bad`` ones.
+    The group that matched names each token's kind; the cursor rejects ``bad`` ones.  Every
+    capturing group of ``pattern`` is a named alternative, so ``lastindex`` is the one that matched.
     """
-    matches = pattern.finditer(text)
-    tokens = [Token(m.lastgroup, m[m.lastgroup], m.start()) for m in matches if m.lastgroup not in ("ws", "comment")]
+    kinds = [None] * (pattern.groups + 1)  # by group number; None for whitespace and comments
+    for name, number in pattern.groupindex.items():
+        kinds[number] = None if name in ("ws", "comment") else name
+    new = tuple.__new__  # a Token without the Python-level ``__new__`` of a named tuple
+    tokens = []
+    for m in pattern.finditer(text):
+        number = m.lastindex
+        kind = kinds[number]
+        if kind is not None:
+            tokens.append(new(Token, (kind, m[number], m.start())))
     tokens.append(Token("eof", "", len(text)))
     return tokens
 
@@ -133,6 +142,10 @@ class ProgramSyntaxError(ProgramError):
 
 class UnknownTypeError(ProgramError):
     pass
+
+
+class LiteralTypeError(ProgramError):
+    """A constructor literal that its primitive field's declared type does not take."""
 
 
 class EvalError(ProgramError):

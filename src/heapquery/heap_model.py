@@ -20,6 +20,7 @@ A ``/* POINT */`` comment between top-level commands marks where
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -27,6 +28,7 @@ from .errors import (
     MAX_NESTING,
     ArityMismatchError,
     EvalError,
+    LiteralTypeError,
     NoSuchMethodError,
     ProgramSyntaxError,
     ReservedLabelError,
@@ -46,28 +48,36 @@ from .property_graph import (
 )
 
 PRIMITIVE_TYPES = frozenset({"int", "double", "boolean", "String"})
+# The literals each primitive type takes, by their Python type; an ``int`` given to a
+# ``double`` is stored as a float, as Java widens it.
+_LITERAL_TYPES = {"int": (int,), "double": (float, int), "boolean": (bool,), "String": (str,)}
+_TYPE_NAMES = {int: "int", float: "double", bool: "boolean", str: "String"}
 _NO_NAMES = MappingProxyType({})  # the renaming of the top-level commands: none
 
 
 # --- abstract syntax ---------------------------------------------------------
 
+# Commands and arguments compare by value and hash.  Not frozen: a frozen dataclass sets
+# each field through ``object.__setattr__``, three times the cost of a plain slot.
+_value = dataclass(slots=True, unsafe_hash=True)
 
-@dataclass(frozen=True)
+
+@_value
 class VarArg:
     name: str
 
 
-@dataclass(frozen=True)
+@_value
 class NullArg:
     pass
 
 
-@dataclass(frozen=True)
+@_value
 class LitArg:
     value: object
 
 
-@dataclass(frozen=True)
+@_value
 class NewArg:
     """A nested allocation used directly as a constructor argument.
 
@@ -78,7 +88,7 @@ class NewArg:
     args: tuple
 
 
-@dataclass(frozen=True)
+@_value
 class NodeRefArg:
     """Argument already resolved to a graph node (internal use)."""
 
@@ -88,21 +98,21 @@ class NodeRefArg:
 Arg = VarArg | NullArg | LitArg | NewArg | NodeRefArg
 
 
-@dataclass(frozen=True)
+@_value
 class New:
     var: str
     cls: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@_value
 class FieldAssign:
     obj: str
     fieldname: str
     value: str
 
 
-@dataclass(frozen=True)
+@_value
 class MethodInvoke:
     obj: str
     method: str
@@ -112,7 +122,7 @@ class MethodInvoke:
 Command = New | FieldAssign | MethodInvoke
 
 
-@dataclass(frozen=True)
+@_value
 class Body:
     """Commands run in order, then ``return ret`` (None for a bare ``return``)."""
 
@@ -140,7 +150,11 @@ class ClassDecl:
 
 
 class ClassTable:
-    """Class declarations closed under superclass references."""
+    """Class declarations closed under superclass references.
+
+    ``inits`` maps a class to one ``(field, declared type, argument index, declaring class)``
+    per field of its chain, the superclass's first: ``super(...)`` forwards the first parameters.
+    """
 
     def __init__(self, classes: dict[str, ClassDecl]):
         self._classes = dict(classes)
@@ -148,6 +162,32 @@ class ClassTable:
             if decl.superclass is not None and decl.superclass not in self._classes:
                 raise UnknownTypeError(f"class {decl.name!r} extends unknown class {decl.superclass!r}")
         self._check_acyclic()
+        self.inits: dict[str, tuple] = {}
+        for decl in self._classes.values():
+            self._add_inits(decl)
+
+    def _add_inits(self, decl: ClassDecl) -> None:
+        """Enter the ``inits`` of ``decl`` and of its superclasses, checking each ``super(...)``."""
+        chain = []
+        while decl.name not in self.inits:
+            chain.append(decl)
+            if decl.superclass is None:
+                break
+            decl = self._classes[decl.superclass]
+        for decl in reversed(chain):
+            inherited = ()
+            if decl.superclass is not None:
+                superclass = self._classes[decl.superclass]
+                if decl.super_arg_count != len(superclass.ctor_params):
+                    raise ArityMismatchError(
+                        f"super(...) of {decl.name!r}: constructor of {superclass.name!r} takes "
+                        f"{len(superclass.ctor_params)} argument(s), got {decl.super_arg_count}"
+                    )
+                inherited = self.inits[superclass.name]
+            types = dict(decl.fields)
+            index = {name: i for i, (name, _) in enumerate(decl.ctor_params)}
+            own = tuple((f, types[f], index[param], decl.name) for f, param in decl.own_assignments)
+            self.inits[decl.name] = inherited + own
 
     def _check_acyclic(self):
         for name in self._classes:
@@ -196,20 +236,22 @@ def mbody(ct: ClassTable, method: str, cls: str) -> tuple[tuple, Body]:
 
 # --- parsing -----------------------------------------------------------------
 
-# Token kinds: point/float/int/string/ident/punct/bad.  A match takes the
+# Token kinds: ident/punct/point/float/int/string/bad.  A match takes the
 # whitespace after its token, so ``ws`` matches only at the start (a match per
 # gap would make half as many again).  ``bad`` takes any other character, so the
-# matches cover the text; an open comment or string starts one.
+# matches cover the text; an open comment or string starts one.  The two most
+# common kinds come first; only point and comment, and float and int, share a
+# first character, and each pair keeps its order.
 _TOKEN_RE = re.compile(
     r"""
     (?:
-      (?P<point>/\*\s*POINT\s*\*/)
+      (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
+    | (?P<punct>[{}();,.=])
+    | (?P<point>/\*\s*POINT\s*\*/)
     | (?P<comment>//[^\n]*|/\*.*?\*/)
     | (?P<float>\d+\.\d+)
     | (?P<int>\d+)
     | (?P<string>"(?:[^"\\]|\\.)*")
-    | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
-    | (?P<punct>[{}();,.=])
     | (?P<ws>\s+)
     | (?P<bad>.)
     )\s*
@@ -318,7 +360,7 @@ class _Parser(TokenCursor):
             if first == name and self.peek().text == "(":
                 if ctor is not None:
                     self.error(f"class {name!r} has two constructors")
-                ctor = self.parse_constructor(name)
+                ctor = self.parse_constructor(name, superclass)
                 continue
             second = self.ident("member name")
             if self.peek().text == ";":
@@ -343,13 +385,15 @@ class _Parser(TokenCursor):
             self.error(f"constructor of {name!r} must assign exactly its own fields in order: {own}")
         return ClassDecl(name, superclass, tuple(fields), params, super_k, assignments, methods)
 
-    def parse_constructor(self, name):
+    def parse_constructor(self, name: str, superclass: str | None):
         params = self.parenthesized(self.parse_param, set())
         self.expect("{")
         param_names = tuple(p for p, _ in params)
         super_k = 0
         if self.peek().text == "super":
-            self.advance()
+            tok = self.advance()
+            if superclass is None:
+                self.error(f"super(...) in class {name!r}, which extends no class", tok)
             super_args = self.parenthesized(self.ident, "parameter name")
             self.expect(";")
             super_k = len(super_args)
@@ -489,11 +533,29 @@ def _check_expr_types(ct: ClassTable, body: Body):
 
 
 def _check_new_types(ct: ClassTable, cls: str, args: tuple):
+    """Allocated classes exist, and each literal fits its primitive field (the evaluation checks arity)."""
     if cls not in ct:
         raise UnknownTypeError(f"allocation of unknown class {cls!r}")
     for arg in args:
         if isinstance(arg, NewArg):
             _check_new_types(ct, arg.cls, arg.args)
+    if len(args) != len(ct[cls].ctor_params):
+        return
+    for fieldname, ftype, index, owner in ct.inits[cls]:
+        arg = args[index]
+        # A literal given to a reference field is left to the evaluation's ``EvalError``.
+        if isinstance(arg, LitArg) and ftype in PRIMITIVE_TYPES and not _literal_fits(ftype, arg.value):
+            raise LiteralTypeError(
+                f"field {fieldname!r} of {owner!r} is {ftype}; argument {index + 1} of new {cls}(...) "
+                f"is a literal of type {_TYPE_NAMES[type(arg.value)]}"
+            )
+
+
+def _literal_fits(ftype: str, value) -> bool:
+    """Whether a primitive field of type ``ftype`` takes the literal ``value``."""
+    if type(value) not in _LITERAL_TYPES[ftype]:
+        return False
+    return ftype != "double" or abs(value) <= sys.float_info.max  # a larger integer has no double
 
 
 def parse_program(text: str) -> Program:
@@ -503,25 +565,17 @@ def parse_program(text: str) -> Program:
 # --- evaluation ----------------------------------------------------------------
 
 
-def _binding_rel(graph: PropertyGraph, name: str):
-    """The lowest-id relationship labeled ``name`` leaving a Local binder node."""
-    for rel in graph.relationships_with_label(name):
-        if graph.node(rel.start).label == LOCAL_LABEL:
-            return rel
-    return None
-
-
 def resolve_variable(graph: PropertyGraph, name: str) -> int:
     """The node bound to variable ``name``.
 
-    The lookup reads the graph's relationship label index and inspects the
-    relationships labeled ``name`` in ascending id order up to the first one
-    that leaves a ``Local`` node.  When no field shares the variable's name
-    that is the first one, so a lookup costs O(1) and running a program
-    O(commands); otherwise the field edges older than the binding are
-    inspected too.
+    The lookup (``PropertyGraph.first_relationship``) reads the graph's
+    relationship label index in place and inspects the relationships labeled
+    ``name`` in ascending id order up to the first one that leaves a
+    ``Local`` node.  When no field shares the variable's name that is the
+    first one, so a lookup costs O(1) and running a program O(commands);
+    otherwise the field edges older than the binding are inspected too.
     """
-    rel = _binding_rel(graph, name)
+    rel = graph.first_relationship(name, LOCAL_LABEL)
     if rel is None:
         raise UnboundVariableError(name)
     return rel.end
@@ -537,12 +591,12 @@ def _class_node(graph: PropertyGraph, cls: str) -> int:
 def mk_fields(graph: PropertyGraph, instance: int | None, cls: str, args: tuple, ct: ClassTable, names=_NO_NAMES):
     """Field initializations for a constructor call.
 
-    Splits the arguments across the superclass chain (the first ``k`` go to
-    the superclass), resolves variable arguments (renamed by ``names``, see
-    ``eval_expr``) through their binding relationships, and returns
-    ``(edges, properties)`` where ``edges`` is a list of (field, start, end)
-    relationship specs for reference fields and ``properties`` maps
-    primitive fields to values.
+    Reads the arguments across the superclass chain through ``ct.inits``
+    (the first ``k`` go to the superclass), resolves variable arguments
+    (renamed by ``names``, see ``eval_expr``) through their binding
+    relationships, and returns ``(edges, properties)`` where ``edges`` is a
+    list of (field, start, end) relationship specs for reference fields and
+    ``properties`` maps primitive fields to values.
     """
     decl = ct[cls]
     if len(args) != len(decl.ctor_params):
@@ -551,35 +605,21 @@ def mk_fields(graph: PropertyGraph, instance: int | None, cls: str, args: tuple,
         )
     edges: list[tuple[str, int, int]] = []
     props: dict[str, object] = {}
-    k = decl.super_arg_count
-    if decl.superclass is not None:
-        sup_edges, sup_props = mk_fields(graph, instance, decl.superclass, args[:k], ct, names)
-        edges.extend(sup_edges)
-        props.update(sup_props)
-    field_types = dict(decl.fields)
-    param_index = {name: i for i, (name, _) in enumerate(decl.ctor_params)}
-    for fieldname, param in decl.own_assignments:
-        arg = args[param_index[param]]
-        ftype = field_types[fieldname]
+    for fieldname, ftype, index, owner in ct.inits[cls]:
+        arg = args[index]
         if ftype in PRIMITIVE_TYPES:
             if isinstance(arg, LitArg):
-                props[fieldname] = arg.value
-            elif isinstance(arg, NullArg):
-                pass
-            else:
-                raise EvalError(f"primitive field {fieldname!r} of {cls!r} needs a literal argument")
-        else:
-            if isinstance(arg, NullArg):
-                continue
-            if isinstance(arg, VarArg):
-                target = resolve_variable(graph, names.get(arg.name, arg.name))
-            elif isinstance(arg, NodeRefArg):
-                target = arg.node_id
-            elif isinstance(arg, LitArg):
-                raise EvalError(f"reference field {fieldname!r} of {cls!r} cannot take a literal")
-            else:
-                raise EvalError(f"unresolved nested allocation for field {fieldname!r}")
-            edges.append((fieldname, instance, target))
+                props[fieldname] = float(arg.value) if ftype == "double" else arg.value
+            elif not isinstance(arg, NullArg):
+                raise EvalError(f"primitive field {fieldname!r} of {owner!r} needs a literal argument")
+        elif isinstance(arg, VarArg):
+            edges.append((fieldname, instance, resolve_variable(graph, names.get(arg.name, arg.name))))
+        elif isinstance(arg, NodeRefArg):
+            edges.append((fieldname, instance, arg.node_id))
+        elif isinstance(arg, LitArg):
+            raise EvalError(f"reference field {fieldname!r} of {owner!r} cannot take a literal")
+        elif not isinstance(arg, NullArg):
+            raise EvalError(f"unresolved nested allocation for field {fieldname!r}")
     return edges, props
 
 
@@ -615,7 +655,7 @@ def step_command(graph: PropertyGraph, cmd: Command, ct: ClassTable, names=_NO_N
     if isinstance(cmd, MethodInvoke):
         return eval_expr(graph, Body((cmd,), None), ct, names)
     if isinstance(cmd, New):
-        if _binding_rel(graph, cmd.var) is not None:
+        if graph.first_relationship(cmd.var, LOCAL_LABEL) is not None:
             raise EvalError(f"variable {cmd.var!r} is already bound")
         instance = _allocate(graph, cmd.cls, cmd.args, ct, names)
         binder = graph.add_node(LOCAL_LABEL)

@@ -16,7 +16,8 @@ cost O(matches): each reads an index that is built on its first lookup and
 from then on kept up to date by ``add_node`` (node indexes),
 ``add_relationship`` and ``remove_relationship`` (the relationship label
 index) and ``copy``.  The lookups iterate a copy of the index list, so a
-caller may add nodes or relationships while it iterates.
+caller may add nodes or relationships while it iterates;
+``first_relationship``, which runs no caller code, reads the list in place.
 
 For the query planner the graph also keeps an equality index.
 ``equal_nodes`` reads it; it maps each node's ``structural_key`` (what
@@ -298,6 +299,17 @@ class PropertyGraph:
         rels = self._rels
         return iter([rels[rel_id] for rel_id in self._rels_by_label.get(label, ())])
 
+    def first_relationship(self, label: str, start_label: str) -> Relationship | None:
+        """The lowest-id relationship labeled ``label`` leaving a node labeled ``start_label``, or None."""
+        if self._rels_by_label is None:
+            self._rels_by_label = _build_index(self.relationships(), _label_key)
+        rels, nodes = self._rels, self._nodes
+        for rel_id in self._rels_by_label.get(label, ()):
+            rel = rels[rel_id]
+            if nodes[rel.start].label == start_label:
+                return rel
+        return None
+
     def structural_key(self, node_id: int) -> tuple:
         """The node's ``structural_key``, computed once and then kept."""
         key = self._keys.get(node_id)
@@ -340,7 +352,7 @@ class PropertyGraph:
         not collide with an existing node.
         """
         check_label(label)
-        props = check_properties(properties)
+        props = check_properties(properties) if properties else {}
         if node_id is None:
             node_id = self._next_node_id
         elif node_id in self._nodes:
@@ -356,18 +368,18 @@ class PropertyGraph:
         return node_id
 
     def _index_node(self, node: Node) -> None:
-        for index, key_of in (
-            (self._by_label, _label_key),
-            (self._by_uid, _uid_key),
-            (self._by_structure.get(node.label), structural_key),
-        ):
-            key = None if index is None else key_of(node)
-            if key is not None:
-                insort(index.setdefault(key, []), node.id)  # an explicit id may be lower
+        if self._by_label is not None:
+            insort(self._by_label.setdefault(node.label, []), node.id)  # an explicit id may be lower
+        uid = None if self._by_uid is None else _uid_key(node)
+        if uid is not None:
+            insort(self._by_uid.setdefault(uid, []), node.id)
+        same_label = self._by_structure.get(node.label)
+        if same_label is not None:
+            insort(same_label.setdefault(structural_key(node), []), node.id)
 
     def add_relationship(self, label: str, start: int, end: int, properties: dict | None = None) -> int:
         check_label(label)
-        props = check_properties(properties)
+        props = check_properties(properties) if properties else {}
         if start not in self._nodes:
             raise NodeNotFoundError(start)
         if end not in self._nodes:

@@ -880,6 +880,7 @@ class SnapshotGraph(PropertyGraph):
     nodes = _filled_first(PropertyGraph.nodes)
     relationships = _filled_first(PropertyGraph.relationships)
     relationships_with_label = _filled_first(PropertyGraph.relationships_with_label)
+    first_relationship = _filled_first(PropertyGraph.first_relationship)
     remove_relationship = _filled_first(PropertyGraph.remove_relationship)
     set_field_edge = _filled_first(PropertyGraph.set_field_edge)
     copy = _filled_first(PropertyGraph.copy)

@@ -8,9 +8,11 @@ membership by an imperative bucket walk, field assignment by replaying
 a (node, field) -> target table, graph equality by backtracking isomorphism
 search, positional arguments by textual substitution (one query text per
 ``[]`` element, each parsed on its own), snapshot loading by decoding
-every value first and validating the built snapshot afterwards, and
+every value first and validating the built snapshot afterwards,
 aggregating RETURN items by evaluating every leaf over all bindings and
-then the operators on the values, with their own type checks.
+then the operators on the values, with their own type checks, and tokens
+by the plain tokenizer: each match's kind read by group name, from the
+object language's pattern with its alternatives in their first order.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from heapquery.cypher_ast import (
     Variable,
     WhereClause,
 )
-from heapquery.errors import ExecutionError, ExpansionError, SnapshotSchemaError, TypeMismatchError
+from heapquery.errors import ExecutionError, ExpansionError, SnapshotSchemaError, Token, TypeMismatchError
 from heapquery.property_graph import (
     CLASS_LABEL,
     ELEMENT_LABEL,
@@ -908,3 +910,38 @@ def reference_load_snapshot(data: bytes | str) -> HeapSnapshot:
     snapshot = HeapSnapshot(classes, objects, parsed_roots)
     snapshot.validate()
     return snapshot
+
+
+# --- tokens ---------------------------------------------------------------------
+
+# The object language's token pattern with its alternatives in their first
+# order; ``heap_model._TOKEN_RE`` tries the common kinds first.
+PROGRAM_TOKEN_RE = re.compile(
+    r"""
+    (?:
+      (?P<point>/\*\s*POINT\s*\*/)
+    | (?P<comment>//[^\n]*|/\*.*?\*/)
+    | (?P<float>\d+\.\d+)
+    | (?P<int>\d+)
+    | (?P<string>"(?:[^"\\]|\\.)*")
+    | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
+    | (?P<punct>[{}();,.=])
+    | (?P<ws>\s+)
+    | (?P<bad>.)
+    )\s*
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def tokenize(pattern: re.Pattern, text: str) -> list[Token]:
+    """The tokens ``pattern`` matches in ``text``, each kind the name of the group that matched.
+
+    Whitespace and comments are dropped, and ``eof`` ends the list.
+    """
+    tokens = []
+    for m in pattern.finditer(text):
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append(Token(m.lastgroup, m.group(m.lastgroup), m.start()))
+    tokens.append(Token("eof", "", len(text)))
+    return tokens

@@ -325,7 +325,7 @@ def object_programs(draw) -> str:
 _PROGRAM_TOKEN = re.compile(r"/\*\s*POINT\s*\*/|[A-Za-z_$][A-Za-z0-9_$]*|\d+|\S")
 _MUTATION_TOKENS = [
     "", "new", "this", "null", "return", "class", "extends", "super", "int", "N", "M", "m0", "v0", "p", "a",
-    "(", ")", "{", "}", ";", ",", ".", "=", "0", "1.5", '"s"', "true", "9" * 5000, "@", "/*", "//", "/* POINT */",
+    "(", ")", "{", "}", ";", ",", ".", "=", "0", "1.5", '"s"', '"', "true", "9" * 5000, "@", "/*", "//", "/* POINT */",
 ]
 
 

@@ -6,6 +6,7 @@ from heapquery.errors import (
     MAX_NESTING,
     ArityMismatchError,
     EvalError,
+    LiteralTypeError,
     NoSuchMethodError,
     ProgramSyntaxError,
     UnboundVariableError,
@@ -24,6 +25,7 @@ from heapquery.heap_model import (
     mbody,
     mk_fields,
     parse_program,
+    resolve_variable,
     run_program,
     run_to_point,
     step_command,
@@ -192,6 +194,106 @@ class TestParse:
     def test_cyclic_superclass_rejected(self):
         text = "class A extends B { A() { super(); } } class B extends A { B() { super(); } } return;"
         with pytest.raises(UnknownTypeError):
+            parse_program(text)
+
+
+class TestLiteralTypes:
+    """A constructor literal must fit its primitive field's declared type, checked before the program runs."""
+
+    @staticmethod
+    def program(ftype: str, literal: str) -> str:
+        return f"class A {{ {ftype} v; A({ftype} v) {{ this.v = v; }} }}\nA x = new A({literal});\nreturn x;"
+
+    @pytest.mark.parametrize(
+        "ftype, literal, got",
+        [
+            ("int", '"s"', "String"),
+            ("int", "2.5", "double"),
+            ("int", "true", "boolean"),
+            ("double", '"s"', "String"),
+            ("double", "false", "boolean"),
+            ("boolean", "1", "int"),
+            ("boolean", "0.0", "double"),
+            ("boolean", '"true"', "String"),
+            ("String", "1", "int"),
+            ("String", "1.5", "double"),
+            ("String", "true", "boolean"),
+        ],
+    )
+    def test_mismatch_is_refused_at_parse_time(self, ftype, literal, got):
+        with pytest.raises(LiteralTypeError) as exc:
+            parse_program(self.program(ftype, literal))
+        assert str(exc.value) == f"field 'v' of 'A' is {ftype}; argument 1 of new A(...) is a literal of type {got}"
+
+    @pytest.mark.parametrize(
+        "ftype, literal, value",
+        [("int", "7", 7), ("double", "2.5", 2.5), ("boolean", "true", True), ("String", '"s"', "s"), ("int", "null", None)],
+    )
+    def test_matching_literal_is_stored(self, ftype, literal, value):
+        graph = run_to_point(self.program(ftype, literal))
+        assert graph.node(resolve_variable(graph, "x")).properties.get("v") == value
+
+    def test_double_widens_an_integer_literal(self):
+        graph = run_to_point(self.program("double", "1"))
+        stored = graph.node(resolve_variable(graph, "x")).properties["v"]
+        assert (type(stored), stored) == (float, 1.0)
+
+    def test_integer_too_large_for_a_double_is_refused(self):
+        with pytest.raises(LiteralTypeError, match="is double; argument 1 of new A"):
+            parse_program(self.program("double", "1" + "0" * 400))
+
+    def test_the_two_repros_no_longer_run(self):
+        text = 'class A { int v; A(int v) { this.v = v; } }\nA x = new A("s");\nA y = new A(2.5);\nreturn x;'
+        with pytest.raises(LiteralTypeError, match="is a literal of type String"):
+            run_to_point(text)
+
+    def test_inherited_field_and_nested_and_method_allocations_are_checked(self):
+        classes = (
+            "class B { int v; B(int v) { this.v = v; } }\n"
+            "class A extends B { A a; A(int v, A a) { super(v); this.a = a; } }\n"
+        )
+        for body in ('A x = new A("s", null);', "A x = new A(1, new A(true, null));"):
+            with pytest.raises(LiteralTypeError, match="field 'v' of 'B' is int"):
+                parse_program(classes + body)
+        method = "class C { C() {} C m() { B b = new B(1.5); return this; } }\n"
+        with pytest.raises(LiteralTypeError, match="argument 1 of new B"):
+            parse_program(classes + method + "return;")
+
+    def test_literal_for_a_reference_field_stays_an_eval_error(self):
+        text = "class A { A f; A(A f) { this.f = f; } }\nA x = new A(1);"
+        parse_program(text)
+        with pytest.raises(EvalError, match="reference field 'f' of 'A' cannot take a literal"):
+            run_to_point(text)
+
+    def test_wrong_argument_count_stays_an_arity_error_at_run_time(self):
+        text = 'class A { int v; A(int v) { this.v = v; } }\nA x = new A("s", 1);'
+        parse_program(text)
+        with pytest.raises(ArityMismatchError, match="constructor of 'A' takes 1 argument"):
+            run_to_point(text)
+
+
+class TestSuper:
+    def test_super_without_extends_is_a_syntax_error_at_super(self):
+        with pytest.raises(ProgramSyntaxError) as exc:
+            parse_program("class A { A p;\n  A(A p) { super(p); this.p = p; } }")
+        assert str(exc.value) == "2:12: super(...) in class 'A', which extends no class"
+
+    @pytest.mark.parametrize(
+        "ctor, got",
+        [("A(B p, B q) { super(p); }", 1), ("A(B p, B q) { }", 0), ("A(B p, B q, B r) { super(p, q, r); }", 3)],
+    )
+    def test_super_arity_is_checked_once_at_parse_time(self, ctor, got):
+        text = f"class B {{ B(B p, B q) {{}} }} class A extends B {{ {ctor} }}"
+        with pytest.raises(ArityMismatchError) as exc:
+            parse_program(text + " return;")
+        assert str(exc.value) == f"super(...) of 'A': constructor of 'B' takes 2 argument(s), got {got}"
+
+    def test_super_arity_is_checked_up_the_chain(self):
+        text = (
+            "class C { C() {} } class B extends C { B(B p) { super(p); } }"
+            " class A extends B { A(B p) { super(p); } } return;"
+        )
+        with pytest.raises(ArityMismatchError, match="super\\(\\.\\.\\.\\) of 'B'"):
             parse_program(text)
 
 

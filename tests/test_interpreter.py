@@ -1,5 +1,6 @@
-"""Method calls of the object language: renaming, the call-depth limit, and
-typed errors on drawn and mutated programs."""
+"""Method calls of the object language: renaming, the call-depth limit, typed
+errors on drawn and mutated programs, and the graph's invariants after a run
+and after a CSV round trip."""
 
 from __future__ import annotations
 
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heapquery.errors import MAX_NESTING, EvalError, HeapQueryError
-from heapquery.heap_model import resolve_variable, run_to_point
+from heapquery.heap_model import parse_program, resolve_variable, run_to_point, step_command
+from heapquery.property_graph import CLASS_LABEL, PropertyGraph
+from heapquery.snapshot_io import export_csv, import_csv
 
 from .strategies import mutated_object_programs, object_programs
 
@@ -91,3 +94,36 @@ class TestOnlyTypedErrorsEscape:
             assert not isinstance(exc.__cause__, (RecursionError, KeyError, TypeError, AttributeError))
         else:
             assert graph.audit() == []
+
+
+def build_indexes(graph: PropertyGraph) -> None:
+    """Build the graph's lazy indexes: label, ``$uid``, relationship label, and equality of two labels."""
+    for label in ("N", CLASS_LABEL):
+        ids = graph.node_ids_with_label(label)
+        if ids:
+            graph.equal_nodes(ids[0])
+    list(graph.nodes_with_uid(0))
+    list(graph.relationships_with_label("a"))
+
+
+class TestWritePathInvariants:
+    @settings(max_examples=150, deadline=None)
+    @given(object_programs(), st.data())
+    def test_audit_after_a_run_and_an_import(self, text, data):
+        """The indexes built at a drawn command are kept up to date by every write after it."""
+        program = parse_program(text)
+        commands = program.main.commands[: program.point]
+        built_at = data.draw(st.integers(0, len(commands)))
+        graph = PropertyGraph()
+        try:
+            for i, cmd in enumerate(commands):
+                if i == built_at:
+                    build_indexes(graph)
+                step_command(graph, cmd, program.class_table)
+        except HeapQueryError:
+            pass  # a method that recurses, or a local bound twice: the writes made so far are checked
+        assert graph.audit() == []
+        imported = import_csv(export_csv(graph))
+        assert imported.audit() == []
+        build_indexes(imported)
+        assert imported.audit() == []

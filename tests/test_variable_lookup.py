@@ -85,6 +85,19 @@ def _count_yields(monkeypatch, graph: PropertyGraph, names) -> list:
     return seen
 
 
+class _CountedReads(dict):
+    """A relationship map that records every relationship read from it by id."""
+
+    def __init__(self, rels: dict, seen: list):
+        super().__init__(rels)
+        self.seen = seen
+
+    def __getitem__(self, rel_id):
+        rel = super().__getitem__(rel_id)
+        self.seen.append(rel)
+        return rel
+
+
 class TestLookupCost:
     @pytest.fixture(scope="class")
     def binders(self):
@@ -93,7 +106,10 @@ class TestLookupCost:
 
     def test_one_lookup_reads_one_relationship(self, binders, monkeypatch):
         assert binders.relationship_count == 4000  # a binding and an instanceof edge per variable
+        # A lookup reads the label index in place (``first_relationship``), so the
+        # relationships it reads by id are counted, as are those of the iterators.
         seen = _count_yields(monkeypatch, binders, ["relationships", "relationships_with_label"])
+        monkeypatch.setattr(binders, "_rels", _CountedReads(binders._rels, seen))
         target = resolve_variable(binders, "v1500")
         assert binders.node(target).label == "A"
         assert len(seen) == 1
