@@ -13,7 +13,7 @@ from .api import (
 from .cypher_frontend import expand_positional, lint, parse, validate
 from .heap_model import parse_program, run_program, run_to_point
 from .property_graph import Node, PropertyGraph, Relationship
-from .query_engine import ABSENT, NodeRef, RelRef, ResultTable, execute, execute_batch
+from .query_engine import ABSENT, NodeRef, RelRef, ResultTable, execute
 from .snapshot_io import (
     CsvBundle,
     export_csv,
@@ -59,7 +59,6 @@ __all__ = [
     "SnapshotGraph",
     "collect",
     "execute",
-    "execute_batch",
     "expand_positional",
     "export_csv",
     "extract",

@@ -7,10 +7,10 @@ expand positional arguments, parse, validate (and lint into
 A context parses, validates, lints and plans (``query_engine.prepare``) a
 format string once per tuple of ``@k`` values, and keeps the parsed query
 with its plan (``TEMPLATE_CACHE_SIZE``): a later call of the same template
-only checks its arguments, binds its ``$k`` ids, or each id of its ``[]k``
-collection, into the parsed query, and runs the bound queries against the
-kept plan.  A template that fails to parse or validate is not kept, so it
-fails the same way each time.  Bounded queries
+only checks its arguments and runs the kept query against the kept plan,
+its ``$k`` ids passed as parameters, once, or once per id of its ``[]k``
+collection (``execute_batch``).  A template that fails to parse or validate
+is not kept, so it fails the same way each time.  Bounded queries
 restrict extraction to objects reachable from the supplied root(s);
 unbounded queries see every object in the snapshot, including unreachable
 ones unless force-collect is enabled.
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .cypher_ast import Query
-from .cypher_frontend import bind, check_arguments, expand_positional, lint, parse, slot_sites, validate
+from .cypher_frontend import check_arguments, expand_positional, lint, parse, validate
 from .errors import (
     CastError,
     CursorError,
@@ -98,7 +98,7 @@ class ResultSet:
         return self._table.rows[self._row - 1]
 
     def _column_index(self, column) -> int:
-        if isinstance(column, int):
+        if isinstance(column, int) and not isinstance(column, bool):  # a bool is looked up as a name, and is none
             if 0 <= column < len(self._table.columns):
                 return column
             raise UnknownColumnError(column)
@@ -134,10 +134,9 @@ TEMPLATE_CACHE_SIZE = 64
 
 
 class _Parsed(NamedTuple):
-    """A validated query of a template, with its ``slot_sites``, lint warnings and ``prepare``'s plan."""
+    """A validated query of a template, with its lint warnings and ``prepare``'s plan."""
 
     query: Query
-    sites: tuple
     warnings: list
     plan: Plan
 
@@ -161,7 +160,7 @@ class QueryContext:
     shared graph of each read.
 
     Parsed templates are kept per context, each with its plan (see the
-    module docstring): a repeated call only binds its ids and runs.  So is
+    module docstring): a repeated call only checks its arguments and runs.  So is
     the key of the defaults, computed at the first query's ``extract``
     stage; a query's key is that key with its root argument.
     """
@@ -247,19 +246,16 @@ def _run_pipeline(ctx: QueryContext, root, fmt: str, args, timings: dict | None 
             diagnostics = validate(query)
             if diagnostics:
                 raise QueryValidationError(diagnostics)
-            parsed = _Parsed(query, slot_sites(query), lint(query), prepare(query))
+            parsed = _Parsed(query, lint(query), prepare(query))
             ctx._keep(fmt, markers, arguments.names, parsed)
     with _Stage(timings, "extract"):
         writes = parsed.query.writes
         graph = ctx._graph(root, writes) if session is None else session.copy() if writes else session
     with _Stage(timings, "execute"):
-        queries = bind(parsed.query, parsed.sites, arguments)
         if arguments.batch is None:
-            table, graph = execute(queries[0], graph, parsed.plan)
-        elif queries:
-            table, graph = execute_batch(queries, graph, parsed.plan)
-        else:  # an empty batch: no rows, under the template's columns
-            table = ResultTable(list(parsed.plan.columns), [])
+            table, graph = execute(parsed.query, graph, parsed.plan, arguments.params)
+        else:
+            table, graph = execute_batch(parsed.query, graph, parsed.plan, arguments.batch)
     return ResultSet(table, graph, parsed.warnings)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # --- expressions ---------------------------------------------------------------
 
@@ -24,6 +25,15 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Literal:
     value: object  # int | float | bool | str
+
+
+class Slot(NamedTuple):
+    """A ``$k`` or ``[]k`` marker's ``$uid`` value: a parameter, whose id ``query_engine.execute`` reads from its rows.
+
+    A tuple, so that as a row key it never equals a variable name (a string) or a count's key (an int).
+    """
+
+    marker: str  # as written, such as ``$1`` or ``[]2``
 
 
 @dataclass(frozen=True)
@@ -151,7 +161,7 @@ HOPS_ONE = Hops("one")
 class NodePattern:
     var: str | None = None
     label: str | None = None
-    properties: tuple = ()  # ordered (key, Literal) pairs
+    properties: tuple = ()  # ordered (key, Literal or Slot) pairs
 
 
 @dataclass(frozen=True)

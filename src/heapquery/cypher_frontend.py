@@ -1,5 +1,5 @@
-"""Lexer, parser and validator for the openCypher subset, and the binding
-of positional arguments.
+"""Lexer, parser and validator for the openCypher subset, and the arguments
+of positional markers.
 
 Supported: CREATE, MERGE, MATCH, OPTIONAL MATCH, WHERE, RETURN [DISTINCT],
 node/relationship patterns with label alternation and hop specifications,
@@ -9,13 +9,16 @@ UnsupportedFeatureError naming the construct.
 
 The markers ``$k``, ``@k`` and ``[]k`` are tokens (so none is bound inside a
 string, backticks or a ``//`` comment), which ``expand_positional`` replaces
-by tokens at the marker's offset: syntax errors point into the format
+by a token at the marker's offset: syntax errors point into the format
 string.  An ``@k`` marker becomes its class name, so it is part of the
-parsed query.  A ``$k`` or ``[]k`` marker becomes a ``$uid`` entry whose
-value is a ``Slot``: the parsed query holds no id, validation and lint read
-none, and ``bind`` puts the ids of each call into it.  So a format string
-is parsed once per tuple of ``@k`` values (``check_arguments`` gives that
-tuple from the markers alone), and a ``[]k`` batch once for all its ids.
+parsed query.  A ``$k`` or ``[]k`` marker becomes a ``slot`` token, which a
+property map takes as a ``$uid`` entry whose value is a ``Slot``, and any
+other place refuses, naming the marker.  The parsed query holds no id:
+validation and lint read none, and each call passes its ids as parameters
+(``check_arguments``), which ``query_engine.execute`` reads from its rows.
+So a format string is parsed once per tuple of ``@k`` values
+(``check_arguments`` gives that tuple from the markers alone), and a ``[]k``
+batch once for all its ids.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .cypher_ast import (
     RESERVED_WORDS,
     ReturnClause,
     ReturnItem,
+    Slot,
     UNSUPPORTED_KEYWORDS,
     Variable,
     WhereClause,
@@ -237,6 +241,8 @@ class _Parser(TokenCursor):
         return entries
 
     def parse_property(self) -> tuple:
+        if self.peek().kind == "slot":
+            return UID_KEY, Slot(self.advance().text)
         key = self.name("property key")
         self.expect_op(":")
         return key, self.parse_literal()
@@ -376,7 +382,7 @@ class _Parser(TokenCursor):
         self.expect_op(")")
         return EqualsCall(left, right)
 
-    def parse_literal(self) -> Literal | Slot:
+    def parse_literal(self) -> Literal:
         tok = self.advance()
         kw = tok.keyword()
         if kw in ("TRUE", "FALSE"):
@@ -385,8 +391,6 @@ class _Parser(TokenCursor):
             raise UnsupportedFeatureError("NULL property values")
         if tok.kind == "string":
             return Literal(_unescape_string(tok.text))
-        if tok.kind == "slot":
-            return Slot(tok.text)
         negative = tok.kind == "op" and tok.text == "-"
         if negative:
             tok = self.advance()
@@ -558,13 +562,6 @@ def _expr_variables(expr) -> set[str]:
 # --- positional arguments -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Slot:
-    """The value of a ``$k`` or ``[]k`` marker's ``$uid`` entry in a parsed query, until ``bind``."""
-
-    marker: str  # as written, such as ``$1`` or ``[]2``
-
-
 class Marker(NamedTuple):
     text: str  # as written
     sigil: str  # $, @ or []
@@ -575,15 +572,15 @@ class Arguments(NamedTuple):
     """The arguments of one call, checked against the markers of its format string."""
 
     names: tuple  # the class name of each @k marker, in text order
-    ids: dict  # marker text -> id, for each $k marker
-    batch: tuple | None  # the []k marker's text and its ids, or None without one
+    params: dict  # the parameters of the query: each $k marker's Slot -> its id
+    batch: list | None  # with a []k marker, ``params`` with its Slot -> each id of its collection, in order
 
 
 def check_arguments(markers, args) -> Arguments:
     """The arguments that ``markers`` (in text order) take from ``args``; the first misfit raises ExpansionError."""
     names = []
-    ids = {}
-    batch = None
+    params = {}
+    collection = None  # the []k marker's Slot and ids
     for text, sigil, index in markers:
         if not 0 < index <= len(args):
             digits = text[len(sigil) :]
@@ -601,7 +598,7 @@ def check_arguments(markers, args) -> Arguments:
                 str(value)  # an id must be one a query text can hold
             except ValueError:  # more digits than ``sys.get_int_max_str_digits()`` allows
                 raise ExpansionError(f"${index} is an id of {value.bit_length()} bits, too long to bind") from None
-            ids[text] = value
+            params[Slot(text)] = value
         else:
             if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
                 raise ExpansionError(f"[]{index} needs a collection of unique ids, got {value!r}")
@@ -609,18 +606,19 @@ def check_arguments(markers, args) -> Arguments:
             for element in elements:
                 if isinstance(element, bool) or not isinstance(element, int):
                     raise ExpansionError(f"[]{index} elements must be unique ids (integers), got {element!r}")
-            if batch is not None:
+            if collection is not None:
                 raise ExpansionError("only one [] marker is supported per query")
-            batch = (text, elements)
-    return Arguments(tuple(names), ids, batch)
+            collection = Slot(text), elements
+    batch = None if collection is None else [{**params, collection[0]: uid} for uid in collection[1]]
+    return Arguments(tuple(names), params, batch)
 
 
 def expand_positional(fmt: str, args) -> tuple[list[Token], tuple[Marker, ...], Arguments]:
     """The tokens of ``fmt`` with its ``$k`` (unique id), ``@k`` (class name) and ``[]k`` (batch) markers bound.
 
-    ``@k`` becomes one name token, and ``$k`` and ``[]k`` `` `$uid`: `` and
-    a ``slot`` token.  Also returned: the markers, in text order, and the
-    arguments they take (``check_arguments``).
+    ``@k`` becomes one name token, and ``$k`` and ``[]k`` a ``slot`` token.
+    Also returned: the markers, in text order, and the arguments they take
+    (``check_arguments``).
     """
     tokens = tokenize(fmt)
     markers = tuple(_marker(tok.text) for tok in tokens if tok.kind == "marker")
@@ -633,8 +631,7 @@ def expand_positional(fmt: str, args) -> tuple[list[Token], tuple[Marker, ...], 
         elif tok.text[0] == "@":
             expanded.append(Token("backtick", "`" + next(names).replace("`", "``") + "`", tok.offset))
         else:
-            uid = Token("backtick", f"`{UID_KEY}`", tok.offset)
-            expanded += (uid, Token("op", ":", tok.offset), Token("slot", tok.text, tok.offset))
+            expanded.append(Token("slot", tok.text, tok.offset))
     return expanded, markers, arguments
 
 
@@ -642,55 +639,3 @@ def _marker(text: str) -> Marker:
     sigil = text.rstrip("0123456789")
     digits = text[len(sigil) :]
     return Marker(text, sigil, int(digits) if len(digits) < 10 else 0)
-
-
-def _paths(clause) -> tuple:
-    if isinstance(clause, MergeClause):
-        return (clause.pattern,)
-    if isinstance(clause, (MatchClause, CreateClause)):
-        return clause.patterns
-    return ()
-
-
-def slot_sites(query: Query) -> tuple:
-    """The (clause, path, node) indexes of the node patterns of ``query`` that hold a Slot."""
-    return tuple(
-        (c, p, n)
-        for c, clause in enumerate(query.clauses)
-        for p, path in enumerate(_paths(clause))
-        for n, node in enumerate(path.nodes)
-        if any(isinstance(value, Slot) for _, value in node.properties)
-    )
-
-
-def bind(query: Query, sites: tuple, arguments: Arguments) -> list[Query]:
-    """The queries a call runs: ``query`` with its ``$k`` ids bound, once or for each id of its ``[]k`` batch.
-
-    ``sites`` are the ``slot_sites`` of ``query``.  Only the node patterns
-    there are rebuilt, with the paths and clauses that hold them.
-    """
-    if arguments.batch is None:
-        return [_bind(query, sites, arguments.ids)]
-    marker, uids = arguments.batch
-    return [_bind(query, sites, {**arguments.ids, marker: uid}) for uid in uids]
-
-
-def _bind(query: Query, sites: tuple, ids: dict) -> Query:
-    if not sites:
-        return query
-    clauses = list(query.clauses)
-    for c, p, n in sites:
-        clause = clauses[c]
-        paths = list(_paths(clause))
-        nodes = list(paths[p].nodes)
-        node = nodes[n]
-        properties = tuple((key, Literal(ids[v.marker]) if isinstance(v, Slot) else v) for key, v in node.properties)
-        nodes[n] = NodePattern(node.var, node.label, properties)
-        paths[p] = PathPattern(tuple(nodes), paths[p].rels)
-        if isinstance(clause, MergeClause):
-            clauses[c] = MergeClause(paths[0])
-        elif isinstance(clause, MatchClause):
-            clauses[c] = MatchClause(tuple(paths), clause.optional)
-        else:
-            clauses[c] = CreateClause(tuple(paths))
-    return Query(tuple(clauses))

@@ -22,11 +22,16 @@ Matching semantics:
   from the graph's ``traversal_memo``, and entered there when missing, so
   they are kept across paths, rows and queries until a relationship write.
 * ``prepare`` makes every decision that depends on neither the graph nor the
-  ids a template binds, once per query (``Plan``): the clause order and the
-  probe (``_planned``), each MATCH's shortcut (``_shortcut``), the RETURN's
-  summary and columns, and each path's matcher fields (``_Path``).  The
-  variables bound on entry to a clause are known then, since every row
+  ids a query's parameters give, once per query (``Plan``): the clause order
+  and the probe (``_planned``), each MATCH's shortcut (``_shortcut``), the
+  RETURN's summary and columns, and each path's matcher fields (``_Path``).
+  The variables bound on entry to a clause are known then, since every row
   entering it binds the same names.  ``execute`` runs a query against a plan.
+* A ``$k`` or ``[]k`` marker's ``$uid`` entry is a ``Slot``, a parameter:
+  ``execute`` starts from the row of the parameters (``params``), so every
+  row maps each Slot to its id, and a node pattern reads the id from the row
+  it is matched under (``_value``).  A query runs as it was parsed, with no
+  copy per call or per id of a ``[]k`` batch (``execute_batch``).
 * ``_shortcut`` answers "reach", "count" or None for each MATCH clause.
 * "reach": reachability consumed only as a set is a breadth-first search
   instead of path enumeration.  That holds for a single non-optional MATCH
@@ -101,13 +106,13 @@ from .cypher_ast import (
     PropertyAccess,
     Query,
     ReturnClause,
+    Slot,
     Variable,
     WhereClause,
     expression_text,
     pattern_variables,
     walk,
 )
-from .cypher_frontend import Slot
 from .errors import ExecutionError, TypeMismatchError
 from .property_graph import (
     UID_KEY,
@@ -171,29 +176,38 @@ class ResultTable:
 # --- pattern matching ---------------------------------------------------------
 
 
-def _node_matches(graph: PropertyGraph, node_id: int, pattern: NodePattern) -> bool:
+def _node_matches(graph: PropertyGraph, node_id: int, pattern: NodePattern, binding: dict) -> bool:
     node = graph.node(node_id)
     if pattern.label is not None and node.label != pattern.label:
         return False
-    for key, literal in pattern.properties:
-        if key not in node.properties or not values_equal(node.properties[key], literal.value):
+    for key, entry in pattern.properties:
+        if key not in node.properties or not values_equal(node.properties[key], _value(entry, binding)):
             return False
     return True
 
 
-def _uid_literal(pattern: NodePattern) -> int | None:
-    """The pattern's first integer ``$uid`` literal, if any."""
-    for key, literal in pattern.properties:
-        if key == UID_KEY and isinstance(literal.value, int) and not isinstance(literal.value, bool):
-            return literal.value
+def _value(entry, binding: dict):
+    """A property map entry's value: a ``Literal``'s own, or the id the row ``binding`` gives a ``Slot``."""
+    if entry.__class__ is not Slot:
+        return entry.value
+    if entry not in binding:
+        raise ExecutionError(f"no id was passed for {entry.marker}")
+    return binding[entry]
+
+
+def _uid_literal(pattern: NodePattern, binding: dict) -> int | None:
+    """The pattern's first integer ``$uid``, a ``Slot``'s read from ``binding``; None without one."""
+    for key, entry in pattern.properties:
+        if key == UID_KEY:
+            value = _value(entry, binding)
+            if isinstance(value, int) and not isinstance(value, bool):
+                return value
     return None
 
 
 def _pinned(pattern: NodePattern) -> bool:
-    """Whether the pattern has an integer ``$uid`` literal, a ``Slot`` counting as one (``bind`` puts an id there)."""
-    return any(key == UID_KEY and isinstance(value, Slot) for key, value in pattern.properties) or (
-        _uid_literal(pattern) is not None
-    )
+    """Whether the pattern has an integer ``$uid``: a literal, or a ``Slot``, whose parameter is an id."""
+    return any(key == UID_KEY and (v.__class__ is Slot or type(v.value) is int) for key, v in pattern.properties)
 
 
 def _start_candidates(graph: PropertyGraph, pattern: NodePattern, binding: dict) -> list[int]:
@@ -210,17 +224,17 @@ def _start_candidates(graph: PropertyGraph, pattern: NodePattern, binding: dict)
             return []
         if not isinstance(value, NodeRef):
             raise ExecutionError(f"variable {pattern.var!r} is not a node")
-        return [value.id] if _node_matches(graph, value.id, pattern) else []
+        return [value.id] if _node_matches(graph, value.id, pattern, binding) else []
     if pattern.label is not None and not pattern.properties:
         return graph.node_ids_with_label(pattern.label)
-    uid = _uid_literal(pattern)
+    uid = _uid_literal(pattern, binding)
     if uid is not None:
         candidates = graph.nodes_with_uid(uid)
     elif pattern.label is not None:
         candidates = graph.nodes_with_label(pattern.label)
     else:
         candidates = graph.nodes()
-    return [n.id for n in candidates if _node_matches(graph, n.id, pattern)]
+    return [n.id for n in candidates if _node_matches(graph, n.id, pattern, binding)]
 
 
 def _bind(graph: PropertyGraph, binding: dict, pattern: NodePattern, node_id: int, checked: bool = False) -> dict | None:
@@ -238,7 +252,9 @@ def _bind(graph: PropertyGraph, binding: dict, pattern: NodePattern, node_id: in
         if bound.__class__ is not NodeRef or bound.id != node_id:
             return None
     if checked and (
-        not _node_matches(graph, node_id, pattern) if pattern.properties else graph.node(node_id).label != pattern.label
+        not _node_matches(graph, node_id, pattern, binding)
+        if pattern.properties
+        else graph.node(node_id).label != pattern.label
     ):
         return None
     if var is None or pinned:
@@ -462,13 +478,14 @@ def _match_reachable(
     return rows
 
 
-def _multiplicities(graph: PropertyGraph, path: PathPattern, matcher: _Path) -> dict[int, int] | None:
+def _multiplicities(graph: PropertyGraph, path: PathPattern, matcher: _Path, params: dict) -> dict[int, int] | None:
     """Target id -> the number of rows ``path`` matches with that target, for a "count" ``_shortcut``.
 
     A lone node's candidates count once each.  A segment counts its walks
     from every start at once; None when the region they reach has a cycle.
+    ``params`` is the row the query starts from.
     """
-    starts = _start_candidates(graph, path.nodes[0], {})
+    starts = _start_candidates(graph, path.nodes[0], params)
     if not path.rels:
         return dict.fromkeys(starts, 1)
     (seg,) = matcher.segments
@@ -480,7 +497,9 @@ def _multiplicities(graph: PropertyGraph, path: PathPattern, matcher: _Path) -> 
         for start in starts:
             walks[start] -= 1
     checked = seg.checked
-    return {node_id: n for node_id, n in walks.items() if n and (not checked or _node_matches(graph, node_id, target))}
+    return {
+        node_id: n for node_id, n in walks.items() if n and (not checked or _node_matches(graph, node_id, target, params))
+    }
 
 
 def _walk_counts(graph: PropertyGraph, starts: list[int], seg: _Segment) -> dict[int, int] | None:
@@ -602,7 +621,7 @@ class _Match(NamedTuple):
 
 
 class Plan(NamedTuple):
-    """What ``execute`` runs a query with: the decisions that depend on neither the graph nor the bound ids."""
+    """What ``execute`` runs a query with: the decisions that depend on neither the graph nor the parameters."""
 
     steps: tuple  # (clause index, its _Match, a MERGE's _Path, or None) per clause before the RETURN, in run order
     probe: dict | None  # see ``_planned``
@@ -611,14 +630,13 @@ class Plan(NamedTuple):
 
 
 def prepare(query: Query) -> Plan:
-    """The ``Plan`` of a validated query, or of the template its ids are bound into.
+    """The ``Plan`` of a validated query, for every id its parameters give.
 
     No decision reads an id, only whether a node pattern has an integer
-    ``$uid``: a ``Slot`` counts as one, since ``bind`` puts an integer there.
-    So a template's plan is that of each query bound from it.  Every row
-    entering a clause binds the same names, so the variables bound on entry
-    are known here: those of the clauses run before, and of the clause's
-    earlier patterns.
+    ``$uid``: a ``Slot`` counts as one, since its parameter is an integer.
+    Every row entering a clause binds the same names, so the variables
+    bound on entry are known here: those of the clauses run before, and of
+    the clause's earlier patterns.
     """
     last = query.clauses[-1] if query.clauses else None
     if not isinstance(last, ReturnClause):
@@ -709,11 +727,11 @@ def _anchor(graph: PropertyGraph, pattern: NodePattern, binding: dict, probe: di
     probe partner bound to a node: the nodes ``equals`` can hold for are then
     read from the equality index.
     """
-    if pattern.var in binding or _uid_literal(pattern) is not None:
+    if pattern.var in binding or _uid_literal(pattern, binding) is not None:
         return _start_candidates(graph, pattern, binding)
     other = binding.get(probe.get(pattern.var))
     if isinstance(other, NodeRef):
-        return [node_id for node_id in graph.equal_nodes(other.id) if _node_matches(graph, node_id, pattern)]
+        return [node_id for node_id in graph.equal_nodes(other.id) if _node_matches(graph, node_id, pattern, binding)]
     return None
 
 
@@ -838,10 +856,10 @@ def _kleene(word: str, dominant: bool, left, right):
 
 
 def _match_clause(
-    graph: PropertyGraph, clause: MatchClause, rows: list[dict], match: _Match, probe: dict | None
+    graph: PropertyGraph, clause: MatchClause, rows: list[dict], match: _Match, probe: dict | None, params: dict
 ) -> list[dict]:
-    if rows and match.cross:  # no variable joins the incoming rows: match once, cross-join
-        base = _extensions(graph, clause.patterns, {}, match, probe)
+    if rows and match.cross:  # no variable joins the incoming rows: match once from ``params``, cross-join
+        base = _extensions(graph, clause.patterns, params, match, probe)
         if not base and clause.optional:
             base = [match.absent]
         return [{**row, **extension} for row in rows for extension in base]
@@ -875,7 +893,7 @@ def _resolve_write_node(graph: PropertyGraph, binding: dict, pattern: NodePatter
             raise ExecutionError(f"variable {pattern.var!r} is not a node")
         return value.id, binding
     ensure_user_label(pattern.label)
-    props = {key: literal.value for key, literal in pattern.properties}
+    props = {key: _value(entry, binding) for key, entry in pattern.properties}
     node_id = graph.add_node(pattern.label, props)
     if pattern.var is not None:
         binding = dict(binding)
@@ -1022,26 +1040,31 @@ def _return_clause(
 # --- entry points ------------------------------------------------------------------
 
 
-def execute(query: Query, graph: PropertyGraph, plan: Plan | None = None) -> tuple[ResultTable, PropertyGraph]:
+def execute(
+    query: Query, graph: PropertyGraph, plan: Plan | None = None, params: dict | None = None
+) -> tuple[ResultTable, PropertyGraph]:
     """Run a validated query; returns the result table and the graph.
 
-    ``plan`` is ``prepare(query)``, or that of the template ``query`` was
-    bound from (made here when not given).  Writes are applied in clause
-    order with no rollback: a failing clause leaves earlier writes in
-    place.  Callers needing atomicity should copy the graph first.
+    ``plan`` is ``prepare(query)`` (made here when not given).  ``params``
+    maps each ``Slot`` of ``query`` to its id, and is the row the query
+    starts from.  Writes are applied in clause order with no rollback: a
+    failing clause leaves earlier writes in place.  Callers needing
+    atomicity should copy the graph first.
     """
     if plan is None:
         plan = prepare(query)
-    rows: list[dict] = [{}]
+    if params is None:
+        params = {}
+    rows: list[dict] = [params]
     multiplicities = None  # a "count" shortcut's (``_shortcut``), whose MATCH then builds no row
     clauses = query.clauses
     for i, step in plan.steps:
         clause = clauses[i]
         if isinstance(clause, MatchClause):
             if step.shortcut == "count":
-                multiplicities = _multiplicities(graph, clause.patterns[0], step.paths[0][0])
+                multiplicities = _multiplicities(graph, clause.patterns[0], step.paths[0][0], params)
             if multiplicities is None:  # a cycle falls back to enumeration
-                rows = _match_clause(graph, clause, rows, step, plan.probe)
+                rows = _match_clause(graph, clause, rows, step, plan.probe, params)
         elif isinstance(clause, WhereClause):
             rows = _where_clause(graph, clause, rows)
         elif isinstance(clause, CreateClause):
@@ -1051,15 +1074,10 @@ def execute(query: Query, graph: PropertyGraph, plan: Plan | None = None) -> tup
     return _return_clause(graph, clauses[-1], rows, plan, multiplicities), graph
 
 
-def execute_batch(queries, graph: PropertyGraph, plan: Plan | None = None) -> tuple[ResultTable, PropertyGraph]:
-    """Run the queries of a batch in order, bag-unioning their rows; ``plan`` is that of every one (see ``execute``)."""
-    columns: list | None = None
+def execute_batch(query: Query, graph: PropertyGraph, plan: Plan, batch) -> tuple[ResultTable, PropertyGraph]:
+    """Run ``query`` once per parameter map of ``batch``, in order and seeing earlier writes; the rows' bag union."""
     rows: list = []
-    for query in queries:
-        table, graph = execute(query, graph, plan)
-        if columns is None:
-            columns = table.columns
-        elif columns != table.columns:
-            raise ExecutionError(f"batch queries disagree on columns: {columns} vs {table.columns}")
-        rows.extend(table.rows)
-    return ResultTable(columns or [], rows), graph
+    for params in batch:
+        table, graph = execute(query, graph, plan, params)
+        rows += table.rows
+    return ResultTable(list(plan.columns), rows), graph

@@ -14,9 +14,8 @@ from heapquery import (
     parse,
     validate,
 )
-from heapquery.cypher_ast import Query
-from heapquery.cypher_frontend import bind, slot_sites
-from heapquery.errors import QueryValidationError
+from heapquery.cypher_ast import Query, Slot
+from heapquery.errors import QueryValidationError, Token
 from heapquery.query_engine import ResultTable, cell_tag
 
 DATA = Path(__file__).parent / "data"
@@ -75,13 +74,31 @@ def as_bag(table: ResultTable) -> Counter:
 
 
 def expanded_queries(fmt: str, *args) -> list[Query]:
-    """The validated queries of a format string: one, or one per id of its ``[]`` collection."""
+    """The validated queries of a format string with its ids substituted: one, or one per id of its ``[]`` collection.
+
+    Each ``$k`` or ``[]k`` marker becomes the literal tokens `` `$uid`: id ``,
+    so no query holds a parameter.  The reference for the pipeline, which
+    runs one parsed query with the ids as its parameters.
+    """
     tokens, _, arguments = expand_positional(fmt, args)
-    query = parse(tokens, fmt)
-    diagnostics = validate(query)
-    if diagnostics:
-        raise QueryValidationError(diagnostics)
-    return bind(query, slot_sites(query), arguments)
+    queries = []
+    for params in [arguments.params] if arguments.batch is None else arguments.batch:
+        substituted = []
+        for tok in tokens:
+            if tok.kind != "slot":
+                substituted.append(tok)
+                continue
+            uid = params[Slot(tok.text)]
+            substituted += [Token("backtick", "`$uid`", tok.offset), Token("op", ":", tok.offset)]
+            if uid < 0:
+                substituted.append(Token("op", "-", tok.offset))
+            substituted.append(Token("int", str(abs(uid)), tok.offset))
+        query = parse(substituted, fmt)
+        diagnostics = validate(query)
+        if diagnostics:
+            raise QueryValidationError(diagnostics)
+        queries.append(query)
+    return queries
 
 
 def build_tree_graph(*, with_uids: bool = True, with_classes: bool = True, with_binder: bool = False) -> PropertyGraph:

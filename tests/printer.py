@@ -2,7 +2,8 @@
 
 The engine prints only expressions (``cypher_ast.expression_text``, which
 names RETURN columns); this prints patterns and clauses the same way, so that
-parsing the text of a query yields the identical AST.
+parsing the text of a query yields the identical AST.  The text of a query
+with parameters is a format string: expand it first.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from heapquery.cypher_ast import (
     Query,
     RelPattern,
     ReturnClause,
+    Slot,
     WhereClause,
     _literal_text,
     expression_text,
@@ -25,7 +27,10 @@ from heapquery.cypher_ast import (
 
 
 def _props_text(properties: tuple) -> str:
-    inner = ", ".join(f"{quote_ident(k)}: {_literal_text(v.value)}" for k, v in properties)
+    """A property map; a ``Slot`` entry is its marker, which ``expand_positional`` reads back as the slot."""
+    inner = ", ".join(
+        v.marker if isinstance(v, Slot) else f"{quote_ident(k)}: {_literal_text(v.value)}" for k, v in properties
+    )
     return "{" + inner + "}"
 
 

@@ -219,6 +219,16 @@ class TestResultSet:
             with pytest.raises(UnknownColumnError):
                 rs.get(index)
 
+    def test_a_bool_is_not_a_column_number(self, ctx):
+        rs = query_unbounded(ctx, "MATCH (n:`BinaryTree`) RETURN n, n.size")
+        rs.next()
+        assert (rs.get(0), rs.get(1)) == (16, 5)
+        for column in (False, True):
+            with pytest.raises(UnknownColumnError):
+                rs.get(column)
+            with pytest.raises(UnknownColumnError):
+                rs.get_node(column)
+
     def test_get_of_absent_cells_relationships_and_nodes_without_uid(self, ctx):
         rs = query_unbounded(ctx, "OPTIONAL MATCH (n:`Missing`) RETURN n")
         assert rs.next() and rs.get("n") is None

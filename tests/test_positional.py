@@ -1,8 +1,8 @@
 """Positional markers through the query pipeline, against the textual expander.
 
 The pipeline expands a format string into tokens, parses and validates it
-once per context and tuple of ``@k`` values, and binds the ``$k`` ids, or
-each id of a ``[]k`` collection, into the parsed query.  The reference
+once per context and tuple of ``@k`` values, and runs the parsed query with
+the ``$k`` ids, or each id of a ``[]k`` collection, as its parameters.  The reference
 (``oracles.expand_positional``) substitutes text and parses one query per
 id.  The two agree except where ``TestPinnedDifferences`` below, or
 ``test_marker_does_not_merge_with_adjacent_text`` in ``test_cypher_frontend``,
@@ -22,7 +22,7 @@ from heapquery.api import QueryContext
 from heapquery.cypher_ast import expression_text
 from heapquery.cypher_frontend import parse, validate
 from heapquery.errors import ExpansionError, PipelineError, QuerySyntaxError, QueryValidationError
-from heapquery.query_engine import execute, execute_batch
+from heapquery.query_engine import execute
 from heapquery.subgraph import extract
 
 from . import oracles
@@ -78,10 +78,13 @@ def textual_outcome(snapshot, fmt: str, args: list) -> tuple:
             return [item.alias or expression_text(item.expr) for item in queries[0].clauses[-1].items], []
         stage = "execute"
         graph = extract(snapshot)
-        table, _ = execute_batch(queries, graph) if expansion.is_batch else execute(queries[0], graph)
+        rows = []
+        for query in queries:
+            table, graph = execute(query, graph)
+            rows += table.rows
     except Exception as exc:
         return error_outcome(stage, exc)
-    return table.columns, table.rows
+    return table.columns, rows
 
 
 # Template parts.  Markers sit between braces, parentheses, colons or
@@ -165,14 +168,26 @@ class TestPinnedDifferences:
     def test_uid_marker_outside_a_property_map_is_named_in_the_syntax_error(self, ctx, uid):
         fmt = "MATCH ($1) RETURN 1"
         stage, cause = cause_of(lambda: query_unbounded(ctx, fmt, uid))
-        assert (stage, str(cause)) == ("parse", "1:8: expected label, got '$1'")
+        assert (stage, str(cause)) == ("parse", "1:8: expected ')', got '$1'")
         with pytest.raises(QuerySyntaxError, match=f"expected label, got '{str(uid)[0]}'"):
             parse(oracles.expand_positional(fmt, [uid]).text)
+
+    @pytest.mark.parametrize(
+        "fmt, args, message",
+        [
+            ("MATCH (n {value: $1}) RETURN n", [13], "1:18: expected a number, got '$1'"),
+            ("MATCH (n:$1) RETURN n", [13], "1:10: expected label, got '$1'"),
+            ("MATCH (n) RETURN []1", [[13]], "1:18: expected an expression, got '[]1'"),
+        ],
+    )
+    def test_a_marker_outside_a_property_map_entry_is_named_in_the_syntax_error(self, ctx, fmt, args, message):
+        stage, cause = cause_of(lambda: query_unbounded(ctx, fmt, *args))
+        assert (stage, type(cause), str(cause)) == ("parse", QuerySyntaxError, message)
 
     def test_syntax_error_at_a_marker_is_positioned_at_the_marker(self, ctx):
         fmt = "MATCH (n)\n  RETURN $1"
         stage, cause = cause_of(lambda: query_unbounded(ctx, fmt, 13))
-        assert str(cause) == "2:10: expected a clause keyword, got ':'"
+        assert str(cause) == "2:10: expected an expression, got '$1'"
 
     @pytest.mark.parametrize(
         "fmt, stage",
@@ -229,7 +244,7 @@ class TestBatchIsParsedOnce:
         # b has children a and e, c has b and d; a, d and e are leaves
         assert Counter(row[0] for row in rs.table.rows) == {1: 10, 3: 10, 2: 10, 5: 10}
 
-    def test_each_id_is_bound_into_the_parsed_query(self, ctx):
+    def test_each_id_is_a_parameter_of_the_parsed_query(self, ctx):
         rs = query_unbounded(ctx, "MATCH (n {[]1}) RETURN n.value", [UID["c"], 999, UID["a"], UID["c"]])
         assert rs.table.rows == [(4,), (1,), (4,)]
 

@@ -33,7 +33,7 @@ from heapquery.cypher_ast import (
     WhereClause,
     find_counts,
 )
-from heapquery.cypher_frontend import validate
+from heapquery.cypher_frontend import expand_positional, parse, validate
 from heapquery.errors import ExecutionError, QueryValidationError, TypeMismatchError
 from heapquery.property_graph import PropertyGraph
 from heapquery.query_engine import (
@@ -42,6 +42,7 @@ from heapquery.query_engine import (
     RelRef,
     execute,
     execute_batch,
+    prepare,
 )
 from heapquery.subgraph import ExtractionConfig, extract
 
@@ -410,23 +411,29 @@ class TestInvariantQueries:
         assert table.rows == [(occupied,)]
 
 
+def batch_table(fmt: str, uids, graph):
+    """The table of ``fmt``'s parsed query run once per id of its ``[]1`` batch, the ids as parameters."""
+    tokens, _, arguments = expand_positional(fmt, [uids])
+    query = parse(tokens, fmt)
+    return execute_batch(query, graph, prepare(query), arguments.batch)[0]
+
+
 class TestExecuteBatch:
     def test_union_of_per_element_results(self, tree_graph):
-        queries = expanded_queries("MATCH (n {[]1})-[:left|right]->(m) RETURN m", [UID["a"], UID["b"]])
-        table, _ = execute_batch(queries, tree_graph)
+        table = batch_table("MATCH (n {[]1})-[:left|right]->(m) RETURN m", [UID["a"], UID["b"]], tree_graph)
         # a has no children, b has two
         values = sorted(tree_graph.node(v.id).properties["value"] for (v,) in table.rows)
         assert values == [1, 3]
 
     def test_empty_collection(self, tree_graph):
-        table, _ = execute_batch(expanded_queries("MATCH (n {[]1}) RETURN n", []), tree_graph)
-        assert table.columns == []
+        table = batch_table("MATCH (n {[]1}) RETURN n", [], tree_graph)
+        assert table.columns == ["n"]
         assert table.rows == []
 
     def test_singleton_equals_plain_execute(self, tree_graph):
-        batch_table, _ = execute_batch(expanded_queries("MATCH (n {[]1})-[:left]->(m) RETURN m", [UID["c"]]), tree_graph)
+        batch = batch_table("MATCH (n {[]1})-[:left]->(m) RETURN m", [UID["c"]], tree_graph)
         plain_table, _ = execute(expanded("MATCH (n {$1})-[:left]->(m) RETURN m", [UID["c"]]), tree_graph)
-        assert batch_table.rows == plain_table.rows
+        assert batch.rows == plain_table.rows
 
     def test_batch_is_bag_union_of_singles(self, tree_graph):
         import random
@@ -435,14 +442,22 @@ class TestExecuteBatch:
         rng = random.Random(17)
         for _ in range(20):
             uids = [rng.choice(list(UID.values())) for _ in range(rng.randint(0, 4))]
-            fmt = "MATCH (n {[]1})-[:left|right*1..]->(m) RETURN m"
-            batch_table, _ = execute_batch(expanded_queries(fmt, uids), tree_graph)
+            batch = batch_table("MATCH (n {[]1})-[:left|right*1..]->(m) RETURN m", uids, tree_graph)
             singles = Counter()
             for uid in uids:
                 single, _ = execute(expanded("MATCH (n {$1})-[:left|right*1..]->(m) RETURN m", [uid]), tree_graph)
                 singles += as_bag(single)
-            assert as_bag(batch_table) == singles
+            assert as_bag(batch) == singles
 
+    def test_each_element_sees_the_writes_of_those_before_it(self, tree_graph):
+        fmt = "MATCH (n {[]1}) OPTIONAL MATCH (t:Tmp) CREATE (x:Tmp) RETURN count(t)"
+        assert batch_table(fmt, [UID["a"], UID["b"], UID["c"]], tree_graph).rows == [(0,), (1,), (2,)]
+
+    def test_a_slot_without_its_id_is_an_execution_error(self, tree_graph):
+        fmt = "MATCH (n)-[:left]->(m {$1}) RETURN m"
+        query = parse(expand_positional(fmt, [UID["a"]])[0], fmt)
+        with pytest.raises(ExecutionError, match=r"no id was passed for \$1"):
+            execute(query, tree_graph)
 
 class TestOracleEquivalence:
     def test_random_queries_match_bruteforce(self):
