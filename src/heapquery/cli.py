@@ -26,6 +26,7 @@ import functools
 import os
 import sys
 import tempfile
+import time
 
 from .api import QueryContext, ResultSet, _run_pipeline, query_bounded, query_unbounded
 from .errors import HeapQueryError, PipelineError
@@ -41,14 +42,16 @@ def _split_classes(value: str) -> frozenset:
 
 
 def _coerce_arg(text: str):
+    """An integer; a list for comma-separated integers, where a trailing comma
+    marks a list (``3,`` is ``[3]`` and ``,`` is ``[]``); else the text."""
     try:
         return int(text)
     except ValueError:
         pass
-    parts = text.split(",")
-    if len(parts) > 1:
+    if "," in text:
+        ids = text[:-1] if text.endswith(",") else text
         try:
-            return [int(p) for p in parts]
+            return [int(p) for p in ids.split(",")] if ids else []
         except ValueError:
             pass
     return text
@@ -138,9 +141,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_query(args) -> int:
-    ctx = QueryContext(_load_snapshot_file(args.snapshot), _config_from_args(args))
+    started = time.perf_counter()
+    snapshot = _load_snapshot_file(args.snapshot)
+    timings: dict | None = {"load": (time.perf_counter() - started) * 1000} if args.time else None
+    ctx = QueryContext(snapshot, _config_from_args(args))
     values = [_coerce_arg(a) for a in args.args]
-    timings: dict | None = {} if args.time else None
     if args.root:
         rs = query_bounded(ctx, args.root, args.text, *values, timings=timings)
     else:

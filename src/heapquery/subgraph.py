@@ -110,7 +110,7 @@ class HeapSnapshot:
     def __post_init__(self):
         # validate refuses the classes and objects these maps leave out
         self._class_map = {c.name: c for c in self.classes if _is_name(c.name)}
-        self._object_map = {o.id: o for o in self.objects if _is_id(o.id)}
+        self._object_map = {o.id: o for o in self.objects if type(o.id) is int or _is_id(o.id)}
         self._validated = False
         self._decls_cache: dict[str, MappingProxyType] = {}
         self._plans: dict[str, _ClassPlan] = {}
@@ -211,24 +211,23 @@ class HeapSnapshot:
                 seen.add(obj.id)
         kinds_of = {cls: {name: decl.kind for name, decl in self.field_decls(cls).items()} for cls in self._class_map}
         for i, obj in enumerate(self.objects):
-            kinds = kinds_of.get(obj.cls) if isinstance(obj.cls, str) else None
+            cls, fields = obj.cls, obj.fields
+            kinds = kinds_of.get(cls) if type(cls) is str or isinstance(cls, str) else None
             if kinds is None:
-                raise SnapshotSchemaError(f"unknown class {obj.cls!r}", f"objects[{i}]")
-            if not isinstance(obj.fields, dict):
+                raise SnapshotSchemaError(f"unknown class {cls!r}", f"objects[{i}]")
+            if not isinstance(fields, dict):
                 raise SnapshotSchemaError("fields must be an object", f"objects[{i}].fields")
-            for name, value in obj.fields.items():
+            for name, value in fields.items():
                 kind = kinds.get(name)
                 # The most common values pass here; ``_check_value`` checks the others.
                 if kind == "reference":
                     if value is None or type(value) is Ref and type(value.id) is int and value.id in objects:
                         continue
                 elif kind == "primitive":
-                    if isinstance(value, SCALAR_TYPES):
+                    if type(value) is int or type(value) is str or isinstance(value, SCALAR_TYPES):
                         continue
                 elif kind is None:
-                    raise SnapshotSchemaError(
-                        f"field {name!r} not declared by {obj.cls!r}", f"objects[{i}].fields.{name}"
-                    )
+                    raise SnapshotSchemaError(f"field {name!r} not declared by {cls!r}", f"objects[{i}].fields.{name}")
                 self._check_value(value, kind, ("objects", i, "fields", name))
 
     def _check_classes(self):

@@ -123,9 +123,19 @@ class TestQuery:
     def test_time_flag_reports_stages(self, snapshot_path, capsys):
         main(["query", snapshot_path, "-q", "MATCH (n) RETURN count(n)", "--time"])
         err = capsys.readouterr().err
-        assert "time_ms" in err
+        assert re.fullmatch(r"time_ms load=\d+\.\d{3}( \w+=\d+\.\d{3})+\n", err)
+        stages = re.findall(r"(\w+)=", err)
+        assert stages[0] == "load"  # the snapshot load comes first, before the pipeline's stages
         for stage in ("expand", "extract", "parse", "validate", "execute"):
-            assert stage in err
+            assert stage in stages
+
+    @pytest.mark.parametrize(
+        "arg, values",
+        [("13,", ["4"]), (",", []), ("13,14,", ["4", "5"]), ("13,14", ["4", "5"])],
+    )
+    def test_batch_of_comma_separated_ids(self, snapshot_path, capsys, arg, values):
+        assert main(["query", snapshot_path, "-q", "MATCH (n {[]1}) RETURN n.value", arg]) == 0
+        assert capsys.readouterr().out.splitlines() == ["n.value", *values]
 
     def test_lint_warning_on_unreturned_create(self, snapshot_path, capsys):
         main(["query", snapshot_path, "-q", "CREATE (x:Tmp) RETURN 1"])
@@ -153,7 +163,20 @@ class TestQuery:
 
 
 class TestArguments:
-    @pytest.mark.parametrize("text, value", [("7", 7), ("1,2,3", [1, 2, 3]), ("a,b", "a,b"), ("Cell", "Cell")])
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("7", 7),
+            ("1,2,3", [1, 2, 3]),
+            ("3,", [3]),  # a trailing comma marks a batch
+            ("1,2,", [1, 2]),
+            (",", []),
+            (",,", ",,"),
+            ("a,b", "a,b"),
+            ("a,", "a,"),
+            ("Cell", "Cell"),
+        ],
+    )
     def test_marker_arguments_are_coerced(self, text, value):
         assert _coerce_arg(text) == value
 

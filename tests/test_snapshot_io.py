@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import io
 import json
+import pickle
 import random
 
 import pytest
@@ -31,7 +33,7 @@ from heapquery.snapshot_io import (
     load_snapshot,
     save_snapshot,
 )
-from heapquery.subgraph import ClassInfo, ExtractionConfig, FieldDecl, HeapObject, HeapSnapshot, extract
+from heapquery.subgraph import ClassInfo, ExtractionConfig, FieldDecl, HeapObject, HeapSnapshot, Ref, RefArray, extract
 
 from .conftest import DATA
 from .generators import random_snapshot
@@ -63,6 +65,31 @@ class TestLoadSnapshot:
         first, second = load_snapshot(doc).objects
         assert first.cls == "A" and first.cls is second.cls
 
+    def test_loaded_objects_behave_as_constructed_ones(self):
+        doc = (
+            '{"classes":[{"name":"A","fields":[{"name":"r","kind":"reference","type":"A"},'
+            '{"name":"p","kind":"primitive","type":"int"},{"name":"xs","kind":"primitive-array","type":"int"},'
+            '{"name":"rs","kind":"reference-array","type":"A"}]}],'
+            '"objects":[{"id":1,"class":"A","fields":{"r":{"ref":2},"p":3,"xs":[1,2],"rs":{"refs":[1,null]}}},'
+            '{"id":2,"class":"A","fields":{"r":null,"p":"s","xs":[],"rs":{"refs":[]}}},{"id":3,"class":"A"}],"roots":{}}'
+        )
+        built = [
+            HeapObject(1, "A", {"r": Ref(2), "p": 3, "xs": [1, 2], "rs": RefArray([1, None])}),
+            HeapObject(2, "A", {"r": None, "p": "s", "xs": [], "rs": RefArray([])}),
+            HeapObject(3, "A", {}),
+        ]
+        loaded = load_snapshot(doc).objects
+        ref = loaded[0].fields["r"]
+        for got, expected in [*zip(loaded, built), (ref, Ref(2))]:
+            assert type(got) is type(expected)
+            assert got == expected and repr(got) == repr(expected)
+            assert _hash_or_error(got) == _hash_or_error(expected)  # a field map is not hashable
+            for clone in (copy.copy(got), pickle.loads(pickle.dumps(got))):
+                assert type(clone) is type(expected) and clone == expected
+            for name in [f.name for f in dataclasses.fields(got)]:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(got, name, None)
+
     def test_empty_document(self):
         snapshot = load_snapshot(b'{"classes":[],"objects":[],"roots":{}}')
         assert snapshot.objects == []
@@ -84,6 +111,12 @@ class TestLoadSnapshot:
     def test_invalid_json(self):
         with pytest.raises(SnapshotSchemaError):
             load_snapshot(b"{nope")
+
+    def test_bytes_with_a_lone_surrogate(self):
+        # UTF-8 has no encoding of a surrogate; ``json.loads`` on the bytes would take this one
+        with pytest.raises(SnapshotSchemaError) as exc:
+            load_snapshot(b'{"classes":[],"objects":[],"roots":{"\xed\xa0\x80":1}}')
+        assert str(exc.value).startswith("not valid JSON: 'utf-8' codec can't decode byte 0xed")
 
     def test_bytes_not_utf8(self):
         with pytest.raises(SnapshotSchemaError) as exc:
@@ -349,6 +382,13 @@ class TestLoaderMatchesReference:
         got = _outcome(load_snapshot, text)
         assert str(got) == message
         assert _named(got) == _named(_outcome(reference_load_snapshot, text))
+
+
+def _hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
 
 
 def _named(error) -> tuple:
