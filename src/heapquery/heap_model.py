@@ -582,10 +582,14 @@ def resolve_variable(graph: PropertyGraph, name: str) -> int:
 
 
 def _class_node(graph: PropertyGraph, cls: str) -> int:
-    for node in graph.nodes_with_label(CLASS_LABEL):
-        if node.properties.get(CLASS_NAME_KEY) == cls:
-            return node.id
-    return graph.add_node(CLASS_LABEL, {CLASS_NAME_KEY: cls})
+    """The ``Class`` node of ``cls``, added when missing.
+
+    The interpreter gives a class node its name and no other property, so
+    the graph's equality index finds it: O(1) in the number of classes.
+    """
+    props = {CLASS_NAME_KEY: cls}
+    found = graph.nodes_like(CLASS_LABEL, props)
+    return found[0] if found else graph.add_node(CLASS_LABEL, props)
 
 
 def mk_fields(graph: PropertyGraph, instance: int | None, cls: str, args: tuple, ct: ClassTable, names=_NO_NAMES):

@@ -20,7 +20,8 @@ caller may add nodes or relationships while it iterates;
 ``first_relationship``, which runs no caller code, reads the list in place.
 
 For the query planner the graph also keeps an equality index.
-``equal_nodes`` reads it; it maps each node's ``structural_key`` (what
+``equal_nodes`` reads it, and ``nodes_like`` for a label and property map
+(the interpreter finds class nodes so); it maps each node's ``structural_key`` (what
 ``equals`` compares) to ascending ids, is built one label at a time on first
 use and is kept by ``add_node`` and ``copy``.  ``structural_key`` computes a
 node's key once and keeps it.
@@ -164,6 +165,8 @@ def value_tag(value) -> tuple:
 
     bool/int/float are distinct variants, so 1, 1.0 and True all differ.
     """
+    if value.__class__ is str:  # one test for an exact str, such as a class name
+        return ("s", value)
     if isinstance(value, bool):
         return ("b", value)
     if isinstance(value, int):
@@ -323,7 +326,16 @@ class PropertyGraph:
         Read from the equality index; the first lookup of a label indexes
         every node of that label.  The list includes ``node_id``.
         """
-        key = self.structural_key(node_id)
+        return self._equal(self.structural_key(node_id))
+
+    def nodes_like(self, label: str, properties: dict) -> list[int]:
+        """Ids of the nodes ``equals`` holds for with a node of ``label`` and ``properties``, ascending.
+
+        Read from the equality index, as ``equal_nodes`` reads it.
+        """
+        return self._equal((label, canon_properties(properties, ignore_uid=True)))
+
+    def _equal(self, key: tuple) -> list[int]:
         index = self._by_structure.get(key[0])
         if index is None:
             index = self._by_structure[key[0]] = {}

@@ -18,6 +18,14 @@ Matching semantics:
   algorithm: a cost cut only, since no pruned branch could return.
 * When such a walk opens a path and needs a hop (``*1..``), each start with
   no step into its own component is dropped before it is bound: none closes.
+* A last segment with no upper bound, out or in, of lower bound 0 or 1, no
+  relationship variable and no return to its start, that shares no
+  relationship type with another segment of its path (``_walked``), is
+  matched by a bare preorder walk (``_walk``): from a start whose region
+  has no cycle every walk is a trail, so no relationship is tracked.  A
+  step onto a node of the walk it is on closes a cycle; the walk stops,
+  keeps no row, and the generic loop runs from that start.  The rows and
+  their order are the loop's.  Bounded segments always run the loop.
 * Each node's ``neighbors`` list and strongly connected component are read
   from the graph's ``traversal_memo``, and entered there when missing, so
   they are kept across paths, rows and queries until a relationship write.
@@ -75,8 +83,9 @@ Matching semantics:
 * An aggregating RETURN item is one ``eval_expression`` call on the last row
   plus its counts' values, each keyed by the id of its ``Count`` node (an
   int, never a variable name; ``_aggregate_row``).  Its counts, and its reads
-  outside them, which must be constant across rows, come first, in preorder.
-  With no rows, a RETURN whose items read a row gives none.
+  outside them, which must be constant across rows, come first, in preorder;
+  a read the RETURN made before is checked only there.  With no rows, a
+  RETURN whose items read a row gives none.
 
 Row order is deterministic: candidates are enumerated by ascending node and
 relationship id in clause order (reachability by breadth-first search:
@@ -277,6 +286,7 @@ class _Segment(NamedTuple):
     returns: bool  # an unbounded out or in segment that must end where it starts
     direction: str  # as matched: flipped when the path is matched backwards
     types: frozenset | None  # None for any type
+    walk: str | None = None  # set on a last segment ``_walk`` may match: how its target binds, "anonymous", "fresh" or "bound"
 
 
 class _Path(NamedTuple):
@@ -303,16 +313,45 @@ def _path_plan(path: PathPattern, bound) -> _Path:
         returns = hi is None and rel.direction != "both" and name is not None and name == path.nodes[seg].var
         types = frozenset(rel.types) if rel.types else None
         segments.append(_Segment(rel.var, lo, hi, seg + 1, _checked(node), closes, returns, rel.direction, types))
-    return _Path(0, tuple(segments))
+    return _Path(0, _walked(segments, path, bound))
 
 
-def _backward(forward: _Path, path: PathPattern) -> _Path:
+def _backward(forward: _Path, path: PathPattern, bound) -> _Path:
     """``forward`` read from the last node of ``path``: segments reversed, directions flipped, flags kept."""
     segments = []
     for seg in reversed(forward.segments):
         start = seg.target - 1  # where the forward segment starts, and so where this one ends
-        segments.append(seg._replace(target=start, checked=_checked(path.nodes[start]), direction=_FLIPPED[seg.direction]))
-    return _Path(len(path.rels), tuple(segments))
+        segments.append(
+            seg._replace(target=start, checked=_checked(path.nodes[start]), direction=_FLIPPED[seg.direction], walk=None)
+        )
+    return _Path(len(path.rels), _walked(segments, path, bound))
+
+
+def _walked(segments: list, path: PathPattern, bound) -> tuple:
+    """``segments``, the last with its ``walk`` set when ``_walk`` may match it.
+
+    That is an unbounded out or in segment with a lower bound of 0 or 1, no
+    relationship variable and no return to its start, sharing no
+    relationship type with another segment of the path (None shares every
+    type): so no walk of it steps a relationship an earlier segment entered.
+    Its target binds "fresh" unless it is anonymous, or "bound" on entry or
+    by another node of the path, all of which are matched before it.
+    """
+    if not segments:
+        return ()
+    *rest, last = segments
+    if last.hi is not None or last.lo > 1 or last.rel_var is not None or last.direction == "both" or last.returns:
+        return tuple(segments)
+    if rest and (last.types is None or any(seg.types is None or not seg.types.isdisjoint(last.types) for seg in rest)):
+        return tuple(segments)
+    name = path.nodes[last.target].var
+    if name is None:
+        walk = "anonymous"
+    elif name in bound or any(node.var == name for i, node in enumerate(path.nodes) if i != last.target):
+        walk = "bound"
+    else:
+        walk = "fresh"
+    return (*rest, last._replace(walk=walk))
 
 
 def _checked(node: NodePattern) -> bool:
@@ -338,22 +377,28 @@ def _match_path(
     where it starts steps only inside its start's strongly connected
     component (``strong_components``), and as the first segment, with a hop
     needed, drops starts with no step into theirs: neither could return, so
-    the rows stay the same.  Steps and components are read from, and
+    the rows stay the same.  A last segment with ``walk`` set is matched
+    from each of its starts by ``_walk``, and by the loop only from a start
+    whose region has a cycle.  Steps and components are read from, and
     entered in, the graph's ``traversal_memo``.
     """
     nodes = path.nodes
     first = nodes[matcher.first]
     last = len(matcher.segments)
     segs = []
+    walker = None
     for seg in matcher.segments:
-        _, comps, steps = _traversal(graph, seg)
+        adjacency, comps, steps = _traversal(graph, seg)
+        if seg.walk is not None:  # only the last segment's
+            walker = (seg, nodes[seg.target], adjacency, steps)
         # Only a segment that must end where it starts reads components.
         comps = comps if seg.returns else None
         segs.append((seg.rel_var, seg.lo, seg.hi, nodes[seg.target], seg.checked, seg.closes, steps, comps))
+    walk_at = last - 1 if walker else -1  # the segment whose starts ``_walk`` tries first
 
     results: list[dict] = []
     used: set[int] = set()
-    # state: (segment, segment start node, node, hops into segment, binding, relationship entered by)
+    # state: (segment, segment start node, node, hops into segment, row, relationship entered by)
     stack: list = []
     if starts is None:
         starts = _start_candidates(graph, first, binding)
@@ -368,43 +413,107 @@ def _match_path(
                     kept.append(node_id)
                     break
         starts = kept
-    for node_id in reversed(starts):
-        start_binding = _bind(graph, binding, first, node_id)
-        if start_binding is not None:
-            stack.append((0, node_id, node_id, 0, start_binding, None))
-    if not segs:
-        return [state[4] for state in reversed(stack)]
-    while stack:
-        item = stack.pop()
-        if item.__class__ is int:
-            used.discard(item)
+    for start in starts:  # each start's rows come before the next start's
+        start_binding = _bind(graph, binding, first, start)
+        if start_binding is None:
             continue
-        seg, seg_start, node_id, depth, binding, via = item
-        if via is not None:
-            used.add(via)
-            stack.append(via)
-        rel_var, lo, hi, target, checked, closes, next_steps, comps = segs[seg]
-        if hi is None or depth < hi:
-            scc = None if comps is None else _component(seg_start, next_steps, comps)
-            for rel, other in reversed(next_steps(node_id)):
-                if rel.id not in used and (scc is None or comps[other.id] == scc):
-                    stack.append((seg, seg_start, other.id, depth + 1, binding, rel.id))
-        # A path may end here, before any longer one, unless it is a closed walk that does not count.
-        if depth < lo or (depth and not closes and node_id == seg_start):
+        if not segs:
+            results.append(start_binding)
             continue
-        nxt = _bind(graph, binding, target, node_id, checked)
-        if nxt is None:
+        if walk_at == 0 and (rows := _walk(graph, start_binding, start, *walker)) is not None:
+            results += rows
             continue
-        if rel_var is not None:  # a single hop's: the relationship entered by
-            ref = RelRef(via)
-            if nxt.get(rel_var, ref) != ref:
+        stack.append((0, start, start, 0, start_binding, None))
+        while stack:
+            item = stack.pop()
+            if item.__class__ is int:
+                used.discard(item)
                 continue
-            nxt = {**nxt, rel_var: ref}
-        if seg + 1 == last:
-            results.append(nxt)
-        else:
-            stack.append((seg + 1, node_id, node_id, 0, nxt, None))
+            seg, seg_start, node_id, depth, row, via = item
+            if via is not None:
+                used.add(via)
+                stack.append(via)
+            rel_var, lo, hi, target, checked, closes, next_steps, comps = segs[seg]
+            if hi is None or depth < hi:
+                scc = None if comps is None else _component(seg_start, next_steps, comps)
+                for rel, other in reversed(next_steps(node_id)):
+                    if rel.id not in used and (scc is None or comps[other.id] == scc):
+                        stack.append((seg, seg_start, other.id, depth + 1, row, rel.id))
+            # A path may end here, before any longer one, unless it is a closed walk that does not count.
+            if depth < lo or (depth and not closes and node_id == seg_start):
+                continue
+            nxt = _bind(graph, row, target, node_id, checked)
+            if nxt is None:
+                continue
+            if rel_var is not None:  # a single hop's: the relationship entered by
+                ref = RelRef(via)
+                if nxt.get(rel_var, ref) != ref:
+                    continue
+                nxt = {**nxt, rel_var: ref}
+            if seg + 1 == last:
+                results.append(nxt)
+            elif seg + 1 == walk_at and (rows := _walk(graph, nxt, node_id, *walker)) is not None:
+                results += rows  # the rows the state pushed next would give, in their order
+            else:
+                stack.append((seg + 1, node_id, node_id, 0, nxt, None))
     return results
+
+
+def _walk(
+    graph: PropertyGraph, binding: dict, start: int, seg: _Segment, target: NodePattern, adjacency: dict, steps
+) -> list[dict] | None:
+    """The rows of the last segment ``seg`` from ``start``, or None when the region ``start`` reaches has a cycle.
+
+    ``seg.walk`` is set (``_walked``): no earlier segment of the path steps a
+    relationship ``seg`` may.  In a region with no cycle and no self-loop
+    every walk is a trail, so a bare preorder walk over the kept adjacency
+    lists gives the generic loop's rows in its order: by ascending
+    relationship id, ``start`` first when ``seg.lo`` is 0.  It tracks no
+    relationship, only the nodes of the walk it is on: a step onto one of
+    them closes a cycle, and the walk stops, so that the caller runs the
+    generic loop from ``start``, and no row of the walk is kept.  The
+    target binds by ``_bind``'s rules.
+    """
+    reached = [] if seg.lo else [graph.node(start)]
+    out = adjacency.get(start)  # ``steps`` without its call, when kept
+    on_path = {start}  # the nodes of the walk, but for its last
+    stack = [(iter(steps(start) if out is None else out), start)]
+    while stack:
+        edges, node_id = stack[-1]
+        for _, other in edges:
+            nxt = other.id
+            if nxt in on_path:
+                return None
+            reached.append(other)
+            out = adjacency.get(nxt)
+            if out is None:
+                out = steps(nxt)
+            if out:
+                on_path.add(nxt)
+                stack.append((iter(out), nxt))
+                break
+        else:
+            stack.pop()
+            on_path.discard(node_id)
+    var = target.var
+    if seg.walk == "bound":
+        bound = binding[var]
+        reached = [node for node in reached if node.id == bound.id] if bound.__class__ is NodeRef else []
+    if seg.checked:
+        if target.properties:
+            reached = [node for node in reached if _node_matches(graph, node.id, target, binding)]
+        else:
+            label = target.label
+            reached = [node for node in reached if node.label == label]
+    if seg.walk != "fresh":
+        return [binding] * len(reached)
+    rows = []
+    for node in reached:
+        row = binding.copy()
+        row[var] = ref = _new_node_ref(NodeRef)
+        _set_node_id(ref, node.id)
+        rows.append(row)
+    return rows
 
 
 def _traversal(graph: PropertyGraph, seg: _Segment) -> tuple:
@@ -676,7 +785,7 @@ def _match_plan(clauses: tuple, k: int, items: _Items, bound: set, probe: dict |
     for path in clause.patterns:
         forward = _path_plan(path, bound)
         reversible = probe is not None and path.rels and _reversible(path, bound)
-        paths.append((forward, _backward(forward, path) if reversible else None))
+        paths.append((forward, _backward(forward, path, bound) if reversible else None))
         bound.update(pattern_variables((path,)))
     return _Match(shortcut, dict.fromkeys(names, ABSENT), cross, tuple(paths))
 
@@ -975,18 +1084,29 @@ def _check_constant(leaf, rows: list[dict], graph: PropertyGraph) -> None:
 class _Items(NamedTuple):
     """What a RETURN's items read, found in one walk of each item (``_summary``)."""
 
-    leaves: tuple  # per item: its counts, and its variable and property reads outside them, in preorder
+    leaves: tuple  # per item: its counts, and its variable and property reads outside them not read before, in preorder
     counts: tuple  # the counts of every item, in order
     reads: bool  # whether an item reads a row outside a count
 
 
 def _summary(clause: ReturnClause) -> _Items:
-    leaves = tuple(
-        tuple(leaf for leaf in walk(item.expr, Count) if isinstance(leaf, (Count, Variable, PropertyAccess)))
-        for item in clause.items
-    )
+    """The RETURN's ``_Items``; a read equal to an earlier one (AST leaves are frozen dataclasses) is left out.
+
+    Its constant check would pass exactly when the earlier one's did, and that one runs first.
+    """
+    reads: set = set()
+    leaves = []
+    for item in clause.items:
+        kept = []
+        for leaf in walk(item.expr, Count):
+            if leaf.__class__ is Count:
+                kept.append(leaf)
+            elif isinstance(leaf, (Variable, PropertyAccess)) and leaf not in reads:
+                reads.add(leaf)
+                kept.append(leaf)
+        leaves.append(tuple(kept))
     counts = tuple(leaf for item in leaves for leaf in item if leaf.__class__ is Count)
-    return _Items(leaves, counts, len(counts) < sum(map(len, leaves)))
+    return _Items(tuple(leaves), counts, bool(reads))
 
 
 def _aggregate_row(leaves: tuple, rows: list[dict], graph: PropertyGraph, multiplicities: dict | None) -> dict:

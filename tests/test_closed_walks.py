@@ -252,7 +252,25 @@ class TestAggregateLeaves:
         table, _ = execute(parsed(text), tree_graph)
         assert table.rows == [(True,)]
         leaves = [call for call in calls if isinstance(call[1], (Variable, PropertyAccess))]
-        assert len(leaves) == 4  # per t.size leaf: the check on the one bound tree, then the value
+        # one check of t.size on the one bound tree (its second read is the same leaf), then each read's value
+        assert len(leaves) == 3
+
+    def test_a_repeated_read_is_checked_once(self):
+        query = parsed("MATCH (n) RETURN count(n) = n.v AND n.v > 0, n.v = count(*), n = n AND count(n) > 0")
+        first, second, third = query_engine._summary(query.clauses[-1]).leaves
+        assert [type(leaf).__name__ for leaf in first] == ["Count", "PropertyAccess"]
+        assert [type(leaf).__name__ for leaf in second] == ["Count"]
+        assert [type(leaf).__name__ for leaf in third] == ["Variable", "Count"]
+
+    def test_a_repeated_read_that_is_not_constant_raises_as_before(self, monkeypatch):
+        g = PropertyGraph()
+        g.add_node("A", {"v": 1})
+        g.add_node("A", {"v": 2})
+        checks = count_calls(monkeypatch, "_check_constant")
+        with pytest.raises(ExecutionError) as exc:
+            execute(parsed("MATCH (n) RETURN count(n) = n.v AND n.v > 0"), g)
+        assert str(exc.value) == "n.v is not constant across rows; grouped aggregation is not supported"
+        assert len(checks) == 1
 
     @pytest.mark.parametrize(
         "rows, raising, error, message",

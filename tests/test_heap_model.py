@@ -320,6 +320,35 @@ class TestLookups:
             mbody(program.class_table, "nope", "A")
 
 
+class TestClassNodes:
+    @staticmethod
+    def node_reads(monkeypatch, classes: int) -> int:
+        """Nodes read while 2,000 ``new``s run, spread over ``classes`` classes."""
+        decls = "".join(f"class C{i} {{ C{i}() {{}} }}\n" for i in range(classes))
+        news = "".join(f"C{i % classes} x{i} = new C{i % classes}();\n" for i in range(2000))
+        program = parse_program(decls + news + "return x0;")
+        reads = []
+        real = PropertyGraph.node
+        monkeypatch.setattr(PropertyGraph, "node", lambda graph, node_id: reads.append(node_id) or real(graph, node_id))
+        graph = run_program(program)
+        monkeypatch.undo()
+        assert len(list(graph.nodes_with_label("Class"))) == classes
+        return len(reads)
+
+    def test_class_lookup_reads_no_class_node(self, monkeypatch):
+        # The equality index finds a class node, so the cost of a new does
+        # not grow with the number of classes (a scan read 1,000,000 nodes).
+        assert self.node_reads(monkeypatch, 1) == self.node_reads(monkeypatch, 1000) == 0
+
+    def test_one_class_node_per_class(self):
+        program = parse_program(TWO_CLASS_PROGRAM)
+        graph = run_program(program)
+        classes = [node.properties["name"] for node in graph.nodes_with_label("Class")]
+        assert sorted(classes) == ["C", "D"]
+        for node in graph.nodes_with_label("Class"):
+            assert graph.nodes_like("Class", node.properties) == [node.id]
+
+
 class TestMkFields:
     def test_zero_field_class(self):
         program = parse_program("class A { A() {} } return;")
