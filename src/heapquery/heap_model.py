@@ -45,6 +45,7 @@ from .property_graph import (
     LOCAL_LABEL,
     RESERVED_LABELS,
     PropertyGraph,
+    collector_paused,
 )
 
 PRIMITIVE_TYPES = frozenset({"int", "double", "boolean", "String"})
@@ -558,7 +559,9 @@ def _literal_fits(ftype: str, value) -> bool:
     return ftype != "double" or abs(value) <= sys.float_info.max  # a larger integer has no double
 
 
+@collector_paused()
 def parse_program(text: str) -> Program:
+    """The ``Program`` of ``text``: its class table and its top-level commands."""
     return _Parser(tokenize(_TOKEN_RE, text), text).parse_program()
 
 
@@ -697,10 +700,13 @@ def eval_expr(graph: PropertyGraph, body: Body, ct: ClassTable, names=_NO_NAMES)
     return graph
 
 
+@collector_paused()
 def run_program(program: Program) -> PropertyGraph:
+    """Run a parsed program on a new graph; returns the graph."""
     return eval_expr(PropertyGraph(), program.main, program.class_table)
 
 
+@collector_paused()
 def run_to_point(text: str) -> PropertyGraph:
     """Evaluate a program up to its ``/* POINT */`` marker.
 

@@ -295,6 +295,10 @@ class PropertyGraph:
             self._by_uid = _build_index(self.nodes(), _uid_key)
         return map(self.node, list(self._by_uid.get(uid, ())))
 
+    def _uid_index(self) -> dict[int, list[int]] | None:
+        """The ``$uid`` index ``nodes_with_uid`` reads, as ``audit`` compares it; None before it is built."""
+        return self._by_uid
+
     def relationships_with_label(self, label: str) -> Iterator[Relationship]:
         """Relationships labeled ``label``, in ascending id order (from a copy of the index list)."""
         if self._rels_by_label is None:
@@ -524,7 +528,7 @@ class PropertyGraph:
                     )
         indexes = [
             ("label", self._by_label, self.nodes(), _label_key),
-            ("$uid", self._by_uid, self.nodes(), _uid_key),
+            ("$uid", self._uid_index(), self.nodes(), _uid_key),
             ("relationship label", self._rels_by_label, self.relationships(), _label_key),
         ]
         for label, index in self._by_structure.items():

@@ -73,6 +73,13 @@ Matching semantics:
   hides.  Matching backwards fills a ``SnapshotGraph``.
 * OPTIONAL MATCH yields one row with the clause's new variables absent when
   nothing matches.
+* A MATCH or OPTIONAL MATCH that joins no variable bound before it
+  (``_Match.cross``) is matched once, from ``params``, and ``execute`` keeps
+  its rows as a factor of the rows, which are the factors' ``_product`` in
+  nested-loop order.  Every clause but a RETURN with a count builds that
+  product; such a RETURN reads a cross join by its factors, so
+  ``MATCH (a:A) MATCH (b:B) RETURN count(*)`` builds no row of it.  An empty
+  factor empties the rows, and no later cross MATCH runs.
 * Comparisons and boolean operators use three-valued logic; WHERE keeps a
   row only when its expression is strictly true.
 * ``equals(a, b)`` is true for the same node, or for nodes with the same
@@ -84,8 +91,11 @@ Matching semantics:
   plus its counts' values, each keyed by the id of its ``Count`` node (an
   int, never a variable name; ``_aggregate_row``).  Its counts, and its reads
   outside them, which must be constant across rows, come first, in preorder;
-  a read the RETURN made before is checked only there.  With no rows, a
-  RETURN whose items read a row gives none.
+  a read the RETURN made before is checked only there.  Each is computed
+  over the one factor whose variables it reads, a count that is not
+  DISTINCT multiplied by the other factors' sizes; only a count that reads
+  two factors builds their product.  With no rows, a RETURN whose items
+  read a row gives none.
 
 Row order is deterministic: candidates are enumerated by ascending node and
 relationship id in clause order (reachability by breadth-first search:
@@ -97,6 +107,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from math import prod
 from typing import NamedTuple
 
 from .cypher_ast import (
@@ -965,13 +976,8 @@ def _kleene(word: str, dominant: bool, left, right):
 
 
 def _match_clause(
-    graph: PropertyGraph, clause: MatchClause, rows: list[dict], match: _Match, probe: dict | None, params: dict
+    graph: PropertyGraph, clause: MatchClause, rows: list[dict], match: _Match, probe: dict | None
 ) -> list[dict]:
-    if rows and match.cross:  # no variable joins the incoming rows: match once from ``params``, cross-join
-        base = _extensions(graph, clause.patterns, params, match, probe)
-        if not base and clause.optional:
-            base = [match.absent]
-        return [{**row, **extension} for row in rows for extension in base]
     out: list[dict] = []
     for row in rows:
         matched = _extensions(graph, clause.patterns, row, match, probe)
@@ -1109,41 +1115,90 @@ def _summary(clause: ReturnClause) -> _Items:
     return _Items(tuple(leaves), counts, bool(reads))
 
 
-def _aggregate_row(leaves: tuple, rows: list[dict], graph: PropertyGraph, multiplicities: dict | None) -> dict:
-    """The last of ``rows`` (``{}`` with none) plus the value of each count in ``leaves``, keyed by its id.
+def _product(factors: list) -> list[dict]:
+    """The rows ``factors`` stand for (see ``execute``), in nested-loop order: the first factor's rows outermost."""
+    rows = factors[0]
+    for factor in factors[1:]:
+        rows = [{**row, **extension} for row in rows for extension in factor]
+    return rows
 
+
+def _own_factor(leaf, factors: list, owner: dict) -> tuple[list | None, int]:
+    """The factor that binds every variable ``leaf`` reads, and the product of the other factors' sizes.
+
+    ``owner`` maps each variable to the index of the factor that binds it.
+    A leaf that reads no variable reads the first factor; one that reads two
+    factors, or a variable none binds, gets None.
+    """
+    expr = leaf.expr if leaf.__class__ is Count else leaf
+    found = set()
+    for node in () if expr is None else walk(expr):
+        if node.__class__ is Variable:
+            found.add(owner.get(node.name))
+        elif node.__class__ is PropertyAccess:
+            found.add(owner.get(node.var))
+    if None in found or len(found) > 1:
+        return None, 1
+    i = found.pop() if found else 0
+    return factors[i], prod(len(factor) for j, factor in enumerate(factors) if j != i)
+
+
+def _aggregate_row(leaves: tuple, factors: list, graph: PropertyGraph, multiplicities: dict | None) -> dict:
+    """The last row (``{}`` with none) plus the value of each count in ``leaves``, keyed by its id.
+
+    The rows are the ``_product`` of ``factors`` (see ``execute``).
     ``leaves`` are an item's ``_Items.leaves``, handled in preorder: a count
     is computed, and a variable or property read outside a count checked.
-    With ``multiplicities`` (see ``_multiplicities``) a count reads them, not
-    the rows: their sum for ``count(target)`` and ``count(*)``, their number
-    for ``count(DISTINCT target)``.
+    With more than one factor, none is empty, so a leaf that reads one
+    factor (``_own_factor``) takes the same values over it as over the
+    product: it is checked, or counted, there, and a count that is not
+    DISTINCT is multiplied by the other factors' sizes.  Only a count that
+    reads two factors builds the product.  With ``multiplicities`` (see
+    ``_multiplicities``) a count reads them, not the rows: their sum for
+    ``count(target)`` and ``count(*)``, their number for ``count(DISTINCT
+    target)``.
     """
-    row = {**rows[-1]} if rows else {}
+    if len(factors) == 1:
+        rows = factors[0]
+        row = {**rows[-1]} if rows else {}
+    else:
+        rows = None  # the product, built when a leaf needs it
+        row = {}
+        for factor in factors:
+            row.update(factor[-1])
+        owner = {name: i for i, factor in enumerate(factors) for name in factor[0]}
     for leaf in leaves:
+        over, scale = rows, 1
+        if over is None:
+            over, scale = _own_factor(leaf, factors, owner)
+            if over is None:
+                over = rows = _product(factors)
         if leaf.__class__ is not Count:
-            _check_constant(leaf, rows, graph)
+            _check_constant(leaf, over, graph)
         elif multiplicities is None:
-            row[id(leaf)] = _count(leaf, rows, graph)
+            n = _count(leaf, over, graph)
+            row[id(leaf)] = n if leaf.distinct else n * scale
         else:
             row[id(leaf)] = len(multiplicities) if leaf.distinct else sum(multiplicities.values())
     return row
 
 
 def _return_clause(
-    graph: PropertyGraph, clause: ReturnClause, rows: list[dict], plan: Plan, multiplicities: dict | None
+    graph: PropertyGraph, clause: ReturnClause, factors: list, plan: Plan, multiplicities: dict | None
 ) -> ResultTable:
+    """The result table of the rows ``factors`` stand for (see ``execute``)."""
     items, columns = plan.items, list(plan.columns)
     if items.counts:
-        if not rows and items.reads:  # an item needs a row
+        if not all(factors) and items.reads:  # an item needs a row
             return ResultTable(columns, [])
         row = tuple(
-            eval_expression(_aggregate_row(leaves, rows, graph, multiplicities), item.expr, graph)
+            eval_expression(_aggregate_row(leaves, factors, graph, multiplicities), item.expr, graph)
             for item, leaves in zip(clause.items, items.leaves)
         )
         table_rows = [row]
     else:
         table_rows = [
-            tuple(eval_expression(row, item.expr, graph) for item in clause.items) for row in rows
+            tuple(eval_expression(row, item.expr, graph) for item in clause.items) for row in _product(factors)
         ]
     if clause.distinct:
         seen = set()
@@ -1175,23 +1230,32 @@ def execute(
         plan = prepare(query)
     if params is None:
         params = {}
-    rows: list[dict] = [params]
+    # The rows are the ``_product`` of these factors: one factor, or several, none of them empty.
+    factors: list[list[dict]] = [[params]]
     multiplicities = None  # a "count" shortcut's (``_shortcut``), whose MATCH then builds no row
     clauses = query.clauses
-    for i, step in plan.steps:
+    for k, (i, step) in enumerate(plan.steps):
         clause = clauses[i]
         if isinstance(clause, MatchClause):
             if step.shortcut == "count":
                 multiplicities = _multiplicities(graph, clause.patterns[0], step.paths[0][0], params)
-            if multiplicities is None:  # a cycle falls back to enumeration
-                rows = _match_clause(graph, clause, rows, step, plan.probe, params)
+            if multiplicities is not None:
+                continue
+            if not step.cross:
+                factors = [_match_clause(graph, clause, _product(factors), step, plan.probe)]
+            elif all(factors):  # no variable joins: match once from ``params``, unless there are no rows
+                rows = _extensions(graph, clause.patterns, params, step, plan.probe)
+                if not rows and clause.optional:
+                    rows = [{**params, **step.absent}]
+                # The first clause's rows extend ``params`` already; an empty factor empties the product.
+                factors = [*factors, rows] if k and rows else [rows]
         elif isinstance(clause, WhereClause):
-            rows = _where_clause(graph, clause, rows)
+            factors = [_where_clause(graph, clause, _product(factors))]
         elif isinstance(clause, CreateClause):
-            rows = _create_clause(graph, clause, rows)
+            factors = [_create_clause(graph, clause, _product(factors))]
         else:
-            rows = _merge_clause(graph, clause, rows, step)
-    return _return_clause(graph, clauses[-1], rows, plan, multiplicities), graph
+            factors = [_merge_clause(graph, clause, _product(factors), step)]
+    return _return_clause(graph, clauses[-1], factors, plan, multiplicities), graph
 
 
 def execute_batch(query: Query, graph: PropertyGraph, plan: Plan, batch) -> tuple[ResultTable, PropertyGraph]:

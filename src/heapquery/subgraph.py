@@ -654,8 +654,9 @@ class SnapshotGraph(PropertyGraph):
     ``traversal_memo`` never fill.
 
     The snapshot was validated, so nothing built here is checked again.
-    ``$uid`` lookups before the fill read the numbering: an in-place change
-    of a node's ``$uid`` is not seen by them.
+    ``$uid`` lookups read the numbering, before the fill and after it, and
+    an index of only the nodes added since: an in-place change of a
+    numbered node's ``$uid`` is not seen by them (``audit`` reports it).
     """
 
     def __init__(self, numbering: _Numbering):
@@ -798,8 +799,9 @@ class SnapshotGraph(PropertyGraph):
         for rel in self._rels.values():
             incoming[rel.end].append(rel.id)
         self._filled = True
-        # A filled graph builds its label and ``$uid`` indexes from every node when first used.
-        self._by_label = self._by_uid = None
+        # A filled graph builds its label index from every node when first used.  The
+        # numbering still answers ``$uid`` lookups, and ``_by_uid`` the nodes added since.
+        self._by_label = None
         return self
 
     # -- PropertyGraph surface --------------------------------------------------
@@ -848,11 +850,16 @@ class SnapshotGraph(PropertyGraph):
         return PropertyGraph.neighbors(self, node_id, direction, types)
 
     def nodes_with_uid(self, uid: int) -> Iterator[Node]:
-        if self._filled:
-            return PropertyGraph.nodes_with_uid(self, uid)
         node_id = self._numbering.node_of.get(uid)
         numbered = () if node_id is None else (node_id,)
         return map(self.node, chain(numbered, tuple(self._by_uid.get(uid, ()))))
+
+    def _uid_index(self) -> dict:
+        """The numbering's ``$uid`` of each object node, then the nodes added since."""
+        index = {uid: [node_id] for uid, node_id in self._numbering.node_of.items()}
+        for uid, ids in self._by_uid.items():
+            index.setdefault(uid, []).extend(ids)
+        return index
 
     def node_ids_with_label(self, label: str) -> list[int]:
         if not self._filled:
@@ -876,11 +883,16 @@ class SnapshotGraph(PropertyGraph):
             self._in.setdefault(end, [])  # ``fill`` rebuilds the incoming lists; nothing reads them before
         return PropertyGraph.add_relationship(self, label, start, end, properties)
 
+    @_filled_first
+    def copy(self) -> PropertyGraph:
+        dup = PropertyGraph.copy(self)
+        dup._by_uid = None  # this graph's holds only the nodes added since the numbering
+        return dup
+
     nodes = _filled_first(PropertyGraph.nodes)
     relationships = _filled_first(PropertyGraph.relationships)
     relationships_with_label = _filled_first(PropertyGraph.relationships_with_label)
     first_relationship = _filled_first(PropertyGraph.first_relationship)
     remove_relationship = _filled_first(PropertyGraph.remove_relationship)
     set_field_edge = _filled_first(PropertyGraph.set_field_edge)
-    copy = _filled_first(PropertyGraph.copy)
     audit = _filled_first(PropertyGraph.audit)

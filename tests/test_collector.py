@@ -13,13 +13,15 @@ from heapquery import (
     graph_to_snapshot,
     import_csv,
     load_snapshot,
+    parse_program,
     query_bounded,
     query_unbounded,
+    run_program,
     run_to_point,
     save_snapshot,
 )
 from heapquery import api, cli
-from heapquery.errors import PipelineError, SnapshotSchemaError
+from heapquery.errors import EvalError, PipelineError, ProgramSyntaxError, SnapshotSchemaError
 from heapquery.property_graph import collector_paused
 
 from .conftest import DATA, UID, TWO_HOP_QUERY
@@ -31,6 +33,9 @@ PAUSED = {
     "import_csv": import_csv,
     "extract": extract,
     "_run_pipeline": api._run_pipeline,
+    "parse_program": parse_program,
+    "run_program": run_program,
+    "run_to_point": run_to_point,
 }
 
 METHOD_PROGRAM = """
@@ -101,6 +106,37 @@ class TestRestoresTheCollector:
         gc.enable()
         with pytest.raises(SnapshotSchemaError):
             load_snapshot(_bad_document())
+        assert gc.isenabled()
+
+    def test_enabled_after_a_program_that_fails(self):
+        # The first fails to parse; the second parses and fails when run (a literal for a reference field).
+        broken = "class A { A f; A(A f) { this.f = f; } }\nA x = new A(1);"
+        gc.enable()
+        for call, error in [
+            (lambda: parse_program("class A {"), ProgramSyntaxError),
+            (lambda: run_to_point("class A {"), ProgramSyntaxError),
+            (lambda: run_program(parse_program(broken)), EvalError),
+            (lambda: run_to_point(broken), EvalError),
+        ]:
+            with pytest.raises(error):
+                call()
+            assert gc.isenabled()
+
+    def test_collector_is_off_while_a_program_runs(self, monkeypatch):
+        from heapquery import heap_model
+
+        gc.enable()
+        seen = []
+        eval_expr = heap_model.eval_expr
+
+        def recording_eval_expr(*args):
+            seen.append(gc.isenabled())
+            return eval_expr(*args)
+
+        monkeypatch.setattr(heap_model, "eval_expr", recording_eval_expr)
+        run_to_point(METHOD_PROGRAM)
+        run_program(parse_program(METHOD_PROGRAM))
+        assert len(seen) >= 2 and not any(seen)
         assert gc.isenabled()
 
     def test_stays_disabled_when_the_caller_disabled_it(self, tree_snapshot):

@@ -548,13 +548,15 @@ def _clause_sequence(rng: random.Random) -> str:
 
 class TestRowVariables:
     def test_rows_entering_a_clause_bind_the_same_names(self, monkeypatch):
-        """``_match_clause`` reads only the first incoming row to decide on a cross join."""
+        """``prepare`` decides on a cross join once, for every row entering the clause."""
         seen = []
         for name in ("_match_clause", "_where_clause", "_create_clause", "_merge_clause", "_return_clause"):
             original = getattr(query_engine, name)
 
-            def recorded(graph, clause, rows, *rest, original=original):
-                seen.append({frozenset(row) for row in rows})
+            def recorded(graph, clause, rows, *rest, original=original, name=name):
+                # The RETURN is given the rows' factors; it reads their product.
+                product = query_engine._product(rows) if name == "_return_clause" else rows
+                seen.append({frozenset(row) for row in product})
                 return original(graph, clause, rows, *rest)
 
             monkeypatch.setattr(query_engine, name, recorded)

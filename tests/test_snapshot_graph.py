@@ -254,6 +254,36 @@ def test_adding_nodes_while_iterating_an_unfilled_lookup():
     assert (len(list(graph.nodes_with_label("c.Cell"))), len(list(graph.nodes_with_uid(3)))) == (20, 16)
 
 
+def test_a_filled_graph_answers_uid_lookups_without_an_index_of_every_node(monkeypatch):
+    from heapquery import property_graph
+
+    built = []
+    build_index = property_graph._build_index
+
+    def counted(items, key_of):
+        built.append(key_of)
+        return build_index(items, key_of)
+
+    monkeypatch.setattr(property_graph, "_build_index", counted)
+    graph = extract(_chain_snapshot(5), ExtractionConfig())
+    graph.add_node("c.Cell", {"$uid": 3})  # added before the fill, next to numbered uid 3
+    graph.fill()
+    graph.add_node("Extra", {"$uid": 7})  # added after it, a uid no object has
+    graph.add_node("Extra", {"$uid": 3, "v": 1})
+    graph.add_node("Extra", {"v": 2})
+    expected = graph.copy()  # a PropertyGraph, whose first lookup indexes every node
+    assert not isinstance(expected, SnapshotGraph) and expected._by_uid is None
+    for uid in (1, 3, 5, 7, 99):
+        assert [n.id for n in graph.nodes_with_uid(uid)] == [n.id for n in expected.nodes_with_uid(uid)]
+    assert [n.id for n in graph.nodes_with_uid(3)] == [3, 7, 9]  # numbered first, then added in id order
+    assert built.count(property_graph._uid_key) == 1  # the copy's index, not the filled graph's
+    assert graph._by_uid == {3: [7, 9], 7: [8]}  # only the nodes added since the numbering
+    assert graph.audit() == [] and expected.audit() == []
+    graph.node(3).properties["$uid"] = 4  # an in-place change is not seen by the lookup, but audit reports it
+    assert [n.id for n in graph.nodes_with_uid(3)] == [3, 7, 9]
+    assert any(problem.startswith("$uid index entry") for problem in graph.audit())
+
+
 def test_unknown_root_leaves_no_numbering():
     snapshot = _chain_snapshot(10)
     for root in (404, [1, 404]):
